@@ -17,8 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import channels, ellipsoid, monogamy, states
-from .ellipsoid import _steering_abT, _volume_from_abT
-from .states import QuantumState, _partial_trace_arr, sample_rng
+from .states import QuantumState, _partial_trace_arr, sample_streams
 
 __all__ = [
     "DEFAULT_SEED",
@@ -44,6 +43,11 @@ _CONJECTURE_TOL = 1e-9
 _NEAR_MISS_GAP = 1e-3
 
 _DEFAULT_EPSILONS = (0.0, 0.001, 0.005, 0.01)
+
+# Samples the conjecture kernel reduces together.  256 already amortizes the
+# per-call overhead; larger blocks only raise peak memory (one block of 2,500
+# samples added about 5 MB).
+_CONJECTURE_BLOCK = 256
 
 
 def _open_grid(count: int, upper: float) -> np.ndarray:
@@ -103,17 +107,29 @@ class ConjectureResult:
         }
 
 
+def _pure4_block_lhs(draws: np.ndarray) -> np.ndarray:
+    """Hub correlation sums of the kets whose real and imaginary parts are the rows of ``draws``."""
+    vecs = draws[:, :16] + 1j * draws[:, 16:]
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    mats = vecs[:, :, None] * vecs[:, None, :].conj()
+    lhs = 0.0
+    for other in (1, 2, 3):
+        T = states._spin_corr_arr(_partial_trace_arr(mats, [0, other], 4))
+        lhs += np.sum(T * T, axis=(1, 2))
+    return lhs
+
+
 def _pure4_correlation_lhs(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        rng = sample_rng(master_seed, i)
-        vec = states._haar_vector(16, rng)
-        mat = np.outer(vec, vec.conj())
-        lhs = 0.0
-        for other in (1, 2, 3):
-            T = states._spin_corr_arr(_partial_trace_arr(mat, [0, other], 4))
-            lhs += float(np.sum(T * T))
-        out[i - start] = lhs
+    draws = np.empty((_CONJECTURE_BLOCK, 32))
+    for lo in range(start, stop, _CONJECTURE_BLOCK):
+        block = draws[: min(_CONJECTURE_BLOCK, stop - lo)]
+        # One 32-value draw is bit for bit the two 16-value draws of
+        # states._haar_vector: real parts first, then imaginary parts.
+        for i, rng in sample_streams(master_seed, lo, lo + len(block)):
+            rng.standard_normal(out=block[i - lo])
+        # A helper call frees each block's densities before the next block's exist.
+        out[lo - start : lo - start + len(block)] = _pure4_block_lhs(block)
     return out
 
 
@@ -275,17 +291,10 @@ def _pure_matrix(rng, n_qubits: int) -> np.ndarray:
     return states.random_pure_state(n_qubits, seed=rng).matrix
 
 
-def _hub_volumes_arr(mat: np.ndarray, n: int) -> list[float]:
-    return [
-        _volume_from_abT(*_steering_abT(_partial_trace_arr(mat, [0, x], n), 2, 0))
-        for x in range(1, n)
-    ]
-
-
 def _inv_reconstruction(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        mat = _mixed_matrix(sample_rng(master_seed, i), 2)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 2)
         rebuilt = states.pauli_decomposition(mat).reconstruct()
         out[i - start] = _RECON_TOL - float(np.max(np.abs(rebuilt - mat)))
     return out
@@ -293,8 +302,8 @@ def _inv_reconstruction(master_seed: int, start: int, stop: int) -> np.ndarray:
 
 def _inv_ptrace_composition(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        mat = _mixed_matrix(sample_rng(master_seed, i), 3)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 3)
         direct = _partial_trace_arr(mat, [0], 3)
         stepwise = _partial_trace_arr(_partial_trace_arr(mat, [0, 1], 3), [0], 2)
         out[i - start] = _PTRACE_TOL - float(np.max(np.abs(direct - stepwise)))
@@ -303,8 +312,8 @@ def _inv_ptrace_composition(master_seed: int, start: int, stop: int) -> np.ndarr
 
 def _inv_purity_symmetry(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        mat = _pure_matrix(sample_rng(master_seed, i), 3)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _pure_matrix(rng, 3)
         p_ab = states.purity(_partial_trace_arr(mat, [0, 1], 3))
         p_c = states.purity(_partial_trace_arr(mat, [2], 3))
         out[i - start] = _PURITY_SYM_TOL - abs(p_ab - p_c)
@@ -313,8 +322,7 @@ def _inv_purity_symmetry(master_seed: int, start: int, stop: int) -> np.ndarray:
 
 def _inv_state_validity(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        rng = sample_rng(master_seed, i)
+    for i, rng in sample_streams(master_seed, start, stop):
         pure = states.random_pure_state(3, seed=rng)
         QuantumState.from_amplitudes(pure.data)
         mixed = states.random_mixed_state(3, seed=rng)
@@ -325,8 +333,8 @@ def _inv_state_validity(master_seed: int, start: int, stop: int) -> np.ndarray:
 
 def _inv_volume_canonical(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        mat = _mixed_matrix(sample_rng(master_seed, i), 2)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 2)
         v = ellipsoid.normalized_volume(mat)
         t_canon = states._spin_corr_arr(ellipsoid.canonical_form(mat).data)
         out[i - start] = _TOL - abs(v - abs(np.linalg.det(t_canon)))
@@ -344,8 +352,7 @@ def _steered_points(mat: np.ndarray, rng) -> tuple[np.ndarray, "states.PauliDeco
 
 def _inv_bloch_containment(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        rng = sample_rng(master_seed, i)
+    for i, rng in sample_streams(master_seed, start, stop):
         points, _ = _steered_points(_mixed_matrix(rng, 2), rng)
         out[i - start] = 1.0 + _BLOCH_BALL_TOL - float(np.max(np.linalg.norm(points, axis=1)))
     return out
@@ -353,8 +360,7 @@ def _inv_bloch_containment(master_seed: int, start: int, stop: int) -> np.ndarra
 
 def _inv_membership(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        rng = sample_rng(master_seed, i)
+    for i, rng in sample_streams(master_seed, start, stop):
         mat = _mixed_matrix(rng, 2)
         points, _ = _steered_points(mat, rng)
         ell = ellipsoid.steering_ellipsoid(mat)
@@ -369,16 +375,16 @@ def _inv_membership(master_seed: int, start: int, stop: int) -> np.ndarray:
 
 def _inv_separable_bound(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        mat = states.random_separable_two_qubit(seed=sample_rng(master_seed, i)).matrix
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = states.random_separable_two_qubit(seed=rng).matrix
         out[i - start] = _SEPARABLE_BOUND + _TOL - ellipsoid.normalized_volume(mat)
     return out
 
 
 def _inv_volume_interval(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        mat = _mixed_matrix(sample_rng(master_seed, i), 2)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 2)
         v = ellipsoid.normalized_volume(mat)
         margin = min(v + _TOL, 1.0 + _TOL - v)
         if v >= 1.0 - _TOL:
@@ -392,26 +398,24 @@ def _inv_volume_interval(master_seed: int, start: int, stop: int) -> np.ndarray:
 def _inv_monogamy_sum(master_seed: int, start: int, stop: int, *, n_qubits: int,
                       pure: bool, exponent: float, bound: float) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        rng = sample_rng(master_seed, i)
+    for i, rng in sample_streams(master_seed, start, stop):
         mat = _pure_matrix(rng, n_qubits) if pure else _mixed_matrix(rng, n_qubits)
-        lhs = sum(v**exponent for v in _hub_volumes_arr(mat, n_qubits))
+        lhs = sum(v**exponent for v in monogamy._hub_volumes(mat, n_qubits, 0))
         out[i - start] = bound + _TOL - lhs
     return out
 
 
 def _inv_mixed5_mean_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        mat = _mixed_matrix(sample_rng(master_seed, i), 5)
-        out[i - start] = 0.5 + _TOL - float(np.mean(_hub_volumes_arr(mat, 5)))
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 5)
+        out[i - start] = 0.5 + _TOL - float(np.mean(monogamy._hub_volumes(mat, 5, 0)))
     return out
 
 
 def _inv_correlation_sum(master_seed: int, start: int, stop: int, *, pure: bool) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        rng = sample_rng(master_seed, i)
+    for i, rng in sample_streams(master_seed, start, stop):
         mat = _pure_matrix(rng, 3) if pure else _mixed_matrix(rng, 3)
         total = monogamy.pairwise_correlation_sum(mat)
         out[i - start] = _TOL - abs(total - 3.0) if pure else 3.0 + _TOL - total
@@ -423,17 +427,17 @@ def _inv_purity_identities(master_seed: int, start: int, stop: int, *, n_qubits:
         monogamy.purity_identity_residuals_3q if n_qubits == 3 else monogamy.purity_identity_residuals_4q
     )
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        mat = _pure_matrix(sample_rng(master_seed, i), n_qubits)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _pure_matrix(rng, n_qubits)
         out[i - start] = _TOL - float(np.max(np.abs(residual_fn(mat))))
     return out
 
 
 def _inv_canonical_equalities(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        mat = ellipsoid.canonical_form(_pure_matrix(sample_rng(master_seed, i), 3)).data
-        v_b, v_c = _hub_volumes_arr(mat, 3)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = ellipsoid.canonical_form(_pure_matrix(rng, 3)).data
+        v_b, v_c = monogamy._hub_volumes(mat, 3, 0)
         b = states._bloch_arr(_partial_trace_arr(mat, [1], 3))
         c = states._bloch_arr(_partial_trace_arr(mat, [2], 3))
         out[i - start] = _TOL - max(abs(v_b - c @ c), abs(v_c - b @ b))
@@ -442,61 +446,74 @@ def _inv_canonical_equalities(master_seed: int, start: int, stop: int) -> np.nda
 
 def _inv_polygon(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        mat = _pure_matrix(sample_rng(master_seed, i), 3)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _pure_matrix(rng, 3)
         out[i - start] = monogamy.polygon_residual(mat) + _TOL
     return out
 
 
 def _inv_concurrence_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        mat = _mixed_matrix(sample_rng(master_seed, i), 2)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 2)
         out[i - start] = monogamy.concurrence_volume_residual(mat) + _TOL
     return out
 
 
 def _inv_ckw(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        mat = _mixed_matrix(sample_rng(master_seed, i), 3)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 3)
         out[i - start] = monogamy.ckw_residual(mat) + _TOL
     return out
 
 
 def _inv_tangle_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        mat = _pure_matrix(sample_rng(master_seed, i), 3)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _pure_matrix(rng, 3)
         tangle = monogamy.three_tangle(mat)
         a = states._bloch_arr(_partial_trace_arr(mat, [0], 3))
-        report_lhs = sum(math.sqrt(v) for v in _hub_volumes_arr(mat, 3))
+        report_lhs = sum(math.sqrt(v) for v in monogamy._hub_volumes(mat, 3, 0))
         out[i - start] = tangle - (1.0 - a @ a) * (1.0 - report_lhs) + _TOL
     return out
 
 
+def _max_volume_class(theta: float) -> monogamy.SloccClass:
+    """SLOCC class that the marginal spectra of ``max_volume_state(theta)`` imply.
+
+    Qubit 0 is maximally mixed; qubits 1 and 2 have smallest marginal
+    eigenvalues cos^2(theta)/2 and sin^2(theta)/2.  Within about 4.5e-5 of
+    an end of [0, pi/2] one of these falls below RANK_TOL, so that qubit
+    factors out, and the state still saturates the bound.
+    """
+    if math.cos(theta) ** 2 / 2.0 < monogamy.RANK_TOL:
+        return monogamy.SloccClass.BIPARTITE_AC_B
+    if math.sin(theta) ** 2 / 2.0 < monogamy.RANK_TOL:
+        return monogamy.SloccClass.BIPARTITE_AB_C
+    return monogamy.SloccClass.W_CLASS
+
+
 def _inv_wclass_saturation(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        rng = sample_rng(master_seed, i)
+    for i, rng in sample_streams(master_seed, start, stop):
         theta = rng.uniform(0.0, math.pi / 2.0)
         vec = monogamy.max_volume_state(theta).data
         local = states._haar_unitary(2, rng)
         for _ in range(2):
             local = np.kron(local, states._haar_unitary(2, rng))
         vec = local @ vec
-        if monogamy.slocc_classify(vec) is not monogamy.SloccClass.W_CLASS:
-            out[i - start] = -1.0
-            continue
-        lhs = sum(math.sqrt(v) for v in _hub_volumes_arr(np.outer(vec, vec.conj()), 3))
-        out[i - start] = _SATURATION_TOL - abs(lhs - 1.0)
+        lhs = sum(math.sqrt(v) for v in monogamy._hub_volumes(np.outer(vec, vec.conj()), 3, 0))
+        margin = _SATURATION_TOL - abs(lhs - 1.0)
+        if monogamy.slocc_classify(vec) is not _max_volume_class(theta):
+            margin = -1.0
+        out[i - start] = margin
     return out
 
 
 def _inv_channel_monotonicity(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        rng = sample_rng(master_seed, i)
+    for i, rng in sample_streams(master_seed, start, stop):
         mat = _mixed_matrix(rng, 2)
         pair = [channels.random_channel(seed=rng) for _ in range(2)]
         v_before, v_after, _ = channels.monotonicity_check(mat, pair)
@@ -506,11 +523,10 @@ def _inv_channel_monotonicity(master_seed: int, start: int, stop: int) -> np.nda
 
 def _inv_noisy_pure3_monogamy(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        rng = sample_rng(master_seed, i)
+    for i, rng in sample_streams(master_seed, start, stop):
         mat = _pure_matrix(rng, 3)
         noisy = channels.apply_local([channels.random_channel(seed=rng) for _ in range(3)], mat)
-        lhs = sum(math.sqrt(v) for v in _hub_volumes_arr(noisy.data, 3))
+        lhs = sum(math.sqrt(v) for v in monogamy._hub_volumes(noisy.data, 3, 0))
         out[i - start] = 1.0 + _TOL - lhs
     return out
 
@@ -535,7 +551,7 @@ def _inv_ghz_mapping(master_seed: int, start: int, stop: int) -> np.ndarray:
         alpha = float(angles[i // 20])
         beta = float(angles[i % 20])
         state, (x_pred, y_pred) = monogamy.ghz_family(alpha, beta)
-        v_b, v_c = _hub_volumes_arr(state.matrix, 3)
+        v_b, v_c = monogamy._hub_volumes(state.matrix, 3, 0)
         out[i - start] = _TOL - max(abs(v_b - x_pred), abs(v_c - y_pred))
     return out
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qsteer import states
+from qsteer import monogamy, states
 from qsteer.experiments import (
+    _inv_wclass_saturation,
+    _max_volume_class,
     _pure4_correlation_lhs,
     counterexample_regression,
     run_conjecture_test,
@@ -42,6 +44,25 @@ class TestConjecture:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             run_conjecture_test(-1)
+
+    def test_lhs_matches_public_reference(self):
+        lhs = _pure4_correlation_lhs(11, 250, 262)
+        for k, i in enumerate(range(250, 262)):
+            psi = states.random_pure_state(4, seed=states.sample_rng(11, i))
+            ref = sum(
+                float(np.sum(states.spin_correlation_matrix(states.partial_trace(psi, [0, other])) ** 2))
+                for other in (1, 2, 3)
+            )
+            assert abs(lhs[k] - ref) < 1e-12
+
+    def test_lhs_is_chunk_invariant(self):
+        whole = _pure4_correlation_lhs(4, 0, 600)
+        bounds = [0, 1, 255, 257, 600]
+        parts = [_pure4_correlation_lhs(4, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+        single = run_conjecture_test(600, master_seed=4, workers=1)
+        assert run_conjecture_test(600, master_seed=4, workers=3) == single
+        assert single.max_lhs == whole.max()
 
     def test_dict_round_trip_fields(self):
         payload = run_conjecture_test(10, master_seed=1).to_dict()
@@ -123,6 +144,20 @@ class TestPropertySuite:
         validity = next(r for r in report.results if r.name == "sampled_state_validity")
         assert not validity.passed
         assert "trace" in validity.error
+
+
+class TestWClassSaturation:
+    @pytest.mark.parametrize("theta", [0.0, 1e-6, 5e-5, math.pi / 4, math.pi / 2 - 5e-5, math.pi / 2 - 1e-6, math.pi / 2])
+    def test_expected_class_matches_classifier(self, theta):
+        assert monogamy.slocc_classify(monogamy.max_volume_state(theta)) is _max_volume_class(theta)
+
+    def test_end_of_range_sample_saturates(self):
+        # Sample 24 of master seed 677332090 draws theta = pi/2 - 4.7e-6, where
+        # qubit 1 factors out; the state is bipartite yet saturates the bound.
+        theta = states.sample_rng(677332090, 24).uniform(0.0, math.pi / 2.0)
+        assert math.pi / 2 - theta < 1e-5
+        assert _max_volume_class(theta) is monogamy.SloccClass.BIPARTITE_AC_B
+        assert _inv_wclass_saturation(677332090, 24, 25)[0] >= 0.0
 
 
 class TestCounterexampleRegression:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsteer.monogamy import counterexample_state, ghz_state, singlet_state, w_state, werner_state
+from qsteer import states
 from qsteer.states import (
     QuantumState,
     StateValidationError,
@@ -16,6 +17,8 @@ from qsteer.states import (
     random_mixed_state,
     random_pure_state,
     random_separable_two_qubit,
+    sample_rng,
+    sample_streams,
     spin_correlation_matrix,
 )
 
@@ -212,6 +215,62 @@ class TestRandomStates:
     def test_separable_is_valid_two_qubit_state(self, rng):
         for _ in range(50):
             QuantumState.from_matrix(random_separable_two_qubit(seed=rng).matrix)
+
+
+def _stream_draws(rng):
+    return (
+        rng.standard_normal(7),
+        rng.uniform(0.0, 2.0, 5),
+        rng.integers(1, 5, 6),
+        rng.dirichlet(np.ones(3)),
+    )
+
+
+class TestSampleStreams:
+    @pytest.mark.parametrize("master_seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_matches_sample_rng(self, master_seed):
+        # 0..258 crosses the block boundary at 256; the last index is the largest allowed.
+        ranges = [(0, 258), (2**32 - 1, 2**32)]
+        checked = set()
+        for start, stop in ranges:
+            for i, rng in sample_streams(master_seed, start, stop):
+                if i in (0, 1, 255, 256, 257, 2**32 - 1):
+                    for got, want in zip(_stream_draws(rng), _stream_draws(sample_rng(master_seed, i))):
+                        np.testing.assert_array_equal(got, want)
+                    checked.add(i)
+        assert checked == {0, 1, 255, 256, 257, 2**32 - 1}
+
+    def test_yields_every_index_in_order(self):
+        assert [i for i, _ in sample_streams(3, 250, 520)] == list(range(250, 520))
+        assert list(sample_streams(3, 5, 5)) == []
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            sample_rng(-1, 0)
+        with pytest.raises(ValueError):
+            list(sample_streams(-1, 0, 3))
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (2**32 - 1, 2**32 + 1), (2**32, 2**32 + 1)])
+    def test_indices_outside_uint32_rejected(self, start, stop):
+        with pytest.raises(ValueError):
+            list(sample_streams(7, start, stop))
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("n, keep", [(2, [0]), (2, [1]), (3, [0, 1]), (3, [2, 0]), (4, [0, 3]), (5, [1, 2, 4])])
+    def test_partial_trace_stack_matches_each_matrix(self, rng, n, keep):
+        mats = np.stack([random_mixed_state(n, seed=rng).matrix for _ in range(6)]).reshape(2, 3, 2**n, 2**n)
+        reduced = states._partial_trace_arr(mats, keep, n)
+        assert reduced.shape == (2, 3, 2 ** len(keep), 2 ** len(keep))
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(reduced[idx], states._partial_trace_arr(mats[idx], keep, n))
+
+    def test_spin_correlation_stack_matches_each_matrix(self, rng):
+        mats = np.stack([random_mixed_state(2, seed=rng).matrix for _ in range(20)])
+        stacked = states._spin_corr_arr(mats)
+        assert stacked.shape == (20, 3, 3)
+        for mat, T in zip(mats, stacked):
+            np.testing.assert_array_equal(T, states._spin_corr_arr(mat))
 
 
 @settings(max_examples=60, deadline=None)

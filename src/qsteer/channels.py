@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,6 +14,8 @@ from .states import (
     SeedLike,
     StateLike,
     StateValidationError,
+    _check_n_qubits,
+    _check_range,
     _density,
     _haar_unitary,
     as_rng,
@@ -38,10 +40,13 @@ class KrausChannel:
     """Single-qubit CPTP map as a tuple of 2x2 Kraus operators.
 
     Trace preservation (sum of K^dag K equal to the identity within 1e-10)
-    is checked at construction.
+    is checked at construction.  ``superoperator`` is sum_k K (x) conj(K) as
+    a (2, 2, 2, 2) tensor S[i, j, k, l], so the map sends rho to
+    sum_kl S[i, j, k, l] rho[k, l].
     """
 
     operators: tuple[np.ndarray, ...]
+    superoperator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
@@ -56,6 +61,9 @@ class KrausChannel:
         err = float(np.max(np.abs(total - np.eye(2))))
         if err > COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated: max |sum K^dag K - 1| = {err:.3g}")
+        sup = sum(np.einsum("ik,jl->ijkl", k, k.conj()) for k in ops)
+        sup.setflags(write=False)
+        object.__setattr__(self, "superoperator", sup)
 
     def apply(self, rho2: np.ndarray) -> np.ndarray:
         """Act on a single-qubit density matrix."""
@@ -114,22 +122,48 @@ def random_channel(seed: SeedLike = None) -> KrausChannel:
     return KrausChannel(tuple(isometry[2 * i : 2 * i + 2, :] for i in range(4)))
 
 
-def apply_local(channels, rho: StateLike) -> QuantumState:
-    """Apply one single-qubit channel per qubit: rho' = (phi_0 (x) ... (x) phi_{n-1})(rho)."""
-    mat, n = _density(rho)
+def apply_local(channels, rho):
+    """Apply one single-qubit channel per qubit: rho' = (phi_0 (x) ... (x) phi_{n-1})(rho).
+
+    ``rho`` is a state, ket or density matrix, which gives a
+    :class:`QuantumState`, or a (..., 2**n, 2**n) array stack of density
+    matrices, which gives the array stack of outputs.  Each channel acts as
+    one contraction of its superoperator with its qubit's row and column
+    axes.
+    """
+    if isinstance(rho, np.ndarray) and rho.ndim > 2:
+        if rho.shape[-1] != rho.shape[-2]:
+            raise StateValidationError(f"cannot interpret array of shape {rho.shape} as a state stack")
+        mat, n = rho, _check_n_qubits(rho.shape[-1])
+    else:
+        mat, n = _density(rho)
     channels = list(channels)
     if len(channels) != n:
         raise StateValidationError(f"need {n} channels for {n} qubits, got {len(channels)}")
-    out = mat
+    batch = mat.ndim - 2
+    out = mat.reshape(mat.shape[:-2] + (2,) * (2 * n))
     for q, channel in enumerate(channels):
-        left = np.eye(2**q)
-        right = np.eye(2 ** (n - q - 1))
-        acc = np.zeros_like(out)
-        for k in channel.operators:
-            full = np.kron(np.kron(left, k), right)
-            acc += full @ out @ full.conj().T
-        out = acc
-    return QuantumState(n, (out + out.conj().T) / 2.0)
+        # tensordot puts the channel's output axes first; move them back to
+        # qubit q's row and column slots.
+        slots = (batch + q, batch + n + q)
+        out = np.moveaxis(np.tensordot(channel.superoperator, out, axes=([2, 3], slots)), (0, 1), slots)
+    out = out.reshape(mat.shape)
+    out = (out + np.swapaxes(out, -1, -2).conj()) / 2.0
+    return out if out.ndim > 2 else QuantumState(n, out)
+
+
+def _noisy_w_volume_arr(p, epsilon) -> np.ndarray:
+    """Closed-form noisy W-family volume over broadcast arrays of p and epsilon."""
+    p, epsilon = np.asarray(p, dtype=float), np.asarray(epsilon, dtype=float)
+    _check_range("p", p, (0.0 < p) & (p < 1.0), "(0, 1)")
+    _check_range("epsilon", epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "[0, 1]")
+    # float_power calls the C pow, which Python's float ** also uses.
+    shrink = 1.0 - epsilon
+    denom = 1.0 - np.float_power(shrink, 2) * np.float_power(1.0 - 2.0 * p * p, 2)
+    return (
+        4.0 * np.float_power(p, 4) * np.float_power(1.0 - p * p, 2) * np.float_power(shrink, 6)
+        / np.float_power(denom, 2)
+    )
 
 
 def noisy_w_volume(p: float, epsilon: float) -> float:
@@ -138,13 +172,7 @@ def noisy_w_volume(p: float, epsilon: float) -> float:
     v' = 4 p^4 (1-p^2)^2 (1-eps)^6 / [1 - (1-eps)^2 (1-2p^2)^2]^2 for
     noise strength eps on every qubit; equals 1/4 for eps = 0.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    shrink = 1.0 - epsilon
-    denom = 1.0 - shrink**2 * (1.0 - 2.0 * p * p) ** 2
-    return 4.0 * p**4 * (1.0 - p * p) ** 2 * shrink**6 / denom**2
+    return float(_noisy_w_volume_arr(p, epsilon))
 
 
 def monotonicity_check(rho: StateLike, channels, tol: float = 1e-9) -> tuple[float, float, bool]:

@@ -29,9 +29,6 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     sub.add_argument("--tol", type=float, default=1e-9, help="state-validation tolerance")
     sub.add_argument("--p", type=float, default=None, help="W-family weight in (0, 1)")
-    sub.add_argument("--alpha", type=float, default=None, help="GHZ-family angle in (0, pi/2)")
-    sub.add_argument("--beta", type=float, default=None, help="GHZ-family angle in (0, pi/2)")
-    sub.add_argument("--theta", type=float, default=None, help="max-volume-family angle in [0, pi/2]")
     sub.add_argument("--epsilons", default=None, help="comma-separated isotropic noise strengths")
     sub.add_argument("--grid", type=int, default=None, help="sweep grid steps per axis")
     sub.add_argument(
@@ -68,7 +65,8 @@ def _emit_rows(args, rows) -> None:
     if args.format == "csv":
         _write(args, serialize.rows_to_csv(rows))
     else:
-        _write(args, serialize.dumps([dataclasses.asdict(row) for row in rows]))
+        names = [f.name for f in dataclasses.fields(rows[0])] if rows else []
+        _write(args, serialize.dumps([{name: getattr(row, name) for name in names} for row in rows]))
 
 
 def _cmd_analyze(args) -> int:

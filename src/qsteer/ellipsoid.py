@@ -99,7 +99,7 @@ class SteeringEllipsoid:
 
 
 def _steering_abT(mat: np.ndarray, n: int, steering_qubit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, T) with the steering qubit in the Alice slot of a 2-qubit matrix."""
+    """(a, b, T) with the steering qubit in the Alice slot of a 2-qubit matrix; leading axes are a batch."""
     if n != 2:
         raise StateValidationError(f"expected a two-qubit state, got {n} qubits")
     if steering_qubit not in (0, 1):
@@ -108,15 +108,28 @@ def _steering_abT(mat: np.ndarray, n: int, steering_qubit: int) -> tuple[np.ndar
     b = _bloch_arr(_partial_trace_arr(mat, [1 - steering_qubit], 2))
     T = _spin_corr_arr(mat)
     if steering_qubit == 1:
-        T = T.T
+        T = np.swapaxes(T, -1, -2)
     return a, b, T
 
 
-def _volume_from_abT(a: np.ndarray, b: np.ndarray, T: np.ndarray) -> float:
-    gamma = 1.0 - float(a @ a)
-    if gamma <= DEGENERACY_THRESHOLD:
-        return 0.0
-    return float(abs(np.linalg.det(T - np.outer(a, b))) / gamma**2)
+def _volume_from_abT(a: np.ndarray, b: np.ndarray, T: np.ndarray):
+    """|det(T - a b^T)| / (1 - |a|^2)^2, or 0 for a pure steering marginal.
+
+    A single (a, b, T) gives a float; leading batch axes give an array whose
+    entries equal the single-state results bit for bit.
+    """
+    if a.ndim == 1:
+        gamma = 1.0 - float(a @ a)
+        if gamma <= DEGENERACY_THRESHOLD:
+            return 0.0
+        return float(abs(np.linalg.det(T - a[:, None] * b)) / gamma**2)
+    # matmul reduces each row with the same dot kernel as ``a @ a``, and
+    # float_power calls the C pow that the float ``**`` above uses; einsum
+    # and ``** 2`` round differently in the last bit.
+    gamma = 1.0 - (a[..., None, :] @ a[..., :, None])[..., 0, 0]
+    pure = gamma <= DEGENERACY_THRESHOLD
+    det = np.linalg.det(T - a[..., :, None] * b[..., None, :])
+    return np.where(pure, 0.0, np.abs(det) / np.float_power(np.where(pure, 1.0, gamma), 2))
 
 
 def canonical_form(rho: StateLike, steering_qubit: int = 0) -> QuantumState:

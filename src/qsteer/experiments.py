@@ -44,15 +44,22 @@ _NEAR_MISS_GAP = 1e-3
 
 _DEFAULT_EPSILONS = (0.0, 0.001, 0.005, 0.01)
 
-# Samples the conjecture kernel reduces together.  256 already amortizes the
-# per-call overhead; larger blocks only raise peak memory (one block of 2,500
-# samples added about 5 MB).
-_CONJECTURE_BLOCK = 256
+# States the batched kernels (conjecture search, figure sweeps) reduce
+# together.  256 already amortizes the per-call overhead; larger blocks only
+# raise peak memory (one block of 2,500 samples added about 5 MB).
+_BLOCK = 256
 
 
 def _open_grid(count: int, upper: float) -> np.ndarray:
     """``count`` uniformly spaced points in the open interval (0, upper)."""
     return np.arange(1, count + 1) / (count + 1) * upper
+
+
+def _check_counts(samples: int, workers: int) -> None:
+    if samples < 0:
+        raise ValueError(f"sample count must be >= 0, got {samples}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def _chunked_values(fn: Callable, n_samples: int, master_seed: int, workers: int) -> np.ndarray:
@@ -63,7 +70,6 @@ def _chunked_values(fn: Callable, n_samples: int, master_seed: int, workers: int
     """
     if n_samples <= 0:
         return np.empty(0)
-    workers = max(1, int(workers))
     if workers == 1:
         return np.asarray(fn(master_seed, 0, n_samples))
     n_chunks = min(n_samples, 4 * workers)
@@ -111,7 +117,7 @@ def _pure4_block_lhs(draws: np.ndarray) -> np.ndarray:
     """Hub correlation sums of the kets whose real and imaginary parts are the rows of ``draws``."""
     vecs = draws[:, :16] + 1j * draws[:, 16:]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    mats = vecs[:, :, None] * vecs[:, None, :].conj()
+    mats = _densities(vecs)
     lhs = 0.0
     for other in (1, 2, 3):
         T = states._spin_corr_arr(_partial_trace_arr(mats, [0, other], 4))
@@ -121,9 +127,9 @@ def _pure4_block_lhs(draws: np.ndarray) -> np.ndarray:
 
 def _pure4_correlation_lhs(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    draws = np.empty((_CONJECTURE_BLOCK, 32))
-    for lo in range(start, stop, _CONJECTURE_BLOCK):
-        block = draws[: min(_CONJECTURE_BLOCK, stop - lo)]
+    draws = np.empty((_BLOCK, 32))
+    for lo in range(start, stop, _BLOCK):
+        block = draws[: min(_BLOCK, stop - lo)]
         # One 32-value draw is bit for bit the two 16-value draws of
         # states._haar_vector: real parts first, then imaginary parts.
         for i, rng in sample_streams(master_seed, lo, lo + len(block)):
@@ -139,8 +145,7 @@ def run_conjecture_test(n_samples: int, master_seed: int = DEFAULT_SEED, workers
     The left-hand side is Tr[T_AB T_AB^t] + Tr[T_AC T_AC^t] +
     Tr[T_AD T_AD^t]; a violation is a strict excess beyond 3 + 1e-9.
     """
-    if n_samples < 0:
-        raise ValueError("n_samples must be >= 0")
+    _check_counts(n_samples, workers)
     values = _chunked_values(_pure4_correlation_lhs, n_samples, master_seed, workers)
     if values.size == 0:
         return ConjectureResult(samples=0, violations=0, max_lhs=float("-inf"), worst_state_seed=-1)
@@ -185,6 +190,16 @@ class NoisyWSweepRow:
     lhs: float
 
 
+def _blocks(count: int):
+    """Slices that cover range(count) in blocks of at most _BLOCK."""
+    return [slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
+
+
+def _densities(kets: np.ndarray) -> np.ndarray:
+    """|psi><psi| for a stack of kets, bit for bit as ``QuantumState.matrix`` builds each."""
+    return kets[..., :, None] * kets[..., None, :].conj()
+
+
 def sweep_ghz_region(grid_steps: int = 50) -> list[GhzSweepRow]:
     """Compare computed volumes of the GHZ-class family against the (x, y) map.
 
@@ -194,31 +209,16 @@ def sweep_ghz_region(grid_steps: int = 50) -> list[GhzSweepRow]:
     if grid_steps < 2:
         raise ValueError("grid_steps must be >= 2")
     angles = _open_grid(grid_steps, math.pi / 2.0)
-    rows = []
-    for alpha in angles:
-        for beta in angles:
-            state, (x_pred, y_pred) = monogamy.ghz_family(alpha, beta)
-            report = monogamy.volume_monogamy_report(state, hub=0)
-            v_b, v_c = report.volumes
-            rows.append(
-                GhzSweepRow(
-                    alpha=float(alpha),
-                    beta=float(beta),
-                    volume_b=v_b,
-                    volume_c=v_c,
-                    predicted_b=x_pred,
-                    predicted_c=y_pred,
-                    residual_b=abs(v_b - x_pred),
-                    residual_c=abs(v_c - y_pred),
-                    sqrt_lhs=report.sqrt_lhs,
-                )
-            )
-    return rows
-
-
-def _noisy_w_numeric(p: float, epsilon: float) -> float:
-    noisy = channels.apply_local([channels.isotropic_channel(epsilon)] * 3, monogamy.w_family(p))
-    return ellipsoid.normalized_volume(_partial_trace_arr(noisy.data, [0, 1], 3))
+    alpha, beta = np.repeat(angles, grid_steps), np.tile(angles, grid_steps)
+    kets, x_pred, y_pred = monogamy._ghz_family_arr(alpha, beta)
+    v_b, v_c = np.empty(alpha.size), np.empty(alpha.size)
+    for block in _blocks(alpha.size):
+        v_b[block], v_c[block] = monogamy._hub_volumes(_densities(kets[block]), 3, 0)
+    columns = (
+        alpha, beta, v_b, v_c, x_pred, y_pred,
+        np.abs(v_b - x_pred), np.abs(v_c - y_pred), np.sqrt(v_b) + np.sqrt(v_c),
+    )
+    return [GhzSweepRow(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 def sweep_noisy_w(
@@ -231,26 +231,22 @@ def sweep_noisy_w(
     noise strength (epsilon-major) to mirror one curve per strength.
     Defaults: 100 p-values on (0, 1) and strengths (0, 0.001, 0.005, 0.01).
     """
-    if p_grid is None:
-        p_grid = _open_grid(100, 1.0)
-    if epsilons is None:
-        epsilons = _DEFAULT_EPSILONS
-    rows = []
-    for eps in epsilons:
-        for p in p_grid:
-            closed = channels.noisy_w_volume(float(p), float(eps))
-            numeric = _noisy_w_numeric(float(p), float(eps))
-            rows.append(
-                NoisyWSweepRow(
-                    p=float(p),
-                    epsilon=float(eps),
-                    volume_closed_form=closed,
-                    volume_numeric=numeric,
-                    residual=abs(closed - numeric),
-                    lhs=2.0 * math.sqrt(numeric),
-                )
-            )
-    return rows
+    p = np.asarray(_open_grid(100, 1.0) if p_grid is None else p_grid, dtype=float).reshape(-1)
+    eps = np.asarray(_DEFAULT_EPSILONS if epsilons is None else epsilons, dtype=float).reshape(-1)
+    closed = channels._noisy_w_volume_arr(p, eps[:, None])
+    kets = monogamy._w_family_arr(p)
+    numeric = np.empty(closed.shape)
+    for e, strength in enumerate(eps):
+        noise = [channels.isotropic_channel(float(strength))] * 3
+        for block in _blocks(p.size):
+            noisy = channels.apply_local(noise, _densities(kets[block]))
+            pair = _partial_trace_arr(noisy, [0, 1], 3)
+            numeric[e, block] = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(pair, 2, 0))
+    columns = (
+        np.tile(p, eps.size), np.repeat(eps, p.size), closed.ravel(), numeric.ravel(),
+        np.abs(closed - numeric).ravel(), 2.0 * np.sqrt(numeric).ravel(),
+    )
+    return [NoisyWSweepRow(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 # --- counterexample regression ---------------------------------------------------
@@ -532,28 +528,15 @@ def _inv_noisy_pure3_monogamy(master_seed: int, start: int, stop: int) -> np.nda
 
 
 def _inv_noisy_w_closed_form(master_seed: int, start: int, stop: int) -> np.ndarray:
-    # Deterministic 20 x 5 grid; the index selects the grid point.
-    p_values = _open_grid(20, 1.0)
-    eps_values = (0.0, 0.001, 0.005, 0.01, 0.1)
-    out = np.empty(stop - start)
-    for i in range(start, stop):
-        p = float(p_values[i // len(eps_values)])
-        eps = eps_values[i % len(eps_values)]
-        out[i - start] = _TOL - abs(channels.noisy_w_volume(p, eps) - _noisy_w_numeric(p, eps))
-    return out
+    # Deterministic 20 x 5 grid; the index selects a row of the epsilon-major sweep.
+    rows = sweep_noisy_w(_open_grid(20, 1.0), (0.0, 0.001, 0.005, 0.01, 0.1))[start:stop]
+    return np.array([_TOL - row.residual for row in rows])
 
 
 def _inv_ghz_mapping(master_seed: int, start: int, stop: int) -> np.ndarray:
-    # Deterministic 20 x 20 grid over the open square (0, pi/2)^2.
-    angles = _open_grid(20, math.pi / 2.0)
-    out = np.empty(stop - start)
-    for i in range(start, stop):
-        alpha = float(angles[i // 20])
-        beta = float(angles[i % 20])
-        state, (x_pred, y_pred) = monogamy.ghz_family(alpha, beta)
-        v_b, v_c = monogamy._hub_volumes(state.matrix, 3, 0)
-        out[i - start] = _TOL - max(abs(v_b - x_pred), abs(v_c - y_pred))
-    return out
+    # Deterministic 20 x 20 grid over the open square (0, pi/2)^2, alpha-major.
+    rows = sweep_ghz_region(20)[start:stop]
+    return np.array([_TOL - max(row.residual_b, row.residual_c) for row in rows])
 
 
 def _inv_counterexample(master_seed: int, start: int, stop: int) -> np.ndarray:
@@ -681,6 +664,7 @@ def run_property_suite(
     size.  The optional mixed-4-qubit check records violations of the
     2/3-power bound without failing the suite, since that case is open.
     """
+    _check_counts(samples, workers)
     checks = _SUITE + ((_EXPLORATORY,) if explore_mixed_4q else ())
     results = []
     for check in checks:

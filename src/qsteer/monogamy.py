@@ -26,6 +26,7 @@ from .states import (
     StateLike,
     StateValidationError,
     _bloch_arr,
+    _check_range,
     _density,
     _partial_trace_arr,
     _spin_corr_arr,
@@ -366,16 +367,39 @@ def ghz_state(n_qubits: int = 3) -> QuantumState:
     return _ket(n_qubits, {0: s, 2**n_qubits - 1: s})
 
 
+def _w_family_arr(p) -> np.ndarray:
+    """Kets (p.shape + (8,)) of :func:`w_family` over an array of weights."""
+    p = np.asarray(p, dtype=float)
+    _check_range("p", p, (0.0 < p) & (p < 1.0), "(0, 1)")
+    kets = np.zeros(p.shape + (8,), dtype=complex)
+    kets[..., 4] = p
+    kets[..., 2] = kets[..., 1] = np.sqrt((1.0 - p * p) / 2.0)
+    return kets
+
+
 def w_family(p: float) -> QuantumState:
     """p |100> + sqrt((1-p^2)/2) (|010> + |001>), p in (0, 1).
 
     A one-parameter family of W-class states, symmetric in qubits 1 and 2;
     every member saturates the sqrt-volume monogamy bound.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    s = math.sqrt((1.0 - p * p) / 2.0)
-    return _ket(3, {4: p, 2: s, 1: s})
+    return QuantumState(3, _w_family_arr(p))
+
+
+def _ghz_family_arr(alpha, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kets (shape + (8,)) and predicted v_{B|A}, v_{C|A} of :func:`ghz_family` over broadcast angle arrays."""
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
+    _check_range("alpha", alpha, (0.0 < alpha) & (alpha < math.pi / 2.0), "(0, pi/2)")
+    _check_range("beta", beta, (0.0 < beta) & (beta < math.pi / 2.0), "(0, pi/2)")
+    s = 1.0 / math.sqrt(2.0)
+    kets = np.zeros(alpha.shape + (8,), dtype=complex)
+    kets[..., 4] = np.sin(alpha) * s
+    kets[..., 2] = np.sin(beta) * s
+    kets[..., 1] = np.cos(beta) * s
+    kets[..., 7] = np.cos(alpha) * s
+    ca, cb = np.cos(2.0 * alpha), np.cos(2.0 * beta)
+    # float_power calls the C pow, as Python's float ** does.
+    return kets, np.float_power(ca + cb, 2) / 4.0, np.float_power(ca - cb, 2) / 4.0
 
 
 def ghz_family(alpha: float, beta: float) -> tuple[QuantumState, tuple[float, float]]:
@@ -386,22 +410,8 @@ def ghz_family(alpha: float, beta: float) -> tuple[QuantumState, tuple[float, fl
     predicted pair (v_{B|A}, v_{C|A}) = ((cos 2a + cos 2b)^2 / 4,
     (cos 2a - cos 2b)^2 / 4).
     """
-    if not 0.0 < alpha < math.pi / 2.0:
-        raise ValueError(f"alpha must lie in (0, pi/2), got {alpha}")
-    if not 0.0 < beta < math.pi / 2.0:
-        raise ValueError(f"beta must lie in (0, pi/2), got {beta}")
-    s = 1.0 / math.sqrt(2.0)
-    state = _ket(
-        3,
-        {
-            4: math.sin(alpha) * s,
-            2: math.sin(beta) * s,
-            1: math.cos(beta) * s,
-            7: math.cos(alpha) * s,
-        },
-    )
-    ca, cb = math.cos(2.0 * alpha), math.cos(2.0 * beta)
-    return state, ((ca + cb) ** 2 / 4.0, (ca - cb) ** 2 / 4.0)
+    kets, x, y = _ghz_family_arr(alpha, beta)
+    return QuantumState(3, kets), (float(x), float(y))
 
 
 def max_volume_state(theta: float) -> QuantumState:

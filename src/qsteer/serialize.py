@@ -99,8 +99,11 @@ def rows_to_csv(rows: Sequence, fields: Sequence[str] | None = None) -> str:
             fields = list(first.keys())
     lines = [",".join(fields)]
     for row in rows:
-        record = dataclasses.asdict(row) if dataclasses.is_dataclass(row) else row
-        lines.append(",".join(_csv_cell(record[name]) for name in fields))
+        if dataclasses.is_dataclass(row):
+            cells = (getattr(row, name) for name in fields)
+        else:
+            cells = (row[name] for name in fields)
+        lines.append(",".join(_csv_cell(value) for value in cells))
     return "\n".join(lines) + "\n"
 
 

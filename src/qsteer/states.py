@@ -177,11 +177,26 @@ def sample_streams(master_seed: int, start: int, stop: int) -> Iterator[tuple[in
             yield lo + k, rng
 
 
+def _check_range(name: str, values: np.ndarray, inside: np.ndarray, interval: str) -> None:
+    """Raise ValueError naming the first entry of ``values`` outside ``interval``.
+
+    ``inside`` is the elementwise range test; comparisons with NaN are
+    False, so NaN entries are rejected too.
+    """
+    if not np.all(inside):
+        raise ValueError(f"{name} must lie in {interval}, got {values[~inside].flat[0]}")
+
+
 def _check_n_qubits(dim: int) -> int:
     n = int(round(math.log2(dim)))
     if 2**n != dim or n < 1:
         raise StateValidationError(f"dimension {dim} is not 2**n for n >= 1")
     return n
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise StateValidationError("state data has non-finite (NaN or inf) entries")
 
 
 @dataclass(frozen=True)
@@ -218,6 +233,7 @@ class QuantumState:
     def from_amplitudes(cls, amplitudes, tol: float = DEFAULT_TOL) -> "QuantumState":
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
         n = _check_n_qubits(vec.size)
+        _check_finite(vec)
         norm_sq = float(np.vdot(vec, vec).real)
         if abs(norm_sq - 1.0) > tol:
             raise StateValidationError(f"amplitude vector has squared norm {norm_sq}, expected 1")
@@ -229,6 +245,8 @@ class QuantumState:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise StateValidationError(f"expected a square matrix, got shape {mat.shape}")
         n = _check_n_qubits(mat.shape[0])
+        # NaN passes every comparison below and fails inside eigvalsh.
+        _check_finite(mat)
         herm_err = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_err > tol:
             raise StateValidationError(f"matrix is not Hermitian (max deviation {herm_err:.3g})")
@@ -340,7 +358,10 @@ def partial_trace(rho: StateLike, keep: Iterable[int]) -> QuantumState:
 
 
 def _bloch_arr(rho2: np.ndarray) -> np.ndarray:
-    return np.einsum("jab,ba->j", PAULIS, rho2).real
+    """Bloch vector of the trailing (2, 2) axes of ``rho2``; leading axes are a batch."""
+    # As in _partial_trace_arr, a single matrix skips the slower ellipsis form.
+    subscripts = "jab,ba->j" if rho2.ndim == 2 else "jab,...ba->...j"
+    return np.einsum(subscripts, PAULIS, rho2).real
 
 
 def bloch_vector(rho: StateLike) -> np.ndarray:

@@ -114,6 +114,62 @@ class TestApplyLocal:
             assert np.linalg.eigvalsh(out)[0] > -1e-9
 
 
+def dense_kron_apply(channels, rho):
+    """Reference: sum over Kraus operators of (1 (x) K (x) 1) rho (1 (x) K (x) 1)^dag, qubit by qubit."""
+    n = len(channels)
+    out = rho
+    for q, channel in enumerate(channels):
+        acc = np.zeros_like(out)
+        for k in channel.operators:
+            full = np.kron(np.kron(np.eye(2**q), k), np.eye(2 ** (n - q - 1)))
+            acc += full @ out @ full.conj().T
+        out = acc
+    return (out + out.conj().T) / 2.0
+
+
+class TestApplyLocalContraction:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["identity", "isotropic", "random"])
+    def test_matches_dense_kronecker_reference(self, rng, n, kind):
+        for _ in range(3):
+            if kind == "identity":
+                chans = [identity_channel()] * n
+            elif kind == "isotropic":
+                chans = [isotropic_channel(eps) for eps in rng.uniform(0.0, 1.0, n)]
+            else:
+                chans = [random_channel(seed=rng) for _ in range(n)]
+            rho = random_mixed_state(n, seed=rng).matrix
+            out = apply_local(chans, rho).data
+            assert np.max(np.abs(out - dense_kron_apply(chans, rho))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_matches_each_state(self, rng, n):
+        chans = [random_channel(seed=rng) for _ in range(n)]
+        mats = np.stack([random_mixed_state(n, seed=rng).matrix for _ in range(6)]).reshape(2, 3, 2**n, 2**n)
+        stacked = apply_local(chans, mats)
+        assert isinstance(stacked, np.ndarray)
+        assert stacked.shape == mats.shape
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(stacked[idx], apply_local(chans, mats[idx]).data)
+
+    def test_stack_channel_count_mismatch(self, rng):
+        mats = np.stack([random_mixed_state(2, seed=rng).matrix for _ in range(3)])
+        with pytest.raises(StateValidationError):
+            apply_local([identity_channel()] * 3, mats)
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(StateValidationError):
+            apply_local([identity_channel()] * 2, np.zeros((3, 4, 2), dtype=complex))
+
+    def test_superoperator_is_fixed_at_construction(self, rng):
+        channel = random_channel(seed=rng)
+        expected = sum(np.einsum("ik,jl->ijkl", k, k.conj()) for k in channel.operators)
+        assert channel.superoperator.shape == (2, 2, 2, 2)
+        np.testing.assert_allclose(channel.superoperator, expected, atol=1e-15)
+        with pytest.raises(ValueError):
+            channel.superoperator[0, 0, 0, 0] = 0.0
+
+
 class TestRandomChannel:
     def test_deterministic(self):
         a = random_channel(seed=11)
@@ -160,6 +216,10 @@ class TestNoisyWVolume:
             noisy_w_volume(0.0, 0.1)
         with pytest.raises(ValueError):
             noisy_w_volume(0.5, -0.2)
+        with pytest.raises(ValueError, match="p must"):
+            noisy_w_volume(math.nan, 0.1)
+        with pytest.raises(ValueError, match="epsilon must"):
+            noisy_w_volume(0.5, math.nan)
 
 
 class TestMonotonicity:

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from qsteer import experiments, serialize
 from qsteer.cli import main
 from qsteer.monogamy import counterexample_state, ghz_state, werner_state
 from qsteer.states import QuantumState
@@ -79,6 +81,16 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--input", str(path)]) == 2
         assert "trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_nan_entry_exits_2(self, tmp_path, capsys, kind):
+        state = ghz_state() if kind == "pure" else counterexample_state()
+        payload = state.to_dict()
+        payload["data"][1] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        assert main(["analyze", "--input", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_unreadable_file_exits_2(self, tmp_path):
         path = tmp_path / "nonsense.json"
         path.write_text("{not json")
@@ -122,6 +134,16 @@ class TestSweepCommands:
         zero_eps_lhs = [float(l.split(",")[5]) for l in lines[1:] if float(l.split(",")[1]) == 0.0]
         assert all(abs(x - 1.0) < 1e-9 for x in zero_eps_lhs)
 
+    def test_json_rows_match_dataclass_fields(self, tmp_path):
+        out = tmp_path / "fig1.json"
+        assert main(["fig1", "--grid", "4", "--output", str(out)]) == 0
+        rows = experiments.sweep_ghz_region(grid_steps=4)
+        assert out.read_text() == serialize.dumps([dataclasses.asdict(row) for row in rows])
+
+    def test_fig2_bad_p_exits_2(self, capsys):
+        assert main(["fig2", "--p", "nan"]) == 2
+        assert "p must" in capsys.readouterr().err
+
     def test_fig2_bad_epsilons(self, capsys):
         assert main(["fig2", "--epsilons", "0,zero"]) == 2
         assert "epsilons" in capsys.readouterr().err
@@ -150,3 +172,21 @@ class TestUsageErrors:
 
     def test_no_command(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--theta"])
+    def test_unread_family_flags_are_gone(self, flag):
+        assert main(["fig1", flag, "0.3"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "--samples", "-5"],
+            ["conjecture", "--samples", "-5"],
+            ["suite", "--workers", "0"],
+            ["conjecture", "--workers", "0"],
+            ["conjecture", "--workers", "-3"],
+        ],
+    )
+    def test_bad_counts_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err

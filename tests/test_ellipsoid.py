@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsteer import ellipsoid
 from qsteer.ellipsoid import (
     DegenerateMarginalError,
     PovmElement,
@@ -129,6 +130,37 @@ class TestNormalizedVolume:
         for _ in range(100):
             v = normalized_volume(random_mixed_state(2, seed=rng).matrix)
             assert -1e-12 <= v <= 1 + 1e-12
+
+
+class TestBatchedVolume:
+    def test_stack_matches_each_state_bitwise(self, rng):
+        # The last state has a pure steering marginal, whose volume is 0.
+        product = np.kron(np.diag([1.0, 0.0]), random_single_qubit_density(rng)).astype(complex)
+        mats = np.stack([random_mixed_state(2, seed=rng).matrix for _ in range(7)] + [product]).reshape(2, 4, 4, 4)
+        for steering in (0, 1):
+            stacked = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mats, 2, steering))
+            assert stacked.shape == (2, 4)
+            for idx in np.ndindex(2, 4):
+                single = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mats[idx], 2, steering))
+                assert isinstance(single, float)
+                assert stacked[idx] == single
+        assert ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mats, 2, 0))[1, 3] == 0.0
+
+    def test_stack_matches_single_calls_on_many_triples(self, rng):
+        # Enough triples that a last-bit difference in |a|^2 or in the squared
+        # denominator shows up in some entry.
+        a = rng.uniform(-0.57, 0.57, (20_000, 3))
+        b = rng.uniform(-1.0, 1.0, (20_000, 3))
+        T = rng.uniform(-1.0, 1.0, (20_000, 3, 3))
+        stacked = ellipsoid._volume_from_abT(a, b, T)
+        singles = [ellipsoid._volume_from_abT(*triple) for triple in zip(a, b, T)]
+        np.testing.assert_array_equal(stacked, singles)
+
+    def test_stack_of_pure_marginals_is_zero(self, rng):
+        mats = np.stack([random_pure_state(1, seed=rng).matrix for _ in range(5)])
+        pairs = np.einsum("nab,cd->nacbd", mats, random_single_qubit_density(rng)).reshape(5, 4, 4)
+        volumes = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(pairs, 2, 0))
+        np.testing.assert_array_equal(volumes, np.zeros(5))
 
 
 class TestSteeredPoint:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qsteer import monogamy, states
+from qsteer import channels, ellipsoid, monogamy, states
 from qsteer.experiments import (
+    GhzSweepRow,
     _inv_wclass_saturation,
     _max_volume_class,
     _pure4_correlation_lhs,
@@ -44,6 +45,10 @@ class TestConjecture:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             run_conjecture_test(-1)
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_conjecture_test(10, workers=0)
 
     def test_lhs_matches_public_reference(self):
         lhs = _pure4_correlation_lhs(11, 250, 262)
@@ -90,6 +95,24 @@ class TestGhzSweep:
         with pytest.raises(ValueError):
             sweep_ghz_region(grid_steps=1)
 
+    def test_rows_equal_per_point_loop_bitwise(self):
+        angles = np.arange(1, 8) / 8 * (math.pi / 2.0)
+        expected = []
+        for alpha in angles:
+            for beta in angles:
+                state, (x_pred, y_pred) = monogamy.ghz_family(alpha, beta)
+                report = monogamy.volume_monogamy_report(state, hub=0)
+                v_b, v_c = report.volumes
+                expected.append(
+                    GhzSweepRow(
+                        float(alpha), float(beta), v_b, v_c, x_pred, y_pred,
+                        abs(v_b - x_pred), abs(v_c - y_pred), report.sqrt_lhs,
+                    )
+                )
+        rows = sweep_ghz_region(grid_steps=7)
+        assert rows == expected
+        assert all(type(value) is float for row in rows for value in vars(row).values())
+
 
 class TestNoisyWSweep:
     def test_noiseless_curve_saturates(self):
@@ -108,6 +131,28 @@ class TestNoisyWSweep:
         assert rows[0].lhs == pytest.approx(0.99**3, abs=1e-9)
         assert 0.99**3 == pytest.approx(0.970299, abs=1e-9)
 
+    def test_rows_match_per_point_channel_application(self):
+        p_grid, epsilons = np.linspace(0, 1, 9)[1:-1], [0.0, 0.01, 0.3]
+        rows = sweep_noisy_w(p_grid=p_grid, epsilons=epsilons)
+        assert [(row.p, row.epsilon) for row in rows] == [(float(p), e) for e in epsilons for p in p_grid]
+        for row in rows:
+            noisy = channels.apply_local([channels.isotropic_channel(row.epsilon)] * 3, monogamy.w_family(row.p))
+            numeric = ellipsoid.normalized_volume(states.partial_trace(noisy, [0, 1]))
+            assert row.volume_numeric == pytest.approx(numeric, abs=1e-14)
+            assert row.volume_closed_form == channels.noisy_w_volume(row.p, row.epsilon)
+            assert row.residual == abs(row.volume_closed_form - row.volume_numeric)
+            assert row.lhs == 2.0 * math.sqrt(row.volume_numeric)
+
+    @pytest.mark.parametrize("p_grid", [[0.5, 0.0], [0.5, 1.0], [1.5], [0.5, math.nan], [-math.inf]])
+    def test_bad_p_grid_rejected(self, p_grid):
+        with pytest.raises(ValueError, match="p must"):
+            sweep_noisy_w(p_grid=p_grid, epsilons=[0.0])
+
+    @pytest.mark.parametrize("epsilons", [[0.0, -0.1], [1.1], [math.nan]])
+    def test_bad_epsilons_rejected(self, epsilons):
+        with pytest.raises(ValueError, match="epsilon must"):
+            sweep_noisy_w(p_grid=[0.5], epsilons=epsilons)
+
     def test_closed_form_matches_numeric(self):
         rows = sweep_noisy_w(p_grid=np.linspace(0, 1, 8)[1:-1], epsilons=[0.0, 0.005, 0.2])
         for row in rows:
@@ -121,6 +166,11 @@ class TestPropertySuite:
         names = {r.name for r in report.results}
         assert "pure3_sqrt_volume_monogamy" in names
         assert "counterexample_regression" in names
+
+    @pytest.mark.parametrize("kwargs", [{"samples": -5}, {"workers": 0}, {"workers": -2}])
+    def test_bad_counts_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            run_property_suite(**kwargs)
 
     def test_deterministic(self):
         a = run_property_suite(samples=40, master_seed=9)

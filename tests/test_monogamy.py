@@ -302,7 +302,7 @@ class TestFamilies:
     def test_w_family_at_symmetric_weight_is_w_state(self):
         np.testing.assert_allclose(w_family(1 / math.sqrt(3)).data, w_state().data, atol=1e-12)
 
-    @pytest.mark.parametrize("p", [-0.5, 0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("p", [-0.5, 0.0, 1.0, 2.0, math.nan])
     def test_w_family_range(self, p):
         with pytest.raises(ValueError):
             w_family(p)
@@ -326,7 +326,9 @@ class TestFamilies:
         a = bloch_vector(partial_trace(state, [0]))
         assert np.linalg.norm(a) < 1e-12
 
-    @pytest.mark.parametrize("angles", [(0.0, 0.5), (0.5, 0.0), (math.pi / 2, 0.5), (0.5, math.pi / 2)])
+    @pytest.mark.parametrize(
+        "angles", [(0.0, 0.5), (0.5, 0.0), (math.pi / 2, 0.5), (0.5, math.pi / 2), (math.nan, 0.5), (0.5, math.nan)]
+    )
     def test_ghz_family_range(self, angles):
         with pytest.raises(ValueError):
             ghz_family(*angles)

@@ -265,6 +265,13 @@ class TestBatchedKernels:
         for idx in np.ndindex(2, 3):
             np.testing.assert_array_equal(reduced[idx], states._partial_trace_arr(mats[idx], keep, n))
 
+    def test_bloch_stack_matches_each_matrix(self, rng):
+        mats = np.stack([random_mixed_state(1, seed=rng).matrix for _ in range(6)]).reshape(3, 2, 2, 2)
+        stacked = states._bloch_arr(mats)
+        assert stacked.shape == (3, 2, 3)
+        for idx in np.ndindex(3, 2):
+            np.testing.assert_array_equal(stacked[idx], states._bloch_arr(mats[idx]))
+
     def test_spin_correlation_stack_matches_each_matrix(self, rng):
         mats = np.stack([random_mixed_state(2, seed=rng).matrix for _ in range(20)])
         stacked = states._spin_corr_arr(mats)
@@ -301,6 +308,22 @@ class TestQuantumStateValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(StateValidationError, match="positive semidefinite"):
             QuantumState.from_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_amplitudes_reject_non_finite(self, bad):
+        with pytest.raises(StateValidationError, match="non-finite"):
+            QuantumState.from_amplitudes([bad, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_matrix_rejects_non_finite(self, bad):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[1, 2] = mat[2, 1] = bad
+        with pytest.raises(StateValidationError, match="non-finite"):
+            QuantumState.from_matrix(mat)
+
+    def test_all_nan_matrix_is_a_validation_error(self):
+        with pytest.raises(StateValidationError, match="non-finite"):
+            QuantumState.from_matrix(np.full((4, 4), np.nan))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(StateValidationError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from . import experiments, serialize
@@ -20,36 +21,42 @@ from .states import StateValidationError, partial_trace
 __all__ = ["build_parser", "main"]
 
 
-def _add_common_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", help="input state file (JSON)")
-    sub.add_argument("--output", help="output file; stdout when omitted")
-    sub.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-    sub.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED, help="master seed")
-    sub.add_argument("--samples", type=int, default=None, help="Monte-Carlo sample count")
-    sub.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    sub.add_argument("--tol", type=float, default=1e-9, help="state-validation tolerance")
-    sub.add_argument("--p", type=float, default=None, help="W-family weight in (0, 1)")
-    sub.add_argument("--epsilons", default=None, help="comma-separated isotropic noise strengths")
-    sub.add_argument("--grid", type=int, default=None, help="sweep grid steps per axis")
-    sub.add_argument(
-        "--explore-mixed-4q",
-        action="store_true",
-        help="suite only: also probe the (conjectural) mixed 4-qubit bound, logging without failing",
-    )
+def _worker_count(raw: str) -> int:
+    """``--workers`` value: an int in [1, os.cpu_count()], the process pool size."""
+    value, limit = int(raw), os.cpu_count() or 1
+    if not 1 <= value <= limit:
+        raise argparse.ArgumentTypeError(f"must lie in [1, {limit}] (the CPU count), got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qsteer", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "steering ellipsoids and monogamy report for a state file"),
-        ("fig1", "GHZ-family volume sweep over the (alpha, beta) grid"),
-        ("fig2", "noisy W-family sweep over (p, epsilon)"),
-        ("conjecture", "random search against the 4-qubit correlation bound"),
-        ("suite", "run every module invariant over seeded random ensembles"),
-        ("counterexample", "regression numbers for the monogamy counterexample"),
-    ):
-        _add_common_options(commands.add_parser(name, help=help_text))
+
+    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=help_text)
+        sub.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+        sub.add_argument("--output", help="output file; stdout when omitted")
+        return sub
+
+    analyze = command("analyze", "steering ellipsoids and monogamy report for a state file")
+    analyze.add_argument("--input", required=True, help="input state file (JSON)")
+    analyze.add_argument("--tol", type=float, default=1e-9, help="state-validation tolerance")
+    fig1 = command("fig1", "GHZ-family volume sweep over the (alpha, beta) grid")
+    fig1.add_argument("--grid", type=int, default=50, help="sweep grid steps per axis")
+    fig2 = command("fig2", "noisy W-family sweep over (p, epsilon)")
+    p_values = fig2.add_mutually_exclusive_group()
+    p_values.add_argument("--grid", type=int, help="number of W-family weights on (0, 1); default 100")
+    p_values.add_argument("--p", type=float, help="a single W-family weight in (0, 1)")
+    fig2.add_argument("--epsilons", help="comma-separated isotropic noise strengths")
+    conjecture = command("conjecture", "random search against the 4-qubit correlation bound")
+    suite = command("suite", "run every module invariant over seeded random ensembles")
+    for sub, samples in ((conjecture, 100_000), (suite, 10_000)):
+        sub.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED, help="master seed")
+        sub.add_argument("--samples", type=int, default=samples, help="Monte-Carlo sample count")
+        sub.add_argument("--workers", type=_worker_count, default=1, help="parallel worker processes")
+    suite.add_argument("--explore-mixed-4q", action="store_true", help="probe the open mixed 4-qubit bound; never fails")
+    command("counterexample", "regression numbers for the monogamy counterexample")
     return parser
 
 
@@ -65,14 +72,11 @@ def _emit_rows(args, rows) -> None:
     if args.format == "csv":
         _write(args, serialize.rows_to_csv(rows))
     else:
-        names = [f.name for f in dataclasses.fields(rows[0])] if rows else []
+        names = [f.name for f in dataclasses.fields(rows[0])]
         _write(args, serialize.dumps([{name: getattr(row, name) for name in names} for row in rows]))
 
 
 def _cmd_analyze(args) -> int:
-    if not args.input:
-        print("error: analyze requires --input", file=sys.stderr)
-        return 2
     state = serialize.load_state_file(args.input, tol=args.tol)
     hubs = (0, 1) if state.n_qubits == 2 else (0,)
     ellipsoids = []
@@ -121,7 +125,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    rows = experiments.sweep_ghz_region(grid_steps=args.grid or 50)
+    rows = experiments.sweep_ghz_region(grid_steps=args.grid)
     _emit_rows(args, rows)
     return 0
 
@@ -136,9 +140,7 @@ def _parse_epsilons(raw: str | None):
 
 
 def _cmd_fig2(args) -> int:
-    p_grid = None
-    if args.grid is not None:
-        p_grid = experiments._open_grid(args.grid, 1.0)
+    p_grid = None if args.grid is None else experiments._open_grid(args.grid, 1.0)
     if args.p is not None:
         p_grid = [args.p]
     rows = experiments.sweep_noisy_w(p_grid=p_grid, epsilons=_parse_epsilons(args.epsilons))
@@ -147,8 +149,7 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    samples = 100_000 if args.samples is None else args.samples
-    result = experiments.run_conjecture_test(samples, master_seed=args.seed, workers=args.workers)
+    result = experiments.run_conjecture_test(args.samples, master_seed=args.seed, workers=args.workers)
     if args.format == "csv":
         row = {
             "samples": result.samples,
@@ -169,9 +170,8 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    samples = 10_000 if args.samples is None else args.samples
     report = experiments.run_property_suite(
-        samples=samples,
+        samples=args.samples,
         master_seed=args.seed,
         workers=args.workers,
         explore_mixed_4q=args.explore_mixed_4q,

@@ -233,6 +233,9 @@ def sweep_noisy_w(
     """
     p = np.asarray(_open_grid(100, 1.0) if p_grid is None else p_grid, dtype=float).reshape(-1)
     eps = np.asarray(_DEFAULT_EPSILONS if epsilons is None else epsilons, dtype=float).reshape(-1)
+    for name, values in (("p_grid", p), ("epsilons", eps)):
+        if values.size == 0:
+            raise ValueError(f"{name} must not be empty")
     closed = channels._noisy_w_volume_arr(p, eps[:, None])
     kets = monogamy._w_family_arr(p)
     numeric = np.empty(closed.shape)

@@ -7,7 +7,6 @@ row-major.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -188,10 +187,15 @@ def _check_range(name: str, values: np.ndarray, inside: np.ndarray, interval: st
 
 
 def _check_n_qubits(dim: int) -> int:
-    n = int(round(math.log2(dim)))
-    if 2**n != dim or n < 1:
+    if dim < 2 or dim & (dim - 1):
         raise StateValidationError(f"dimension {dim} is not 2**n for n >= 1")
-    return n
+    return dim.bit_length() - 1
+
+
+def _check_tol(tol: float) -> None:
+    # ``x > tol`` is False for every x when tol is NaN, so a NaN tol would accept any state.
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol}")
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -231,6 +235,7 @@ class QuantumState:
 
     @classmethod
     def from_amplitudes(cls, amplitudes, tol: float = DEFAULT_TOL) -> "QuantumState":
+        _check_tol(tol)
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
         n = _check_n_qubits(vec.size)
         _check_finite(vec)
@@ -241,6 +246,7 @@ class QuantumState:
 
     @classmethod
     def from_matrix(cls, matrix, tol: float = DEFAULT_TOL) -> "QuantumState":
+        _check_tol(tol)
         mat = np.asarray(matrix, dtype=complex).copy()
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise StateValidationError(f"expected a square matrix, got shape {mat.shape}")
@@ -270,22 +276,24 @@ class QuantumState:
     @classmethod
     def from_dict(cls, payload: dict, tol: float = DEFAULT_TOL) -> "QuantumState":
         try:
-            n = int(payload["n_qubits"])
-            kind = payload["kind"]
-            pairs = payload["data"]
+            n, kind, pairs = payload["n_qubits"], payload["kind"], payload["data"]
         except (KeyError, TypeError) as exc:
             raise StateValidationError(f"state payload missing field: {exc}") from exc
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise StateValidationError(f"n_qubits must be an integer >= 1, got {n!r}")
         if kind not in ("pure", "mixed"):
             raise StateValidationError(f"unknown state kind {kind!r}")
-        flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-        dim = 2**n
+        try:
+            flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise StateValidationError(f"state data must be a list of [re, im] number pairs: {exc}") from exc
+        log2_size = n if kind == "pure" else 2 * n
+        # Bit lengths first, so that a huge n_qubits fails without building 2**n.
+        if flat.size.bit_length() != log2_size + 1 or flat.size != 2**log2_size:
+            raise StateValidationError(f"{kind} state data has length {flat.size}, expected 2**{log2_size}")
         if kind == "pure":
-            if flat.size != dim:
-                raise StateValidationError(f"pure state data has length {flat.size}, expected {dim}")
             return cls.from_amplitudes(flat, tol=tol)
-        if flat.size != dim * dim:
-            raise StateValidationError(f"mixed state data has length {flat.size}, expected {dim * dim}")
-        return cls.from_matrix(flat.reshape(dim, dim), tol=tol)
+        return cls.from_matrix(flat.reshape(2**n, 2**n), tol=tol)
 
 
 StateLike = Union[QuantumState, np.ndarray]

@@ -1,13 +1,31 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
 from qsteer import experiments, serialize
-from qsteer.cli import main
+from qsteer.cli import build_parser, main
 from qsteer.monogamy import counterexample_state, ghz_state, werner_state
 from qsteer.states import QuantumState
+
+CPUS = os.cpu_count() or 1
+
+# The flags each subcommand reads; every other flag must be rejected.
+FLAGS = {
+    "analyze": {"--input", "--tol", "--format", "--output"},
+    "fig1": {"--grid", "--format", "--output"},
+    "fig2": {"--grid", "--p", "--epsilons", "--format", "--output"},
+    "conjecture": {"--seed", "--samples", "--workers", "--format", "--output"},
+    "suite": {"--seed", "--samples", "--workers", "--explore-mixed-4q", "--format", "--output"},
+    "counterexample": {"--format", "--output"},
+}
+# Every flag some subcommand reads, plus three family-angle flags that none reads.
+ALL_FLAGS = (
+    "--input", "--output", "--format", "--seed", "--samples", "--workers", "--tol", "--p",
+    "--epsilons", "--grid", "--explore-mixed-4q", "--alpha", "--beta", "--theta",
+)
 
 
 def write_state(path, state):
@@ -96,6 +114,33 @@ class TestAnalyzeCommand:
         path.write_text("{not json")
         assert main(["analyze", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("data", [["a", 0], [0, 0]]),
+            ("data", 5),
+            ("data", [[1], [0]]),
+            ("data", [[1, 0, 0], [0, 0, 0]]),
+            ("n_qubits", 1.7),
+            ("n_qubits", -1),
+            ("n_qubits", 1e9),
+            ("n_qubits", 10**9),
+        ],
+    )
+    def test_malformed_state_file_exits_2(self, tmp_path, capsys, field, value):
+        payload = {"n_qubits": 1, "kind": "pure", "data": [[1.0, 0.0], [0.0, 0.0]], field: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["analyze", "--input", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tol_exits_2(self, tmp_path, capsys, tol):
+        path = tmp_path / "norm9.json"
+        path.write_text(json.dumps({"n_qubits": 1, "kind": "pure", "data": [[3.0, 0.0], [0.0, 0.0]]}))
+        assert main(["analyze", "--input", str(path), "--tol", tol]) == 2
+        assert "tol must be" in capsys.readouterr().err
+
 
 class TestConjectureCommand:
     def test_seeded_runs_are_byte_identical(self, tmp_path):
@@ -148,6 +193,10 @@ class TestSweepCommands:
         assert main(["fig2", "--epsilons", "0,zero"]) == 2
         assert "epsilons" in capsys.readouterr().err
 
+    def test_fig2_grid_and_p_are_exclusive(self, capsys):
+        assert main(["fig2", "--grid", "4", "--p", "0.3"]) == 2
+        assert "not allowed with" in capsys.readouterr().err
+
 
 class TestSuiteCommand:
     def test_small_suite_passes(self, tmp_path):
@@ -173,9 +222,42 @@ class TestUsageErrors:
     def test_no_command(self):
         assert main([]) == 2
 
-    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--theta"])
-    def test_unread_family_flags_are_gone(self, flag):
-        assert main(["fig1", flag, "0.3"]) == 2
+    def test_each_subcommand_registers_only_the_flags_it_reads(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        assert set(subparsers) == set(FLAGS)
+        for command, sub in subparsers.items():
+            registered = {opt for action in sub._actions for opt in action.option_strings}
+            assert registered - {"-h", "--help"} == FLAGS[command], command
+        assert sum(len(flags) for flags in FLAGS.values()) == 25
+
+    @pytest.mark.parametrize(
+        "argv, dest, default",
+        [(["fig1"], "grid", 50), (["conjecture"], "samples", 100_000), (["suite"], "samples", 10_000)],
+    )
+    def test_defaults_live_in_the_parser(self, argv, dest, default):
+        assert getattr(build_parser().parse_args(argv), dest) == default
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command in FLAGS for flag in ALL_FLAGS if flag not in FLAGS[command]],
+    )
+    def test_unread_flags_exit_2(self, tmp_path, capsys, command, flag):
+        argv = [command, flag] + ([] if flag == "--explore-mixed-4q" else ["1"])
+        if command == "analyze":
+            argv += ["--input", write_state(tmp_path / "state.json", werner_state())]
+        assert main(argv) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["conjecture", "suite"])
+    def test_workers_above_cpu_count_rejected_by_parser(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--workers", str(CPUS + 1)])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_workers_at_cpu_count_accepted(self, capsys):
+        assert main(["conjecture", "--samples", "0", "--workers", str(CPUS)]) == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -185,6 +267,11 @@ class TestUsageErrors:
             ["suite", "--workers", "0"],
             ["conjecture", "--workers", "0"],
             ["conjecture", "--workers", "-3"],
+            ["conjecture", "--samples", "0", "--workers", str(CPUS + 1)],
+            ["fig1", "--grid", "0"],
+            ["fig2", "--grid", "0"],
+            ["fig2", "--grid", "-3"],
+            ["fig2", "--epsilons", ","],
         ],
     )
     def test_bad_counts_exit_2(self, argv, capsys):

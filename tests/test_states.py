@@ -356,3 +356,64 @@ class TestQuantumStateValidation:
         state = ghz_state()
         with pytest.raises(ValueError):
             state.data[0] = 0.0
+
+    def test_rejects_empty_amplitudes(self):
+        with pytest.raises(StateValidationError, match="dimension 0"):
+            QuantumState.from_amplitudes([])
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+    def test_rejects_nan_or_negative_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            QuantumState.from_amplitudes([3.0, 0.0], tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            QuantumState.from_matrix(np.eye(2) * 3, tol=tol)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("data", [["a", 0], [0, 0]], "number pairs"),
+            ("data", 5, "number pairs"),
+            ("data", [[1], [0]], "number pairs"),
+            ("data", [[1, 0, 0], [0, 0, 0]], "number pairs"),
+            ("data", [[10**400, 0], [0, 0]], "number pairs"),
+            ("data", [], "length 0"),
+            ("n_qubits", 1.7, "n_qubits must be an integer"),
+            ("n_qubits", -1, "n_qubits must be an integer"),
+            ("n_qubits", 0, "n_qubits must be an integer"),
+            ("n_qubits", True, "n_qubits must be an integer"),
+            ("n_qubits", "1", "n_qubits must be an integer"),
+            ("n_qubits", 1e9, "n_qubits must be an integer"),
+            ("n_qubits", 10**9, "expected 2\\*\\*1000000000"),
+        ],
+    )
+    def test_dict_schema_errors_name_the_problem(self, field, value, message):
+        payload = {"n_qubits": 1, "kind": "pure", "data": [[1.0, 0.0], [0.0, 0.0]]}
+        payload[field] = value
+        with pytest.raises(StateValidationError, match=message):
+            QuantumState.from_dict(payload)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_SMALL_NUMBER = st.integers(-2, 2) | st.floats(-2, 2) | st.floats()
+_STATE_FIELDS = st.fixed_dictionaries(
+    {
+        "n_qubits": st.integers(-1, 3) | _JSON,
+        "kind": st.sampled_from(["pure", "mixed"]) | _JSON,
+        "data": st.lists(st.lists(_SMALL_NUMBER, max_size=3) | _JSON, max_size=17) | _JSON,
+    }
+)
+_VALID_PAYLOADS = st.sampled_from([ghz_state().to_dict(), werner_state().to_dict(), counterexample_state().to_dict()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_VALID_PAYLOADS | _STATE_FIELDS | _JSON)
+def test_state_payload_loads_or_raises_validation_error(payload):
+    try:
+        state = QuantumState.from_dict(payload)
+    except StateValidationError:
+        return
+    assert state.data.shape[-1] == 2**state.n_qubits

@@ -17,7 +17,7 @@ from .states import (
     _check_n_qubits,
     _check_range,
     _density,
-    _haar_unitary,
+    _haar_unitary_arr,
     as_rng,
 )
 
@@ -57,11 +57,7 @@ class KrausChannel:
             if k.shape != (2, 2):
                 raise ValueError(f"Kraus operators must be 2x2, got shape {k.shape}")
             k.setflags(write=False)
-        total = sum(k.conj().T @ k for k in ops)
-        err = float(np.max(np.abs(total - np.eye(2))))
-        if err > COMPLETENESS_TOL:
-            raise ValueError(f"Kraus completeness violated: max |sum K^dag K - 1| = {err:.3g}")
-        sup = sum(np.einsum("ik,jl->ijkl", k, k.conj()) for k in ops)
+        sup = _superoperator_arr(np.stack(ops))
         sup.setflags(write=False)
         object.__setattr__(self, "superoperator", sup)
 
@@ -92,6 +88,26 @@ class KrausChannel:
         return cls(tuple(ops))
 
 
+def _superoperator_arr(ops: np.ndarray) -> np.ndarray:
+    """Superoperator sum_k K (x) conj(K), shape (..., 2, 2, 2, 2), of Kraus stacks (..., k, 2, 2).
+
+    Raises ValueError naming the worst channel's error if any stack fails
+    the completeness test max |sum K^dag K - 1| <= 1e-10.
+    """
+    gram = np.swapaxes(ops.conj(), -1, -2) @ ops
+    terms = np.einsum("...ik,...jl->...ijkl", ops, ops.conj())
+    # Accumulated from 0 in Kraus order, as Python's sum adds, which fixes
+    # even the signs of zero entries.
+    total = sup = 0
+    for k in range(ops.shape[-3]):
+        total = total + gram[..., k, :, :]
+        sup = sup + terms[..., k, :, :, :, :]
+    err = np.max(np.abs(total - np.eye(2)), axis=(-2, -1))
+    if np.any(err > COMPLETENESS_TOL):
+        raise ValueError(f"Kraus completeness violated: max |sum K^dag K - 1| = {np.max(err):.3g}")
+    return sup
+
+
 def identity_channel() -> KrausChannel:
     return KrausChannel((np.eye(2, dtype=complex),))
 
@@ -118,8 +134,16 @@ def random_channel(seed: SeedLike = None) -> KrausChannel:
     environment of dimension 4.
     """
     rng = as_rng(seed)
-    isometry = _haar_unitary(8, rng)[:, :2]
-    return KrausChannel(tuple(isometry[2 * i : 2 * i + 2, :] for i in range(4)))
+    return KrausChannel(tuple(_random_kraus_arr(rng.standard_normal(128))))
+
+
+def _random_kraus_arr(draws: np.ndarray) -> np.ndarray:
+    """Kraus stacks (..., 4, 2, 2) of :func:`random_channel` from its normals (..., 128).
+
+    The four 2x2 row blocks of the first two columns of a Haar 8x8 unitary.
+    """
+    isometry = _haar_unitary_arr(draws, 8)[..., :, :2]
+    return isometry.reshape(isometry.shape[:-2] + (4, 2, 2))
 
 
 def apply_local(channels, rho):
@@ -140,16 +164,32 @@ def apply_local(channels, rho):
     channels = list(channels)
     if len(channels) != n:
         raise StateValidationError(f"need {n} channels for {n} qubits, got {len(channels)}")
+    out = _apply_local_arr([channel.superoperator for channel in channels], mat, n)
+    return out if out.ndim > 2 else QuantumState(n, out)
+
+
+def _apply_local_arr(sups, mat: np.ndarray, n: int) -> np.ndarray:
+    """Apply superoperator q of ``sups`` to qubit q of each (..., 2**n, 2**n) matrix of ``mat``.
+
+    A (2, 2, 2, 2) superoperator acts on the whole stack; one of shape
+    (N, 2, 2, 2, 2) holds one superoperator per matrix of an (N, 2**n, 2**n)
+    stack.
+    """
     batch = mat.ndim - 2
     out = mat.reshape(mat.shape[:-2] + (2,) * (2 * n))
-    for q, channel in enumerate(channels):
-        # tensordot puts the channel's output axes first; move them back to
-        # qubit q's row and column slots.
+    for q, sup in enumerate(sups):
         slots = (batch + q, batch + n + q)
-        out = np.moveaxis(np.tensordot(channel.superoperator, out, axes=([2, 3], slots)), (0, 1), slots)
+        if sup.ndim == 4:
+            # tensordot puts the channel's output axes first; move them back
+            # to qubit q's row and column slots.
+            out = np.moveaxis(np.tensordot(sup, out, axes=([2, 3], slots)), (0, 1), slots)
+        else:
+            # Per matrix, the same 4 x 4 by 4 x rest product that tensordot forms.
+            moved = np.moveaxis(out, slots, (1, 2))
+            prod = sup.reshape(-1, 4, 4) @ moved.reshape(moved.shape[0], 4, -1)
+            out = np.moveaxis(prod.reshape(moved.shape), (1, 2), slots)
     out = out.reshape(mat.shape)
-    out = (out + np.swapaxes(out, -1, -2).conj()) / 2.0
-    return out if out.ndim > 2 else QuantumState(n, out)
+    return (out + np.swapaxes(out, -1, -2).conj()) / 2.0
 
 
 def _noisy_w_volume_arr(p, epsilon) -> np.ndarray:

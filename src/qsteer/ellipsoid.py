@@ -21,6 +21,7 @@ from .states import (
     StateValidationError,
     _bloch_arr,
     _density,
+    _kron_arr,
     _partial_trace_arr,
     _spin_corr_arr,
 )
@@ -132,6 +133,19 @@ def _volume_from_abT(a: np.ndarray, b: np.ndarray, T: np.ndarray):
     return np.where(pure, 0.0, np.abs(det) / np.float_power(np.where(pure, 1.0, gamma), 2))
 
 
+def _center_orientation(a: np.ndarray, b: np.ndarray, T: np.ndarray, gamma):
+    """Ellipsoid center (b - T^t a) / gamma and orientation matrix Q for gamma = 1 - |a|^2 > 0.
+
+    Leading axes of (a, b, T) and of ``gamma`` are a batch.
+    """
+    gamma = np.asarray(gamma)[..., None]
+    shifted = T - a[..., :, None] * b[..., None, :]
+    center = (b - (np.swapaxes(T, -1, -2) @ a[..., :, None])[..., 0]) / gamma
+    metric = np.eye(3) + a[..., :, None] * a[..., None, :] / gamma[..., None]
+    q = np.swapaxes(shifted, -1, -2) @ metric @ shifted / gamma[..., None]
+    return center, (q + np.swapaxes(q, -1, -2)) / 2.0
+
+
 def canonical_form(rho: StateLike, steering_qubit: int = 0) -> QuantumState:
     """Local filter [(2 rho_A)^(-1/2) (x) 1] rho [(2 rho_A)^(-1/2) (x) 1].
 
@@ -147,21 +161,28 @@ def canonical_form(rho: StateLike, steering_qubit: int = 0) -> QuantumState:
     mat, n = _density(rho)
     if steering_qubit < 0 or steering_qubit >= n:
         raise StateValidationError(f"steering_qubit {steering_qubit} out of range for {n} qubits")
+    return QuantumState(n, _canonical_arr(mat, n, steering_qubit))
+
+
+def _canonical_arr(mat: np.ndarray, n: int, steering_qubit: int) -> np.ndarray:
+    """:func:`canonical_form` of the trailing (2**n, 2**n) axes of ``mat``; leading axes are a batch.
+
+    Raises DegenerateMarginalError if any steering marginal is pure.
+    """
     marginal = _partial_trace_arr(mat, [steering_qubit], n)
     a = _bloch_arr(marginal)
-    if 1.0 - float(a @ a) <= DEGENERACY_THRESHOLD:
+    pure = 1.0 - (a[..., None, :] @ a[..., :, None])[..., 0, 0] <= DEGENERACY_THRESHOLD
+    if np.any(pure):
+        first = a[pure][0] if a.ndim > 1 else a
         raise DegenerateMarginalError(
-            f"steering qubit {steering_qubit} has a pure marginal (|a| = {np.linalg.norm(a):.12g})"
+            f"steering qubit {steering_qubit} has a pure marginal (|a| = {np.linalg.norm(first):.12g})"
         )
     vals, vecs = np.linalg.eigh(2.0 * marginal)
-    inv_sqrt = (vecs * (1.0 / np.sqrt(np.maximum(vals, _EIG_FLOOR)))) @ vecs.conj().T
-    filt = np.kron(
-        np.kron(np.eye(2**steering_qubit), inv_sqrt),
-        np.eye(2 ** (n - steering_qubit - 1)),
-    )
+    scale = 1.0 / np.sqrt(np.maximum(vals, _EIG_FLOOR))
+    inv_sqrt = (vecs * scale[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    filt = _kron_arr(_kron_arr(np.eye(2**steering_qubit), inv_sqrt), np.eye(2 ** (n - steering_qubit - 1)))
     out = filt @ mat @ filt
-    out = (out + out.conj().T) / 2.0
-    return QuantumState(n, out)
+    return (out + np.swapaxes(out, -1, -2).conj()) / 2.0
 
 
 def steering_ellipsoid(rho: StateLike, steering_qubit: int = 0) -> SteeringEllipsoid:
@@ -183,10 +204,7 @@ def steering_ellipsoid(rho: StateLike, steering_qubit: int = 0) -> SteeringEllip
             normalized_volume=0.0,
             degenerate=True,
         )
-    shifted = T - np.outer(a, b)
-    center = (b - T.T @ a) / gamma
-    q = shifted.T @ (np.eye(3) + np.outer(a, a) / gamma) @ shifted / gamma
-    q = (q + q.T) / 2.0
+    center, q = _center_orientation(a, b, T, gamma)
     eigvals = np.clip(np.linalg.eigvalsh(q), 0.0, None)
     semiaxes = np.sqrt(eigvals)[::-1].copy()
     return SteeringEllipsoid(
@@ -209,9 +227,20 @@ def normalized_volume(rho: StateLike, steering_qubit: int = 0) -> float:
     return _volume_from_abT(a, b, T)
 
 
+def _steered_arr(a: np.ndarray, b: np.ndarray, T: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Steered Bloch vectors (b + e.T) / (1 + e.a) for directions ``e`` (..., m, 3).
+
+    Leading axes of (a, b, T) are a batch matching those of ``e``.  Raises
+    ZeroProbabilityError if any outcome probability factor 1 + e.a is <= 0.
+    """
+    denom = 1.0 + (e @ a[..., :, None])[..., 0]
+    if np.any(denom <= 0):
+        raise ZeroProbabilityError(
+            f"POVM element has outcome probability factor {np.min(denom):.3g} <= 0"
+        )
+    return (b[..., None, :] + e @ T) / denom[..., None]
+
+
 def steered_point(decomp: PauliDecomposition, element: PovmElement) -> np.ndarray:
     """Bloch vector (b + T^t e) / (1 + a.e) of the steered qubit after outcome ``element``."""
-    denom = 1.0 + float(decomp.a @ element.e)
-    if denom <= 0:
-        raise ZeroProbabilityError(f"POVM element has outcome probability factor {denom:.3g} <= 0")
-    return (decomp.b + decomp.T.T @ element.e) / denom
+    return _steered_arr(decomp.a, decomp.b, decomp.T, element.e[None])[0]

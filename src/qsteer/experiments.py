@@ -12,6 +12,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,8 +45,8 @@ _NEAR_MISS_GAP = 1e-3
 
 _DEFAULT_EPSILONS = (0.0, 0.001, 0.005, 0.01)
 
-# States the batched kernels (conjecture search, figure sweeps) reduce
-# together.  256 already amortizes the per-call overhead; larger blocks only
+# Samples or grid points the batched kernels (conjecture search, invariant
+# suite, figure sweeps) reduce together.  256 already amortizes the per-call overhead; larger blocks only
 # raise peak memory (one block of 2,500 samples added about 5 MB).
 _BLOCK = 256
 
@@ -84,6 +85,30 @@ def _chunked_values(fn: Callable, n_samples: int, master_seed: int, workers: int
     return np.concatenate(parts)
 
 
+def _normals(rng: np.random.Generator, row: np.ndarray) -> None:
+    rng.standard_normal(out=row)
+
+
+def _sampled(
+    master_seed: int, start: int, stop: int, width: int, reduce: Callable, draw: Callable = _normals
+) -> np.ndarray:
+    """One value per sample in [start, stop), from the sample streams of ``master_seed``.
+
+    ``draw(rng, row)`` fills a row of ``width`` floats from sample i's
+    stream; ``reduce(block)`` maps a block of at most _BLOCK rows to their
+    values.  The block array is reused, so ``reduce`` must not keep it.
+    """
+    out = np.empty(stop - start)
+    rows = np.empty((min(_BLOCK, stop - start), width))
+    for lo in range(start, stop, _BLOCK):
+        block = rows[: min(_BLOCK, stop - lo)]
+        for i, rng in sample_streams(master_seed, lo, lo + len(block)):
+            draw(rng, block[i - lo])
+        # A helper call frees each block's intermediates before the next block's exist.
+        out[lo - start : lo - start + len(block)] = reduce(block)
+    return out
+
+
 # --- conjecture search ---------------------------------------------------------
 
 
@@ -117,7 +142,7 @@ def _pure4_block_lhs(draws: np.ndarray) -> np.ndarray:
     """Hub correlation sums of the kets whose real and imaginary parts are the rows of ``draws``."""
     vecs = draws[:, :16] + 1j * draws[:, 16:]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    mats = _densities(vecs)
+    mats = states._densities(vecs)
     lhs = 0.0
     for other in (1, 2, 3):
         T = states._spin_corr_arr(_partial_trace_arr(mats, [0, other], 4))
@@ -126,17 +151,7 @@ def _pure4_block_lhs(draws: np.ndarray) -> np.ndarray:
 
 
 def _pure4_correlation_lhs(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    draws = np.empty((_BLOCK, 32))
-    for lo in range(start, stop, _BLOCK):
-        block = draws[: min(_BLOCK, stop - lo)]
-        # One 32-value draw is bit for bit the two 16-value draws of
-        # states._haar_vector: real parts first, then imaginary parts.
-        for i, rng in sample_streams(master_seed, lo, lo + len(block)):
-            rng.standard_normal(out=block[i - lo])
-        # A helper call frees each block's densities before the next block's exist.
-        out[lo - start : lo - start + len(block)] = _pure4_block_lhs(block)
-    return out
+    return _sampled(master_seed, start, stop, 32, _pure4_block_lhs)
 
 
 def run_conjecture_test(n_samples: int, master_seed: int = DEFAULT_SEED, workers: int = 1) -> ConjectureResult:
@@ -195,11 +210,6 @@ def _blocks(count: int):
     return [slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
 
 
-def _densities(kets: np.ndarray) -> np.ndarray:
-    """|psi><psi| for a stack of kets, bit for bit as ``QuantumState.matrix`` builds each."""
-    return kets[..., :, None] * kets[..., None, :].conj()
-
-
 def sweep_ghz_region(grid_steps: int = 50) -> list[GhzSweepRow]:
     """Compare computed volumes of the GHZ-class family against the (x, y) map.
 
@@ -213,7 +223,7 @@ def sweep_ghz_region(grid_steps: int = 50) -> list[GhzSweepRow]:
     kets, x_pred, y_pred = monogamy._ghz_family_arr(alpha, beta)
     v_b, v_c = np.empty(alpha.size), np.empty(alpha.size)
     for block in _blocks(alpha.size):
-        v_b[block], v_c[block] = monogamy._hub_volumes(_densities(kets[block]), 3, 0)
+        v_b[block], v_c[block] = monogamy._hub_volumes(states._densities(kets[block]), 3, 0)
     columns = (
         alpha, beta, v_b, v_c, x_pred, y_pred,
         np.abs(v_b - x_pred), np.abs(v_c - y_pred), np.sqrt(v_b) + np.sqrt(v_c),
@@ -242,7 +252,7 @@ def sweep_noisy_w(
     for e, strength in enumerate(eps):
         noise = [channels.isotropic_channel(float(strength))] * 3
         for block in _blocks(p.size):
-            noisy = channels.apply_local(noise, _densities(kets[block]))
+            noisy = channels.apply_local(noise, states._densities(kets[block]))
             pair = _partial_trace_arr(noisy, [0, 1], 3)
             numeric[e, block] = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(pair, 2, 0))
     columns = (
@@ -281,253 +291,361 @@ _SATURATION_TOL = 1e-8
 _SEPARABLE_BOUND = 1.0 / 27.0
 _POINTS_PER_STATE = 100
 
+# Each random-sample check is a draw, which takes sample i's numbers from its
+# stream in exactly the calls, order and shapes of the public samplers, and a
+# reduce, which turns a block of drawn rows into margins with stacked kernels.
+# A row holds the normals of every Haar ket and unitary (real parts, then
+# imaginary parts); one standard_normal(k) call is bit for bit the smaller
+# calls it replaces.
 
-def _mixed_matrix(rng, n_qubits: int) -> np.ndarray:
-    return states.random_mixed_state(n_qubits, seed=rng).matrix
+
+def _pure_width(n_qubits: int) -> int:
+    """Normals behind one Haar-random pure n-qubit ket."""
+    return 2 ** (n_qubits + 1)
 
 
-def _pure_matrix(rng, n_qubits: int) -> np.ndarray:
-    return states.random_pure_state(n_qubits, seed=rng).matrix
+def _mixed_width(n_qubits: int) -> int:
+    """Normals behind one induced-measure mixed n-qubit state (an n-qubit ancilla)."""
+    return 2 ** (2 * n_qubits + 1)
+
+
+_CHANNEL_WIDTH = 2 * 8 * 8  # one random_channel: a Haar 8x8 unitary
+
+
+def _pure_states(draws: np.ndarray, n_qubits: int) -> np.ndarray:
+    return states._densities(states._haar_arr(draws[:, : _pure_width(n_qubits)]))
+
+
+def _mixed_states(draws: np.ndarray, n_qubits: int) -> np.ndarray:
+    return states._induced_arr(states._haar_arr(draws[:, : _mixed_width(n_qubits)]), n_qubits)
+
+
+def _volumes(mat: np.ndarray) -> np.ndarray:
+    return ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mat, 2, 0))
+
+
+def _sqrt_volume_sum(mat: np.ndarray) -> np.ndarray:
+    return sum(np.sqrt(v) for v in monogamy._hub_volumes(mat, 3, 0))
+
+
+def _reconstruction_margins(draws: np.ndarray) -> np.ndarray:
+    mat = _mixed_states(draws, 2)
+    rebuilt = states._reconstruct_arr(*states._pauli_arr(mat))
+    return _RECON_TOL - np.max(np.abs(rebuilt - mat), axis=(1, 2))
 
 
 def _inv_reconstruction(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _mixed_matrix(rng, 2)
-        rebuilt = states.pauli_decomposition(mat).reconstruct()
-        out[i - start] = _RECON_TOL - float(np.max(np.abs(rebuilt - mat)))
-    return out
+    return _sampled(master_seed, start, stop, _mixed_width(2), _reconstruction_margins)
+
+
+def _ptrace_composition_margins(draws: np.ndarray) -> np.ndarray:
+    mat = _mixed_states(draws, 3)
+    direct = _partial_trace_arr(mat, [0], 3)
+    stepwise = _partial_trace_arr(_partial_trace_arr(mat, [0, 1], 3), [0], 2)
+    return _PTRACE_TOL - np.max(np.abs(direct - stepwise), axis=(1, 2))
 
 
 def _inv_ptrace_composition(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _mixed_matrix(rng, 3)
-        direct = _partial_trace_arr(mat, [0], 3)
-        stepwise = _partial_trace_arr(_partial_trace_arr(mat, [0, 1], 3), [0], 2)
-        out[i - start] = _PTRACE_TOL - float(np.max(np.abs(direct - stepwise)))
-    return out
+    return _sampled(master_seed, start, stop, _mixed_width(3), _ptrace_composition_margins)
+
+
+def _purity_symmetry_margins(draws: np.ndarray) -> np.ndarray:
+    mat = _pure_states(draws, 3)
+    p_ab = states._purity_arr(_partial_trace_arr(mat, [0, 1], 3))
+    p_c = states._purity_arr(_partial_trace_arr(mat, [2], 3))
+    return _PURITY_SYM_TOL - np.abs(p_ab - p_c)
 
 
 def _inv_purity_symmetry(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _pure_matrix(rng, 3)
-        p_ab = states.purity(_partial_trace_arr(mat, [0, 1], 3))
-        p_c = states.purity(_partial_trace_arr(mat, [2], 3))
-        out[i - start] = _PURITY_SYM_TOL - abs(p_ab - p_c)
-    return out
+    return _sampled(master_seed, start, stop, _pure_width(3), _purity_symmetry_margins)
+
+
+def _draw_sampler_output(rng, row: np.ndarray) -> None:
+    # This check is about the public samplers and validators themselves, so
+    # it draws through the samplers and validates each state one at a time.
+    cells = row.view(complex)
+    cells[:8] = states.random_pure_state(3, seed=rng).data
+    cells[8:] = states.random_mixed_state(3, seed=rng).matrix.reshape(-1)
+
+
+def _state_validity_margins(draws: np.ndarray) -> np.ndarray:
+    for cells in draws.view(complex):
+        QuantumState.from_amplitudes(cells[:8])
+        QuantumState.from_matrix(cells[8:].reshape(8, 8))
+    return np.ones(len(draws))
 
 
 def _inv_state_validity(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        pure = states.random_pure_state(3, seed=rng)
-        QuantumState.from_amplitudes(pure.data)
-        mixed = states.random_mixed_state(3, seed=rng)
-        QuantumState.from_matrix(mixed.matrix)
-        out[i - start] = 1.0
-    return out
+    return _sampled(master_seed, start, stop, 2 * (8 + 64), _state_validity_margins, _draw_sampler_output)
+
+
+def _volume_canonical_margins(draws: np.ndarray) -> np.ndarray:
+    mat = _mixed_states(draws, 2)
+    t_canon = states._spin_corr_arr(ellipsoid._canonical_arr(mat, 2, 0))
+    return _TOL - np.abs(_volumes(mat) - np.abs(np.linalg.det(t_canon)))
 
 
 def _inv_volume_canonical(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _mixed_matrix(rng, 2)
-        v = ellipsoid.normalized_volume(mat)
-        t_canon = states._spin_corr_arr(ellipsoid.canonical_form(mat).data)
-        out[i - start] = _TOL - abs(v - abs(np.linalg.det(t_canon)))
-    return out
+    return _sampled(master_seed, start, stop, _mixed_width(2), _volume_canonical_margins)
 
 
-def _steered_points(mat: np.ndarray, rng) -> tuple[np.ndarray, "states.PauliDecomposition"]:
-    decomp = states.pauli_decomposition(mat)
-    raw = rng.standard_normal((_POINTS_PER_STATE, 3))
-    e = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    denom = 1.0 + e @ decomp.a
-    points = (decomp.b + e @ decomp.T) / denom[:, None]
-    return points, decomp
+# A mixed two-qubit state, then the normals of its steering directions.
+_STEERED_WIDTH = _mixed_width(2) + 3 * _POINTS_PER_STATE
+
+
+def _points_and_abT(draws: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Steered Bloch vectors (N, 100, 3) of each row's state, and its (a, b, T)."""
+    abT = states._pauli_arr(_mixed_states(draws, 2))
+    raw = draws[:, _mixed_width(2) :].reshape(len(draws), _POINTS_PER_STATE, 3)
+    e = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    return ellipsoid._steered_arr(*abT, e), abT
+
+
+def _bloch_containment_margins(draws: np.ndarray) -> np.ndarray:
+    points, _ = _points_and_abT(draws)
+    return 1.0 + _BLOCH_BALL_TOL - np.max(np.linalg.norm(points, axis=-1), axis=-1)
 
 
 def _inv_bloch_containment(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        points, _ = _steered_points(_mixed_matrix(rng, 2), rng)
-        out[i - start] = 1.0 + _BLOCH_BALL_TOL - float(np.max(np.linalg.norm(points, axis=1)))
+    return _sampled(master_seed, start, stop, _STEERED_WIDTH, _bloch_containment_margins)
+
+
+def _membership_margins(draws: np.ndarray) -> np.ndarray:
+    points, (a, b, T) = _points_and_abT(draws)
+    gamma = 1.0 - (a[:, None, :] @ a[:, :, None])[:, 0, 0]
+    live = gamma > ellipsoid.DEGENERACY_THRESHOLD
+    # Every row, not a fancy-indexed copy of T: matmul sums in another order
+    # when the strides of T change.
+    center, q = ellipsoid._center_orientation(a, b, T, np.where(live, gamma, 1.0))
+    # Where the quadratic form is undefined the margin stays 1; containment
+    # is covered by the Bloch-ball check.
+    firm = live & (np.linalg.eigvalsh(q)[:, 0] > 1e-10)
+    delta = points[firm] - center[firm, None, :]
+    solved = np.swapaxes(np.linalg.solve(q[firm], np.swapaxes(delta, 1, 2)), 1, 2)
+    out = np.ones(len(draws))
+    out[firm] = 1.0 + _MEMBERSHIP_TOL - np.max(np.einsum("nij,nij->ni", delta, solved), axis=-1)
     return out
 
 
 def _inv_membership(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _mixed_matrix(rng, 2)
-        points, _ = _steered_points(mat, rng)
-        ell = ellipsoid.steering_ellipsoid(mat)
-        if ell.degenerate or np.linalg.eigvalsh(ell.orientation)[0] <= 1e-10:
-            out[i - start] = 1.0  # quadratic form undefined; containment covered elsewhere
-            continue
-        delta = points - ell.center
-        qform = np.einsum("ij,ij->i", delta, np.linalg.solve(ell.orientation, delta.T).T)
-        out[i - start] = 1.0 + _MEMBERSHIP_TOL - float(np.max(qform))
-    return out
+    return _sampled(master_seed, start, stop, _STEERED_WIDTH, _membership_margins)
+
+
+# Term count, zero-padded weights, then zero-padded normals of two qubit kets per term.
+_SEPARABLE_WIDTH = 1 + states.MAX_SEPARABLE_TERMS * (1 + 2 * _pure_width(1))
+
+
+def _draw_separable(rng, row: np.ndarray) -> None:
+    """The draws of ``random_separable_two_qubit`` in its order, zero-padded to the most terms."""
+    terms = int(rng.integers(1, states.MAX_SEPARABLE_TERMS + 1))
+    row.fill(0.0)
+    row[0] = terms
+    row[1 : 1 + terms] = rng.dirichlet(np.ones(terms))
+    normals = row[1 + states.MAX_SEPARABLE_TERMS :]
+    rng.standard_normal(out=normals[: terms * 2 * _pure_width(1)])
+
+
+def _separable_margins(draws: np.ndarray) -> np.ndarray:
+    most = states.MAX_SEPARABLE_TERMS
+    mat = states._separable_arr(
+        draws[:, 0].astype(int), draws[:, 1 : 1 + most], draws[:, 1 + most :].reshape(len(draws), most, 2, 4)
+    )
+    return _SEPARABLE_BOUND + _TOL - _volumes(mat)
 
 
 def _inv_separable_bound(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = states.random_separable_two_qubit(seed=rng).matrix
-        out[i - start] = _SEPARABLE_BOUND + _TOL - ellipsoid.normalized_volume(mat)
-    return out
+    return _sampled(master_seed, start, stop, _SEPARABLE_WIDTH, _separable_margins, _draw_separable)
+
+
+def _volume_interval_margins(draws: np.ndarray) -> np.ndarray:
+    mat = _mixed_states(draws, 2)
+    v = _volumes(mat)
+    margin = np.minimum(v + _TOL, 1.0 + _TOL - v)
+    unit = np.flatnonzero(v >= 1.0 - _TOL)
+    if unit.size:
+        # Unit volume must certify a pure entangled state.
+        mixed = states._purity_arr(mat[unit]) < 1.0 - _TOL
+        margin[unit[(monogamy._concurrence_arr(mat[unit]) <= 0.0) | mixed]] = -1.0
+    return margin
 
 
 def _inv_volume_interval(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _mixed_matrix(rng, 2)
-        v = ellipsoid.normalized_volume(mat)
-        margin = min(v + _TOL, 1.0 + _TOL - v)
-        if v >= 1.0 - _TOL:
-            # Unit volume must certify a pure entangled state.
-            if monogamy.concurrence(mat) <= 0.0 or states.purity(mat) < 1.0 - _TOL:
-                margin = -1.0
-        out[i - start] = margin
-    return out
+    return _sampled(master_seed, start, stop, _mixed_width(2), _volume_interval_margins)
+
+
+def _monogamy_sum_margins(
+    draws: np.ndarray, *, n_qubits: int, pure: bool, exponent: float, bound: float
+) -> np.ndarray:
+    mat = _pure_states(draws, n_qubits) if pure else _mixed_states(draws, n_qubits)
+    # float_power calls the C pow, as Python's float ** does.
+    lhs = sum(np.float_power(v, exponent) for v in monogamy._hub_volumes(mat, n_qubits, 0))
+    return bound + _TOL - lhs
 
 
 def _inv_monogamy_sum(master_seed: int, start: int, stop: int, *, n_qubits: int,
                       pure: bool, exponent: float, bound: float) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _pure_matrix(rng, n_qubits) if pure else _mixed_matrix(rng, n_qubits)
-        lhs = sum(v**exponent for v in monogamy._hub_volumes(mat, n_qubits, 0))
-        out[i - start] = bound + _TOL - lhs
-    return out
+    width = _pure_width(n_qubits) if pure else _mixed_width(n_qubits)
+    reduce = partial(_monogamy_sum_margins, n_qubits=n_qubits, pure=pure, exponent=exponent, bound=bound)
+    return _sampled(master_seed, start, stop, width, reduce)
+
+
+def _mixed5_mean_margins(draws: np.ndarray) -> np.ndarray:
+    volumes = np.stack(monogamy._hub_volumes(_mixed_states(draws, 5), 5, 0))
+    return 0.5 + _TOL - np.mean(volumes, axis=0)
 
 
 def _inv_mixed5_mean_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _mixed_matrix(rng, 5)
-        out[i - start] = 0.5 + _TOL - float(np.mean(monogamy._hub_volumes(mat, 5, 0)))
-    return out
+    return _sampled(master_seed, start, stop, _mixed_width(5), _mixed5_mean_margins)
+
+
+def _correlation_sum_margins(draws: np.ndarray, *, pure: bool) -> np.ndarray:
+    mat = _pure_states(draws, 3) if pure else _mixed_states(draws, 3)
+    total = monogamy._correlation_sum_arr(mat, 3, list(combinations(range(3), 2)))
+    return _TOL - np.abs(total - 3.0) if pure else 3.0 + _TOL - total
 
 
 def _inv_correlation_sum(master_seed: int, start: int, stop: int, *, pure: bool) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _pure_matrix(rng, 3) if pure else _mixed_matrix(rng, 3)
-        total = monogamy.pairwise_correlation_sum(mat)
-        out[i - start] = _TOL - abs(total - 3.0) if pure else 3.0 + _TOL - total
-    return out
+    width = _pure_width(3) if pure else _mixed_width(3)
+    return _sampled(master_seed, start, stop, width, partial(_correlation_sum_margins, pure=pure))
+
+
+def _purity_identity_margins(draws: np.ndarray, *, n_qubits: int) -> np.ndarray:
+    mat = _pure_states(draws, n_qubits)
+    monogamy._check_pure_arr(mat)
+    if n_qubits == 3:
+        residuals = monogamy._purity_residuals_3q_arr(mat)
+    else:
+        residuals = monogamy._purity_residuals_4q_arr(mat)
+    return _TOL - np.max(np.abs(residuals), axis=-1)
 
 
 def _inv_purity_identities(master_seed: int, start: int, stop: int, *, n_qubits: int) -> np.ndarray:
-    residual_fn = (
-        monogamy.purity_identity_residuals_3q if n_qubits == 3 else monogamy.purity_identity_residuals_4q
-    )
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _pure_matrix(rng, n_qubits)
-        out[i - start] = _TOL - float(np.max(np.abs(residual_fn(mat))))
-    return out
+    reduce = partial(_purity_identity_margins, n_qubits=n_qubits)
+    return _sampled(master_seed, start, stop, _pure_width(n_qubits), reduce)
+
+
+def _canonical_equality_margins(draws: np.ndarray) -> np.ndarray:
+    mat = ellipsoid._canonical_arr(_pure_states(draws, 3), 3, 0)
+    v_b, v_c = monogamy._hub_volumes(mat, 3, 0)
+    _, b2, c2 = monogamy._bloch_norms_sq(mat, 3)
+    return _TOL - np.maximum(np.abs(v_b - c2), np.abs(v_c - b2))
 
 
 def _inv_canonical_equalities(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = ellipsoid.canonical_form(_pure_matrix(rng, 3)).data
-        v_b, v_c = monogamy._hub_volumes(mat, 3, 0)
-        b = states._bloch_arr(_partial_trace_arr(mat, [1], 3))
-        c = states._bloch_arr(_partial_trace_arr(mat, [2], 3))
-        out[i - start] = _TOL - max(abs(v_b - c @ c), abs(v_c - b @ b))
-    return out
+    return _sampled(master_seed, start, stop, _pure_width(3), _canonical_equality_margins)
+
+
+def _polygon_margins(draws: np.ndarray) -> np.ndarray:
+    mat = _pure_states(draws, 3)
+    monogamy._check_pure_arr(mat)
+    return monogamy._polygon_arr(mat) + _TOL
 
 
 def _inv_polygon(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _pure_matrix(rng, 3)
-        out[i - start] = monogamy.polygon_residual(mat) + _TOL
-    return out
+    return _sampled(master_seed, start, stop, _pure_width(3), _polygon_margins)
+
+
+def _concurrence_volume_margins(draws: np.ndarray) -> np.ndarray:
+    return monogamy._concurrence_volume_arr(_mixed_states(draws, 2), 2) + _TOL
 
 
 def _inv_concurrence_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _mixed_matrix(rng, 2)
-        out[i - start] = monogamy.concurrence_volume_residual(mat) + _TOL
-    return out
+    return _sampled(master_seed, start, stop, _mixed_width(2), _concurrence_volume_margins)
+
+
+def _ckw_margins(draws: np.ndarray) -> np.ndarray:
+    return monogamy._ckw_arr(_mixed_states(draws, 3), 0) + _TOL
 
 
 def _inv_ckw(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _mixed_matrix(rng, 3)
-        out[i - start] = monogamy.ckw_residual(mat) + _TOL
-    return out
+    return _sampled(master_seed, start, stop, _mixed_width(3), _ckw_margins)
+
+
+def _tangle_volume_margins(draws: np.ndarray) -> np.ndarray:
+    mat = _pure_states(draws, 3)
+    monogamy._check_pure_arr(mat)
+    tangle = monogamy._three_tangle_arr(mat)
+    a2 = monogamy._bloch_norms_sq(mat, 3)[0]
+    return tangle - (1.0 - a2) * (1.0 - _sqrt_volume_sum(mat)) + _TOL
 
 
 def _inv_tangle_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _pure_matrix(rng, 3)
-        tangle = monogamy.three_tangle(mat)
-        a = states._bloch_arr(_partial_trace_arr(mat, [0], 3))
-        report_lhs = sum(math.sqrt(v) for v in monogamy._hub_volumes(mat, 3, 0))
-        out[i - start] = tangle - (1.0 - a @ a) * (1.0 - report_lhs) + _TOL
-    return out
+    return _sampled(master_seed, start, stop, _pure_width(3), _tangle_volume_margins)
 
 
-def _max_volume_class(theta: float) -> monogamy.SloccClass:
-    """SLOCC class that the marginal spectra of ``max_volume_state(theta)`` imply.
+def _max_volume_codes(theta) -> np.ndarray:
+    """Indices into monogamy._SLOCC_CLASSES of the class each ``max_volume_state(theta)`` has.
 
     Qubit 0 is maximally mixed; qubits 1 and 2 have smallest marginal
     eigenvalues cos^2(theta)/2 and sin^2(theta)/2.  Within about 4.5e-5 of
     an end of [0, pi/2] one of these falls below RANK_TOL, so that qubit
     factors out, and the state still saturates the bound.
     """
-    if math.cos(theta) ** 2 / 2.0 < monogamy.RANK_TOL:
-        return monogamy.SloccClass.BIPARTITE_AC_B
-    if math.sin(theta) ** 2 / 2.0 < monogamy.RANK_TOL:
-        return monogamy.SloccClass.BIPARTITE_AB_C
-    return monogamy.SloccClass.W_CLASS
+    code = monogamy._SLOCC_CLASSES.index
+    # float_power calls the C pow, as Python's float ** does.
+    return np.where(
+        np.float_power(np.cos(theta), 2) / 2.0 < monogamy.RANK_TOL,
+        code(monogamy.SloccClass.BIPARTITE_AC_B),
+        np.where(
+            np.float_power(np.sin(theta), 2) / 2.0 < monogamy.RANK_TOL,
+            code(monogamy.SloccClass.BIPARTITE_AB_C),
+            code(monogamy.SloccClass.W_CLASS),
+        ),
+    )
+
+
+def _max_volume_class(theta: float) -> monogamy.SloccClass:
+    """SLOCC class that the marginal spectra of ``max_volume_state(theta)`` imply."""
+    return monogamy._SLOCC_CLASSES[int(_max_volume_codes(theta))]
+
+
+def _draw_wclass(rng, row: np.ndarray) -> None:
+    """theta, then the normals of three Haar 2x2 unitaries."""
+    row[0] = rng.uniform(0.0, math.pi / 2.0)
+    rng.standard_normal(out=row[1:])
+
+
+def _wclass_margins(draws: np.ndarray) -> np.ndarray:
+    theta = draws[:, 0]
+    u = states._haar_unitary_arr(draws[:, 1:].reshape(len(draws), 3, 8), 2)
+    local = states._kron_arr(states._kron_arr(u[:, 0], u[:, 1]), u[:, 2])
+    vec = (local @ monogamy._max_volume_arr(theta)[:, :, None])[:, :, 0]
+    mat = states._densities(vec)
+    margin = _SATURATION_TOL - np.abs(_sqrt_volume_sum(mat) - 1.0)
+    monogamy._check_pure_arr(mat)
+    return np.where(monogamy._slocc_codes(mat) == _max_volume_codes(theta), margin, -1.0)
 
 
 def _inv_wclass_saturation(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        theta = rng.uniform(0.0, math.pi / 2.0)
-        vec = monogamy.max_volume_state(theta).data
-        local = states._haar_unitary(2, rng)
-        for _ in range(2):
-            local = np.kron(local, states._haar_unitary(2, rng))
-        vec = local @ vec
-        lhs = sum(math.sqrt(v) for v in monogamy._hub_volumes(np.outer(vec, vec.conj()), 3, 0))
-        margin = _SATURATION_TOL - abs(lhs - 1.0)
-        if monogamy.slocc_classify(vec) is not _max_volume_class(theta):
-            margin = -1.0
-        out[i - start] = margin
-    return out
+    return _sampled(master_seed, start, stop, 1 + 3 * 8, _wclass_margins, _draw_wclass)
+
+
+def _noisy(mat: np.ndarray, draws: np.ndarray, n_qubits: int) -> np.ndarray:
+    """``mat`` after one random channel per qubit, drawn from ``draws`` (N, n_qubits * 128)."""
+    kraus = channels._random_kraus_arr(draws.reshape(len(draws), n_qubits, _CHANNEL_WIDTH))
+    sups = channels._superoperator_arr(kraus)
+    return channels._apply_local_arr([sups[:, q] for q in range(n_qubits)], mat, n_qubits)
+
+
+def _channel_monotonicity_margins(draws: np.ndarray) -> np.ndarray:
+    mat = _mixed_states(draws, 2)
+    noisy = _noisy(mat, draws[:, _mixed_width(2) :], 2)
+    return _volumes(mat) - _volumes(noisy) + _TOL
 
 
 def _inv_channel_monotonicity(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _mixed_matrix(rng, 2)
-        pair = [channels.random_channel(seed=rng) for _ in range(2)]
-        v_before, v_after, _ = channels.monotonicity_check(mat, pair)
-        out[i - start] = v_before - v_after + _TOL
-    return out
+    width = _mixed_width(2) + 2 * _CHANNEL_WIDTH
+    return _sampled(master_seed, start, stop, width, _channel_monotonicity_margins)
+
+
+def _noisy_pure3_margins(draws: np.ndarray) -> np.ndarray:
+    noisy = _noisy(_pure_states(draws, 3), draws[:, _pure_width(3) :], 3)
+    return 1.0 + _TOL - _sqrt_volume_sum(noisy)
 
 
 def _inv_noisy_pure3_monogamy(master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
-        mat = _pure_matrix(rng, 3)
-        noisy = channels.apply_local([channels.random_channel(seed=rng) for _ in range(3)], mat)
-        lhs = sum(math.sqrt(v) for v in monogamy._hub_volumes(noisy.data, 3, 0))
-        out[i - start] = 1.0 + _TOL - lhs
-    return out
+    width = _pure_width(3) + 3 * _CHANNEL_WIDTH
+    return _sampled(master_seed, start, stop, width, _noisy_pure3_margins)
 
 
 def _inv_noisy_w_closed_form(master_seed: int, start: int, stop: int) -> np.ndarray:
@@ -671,7 +789,10 @@ def run_property_suite(
     checks = _SUITE + ((_EXPLORATORY,) if explore_mixed_4q else ())
     results = []
     for check in checks:
-        count = max(1, round(check.samples * samples / 10_000)) if check.scaled else check.samples
+        count = check.samples
+        if check.scaled:
+            # At least one sample per check for any nonzero scale; none for zero.
+            count = max(1, round(check.samples * samples / 10_000)) if samples else 0
         try:
             margins = _chunked_values(check.fn, count, master_seed, workers)
             results.append(

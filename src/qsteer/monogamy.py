@@ -29,6 +29,7 @@ from .states import (
     _check_range,
     _density,
     _partial_trace_arr,
+    _purity_arr,
     _spin_corr_arr,
 )
 
@@ -129,10 +130,10 @@ def volume_monogamy_report(rho: StateLike, hub: int = 0) -> MonogamyReport:
     )
 
 
-def _corr_strength(mat: np.ndarray, n: int, pair: Sequence[int]) -> float:
-    """Tr[T^t T] of the reduced two-qubit state on ``pair``."""
+def _corr_strength(mat: np.ndarray, n: int, pair: Sequence[int]):
+    """Tr[T^t T] of the reduced two-qubit state on ``pair``; leading axes of ``mat`` are a batch."""
     T = _spin_corr_arr(_partial_trace_arr(mat, list(pair), n))
-    return float(np.sum(T * T))
+    return np.sum(T * T, axis=(-2, -1))
 
 
 def pairwise_correlation_sum(rho: StateLike, pairs: Sequence[tuple[int, int]] | None = None) -> float:
@@ -143,24 +144,35 @@ def pairwise_correlation_sum(rho: StateLike, pairs: Sequence[tuple[int, int]] | 
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise StateValidationError(f"invalid qubit pair ({i}, {j}) for {n} qubits")
-    return float(sum(_corr_strength(mat, n, pair) for pair in pairs))
+    return float(_correlation_sum_arr(mat, n, pairs))
+
+
+def _correlation_sum_arr(mat: np.ndarray, n: int, pairs: Sequence[tuple[int, int]]):
+    """Sum of Tr[T^t T] over ``pairs``; leading axes of ``mat`` are a batch."""
+    return sum(_corr_strength(mat, n, pair) for pair in pairs)
 
 
 def _pure_density(state: StateLike, n_expected: int | None = None) -> tuple[np.ndarray, int]:
     mat, n = _density(state)
     if n_expected is not None and n != n_expected:
         raise StateValidationError(f"expected {n_expected} qubits, got {n}")
-    pur = float(np.einsum("ij,ji->", mat, mat).real)
-    if pur < 1.0 - DEFAULT_TOL:
-        raise StateValidationError(f"expected a pure state, got purity {pur:.12g}")
+    _check_pure_arr(mat)
     return mat, n
 
 
+def _check_pure_arr(mat: np.ndarray) -> None:
+    """Raise StateValidationError unless every matrix of the stack has purity >= 1 - 1e-9."""
+    pur = _purity_arr(mat)
+    if np.any(pur < 1.0 - DEFAULT_TOL):
+        raise StateValidationError(f"expected a pure state, got purity {np.min(pur):.12g}")
+
+
 def _bloch_norms_sq(mat: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty(n)
+    """|r_q|^2 of each qubit's Bloch vector, shape (n, ...); trailing axes follow the batch of ``mat``."""
+    out = np.empty((n,) + mat.shape[:-2])
     for q in range(n):
         a = _bloch_arr(_partial_trace_arr(mat, [q], n))
-        out[q] = float(a @ a)
+        out[q] = (a[..., None, :] @ a[..., :, None])[..., 0, 0]
     return out
 
 
@@ -171,16 +183,22 @@ def purity_identity_residuals_3q(psi: StateLike) -> np.ndarray:
     each bipartition).
     """
     mat, _ = _pure_density(psi, 3)
+    return _purity_residuals_3q_arr(mat)
+
+
+def _purity_residuals_3q_arr(mat: np.ndarray) -> np.ndarray:
+    """:func:`purity_identity_residuals_3q` as (..., 3); leading axes of ``mat`` are a batch."""
     a2, b2, c2 = _bloch_norms_sq(mat, 3)
     t_ab = _corr_strength(mat, 3, (0, 1))
     t_ac = _corr_strength(mat, 3, (0, 2))
     t_bc = _corr_strength(mat, 3, (1, 2))
-    return np.array(
+    return np.stack(
         [
             t_ab + a2 + b2 - 1.0 - 2.0 * c2,
             t_ac + a2 + c2 - 1.0 - 2.0 * b2,
             t_bc + b2 + c2 - 1.0 - 2.0 * a2,
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -204,8 +222,13 @@ def l_bcd(rho: StateLike) -> float:
     mat, n = _density(rho)
     if n != 4:
         raise StateValidationError(f"l_bcd expects a 4-qubit state, got {n}")
-    coeffs = np.einsum("ab,kba->k", mat, _three_pauli_stack()).real
-    return float(np.sum(coeffs**2))
+    return float(_l_bcd_arr(mat))
+
+
+def _l_bcd_arr(mat: np.ndarray):
+    """:func:`l_bcd` of the trailing (16, 16) axes of ``mat``; leading axes are a batch."""
+    coeffs = np.einsum("...ab,kba->...k", mat, _three_pauli_stack()).real
+    return np.sum(coeffs**2, axis=-1)
 
 
 def purity_identity_residuals_4q(psi: StateLike) -> np.ndarray:
@@ -217,15 +240,21 @@ def purity_identity_residuals_4q(psi: StateLike) -> np.ndarray:
     for pure 4-qubit states.
     """
     mat, _ = _pure_density(psi, 4)
+    return _purity_residuals_4q_arr(mat)
+
+
+def _purity_residuals_4q_arr(mat: np.ndarray) -> np.ndarray:
+    """:func:`purity_identity_residuals_4q` as (..., 4); leading axes of ``mat`` are a batch."""
     a2, b2, c2, d2 = _bloch_norms_sq(mat, 4)
     t = {pair: _corr_strength(mat, 4, pair) for pair in combinations(range(4), 2)}
-    return np.array(
+    return np.stack(
         [
             (a2 + b2 + t[(0, 1)]) - (c2 + d2 + t[(2, 3)]),
             (a2 + c2 + t[(0, 2)]) - (b2 + d2 + t[(1, 3)]),
             (a2 + d2 + t[(0, 3)]) - (b2 + c2 + t[(1, 2)]),
-            b2 + c2 + d2 + t[(1, 2)] + t[(1, 3)] + t[(2, 3)] + l_bcd(mat) - 3.0 - 4.0 * a2,
-        ]
+            b2 + c2 + d2 + t[(1, 2)] + t[(1, 3)] + t[(2, 3)] + _l_bcd_arr(mat) - 3.0 - 4.0 * a2,
+        ],
+        axis=-1,
     )
 
 
@@ -236,8 +265,13 @@ def polygon_residual(psi: StateLike) -> float:
     constraint on qubit 0).
     """
     mat, _ = _pure_density(psi, 3)
+    return float(_polygon_arr(mat))
+
+
+def _polygon_arr(mat: np.ndarray):
+    """:func:`polygon_residual` of the trailing (8, 8) axes of ``mat``; leading axes are a batch."""
     a, b, c = np.sqrt(_bloch_norms_sq(mat, 3))
-    return float(1.0 + a - b - c)
+    return 1.0 + a - b - c
 
 
 _SPIN_FLIP = np.kron(PAULIS[1], PAULIS[1])
@@ -249,14 +283,21 @@ _WOOTTERS_FLOOR = 1e-12
 
 
 def _wootters_lambdas(mat: np.ndarray, rank_cap: int | None = None) -> np.ndarray:
+    """Descending sqrt-eigenvalues of rho rho_tilde, shape (..., 4); leading axes of ``mat`` are a batch."""
     flipped = _SPIN_FLIP @ mat.conj() @ _SPIN_FLIP
-    mu = np.sort(np.linalg.eigvals(mat @ flipped).real)[::-1]
-    if mu[0] <= 0.0:
-        return np.zeros(4)
-    mu = np.where(mu < mu[0] * _WOOTTERS_FLOOR, 0.0, mu)
+    mu = np.sort(np.linalg.eigvals(mat @ flipped).real, axis=-1)[..., ::-1]
+    top = mu[..., :1]
+    mu = np.where((top <= 0.0) | (mu < top * _WOOTTERS_FLOOR), 0.0, mu)
     if rank_cap is not None:
-        mu[rank_cap:] = 0.0
+        mu[..., rank_cap:] = 0.0
     return np.sqrt(mu)
+
+
+def _concurrence_arr(mat: np.ndarray):
+    """Wootters concurrence of the trailing (4, 4) axes of ``mat``; leading axes are a batch."""
+    lam = _wootters_lambdas(mat)
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return np.where(c > 0.0, c, 0.0)
 
 
 def concurrence(rho: StateLike) -> float:
@@ -269,17 +310,21 @@ def concurrence(rho: StateLike) -> float:
     mat, n = _density(rho)
     if n != 2:
         raise StateValidationError(f"concurrence expects two qubits, got {n}")
-    lam = _wootters_lambdas(mat)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(_concurrence_arr(mat))
 
 
 def concurrence_volume_residual(rho: StateLike, steering_qubit: int = 0) -> float:
     """(1 - a^2) sqrt(v) - C^2 for a two-qubit state; nonnegative for all states."""
     mat, n = _density(rho)
+    return float(_concurrence_volume_arr(mat, n, steering_qubit))
+
+
+def _concurrence_volume_arr(mat: np.ndarray, n: int, steering_qubit: int = 0):
+    """:func:`concurrence_volume_residual`; leading axes of ``mat`` are a batch."""
     a, b, T = _steering_abT(mat, n, steering_qubit)
     v = _volume_from_abT(a, b, T)
-    c = concurrence(mat)
-    return float((1.0 - a @ a) * math.sqrt(v) - c * c)
+    c = _concurrence_arr(mat)
+    return (1.0 - (a[..., None, :] @ a[..., :, None])[..., 0, 0]) * np.sqrt(v) - c * c
 
 
 def ckw_residual(rho: StateLike, hub: int = 0) -> float:
@@ -289,11 +334,15 @@ def ckw_residual(rho: StateLike, hub: int = 0) -> float:
         raise StateValidationError(f"ckw_residual expects three qubits, got {n}")
     if hub not in (0, 1, 2):
         raise StateValidationError(f"hub must be 0, 1 or 2, got {hub}")
-    others = [q for q in range(3) if q != hub]
-    det_a = float(np.linalg.det(_partial_trace_arr(mat, [hub], 3)).real)
-    total = 4.0 * det_a
-    for other in others:
-        total -= concurrence(_partial_trace_arr(mat, [hub, other], 3)) ** 2
+    return float(_ckw_arr(mat, hub))
+
+
+def _ckw_arr(mat: np.ndarray, hub: int = 0):
+    """:func:`ckw_residual` of the trailing (8, 8) axes of ``mat``; leading axes are a batch."""
+    total = 4.0 * np.linalg.det(_partial_trace_arr(mat, [hub], 3)).real
+    for other in (q for q in range(3) if q != hub):
+        # float_power calls the C pow, as Python's float ** does.
+        total = total - np.float_power(_concurrence_arr(_partial_trace_arr(mat, [hub, other], 3)), 2)
     return total
 
 
@@ -307,11 +356,16 @@ def three_tangle(psi: StateLike) -> float:
     instead of eigensolver noise.
     """
     mat, _ = _pure_density(psi, 3)
-    det_a = float(np.linalg.det(_partial_trace_arr(mat, [0], 3)).real)
-    total = 4.0 * det_a
+    return float(_three_tangle_arr(mat))
+
+
+def _three_tangle_arr(mat: np.ndarray):
+    """:func:`three_tangle` of the trailing (8, 8) axes of pure ``mat``; leading axes are a batch."""
+    total = 4.0 * np.linalg.det(_partial_trace_arr(mat, [0], 3)).real
     for other in (1, 2):
         lam = _wootters_lambdas(_partial_trace_arr(mat, [0, other], 3), rank_cap=2)
-        total -= max(0.0, lam[0] - lam[1]) ** 2
+        gap = lam[..., 0] - lam[..., 1]
+        total = total - np.float_power(np.where(gap > 0.0, gap, 0.0), 2)
     return total
 
 
@@ -323,24 +377,32 @@ def slocc_classify(psi: StateLike) -> SloccClass:
     ~ 0) from the GHZ class.
     """
     mat, _ = _pure_density(psi, 3)
-    pure_marginals = []
-    for q in range(3):
-        eigs = np.linalg.eigvalsh(_partial_trace_arr(mat, [q], 3))
-        pure_marginals.append(eigs[0] < RANK_TOL)
-    count = sum(pure_marginals)
+    return _SLOCC_CLASSES[int(_slocc_codes(mat))]
+
+
+#: Order of the class codes that :func:`_slocc_codes` returns.
+_SLOCC_CLASSES = (
+    SloccClass.FULLY_PRODUCT,
+    SloccClass.BIPARTITE_A_BC,
+    SloccClass.BIPARTITE_AC_B,
+    SloccClass.BIPARTITE_AB_C,
+    SloccClass.W_CLASS,
+    SloccClass.GHZ_CLASS,
+)
+
+
+def _slocc_codes(mat: np.ndarray) -> np.ndarray:
+    """Indices into _SLOCC_CLASSES for pure 3-qubit ``mat``; leading axes are a batch."""
+    pure_marginals = np.stack(
+        [np.linalg.eigvalsh(_partial_trace_arr(mat, [q], 3))[..., 0] < RANK_TOL for q in range(3)], axis=-1
+    )
+    count = np.sum(pure_marginals, axis=-1)
+    # A single pure marginal names the qubit that factors out: A, then B, then C.
+    bipartite = 1 + np.argmax(pure_marginals, axis=-1)
+    entangled = np.where(_three_tangle_arr(mat) <= TANGLE_TOL, 4, 5)
     # Two pure marginals force the third for a pure state, so >= 2 means
     # fully product up to numerical noise.
-    if count >= 2:
-        return SloccClass.FULLY_PRODUCT
-    if count == 1:
-        if pure_marginals[0]:
-            return SloccClass.BIPARTITE_A_BC
-        if pure_marginals[1]:
-            return SloccClass.BIPARTITE_AC_B
-        return SloccClass.BIPARTITE_AB_C
-    if three_tangle(mat) <= TANGLE_TOL:
-        return SloccClass.W_CLASS
-    return SloccClass.GHZ_CLASS
+    return np.where(count >= 2, 0, np.where(count == 1, bipartite, entangled))
 
 
 # --- reference state families -------------------------------------------------
@@ -422,8 +484,18 @@ def max_volume_state(theta: float) -> QuantumState:
     """
     if not 0.0 <= theta <= math.pi / 2.0:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    return QuantumState(3, _max_volume_arr(theta))
+
+
+def _max_volume_arr(theta) -> np.ndarray:
+    """Kets (theta.shape + (8,)) of :func:`max_volume_state` over an array of angles."""
+    theta = np.asarray(theta, dtype=float)
     s = 1.0 / math.sqrt(2.0)
-    return _ket(3, {4: s, 2: math.cos(theta) * s, 1: math.sin(theta) * s})
+    kets = np.zeros(theta.shape + (8,), dtype=complex)
+    kets[..., 4] = s
+    kets[..., 2] = np.cos(theta) * s
+    kets[..., 1] = np.sin(theta) * s
+    return kets
 
 
 def singlet_state() -> QuantumState:

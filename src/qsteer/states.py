@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+#: Default largest number of product terms in random_separable_two_qubit.
+MAX_SEPARABLE_TERMS = 4
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -314,6 +316,7 @@ def _density(state: StateLike) -> tuple[np.ndarray, int]:
 
 def ket_to_density(psi: StateLike, tol: float = DEFAULT_TOL) -> QuantumState:
     """Outer product |psi><psi| of a normalized amplitude vector."""
+    _check_tol(tol)
     if isinstance(psi, QuantumState):
         if not psi.is_pure:
             raise StateValidationError("ket_to_density expects an amplitude vector")
@@ -325,6 +328,11 @@ def ket_to_density(psi: StateLike, tol: float = DEFAULT_TOL) -> QuantumState:
     if abs(norm_sq - 1.0) > tol:
         raise StateValidationError(f"amplitude vector has squared norm {norm_sq}, expected 1")
     return QuantumState(n, np.outer(vec, vec.conj()))
+
+
+def _densities(kets: np.ndarray) -> np.ndarray:
+    """|psi><psi| of the trailing axis of ``kets``; leading axes are a batch."""
+    return kets[..., :, None] * kets[..., None, :].conj()
 
 
 def _partial_trace_arr(mat: np.ndarray, keep: Sequence[int], n_qubits: int) -> np.ndarray:
@@ -413,10 +421,17 @@ def pauli_coefficient(rho: StateLike, labels: Sequence[int]) -> float:
     return float(np.einsum("ab,ba->", mat, op).real)
 
 
+def _purity_arr(mat: np.ndarray):
+    """Tr[rho^2] of the trailing (d, d) axes of ``mat``; leading axes are a batch."""
+    # As in _partial_trace_arr, a single matrix skips the slower ellipsis form.
+    subscripts = "ij,ji->" if mat.ndim == 2 else "...ij,...ji->..."
+    return np.einsum(subscripts, mat, mat).real
+
+
 def purity(rho: StateLike) -> float:
     """Tr[rho^2], between 2**-n (maximally mixed) and 1 (pure)."""
     mat, _ = _density(rho)
-    return float(np.einsum("ij,ji->", mat, mat).real)
+    return float(_purity_arr(mat))
 
 
 @dataclass(frozen=True)
@@ -437,40 +452,92 @@ class PauliDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the 4x4 density matrix from (a, b, T)."""
-        eye2 = np.eye(2, dtype=complex)
-        mat = np.kron(eye2, eye2).astype(complex)
-        mat += np.kron(np.einsum("j,jab->ab", self.a, PAULIS), eye2)
-        mat += np.kron(eye2, np.einsum("k,kab->ab", self.b, PAULIS))
-        mat += np.einsum("jk,jkab->ab", self.T, _PAULI_PAIRS)
-        return mat / 4.0
+        return _reconstruct_arr(self.a, self.b, self.T)
+
+
+def _kron_arr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron of the trailing square axes of ``x`` and ``y``; leading axes are a batch."""
+    dx, dy = x.shape[-1], y.shape[-1]
+    prod = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (dx * dy, dx * dy))
+
+
+def _reconstruct_arr(a: np.ndarray, b: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Two-qubit density matrices (..., 4, 4) from (a, b, T); leading axes are a batch."""
+    eye2 = np.eye(2, dtype=complex)
+    mat = _kron_arr(eye2, eye2)
+    mat = mat + _kron_arr(np.einsum("...j,jab->...ab", a, PAULIS), eye2)
+    mat = mat + _kron_arr(eye2, np.einsum("...k,kab->...ab", b, PAULIS))
+    mat = mat + np.einsum("...jk,jkab->...ab", T, _PAULI_PAIRS)
+    return mat / 4.0
+
+
+def _pauli_arr(mat: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, T) of the trailing (4, 4) axes of ``mat``, checking the physical ranges.
+
+    Leading axes are a batch; one entry out of range rejects the stack.
+    """
+    a = _bloch_arr(_partial_trace_arr(mat, [0], 2))
+    b = _bloch_arr(_partial_trace_arr(mat, [1], 2))
+    T = _spin_corr_arr(mat)
+    if np.any(np.linalg.norm(a, axis=-1) > 1 + tol) or np.any(np.linalg.norm(b, axis=-1) > 1 + tol):
+        raise StateValidationError("Bloch vector norm exceeds 1")
+    if np.any(np.abs(T) > 1 + tol):
+        raise StateValidationError("spin correlation entry outside [-1, 1]")
+    return a, b, T
 
 
 def pauli_decomposition(rho: StateLike, tol: float = DEFAULT_TOL) -> PauliDecomposition:
     """Extract (a, b, T) of a two-qubit state, checking the physical ranges."""
+    _check_tol(tol)
     mat, n = _density(rho)
     if n != 2:
         raise StateValidationError(f"pauli_decomposition expects two qubits, got {n}")
-    a = _bloch_arr(_partial_trace_arr(mat, [0], 2))
-    b = _bloch_arr(_partial_trace_arr(mat, [1], 2))
-    T = _spin_corr_arr(mat)
-    if np.linalg.norm(a) > 1 + tol or np.linalg.norm(b) > 1 + tol:
-        raise StateValidationError("Bloch vector norm exceeds 1")
-    if np.max(np.abs(T)) > 1 + tol:
-        raise StateValidationError("spin correlation entry outside [-1, 1]")
-    return PauliDecomposition(a, b, T)
+    return PauliDecomposition(*_pauli_arr(mat, tol))
+
+
+def _haar_arr(draws: np.ndarray) -> np.ndarray:
+    """Unit kets (..., d) from normals (..., 2d): real parts first, then imaginary parts.
+
+    One ``standard_normal(2d)`` draw is bit for bit the two ``standard_normal(d)``
+    draws this replaces, and each row is normalized exactly as
+    ``np.linalg.norm`` normalizes a single ket.
+    """
+    d = draws.shape[-1] // 2
+    vec = draws[..., :d] + 1j * draws[..., d:]
+    if vec.ndim == 1:
+        return vec / np.linalg.norm(vec)
+    re, im = vec.real, vec.imag
+    # 1 x d times d x 1 products are the strided dot products that
+    # np.linalg.norm takes; norm(axis=-1) rounds differently.
+    norm = np.sqrt(re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None])
+    return vec / norm[..., 0]
 
 
 def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return vec / np.linalg.norm(vec)
+    return _haar_arr(rng.standard_normal(2 * dim))
+
+
+def _haar_unitary_arr(draws: np.ndarray, dim: int) -> np.ndarray:
+    """Haar unitaries (..., dim, dim) from normals (..., 2 dim^2), real parts first."""
+    shape = draws.shape[:-1] + (dim, dim)
+    half = dim * dim
+    ginibre = draws[..., :half].reshape(shape) + 1j * draws[..., half:].reshape(shape)
+    q, r = np.linalg.qr(ginibre)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """QR of a Ginibre matrix with the phase convention that makes it Haar."""
-    ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(ginibre)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return _haar_unitary_arr(rng.standard_normal(2 * dim * dim), dim)
+
+
+def _induced_arr(kets: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Trace the trailing ancilla factors out of kets (..., 2**n * k): a (..., 2**n, 2**n) stack."""
+    dim = 2**n_qubits
+    block = kets.reshape(kets.shape[:-1] + (dim, -1))
+    return block @ np.swapaxes(block.conj(), -1, -2)
 
 
 def random_pure_state(n_qubits: int, seed: SeedLike = None) -> QuantumState:
@@ -494,21 +561,31 @@ def random_mixed_state(n_qubits: int, ancilla_qubits: int | None = None, seed: S
     if ancilla_qubits < 0:
         raise StateValidationError("ancilla_qubits must be >= 0")
     rng = as_rng(seed)
-    dim = 2**n_qubits
-    vec = _haar_vector(dim * 2**ancilla_qubits, rng)
     # The ancilla occupies the trailing tensor factors, so the reduction is
     # a single matrix product on the reshaped amplitudes.
-    block = vec.reshape(dim, -1)
-    return QuantumState(n_qubits, block @ block.conj().T)
+    vec = _haar_vector(2 ** (n_qubits + ancilla_qubits), rng)
+    return QuantumState(n_qubits, _induced_arr(vec, n_qubits))
 
 
-def random_separable_two_qubit(seed: SeedLike = None, max_terms: int = 4) -> QuantumState:
+def _separable_arr(terms: np.ndarray, weights: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Mixtures (N, 4, 4) of ``terms`` (N,) product states, added in order.
+
+    ``weights`` (N, T) and the Haar normals ``draws`` (N, T, 2, 4) of each
+    term's two qubit kets are zero-padded beyond each row's term count.
+    """
+    mat = np.zeros(weights.shape[:1] + (4, 4), dtype=complex)
+    for t in range(weights.shape[1]):
+        rows = terms > t
+        kets = _haar_arr(draws[rows, t])
+        vec = (kets[:, 0, :, None] * kets[:, 1, None, :]).reshape(-1, 4)
+        mat[rows] += weights[rows, t, None, None] * _densities(vec)
+    return mat
+
+
+def random_separable_two_qubit(seed: SeedLike = None, max_terms: int = MAX_SEPARABLE_TERMS) -> QuantumState:
     """Convex mixture of up to ``max_terms`` random pure product states; separable by construction."""
     rng = as_rng(seed)
     terms = int(rng.integers(1, max_terms + 1))
     weights = rng.dirichlet(np.ones(terms))
-    mat = np.zeros((4, 4), dtype=complex)
-    for w in weights:
-        vec = np.kron(_haar_vector(2, rng), _haar_vector(2, rng))
-        mat += w * np.outer(vec, vec.conj())
-    return QuantumState(2, mat)
+    draws = rng.standard_normal((terms, 2, 4))
+    return QuantumState(2, _separable_arr(np.array([terms]), weights[None], draws[None])[0])

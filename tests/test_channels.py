@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qsteer import channels, states
 from qsteer.channels import (
     KrausChannel,
     apply_local,
@@ -254,3 +255,33 @@ class TestMonotonicity:
     def test_werner_reduction_two_qubit_guard(self):
         with pytest.raises(StateValidationError):
             monotonicity_check(w_family(0.5), [identity_channel()] * 3)
+
+
+class TestStackedKernels:
+    """Each stacked kernel equals its per-channel or per-state form bit for bit."""
+
+    def test_random_kraus_and_superoperators(self):
+        draws = np.array([rng.standard_normal(128) for _, rng in states.sample_streams(5, 0, 30)])
+        kraus = channels._random_kraus_arr(draws)
+        sups = channels._superoperator_arr(kraus)
+        for i, rng in states.sample_streams(5, 0, 30):
+            channel = random_channel(seed=rng)
+            np.testing.assert_array_equal(kraus[i], np.array(channel.operators))
+            np.testing.assert_array_equal(sups[i], channel.superoperator)
+
+    def test_completeness_is_tested_per_channel(self, rng):
+        kraus = channels._random_kraus_arr(rng.standard_normal((6, 128)))
+        kraus[4, 0] *= 1.001
+        with pytest.raises(ValueError, match="completeness"):
+            channels._superoperator_arr(kraus)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_per_state_superoperators(self, rng, n):
+        count = 20
+        mats = states._induced_arr(states._haar_arr(rng.standard_normal((count, 2 ** (2 * n + 1)))), n)
+        kraus = channels._random_kraus_arr(rng.standard_normal((count, n, 128)))
+        sups = channels._superoperator_arr(kraus)
+        out = channels._apply_local_arr([sups[:, q] for q in range(n)], mats, n)
+        for k, mat in enumerate(mats):
+            per_state = [KrausChannel(tuple(kraus[k, q])) for q in range(n)]
+            np.testing.assert_array_equal(out[k], apply_local(per_state, mat).data)

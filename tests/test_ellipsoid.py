@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsteer import ellipsoid
+from qsteer import ellipsoid, states
 from qsteer.ellipsoid import (
     DegenerateMarginalError,
     PovmElement,
@@ -220,3 +220,55 @@ class TestPovmElement:
     def test_rejects_long_direction(self):
         with pytest.raises(ValueError):
             PovmElement(0.5, np.array([1.0, 1.0, 0.0]))
+
+
+def _mixed_stack(rng, n, count=40):
+    return states._induced_arr(states._haar_arr(rng.standard_normal((count, 2 ** (2 * n + 1)))), n)
+
+
+class TestStackedKernels:
+    """Each stacked kernel equals its per-matrix form bit for bit."""
+
+    @pytest.mark.parametrize("n, steering_qubit", [(2, 0), (2, 1), (3, 0), (3, 2)])
+    def test_canonical_form(self, rng, n, steering_qubit):
+        mats = _mixed_stack(rng, n)
+        stacked = ellipsoid._canonical_arr(mats, n, steering_qubit)
+        for mat, out in zip(mats, stacked):
+            np.testing.assert_array_equal(out, canonical_form(mat, steering_qubit).data)
+
+    def test_canonical_form_rejects_a_pure_marginal_in_the_stack(self, rng):
+        mats = _mixed_stack(rng, 2, count=3)
+        product = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2).astype(complex)
+        with pytest.raises(DegenerateMarginalError):
+            ellipsoid._canonical_arr(np.concatenate([mats, product[None]]), 2, 0)
+
+    def test_center_and_orientation(self, rng):
+        mats = _mixed_stack(rng, 2)
+        a, b, T = ellipsoid._steering_abT(mats, 2, 0)
+        gamma = 1.0 - (a[:, None, :] @ a[:, :, None])[:, 0, 0]
+        center, q = ellipsoid._center_orientation(a, b, T, gamma)
+        for k, mat in enumerate(mats):
+            ell = steering_ellipsoid(mat)
+            np.testing.assert_array_equal(center[k], ell.center)
+            np.testing.assert_array_equal(q[k], ell.orientation)
+
+    def test_steered_points(self, rng):
+        mats = _mixed_stack(rng, 2, count=10)
+        a, b, T = states._pauli_arr(mats)
+        e = rng.standard_normal((10, 7, 3))
+        e /= np.linalg.norm(e, axis=-1, keepdims=True)
+        points = ellipsoid._steered_arr(a, b, T, e)
+        for k, mat in enumerate(mats):
+            np.testing.assert_array_equal(points[k], ellipsoid._steered_arr(a[k], b[k], T[k], e[k]))
+            # One direction at a time is a vector-matrix product: steered_point
+            # keeps the rounding of its former (b + T^t e) / (1 + a.e).
+            decomp = pauli_decomposition(mat)
+            for direction in e[k]:
+                expected = (decomp.b + decomp.T.T @ direction) / (1.0 + float(decomp.a @ direction))
+                np.testing.assert_array_equal(steered_point(decomp, PovmElement(1.0, direction)), expected)
+
+    def test_steered_points_reject_a_zero_probability_outcome(self):
+        decomp = pauli_decomposition(np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2))
+        e = np.array([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+        with pytest.raises(ZeroProbabilityError):
+            ellipsoid._steered_arr(decomp.a[None], decomp.b[None], decomp.T[None], e)

@@ -1,10 +1,22 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from qsteer import channels, ellipsoid, monogamy, states
 from qsteer.experiments import (
+    _BLOCH_BALL_TOL,
+    _EXPLORATORY,
+    _MEMBERSHIP_TOL,
+    _POINTS_PER_STATE,
+    _PTRACE_TOL,
+    _PURITY_SYM_TOL,
+    _RECON_TOL,
+    _SATURATION_TOL,
+    _SEPARABLE_BOUND,
+    _SUITE,
+    _TOL,
     GhzSweepRow,
     _inv_wclass_saturation,
     _max_volume_class,
@@ -15,7 +27,320 @@ from qsteer.experiments import (
     sweep_ghz_region,
     sweep_noisy_w,
 )
-from qsteer.states import QuantumState
+from qsteer.states import QuantumState, _partial_trace_arr, sample_streams
+
+# --- per-sample references: each suite check, one state at a time through the public functions ---
+
+
+def _mixed_matrix(rng, n_qubits: int) -> np.ndarray:
+    return states.random_mixed_state(n_qubits, seed=rng).matrix
+
+
+def _pure_matrix(rng, n_qubits: int) -> np.ndarray:
+    return states.random_pure_state(n_qubits, seed=rng).matrix
+
+
+def _ref_reconstruction(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 2)
+        rebuilt = states.pauli_decomposition(mat).reconstruct()
+        out[i - start] = _RECON_TOL - float(np.max(np.abs(rebuilt - mat)))
+    return out
+
+
+def _ref_ptrace_composition(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 3)
+        direct = _partial_trace_arr(mat, [0], 3)
+        stepwise = _partial_trace_arr(_partial_trace_arr(mat, [0, 1], 3), [0], 2)
+        out[i - start] = _PTRACE_TOL - float(np.max(np.abs(direct - stepwise)))
+    return out
+
+
+def _ref_purity_symmetry(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _pure_matrix(rng, 3)
+        p_ab = states.purity(_partial_trace_arr(mat, [0, 1], 3))
+        p_c = states.purity(_partial_trace_arr(mat, [2], 3))
+        out[i - start] = _PURITY_SYM_TOL - abs(p_ab - p_c)
+    return out
+
+
+def _ref_state_validity(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        pure = states.random_pure_state(3, seed=rng)
+        QuantumState.from_amplitudes(pure.data)
+        mixed = states.random_mixed_state(3, seed=rng)
+        QuantumState.from_matrix(mixed.matrix)
+        out[i - start] = 1.0
+    return out
+
+
+def _ref_volume_canonical(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 2)
+        v = ellipsoid.normalized_volume(mat)
+        t_canon = states._spin_corr_arr(ellipsoid.canonical_form(mat).data)
+        out[i - start] = _TOL - abs(v - abs(np.linalg.det(t_canon)))
+    return out
+
+
+def _steered_points(mat: np.ndarray, rng) -> tuple[np.ndarray, "states.PauliDecomposition"]:
+    decomp = states.pauli_decomposition(mat)
+    raw = rng.standard_normal((_POINTS_PER_STATE, 3))
+    e = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    denom = 1.0 + e @ decomp.a
+    points = (decomp.b + e @ decomp.T) / denom[:, None]
+    return points, decomp
+
+
+def _ref_bloch_containment(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        points, _ = _steered_points(_mixed_matrix(rng, 2), rng)
+        out[i - start] = 1.0 + _BLOCH_BALL_TOL - float(np.max(np.linalg.norm(points, axis=1)))
+    return out
+
+
+def _ref_membership(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 2)
+        points, _ = _steered_points(mat, rng)
+        ell = ellipsoid.steering_ellipsoid(mat)
+        if ell.degenerate or np.linalg.eigvalsh(ell.orientation)[0] <= 1e-10:
+            out[i - start] = 1.0  # quadratic form undefined; containment covered elsewhere
+            continue
+        delta = points - ell.center
+        qform = np.einsum("ij,ij->i", delta, np.linalg.solve(ell.orientation, delta.T).T)
+        out[i - start] = 1.0 + _MEMBERSHIP_TOL - float(np.max(qform))
+    return out
+
+
+def _ref_separable_bound(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = states.random_separable_two_qubit(seed=rng).matrix
+        out[i - start] = _SEPARABLE_BOUND + _TOL - ellipsoid.normalized_volume(mat)
+    return out
+
+
+def _ref_volume_interval(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 2)
+        v = ellipsoid.normalized_volume(mat)
+        margin = min(v + _TOL, 1.0 + _TOL - v)
+        if v >= 1.0 - _TOL:
+            # Unit volume must certify a pure entangled state.
+            if monogamy.concurrence(mat) <= 0.0 or states.purity(mat) < 1.0 - _TOL:
+                margin = -1.0
+        out[i - start] = margin
+    return out
+
+
+def _ref_monogamy_sum(master_seed: int, start: int, stop: int, *, n_qubits: int,
+                      pure: bool, exponent: float, bound: float) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _pure_matrix(rng, n_qubits) if pure else _mixed_matrix(rng, n_qubits)
+        lhs = sum(v**exponent for v in monogamy._hub_volumes(mat, n_qubits, 0))
+        out[i - start] = bound + _TOL - lhs
+    return out
+
+
+def _ref_mixed5_mean_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 5)
+        out[i - start] = 0.5 + _TOL - float(np.mean(monogamy._hub_volumes(mat, 5, 0)))
+    return out
+
+
+def _ref_correlation_sum(master_seed: int, start: int, stop: int, *, pure: bool) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _pure_matrix(rng, 3) if pure else _mixed_matrix(rng, 3)
+        total = monogamy.pairwise_correlation_sum(mat)
+        out[i - start] = _TOL - abs(total - 3.0) if pure else 3.0 + _TOL - total
+    return out
+
+
+def _ref_purity_identities(master_seed: int, start: int, stop: int, *, n_qubits: int) -> np.ndarray:
+    residual_fn = (
+        monogamy.purity_identity_residuals_3q if n_qubits == 3 else monogamy.purity_identity_residuals_4q
+    )
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _pure_matrix(rng, n_qubits)
+        out[i - start] = _TOL - float(np.max(np.abs(residual_fn(mat))))
+    return out
+
+
+def _ref_canonical_equalities(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = ellipsoid.canonical_form(_pure_matrix(rng, 3)).data
+        v_b, v_c = monogamy._hub_volumes(mat, 3, 0)
+        b = states._bloch_arr(_partial_trace_arr(mat, [1], 3))
+        c = states._bloch_arr(_partial_trace_arr(mat, [2], 3))
+        out[i - start] = _TOL - max(abs(v_b - c @ c), abs(v_c - b @ b))
+    return out
+
+
+def _ref_polygon(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _pure_matrix(rng, 3)
+        out[i - start] = monogamy.polygon_residual(mat) + _TOL
+    return out
+
+
+def _ref_concurrence_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 2)
+        out[i - start] = monogamy.concurrence_volume_residual(mat) + _TOL
+    return out
+
+
+def _ref_ckw(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 3)
+        out[i - start] = monogamy.ckw_residual(mat) + _TOL
+    return out
+
+
+def _ref_tangle_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _pure_matrix(rng, 3)
+        tangle = monogamy.three_tangle(mat)
+        a = states._bloch_arr(_partial_trace_arr(mat, [0], 3))
+        report_lhs = sum(math.sqrt(v) for v in monogamy._hub_volumes(mat, 3, 0))
+        out[i - start] = tangle - (1.0 - a @ a) * (1.0 - report_lhs) + _TOL
+    return out
+
+
+def _ref_max_volume_class(theta: float) -> monogamy.SloccClass:
+    """SLOCC class that the marginal spectra of ``max_volume_state(theta)`` imply.
+
+    Qubit 0 is maximally mixed; qubits 1 and 2 have smallest marginal
+    eigenvalues cos^2(theta)/2 and sin^2(theta)/2.  Within about 4.5e-5 of
+    an end of [0, pi/2] one of these falls below RANK_TOL, so that qubit
+    factors out, and the state still saturates the bound.
+    """
+    if math.cos(theta) ** 2 / 2.0 < monogamy.RANK_TOL:
+        return monogamy.SloccClass.BIPARTITE_AC_B
+    if math.sin(theta) ** 2 / 2.0 < monogamy.RANK_TOL:
+        return monogamy.SloccClass.BIPARTITE_AB_C
+    return monogamy.SloccClass.W_CLASS
+
+
+def _ref_wclass_saturation(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        theta = rng.uniform(0.0, math.pi / 2.0)
+        vec = monogamy.max_volume_state(theta).data
+        local = states._haar_unitary(2, rng)
+        for _ in range(2):
+            local = np.kron(local, states._haar_unitary(2, rng))
+        vec = local @ vec
+        lhs = sum(math.sqrt(v) for v in monogamy._hub_volumes(np.outer(vec, vec.conj()), 3, 0))
+        margin = _SATURATION_TOL - abs(lhs - 1.0)
+        if monogamy.slocc_classify(vec) is not _ref_max_volume_class(theta):
+            margin = -1.0
+        out[i - start] = margin
+    return out
+
+
+def _ref_channel_monotonicity(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _mixed_matrix(rng, 2)
+        pair = [channels.random_channel(seed=rng) for _ in range(2)]
+        v_before, v_after, _ = channels.monotonicity_check(mat, pair)
+        out[i - start] = v_before - v_after + _TOL
+    return out
+
+
+def _ref_noisy_pure3_monogamy(master_seed: int, start: int, stop: int) -> np.ndarray:
+    out = np.empty(stop - start)
+    for i, rng in sample_streams(master_seed, start, stop):
+        mat = _pure_matrix(rng, 3)
+        noisy = channels.apply_local([channels.random_channel(seed=rng) for _ in range(3)], mat)
+        lhs = sum(math.sqrt(v) for v in monogamy._hub_volumes(noisy.data, 3, 0))
+        out[i - start] = 1.0 + _TOL - lhs
+    return out
+
+
+def _ref_mixed4_exploration(master_seed, start, stop):
+    return _ref_monogamy_sum(master_seed, start, stop, n_qubits=4, pure=False, exponent=2.0 / 3.0, bound=1.0)
+
+
+REFERENCES = {
+    "state_reconstruction_round_trip": _ref_reconstruction,
+    "partial_trace_composition": _ref_ptrace_composition,
+    "pure3_purity_bipartition_symmetry": _ref_purity_symmetry,
+    "sampled_state_validity": _ref_state_validity,
+    "volume_matches_canonical_form": _ref_volume_canonical,
+    "steered_points_inside_bloch_ball": _ref_bloch_containment,
+    "steered_points_inside_ellipsoid": _ref_membership,
+    "separable_volume_bound": _ref_separable_bound,
+    "volume_in_unit_interval": _ref_volume_interval,
+    "pure3_sqrt_volume_monogamy": partial(_ref_monogamy_sum, n_qubits=3, pure=True, exponent=0.5, bound=1.0),
+    "mixed3_twothirds_volume_monogamy": partial(
+        _ref_monogamy_sum, n_qubits=3, pure=False, exponent=2.0 / 3.0, bound=1.0
+    ),
+    "pure4_twothirds_volume_monogamy": partial(
+        _ref_monogamy_sum, n_qubits=4, pure=True, exponent=2.0 / 3.0, bound=1.0
+    ),
+    "mixed5_twothirds_volume_sum": partial(_ref_monogamy_sum, n_qubits=5, pure=False, exponent=2.0 / 3.0, bound=2.0),
+    "mixed5_mean_volume": _ref_mixed5_mean_volume,
+    "pure3_correlation_identity": partial(_ref_correlation_sum, pure=True),
+    "mixed3_correlation_bound": partial(_ref_correlation_sum, pure=False),
+    "pure3_purity_identities": partial(_ref_purity_identities, n_qubits=3),
+    "pure4_purity_identities": partial(_ref_purity_identities, n_qubits=4),
+    "canonical_volume_equalities": _ref_canonical_equalities,
+    "polygon_inequality": _ref_polygon,
+    "concurrence_volume_bound": _ref_concurrence_volume,
+    "ckw_inequality": _ref_ckw,
+    "tangle_volume_bound": _ref_tangle_volume,
+    "wclass_saturation": _ref_wclass_saturation,
+    "channel_volume_monotonicity": _ref_channel_monotonicity,
+    "noisy_pure3_monogamy": _ref_noisy_pure3_monogamy,
+    "mixed4_twothirds_exploration": _ref_mixed4_exploration,
+}
+CHECKS = {check.name: check for check in _SUITE + (_EXPLORATORY,)}
+# Past the first block boundary (256 samples), so a block is reused.
+REFERENCE_SAMPLES = 300
+
+
+class TestBatchedChecks:
+    def test_every_random_sample_check_has_a_reference(self):
+        grids = {"noisy_w_closed_form", "ghz_family_mapping", "counterexample_regression"}
+        assert set(REFERENCES) == set(CHECKS) - grids
+
+    @pytest.mark.parametrize("seed", [12345, 7])
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    def test_matches_per_sample_reference_bitwise(self, name, seed):
+        expected = REFERENCES[name](seed, 0, REFERENCE_SAMPLES)
+        fn = CHECKS[name].fn
+        np.testing.assert_array_equal(fn(seed, 0, REFERENCE_SAMPLES), expected)
+        bounds = [0, 1, 49, 257, REFERENCE_SAMPLES]
+        parts = [fn(seed, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        np.testing.assert_array_equal(np.concatenate(parts), expected)
+        assert fn(seed, 5, 5).shape == (0,)
+
+    def test_worker_count_does_not_change_report(self):
+        single = run_property_suite(samples=40, master_seed=7, workers=1)
+        assert run_property_suite(samples=40, master_seed=7, workers=3).to_dict() == single.to_dict()
 
 
 class TestConjecture:
@@ -172,6 +497,15 @@ class TestPropertySuite:
         with pytest.raises(ValueError):
             run_property_suite(**kwargs)
 
+    def test_zero_samples_run_no_scaled_check(self):
+        report = run_property_suite(samples=0, master_seed=1)
+        assert report.passed
+        assert {r.name: r.samples for r in report.results} == {
+            check.name: 0 if check.scaled else check.samples for check in _SUITE
+        }
+        # Any nonzero scale still runs at least one sample per check.
+        assert min(r.samples for r in run_property_suite(samples=1, master_seed=1).results) == 1
+
     def test_deterministic(self):
         a = run_property_suite(samples=40, master_seed=9)
         b = run_property_suite(samples=40, master_seed=9)
@@ -200,6 +534,7 @@ class TestWClassSaturation:
     @pytest.mark.parametrize("theta", [0.0, 1e-6, 5e-5, math.pi / 4, math.pi / 2 - 5e-5, math.pi / 2 - 1e-6, math.pi / 2])
     def test_expected_class_matches_classifier(self, theta):
         assert monogamy.slocc_classify(monogamy.max_volume_state(theta)) is _max_volume_class(theta)
+        assert _max_volume_class(theta) is _ref_max_volume_class(theta)
 
     def test_end_of_range_sample_saturates(self):
         # Sample 24 of master seed 677332090 draws theta = pi/2 - 4.7e-6, where

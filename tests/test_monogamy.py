@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qsteer import monogamy, states
 from qsteer.ellipsoid import canonical_form, normalized_volume
 from qsteer.monogamy import (
     SloccClass,
@@ -363,3 +364,75 @@ class TestCanonicalVolumeEqualities:
         for _ in range(100):
             rep = volume_monogamy_report(random_pure_state(3, seed=rng))
             assert rep.sqrt_lhs <= 1.0 + 1e-9
+
+
+def _stack(rng, n, pure, count=40):
+    if pure:
+        return states._densities(states._haar_arr(rng.standard_normal((count, 2 ** (n + 1)))))
+    return states._induced_arr(states._haar_arr(rng.standard_normal((count, 2 ** (2 * n + 1)))), n)
+
+
+class TestStackedKernels:
+    """Each stacked kernel equals its per-matrix form bit for bit."""
+
+    @pytest.mark.parametrize("rank_cap", [None, 2])
+    def test_wootters_lambdas(self, rng, rank_cap):
+        mats = np.concatenate([_stack(rng, 2, pure=False), _stack(rng, 2, pure=True), np.zeros((1, 4, 4))])
+        stacked = monogamy._wootters_lambdas(mats, rank_cap)
+        for mat, lam in zip(mats, stacked):
+            np.testing.assert_array_equal(lam, monogamy._wootters_lambdas(mat, rank_cap))
+
+    def test_two_qubit_measures(self, rng):
+        mats = np.concatenate([_stack(rng, 2, pure=False), _stack(rng, 2, pure=True)])
+        np.testing.assert_array_equal(monogamy._concurrence_arr(mats), [concurrence(m) for m in mats])
+        np.testing.assert_array_equal(
+            monogamy._concurrence_volume_arr(mats, 2), [concurrence_volume_residual(m) for m in mats]
+        )
+
+    @pytest.mark.parametrize("hub", [0, 1, 2])
+    def test_ckw(self, rng, hub):
+        mats = _stack(rng, 3, pure=False)
+        np.testing.assert_array_equal(monogamy._ckw_arr(mats, hub), [ckw_residual(m, hub) for m in mats])
+
+    def test_pure_three_qubit_measures(self, rng):
+        mats = _stack(rng, 3, pure=True)
+        np.testing.assert_array_equal(monogamy._three_tangle_arr(mats), [three_tangle(m) for m in mats])
+        np.testing.assert_array_equal(monogamy._polygon_arr(mats), [polygon_residual(m) for m in mats])
+        np.testing.assert_array_equal(
+            monogamy._purity_residuals_3q_arr(mats), [purity_identity_residuals_3q(m) for m in mats]
+        )
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        np.testing.assert_array_equal(
+            monogamy._correlation_sum_arr(mats, 3, pairs), [pairwise_correlation_sum(m) for m in mats]
+        )
+
+    def test_pure_four_qubit_measures(self, rng):
+        mats = _stack(rng, 4, pure=True)
+        np.testing.assert_array_equal(monogamy._l_bcd_arr(mats), [l_bcd(m) for m in mats])
+        np.testing.assert_array_equal(
+            monogamy._purity_residuals_4q_arr(mats), [purity_identity_residuals_4q(m) for m in mats]
+        )
+
+    def test_slocc_codes_cover_every_class(self, rng):
+        kets = [
+            random_pure_product_3q(rng),
+            np.kron(random_pure_state(1, seed=rng).data, random_pure_state(2, seed=rng).data),
+            max_volume_state(0.0).data,
+            max_volume_state(math.pi / 2).data,
+            w_state().data,
+            ghz_state(3).data,
+        ]
+        mats = np.concatenate([states._densities(np.array(kets)), _stack(rng, 3, pure=True)])
+        codes = monogamy._slocc_codes(mats)
+        assert [monogamy._SLOCC_CLASSES[c] for c in codes] == [slocc_classify(m) for m in mats]
+        assert set(codes[:6]) == {0, 1, 2, 3, 4, 5}
+
+    def test_pure_check_rejects_a_mixed_state_in_the_stack(self, rng):
+        mats = np.concatenate([_stack(rng, 3, pure=True), _stack(rng, 3, pure=False, count=1)])
+        with pytest.raises(StateValidationError, match="pure"):
+            monogamy._check_pure_arr(mats)
+
+    def test_max_volume_kets(self):
+        theta = np.array([0.0, 0.3, math.pi / 4, math.pi / 2])
+        expected = [max_volume_state(float(t)).data for t in theta]
+        np.testing.assert_array_equal(monogamy._max_volume_arr(theta), expected)

@@ -61,6 +61,12 @@ class TestKetToDensity:
         with pytest.raises(StateValidationError):
             ket_to_density(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+    def test_rejects_nan_or_negative_tol(self, tol):
+        # A NaN tol used to accept [3, 0], a "state" of trace 9.
+        with pytest.raises(ValueError, match="tol"):
+            ket_to_density([3.0, 0.0], tol=tol)
+
     def test_rejects_matrix_input(self):
         with pytest.raises(StateValidationError):
             ket_to_density(werner_state())
@@ -278,6 +284,83 @@ class TestBatchedKernels:
         assert stacked.shape == (20, 3, 3)
         for mat, T in zip(mats, stacked):
             np.testing.assert_array_equal(T, states._spin_corr_arr(mat))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+def test_pauli_decomposition_rejects_nan_or_negative_tol(tol):
+    # A NaN tol used to decompose 9 * 1/4, whose Bloch-range checks all compare False.
+    with pytest.raises(ValueError, match="tol"):
+        pauli_decomposition(9 * np.eye(4) / 4, tol=tol)
+
+
+class TestStackedKernels:
+    """Each stacked kernel equals its per-matrix form bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
+    def test_haar_rows_match_single_normalization(self, rng, dim):
+        draws = rng.standard_normal((64, 2 * dim))
+        expected = []
+        for row in draws:
+            vec = row[:dim] + 1j * row[dim:]
+            expected.append(vec / np.linalg.norm(vec))
+        np.testing.assert_array_equal(states._haar_arr(draws), np.array(expected))
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_haar_unitaries_match_single_qr(self, rng, dim):
+        draws = rng.standard_normal((64, 2 * dim * dim))
+        expected = []
+        for row in draws:
+            ginibre = row[: dim * dim].reshape(dim, dim) + 1j * row[dim * dim :].reshape(dim, dim)
+            q, r = np.linalg.qr(ginibre)
+            d = np.diag(r)
+            expected.append(q * (d / np.abs(d)))
+        np.testing.assert_array_equal(states._haar_unitary_arr(draws, dim), np.array(expected))
+
+    def test_public_samplers_draw_the_same_stream(self):
+        rng_a, rng_b = sample_rng(3, 9), sample_rng(3, 9)
+        vec = rng_a.standard_normal(16) + 1j * rng_a.standard_normal(16)
+        block = (vec / np.linalg.norm(vec)).reshape(4, 4)
+        np.testing.assert_array_equal(random_mixed_state(2, seed=rng_b).matrix, block @ block.conj().T)
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_induced_states_and_purity_match_single(self, rng, n):
+        kets = states._haar_arr(rng.standard_normal((40, 2 ** (2 * n + 1))))
+        mats = states._induced_arr(kets, n)
+        for ket, mat in zip(kets, mats):
+            block = ket.reshape(2**n, -1)
+            np.testing.assert_array_equal(mat, block @ block.conj().T)
+        np.testing.assert_array_equal(states._purity_arr(mats), [purity(m) for m in mats])
+
+    def test_pauli_reconstruction_matches_single(self, rng):
+        mats = states._induced_arr(states._haar_arr(rng.standard_normal((40, 32))), 2)
+        a, b, T = states._pauli_arr(mats)
+        rebuilt = states._reconstruct_arr(a, b, T)
+        for k, mat in enumerate(mats):
+            decomp = pauli_decomposition(mat)
+            for stacked, single in ((a, decomp.a), (b, decomp.b), (T, decomp.T)):
+                np.testing.assert_array_equal(stacked[k], single)
+            np.testing.assert_array_equal(rebuilt[k], decomp.reconstruct())
+
+    def test_kron_matches_numpy(self, rng):
+        x = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+        y = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        np.testing.assert_array_equal(states._kron_arr(x, y), np.array([np.kron(p, q) for p, q in zip(x, y)]))
+        np.testing.assert_array_equal(states._kron_arr(np.eye(2), y[0]), np.kron(np.eye(2), y[0]))
+
+    def test_separable_rows_match_public_sampler(self):
+        rows = []
+        for _, rng in sample_streams(11, 0, 30):
+            terms = int(rng.integers(1, states.MAX_SEPARABLE_TERMS + 1))
+            weights = np.zeros(states.MAX_SEPARABLE_TERMS)
+            weights[:terms] = rng.dirichlet(np.ones(terms))
+            draws = np.zeros((states.MAX_SEPARABLE_TERMS, 2, 4))
+            draws[:terms] = rng.standard_normal((terms, 2, 4))
+            rows.append((terms, weights, draws))
+        terms, weights, draws = (np.array(col) for col in zip(*rows))
+        mats = states._separable_arr(terms, weights, draws)
+        for i, rng in sample_streams(11, 0, 30):
+            np.testing.assert_array_equal(mats[i], random_separable_two_qubit(seed=rng).matrix)
 
 
 @settings(max_examples=60, deadline=None)

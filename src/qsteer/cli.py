@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -68,12 +69,11 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(args, rows) -> None:
-    if args.format == "csv":
-        _write(args, serialize.rows_to_csv(rows))
-    else:
-        names = [f.name for f in dataclasses.fields(rows[0])]
-        _write(args, serialize.dumps([{name: getattr(row, name) for name in names} for row in rows]))
+def _emit_columns(args, row_type: type, columns) -> None:
+    """Write a sweep's columns as the table of ``row_type`` rows, in one formatter per format."""
+    names = [f.name for f in dataclasses.fields(row_type)]
+    to_text = serialize.columns_to_csv if args.format == "csv" else serialize.columns_to_json
+    _write(args, to_text(names, columns))
 
 
 def _cmd_analyze(args) -> int:
@@ -125,8 +125,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    rows = experiments.sweep_ghz_region(grid_steps=args.grid)
-    _emit_rows(args, rows)
+    _emit_columns(args, experiments.GhzSweepRow, experiments._ghz_columns(args.grid))
     return 0
 
 
@@ -143,8 +142,8 @@ def _cmd_fig2(args) -> int:
     p_grid = None if args.grid is None else experiments._open_grid(args.grid, 1.0)
     if args.p is not None:
         p_grid = [args.p]
-    rows = experiments.sweep_noisy_w(p_grid=p_grid, epsilons=_parse_epsilons(args.epsilons))
-    _emit_rows(args, rows)
+    columns = experiments._noisy_w_columns(p_grid, _parse_epsilons(args.epsilons))
+    _emit_columns(args, experiments.NoisyWSweepRow, columns)
     return 0
 
 
@@ -222,9 +221,14 @@ _COMMANDS = {
 }
 
 
+# One parser per process: building it costs about 1 ms, and parse_args keeps
+# no state between calls (it fills a fresh Namespace each time).
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

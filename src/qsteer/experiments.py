@@ -140,9 +140,8 @@ class ConjectureResult:
 
 def _pure4_block_lhs(draws: np.ndarray) -> np.ndarray:
     """Hub correlation sums of the kets whose real and imaginary parts are the rows of ``draws``."""
-    vecs = draws[:, :16] + 1j * draws[:, 16:]
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    mats = states._densities(vecs)
+    # _haar_arr normalizes each ket exactly as random_pure_state does.
+    mats = states._densities(states._haar_arr(draws))
     lhs = 0.0
     for other in (1, 2, 3):
         T = states._spin_corr_arr(_partial_trace_arr(mats, [0, other], 4))
@@ -210,12 +209,22 @@ def _blocks(count: int):
     return [slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
 
 
+def _rows(row_type: type, columns: Sequence[np.ndarray]) -> list:
+    """One ``row_type`` per index of the equal-length ``columns``, which are in field order."""
+    return [row_type(*row) for row in zip(*(col.tolist() for col in columns))]
+
+
 def sweep_ghz_region(grid_steps: int = 50) -> list[GhzSweepRow]:
     """Compare computed volumes of the GHZ-class family against the (x, y) map.
 
     Walks a uniform ``grid_steps`` x ``grid_steps`` grid over the open
     square (0, pi/2)^2, alpha-major.
     """
+    return _rows(GhzSweepRow, _ghz_columns(grid_steps))
+
+
+def _ghz_columns(grid_steps: int) -> tuple[np.ndarray, ...]:
+    """The float64 columns of ``sweep_ghz_region``, in ``GhzSweepRow`` field order."""
     if grid_steps < 2:
         raise ValueError("grid_steps must be >= 2")
     angles = _open_grid(grid_steps, math.pi / 2.0)
@@ -224,11 +233,10 @@ def sweep_ghz_region(grid_steps: int = 50) -> list[GhzSweepRow]:
     v_b, v_c = np.empty(alpha.size), np.empty(alpha.size)
     for block in _blocks(alpha.size):
         v_b[block], v_c[block] = monogamy._hub_volumes(states._densities(kets[block]), 3, 0)
-    columns = (
+    return (
         alpha, beta, v_b, v_c, x_pred, y_pred,
         np.abs(v_b - x_pred), np.abs(v_c - y_pred), np.sqrt(v_b) + np.sqrt(v_c),
     )
-    return [GhzSweepRow(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 def sweep_noisy_w(
@@ -241,6 +249,11 @@ def sweep_noisy_w(
     noise strength (epsilon-major) to mirror one curve per strength.
     Defaults: 100 p-values on (0, 1) and strengths (0, 0.001, 0.005, 0.01).
     """
+    return _rows(NoisyWSweepRow, _noisy_w_columns(p_grid, epsilons))
+
+
+def _noisy_w_columns(p_grid: Sequence[float] | None, epsilons: Sequence[float] | None) -> tuple[np.ndarray, ...]:
+    """The float64 columns of ``sweep_noisy_w``, in ``NoisyWSweepRow`` field order."""
     p = np.asarray(_open_grid(100, 1.0) if p_grid is None else p_grid, dtype=float).reshape(-1)
     eps = np.asarray(_DEFAULT_EPSILONS if epsilons is None else epsilons, dtype=float).reshape(-1)
     for name, values in (("p_grid", p), ("epsilons", eps)):
@@ -255,11 +268,10 @@ def sweep_noisy_w(
             noisy = channels.apply_local(noise, states._densities(kets[block]))
             pair = _partial_trace_arr(noisy, [0, 1], 3)
             numeric[e, block] = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(pair, 2, 0))
-    columns = (
+    return (
         np.tile(p, eps.size), np.repeat(eps, p.size), closed.ravel(), numeric.ravel(),
         np.abs(closed - numeric).ravel(), 2.0 * np.sqrt(numeric).ravel(),
     )
-    return [NoisyWSweepRow(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 # --- counterexample regression ---------------------------------------------------

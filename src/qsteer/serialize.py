@@ -3,6 +3,8 @@
 All floats are printed with 12 significant digits so that identical inputs
 produce byte-identical output files.  JSON has no representation for
 non-finite values; they are emitted as null (CSV keeps "inf"/"-inf").
+Tables are formatted column by column: one column formatter per format
+decides how each column converts (see ``_json_column``, ``_csv_column``).
 """
 
 from __future__ import annotations
@@ -10,36 +12,98 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from typing import Any, Sequence
+
+import numpy as np
 
 from .states import QuantumState, StateValidationError
 
-__all__ = ["format_float", "dumps", "rows_to_csv", "load_state_file"]
+__all__ = ["format_float", "dumps", "columns_to_json", "rows_to_csv", "columns_to_csv", "load_state_file"]
+
+# The one float format of every output; for a float, "%.12g" % x is f"{x:.12g}".
+_FLOAT = "%.12g"
+_encode_str = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
 def format_float(value: float) -> str:
-    return f"{value:.12g}"
+    return _FLOAT % value
+
+
+def _json_scalar(value: Any) -> str:
+    """JSON text of one scalar: null for None and for non-finite floats."""
+    if isinstance(value, float):  # no float is also a bool or an int, so this may come first
+        return _FLOAT % value if math.isfinite(value) else "null"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return _encode_str(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _csv_cell(value: Any) -> str:
+    """CSV text of one cell; a string is quoted (RFC 4180) only when it holds , " CR or LF."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _FLOAT % value
+    if isinstance(value, str) and _CSV_SPECIAL.search(value):
+        return '"' + value.replace('"', '""') + '"'
+    return str(value)
+
+
+def _column_values(column: Sequence) -> tuple[list, type | None]:
+    """The Python scalars of a column and their common type (None if they differ or there are none)."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    kinds = set(map(type, values))
+    return values, kinds.pop() if len(kinds) == 1 else None
+
+
+# A column formatter returns the % conversion of the column's cells and the
+# values it converts: the floats themselves for a float column, which a row
+# template then formats in one C-level call per row, or else finished cells.
+
+
+def _json_column(column: Sequence) -> tuple[str, list]:
+    """JSON column formatter: finite floats convert in the template, any other cell by ``_json_scalar``."""
+    values, kind = _column_values(column)
+    if kind is float and all(map(math.isfinite, values)):
+        return _FLOAT, values
+    return "%s", list(map(_json_scalar, values))
+
+
+def _csv_column(column: Sequence) -> tuple[str, list]:
+    """CSV column formatter: floats convert in the template, any other cell by ``_csv_cell``."""
+    values, kind = _column_values(column)
+    if kind is float:
+        return _FLOAT, values
+    return "%s", list(map(_csv_cell, values))
+
+
+def _rows(formatter, columns: Sequence[Sequence], template) -> list[str]:
+    """One line per row: ``template(specs)`` is the row's % template, filled from ``columns``."""
+    if not columns:
+        return []
+    specs, values = zip(*map(formatter, columns))
+    return list(map(template(specs).__mod__, zip(*values)))
 
 
 def _emit(obj: Any, out: list, indent: int) -> None:
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj) if math.isfinite(obj) else "null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+    if type(obj) is float or obj is None or isinstance(obj, (bool, int, float, str)):
+        out.append(_json_scalar(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        pad = "  " * indent
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            out.append(f'{pad}  {json.dumps(str(key))}: ')
+            out.append(f"{pad}  {_encode_str(str(key))}: ")
             _emit(value, out, indent + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
@@ -50,8 +114,10 @@ def _emit(obj: Any, out: list, indent: int) -> None:
         # Flat numeric lists stay on one line; anything nested gets one
         # element per line.
         if all(isinstance(x, (int, float, bool)) or x is None for x in obj):
-            _emit_scalar_list(obj, out)
+            spec, cells = _json_column(obj)
+            out.append(("[" + ", ".join([spec] * len(cells)) + "]") % tuple(cells))
             return
+        pad = "  " * indent
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad + "  ")
@@ -62,15 +128,6 @@ def _emit(obj: Any, out: list, indent: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_scalar_list(obj: Sequence, out: list) -> None:
-    parts = []
-    for x in obj:
-        sub: list = []
-        _emit(x, sub, 0)
-        parts.append("".join(sub))
-    out.append("[" + ", ".join(parts) + "]")
-
-
 def dumps(obj: Any) -> str:
     """Fixed-format JSON: 12-significant-digit floats, 2-space indent, trailing newline."""
     out: list = []
@@ -79,32 +136,40 @@ def dumps(obj: Any) -> str:
     return "".join(out)
 
 
-def _csv_cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
+def columns_to_json(fields: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """``dumps`` of the list of row dicts {field: column[i]}, built column by column.
+
+    ``columns`` are equal-length sequences (numpy arrays or lists), one per
+    field; the text is byte for byte that of ``dumps`` on the rows.
+    """
+    # A literal % in a field name must not act as a conversion.
+    keys = [_encode_str(str(name)).replace("%", "%%") for name in fields]
+
+    def template(specs):
+        return "  {\n" + ",\n".join(f"    {key}: {spec}" for key, spec in zip(keys, specs)) + "\n  }"
+
+    rows = _rows(_json_column, columns, template)
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+
+
+def columns_to_csv(fields: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """Header plus one line per row of the equal-length ``columns``, one per field."""
+    lines = [",".join(map(_csv_cell, fields)), *_rows(_csv_column, columns, ",".join)]
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_csv(rows: Sequence, fields: Sequence[str] | None = None) -> str:
     """Header plus one line per row; rows are dataclasses or dicts with uniform keys."""
     if not rows:
-        return "" if fields is None else ",".join(fields) + "\n"
+        return "" if fields is None else columns_to_csv(fields, [])
     first = rows[0]
-    if fields is None:
-        if dataclasses.is_dataclass(first):
-            fields = [f.name for f in dataclasses.fields(first)]
-        else:
-            fields = list(first.keys())
-    lines = [",".join(fields)]
-    for row in rows:
-        if dataclasses.is_dataclass(row):
-            cells = (getattr(row, name) for name in fields)
-        else:
-            cells = (row[name] for name in fields)
-        lines.append(",".join(_csv_cell(value) for value in cells))
-    return "\n".join(lines) + "\n"
+    if dataclasses.is_dataclass(first):
+        fields = [f.name for f in dataclasses.fields(first)] if fields is None else fields
+        columns = [[getattr(row, name) for row in rows] for name in fields]
+    else:
+        fields = list(first.keys()) if fields is None else fields
+        columns = [[row[name] for row in rows] for name in fields]
+    return columns_to_csv(fields, columns)
 
 
 def load_state_file(path: str, tol: float = 1e-9) -> QuantumState:

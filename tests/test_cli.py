@@ -1,16 +1,21 @@
+import csv
 import dataclasses
+import hashlib
+import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsteer import experiments, serialize
+from qsteer import cli, experiments, serialize, states
 from qsteer.cli import build_parser, main
 from qsteer.monogamy import counterexample_state, ghz_state, werner_state
 from qsteer.states import QuantumState
 
 CPUS = os.cpu_count() or 1
+GOLDEN = Path(__file__).parent / "golden"
 
 # The flags each subcommand reads; every other flag must be rejected.
 FLAGS = {
@@ -277,3 +282,93 @@ class TestUsageErrors:
     def test_bad_counts_exit_2(self, argv, capsys):
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# Outputs of the per-cell emitters these commands used before the columnar path;
+# the state files are in the same directory.
+GOLDEN_CALLS = [
+    ("fig1_grid7.csv", ["fig1", "--grid", "7", "--format", "csv"]),
+    ("fig1_grid7.json", ["fig1", "--grid", "7"]),
+    ("fig2_grid9.csv", ["fig2", "--grid", "9", "--format", "csv"]),
+    ("fig2_grid9.json", ["fig2", "--grid", "9", "--format", "json"]),
+    ("fig2_p0.3.json", ["fig2", "--p", "0.3", "--epsilons", "0,0.5,1"]),
+    ("counterexample.csv", ["counterexample", "--format", "csv"]),
+    ("counterexample.json", ["counterexample"]),
+    ("analyze_werner.csv", ["analyze", "--input", str(GOLDEN / "state_werner.json"), "--format", "csv"]),
+    ("analyze_werner.json", ["analyze", "--input", str(GOLDEN / "state_werner.json")]),
+    ("analyze_w.csv", ["analyze", "--input", str(GOLDEN / "state_w.json"), "--format", "csv"]),
+    ("analyze_w.json", ["analyze", "--input", str(GOLDEN / "state_w.json")]),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name, argv", GOLDEN_CALLS, ids=[name for name, _ in GOLDEN_CALLS])
+    def test_bytes_match_golden_file(self, tmp_path, name, argv):
+        out = tmp_path / name
+        assert main([*argv, "--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_full_size_figures_match_committed_digests(self, tmp_path):
+        digests = dict(line.split()[::-1] for line in (GOLDEN / "figures.sha256").read_text().splitlines())
+        calls = {
+            "fig1-grid50.csv": ["fig1", "--grid", "50", "--format", "csv"],
+            "fig2-grid100.json": ["fig2", "--grid", "100"],
+        }
+        assert set(digests) == set(calls)
+        for name, argv in calls.items():
+            out = tmp_path / name
+            assert main([*argv, "--output", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[name], name
+
+
+class TestSuiteCsvQuoting:
+    def test_error_message_with_comma_stays_one_cell(self, tmp_path, monkeypatch):
+        def corrupt(n_qubits, ancilla_qubits=None, seed=None):
+            dim = 2**n_qubits
+            return states.QuantumState(n_qubits, np.eye(dim, dtype=complex) * (0.9 / dim))
+
+        monkeypatch.setattr(states, "random_mixed_state", corrupt)
+        out = tmp_path / "suite.csv"
+        assert main(["suite", "--samples", "5", "--seed", "1", "--format", "csv", "--output", str(out)]) == 1
+        with open(out, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        header, rows = table[0], table[1:]
+        assert header == ["name", "samples", "failures", "worst_margin", "exploratory", "error"]
+        assert all(len(row) == len(header) for row in rows)
+        error = next(row for row in rows if row[0] == "sampled_state_validity")[5]
+        assert "trace" in error and "," in error
+
+
+class TestCachedParser:
+    """``main`` parses with one parser per process; no call may see another's values."""
+
+    def test_main_reuses_one_parser_and_build_parser_stays_fresh(self):
+        assert main(["counterexample", "--format", "csv", "--output", os.devnull]) == 0
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+
+    def test_fig2_p_does_not_leak_into_next_grid_call(self, tmp_path):
+        single, grid = tmp_path / "single.csv", tmp_path / "grid.csv"
+        assert main(["fig2", "--p", "0.3", "--format", "csv", "--output", str(single)]) == 0
+        assert main(["fig2", "--grid", "4", "--format", "csv", "--output", str(grid)]) == 0
+        p_values = {row["p"] for row in csv.DictReader(io.StringIO(grid.read_text()))}
+        assert p_values == {serialize.format_float(p) for p in experiments._open_grid(4, 1.0)}
+        assert len(single.read_text().splitlines()) == 1 + 4
+
+    def test_analyze_values_do_not_leak_into_fig1(self, tmp_path):
+        path = write_state(tmp_path / "state.json", werner_state())
+        assert main(["analyze", "--input", path, "--tol", "1e-6", "--output", os.devnull]) == 0
+        args = cli._parser().parse_args(["fig1"])
+        assert not hasattr(args, "input") and not hasattr(args, "tol")
+        assert args.grid == 50 and args.output is None and args.format == "json"
+        out = tmp_path / "fig1.json"
+        assert main(["fig1", "--grid", "3", "--output", str(out)]) == 0
+        assert out.read_text() == serialize.dumps([dataclasses.asdict(r) for r in experiments.sweep_ghz_region(3)])
+
+    def test_workers_limit_is_read_at_parse_time(self, monkeypatch, capsys):
+        assert main(["conjecture", "--samples", "0", "--workers", "1"]) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(["conjecture", "--samples", "0", "--workers", "2"]) == 2
+        assert "[1, 1]" in capsys.readouterr().err
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert main(["conjecture", "--samples", "0", "--workers", "2"]) == 0

@@ -367,6 +367,25 @@ class TestConjecture:
         again = _pure4_correlation_lhs(21, result.worst_state_seed, result.worst_state_seed + 1)[0]
         assert again == result.max_lhs
 
+    @pytest.mark.parametrize("seed", [12345, 7, 21])
+    def test_worst_seed_replays_through_public_functions(self, seed):
+        # The kernel normalizes kets as random_pure_state does, so the public
+        # per-state path gives max_lhs bit for bit.
+        result = run_conjecture_test(2000, master_seed=seed)
+        psi = states.random_pure_state(4, seed=states.sample_rng(seed, result.worst_state_seed))
+        assert monogamy.pairwise_correlation_sum(psi, [(0, 1), (0, 2), (0, 3)]) == result.max_lhs
+
+    def test_every_sample_replays_bit_for_bit(self):
+        # np.linalg.norm(axis=1) normalization put about one sample in six off in the last bits.
+        lhs = _pure4_correlation_lhs(21, 0, 400)
+        ref = [
+            monogamy.pairwise_correlation_sum(
+                states.random_pure_state(4, seed=states.sample_rng(21, i)), [(0, 1), (0, 2), (0, 3)]
+            )
+            for i in range(400)
+        ]
+        np.testing.assert_array_equal(lhs, ref)
+
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             run_conjecture_test(-1)

@@ -78,6 +78,8 @@ def _emit_columns(args, row_type: type, columns) -> None:
 
 def _cmd_analyze(args) -> int:
     state = serialize.load_state_file(args.input, tol=args.tol)
+    if state.n_qubits < 2:
+        raise StateValidationError("analyze needs at least 2 qubits")
     hubs = (0, 1) if state.n_qubits == 2 else (0,)
     ellipsoids = []
     for hub in hubs:

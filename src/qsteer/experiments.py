@@ -3,15 +3,16 @@
 Every Monte-Carlo run derives the RNG stream of sample ``i`` from
 ``(master_seed, i)``, so results are bit-reproducible and independent of
 the worker count.  Workers are processes; chunk functions are module-level
-so they pickle.
+functions or partials of them, so they pickle.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import partial
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, dataclass
+from functools import cache, partial
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -57,10 +58,21 @@ def _open_grid(count: int, upper: float) -> np.ndarray:
 
 
 def _check_counts(samples: int, workers: int) -> None:
-    if samples < 0:
-        raise ValueError(f"sample count must be >= 0, got {samples}")
+    # Sample i draws from stream (master_seed, i), whose index is one uint32 word.
+    if not 0 <= samples <= 2**32:
+        raise ValueError(f"sample count must lie in [0, 2**32], got {samples}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+@cache
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """One process pool per worker count, shared by every parallel run of the process.
+
+    Its workers start once and keep the module state they started with, so
+    a later change to it (a monkeypatch, say) does not reach them.
+    """
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _chunked_values(fn: Callable, n_samples: int, master_seed: int, workers: int) -> np.ndarray:
@@ -75,13 +87,18 @@ def _chunked_values(fn: Callable, n_samples: int, master_seed: int, workers: int
         return np.asarray(fn(master_seed, 0, n_samples))
     n_chunks = min(n_samples, 4 * workers)
     bounds = np.linspace(0, n_samples, n_chunks + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool = _pool(workers)
+    try:
         futures = [
             pool.submit(fn, master_seed, int(lo), int(hi))
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
         parts = [f.result() for f in futures]
+    except BrokenProcessPool:
+        # A dead worker breaks the pool for good; later runs get a fresh one.
+        _pool.cache_clear()
+        raise
     return np.concatenate(parts)
 
 
@@ -107,6 +124,11 @@ def _sampled(
         # A helper call frees each block's intermediates before the next block's exist.
         out[lo - start : lo - start + len(block)] = reduce(block)
     return out
+
+
+def _drawn(width: int, reduce: Callable, draw: Callable = _normals) -> partial:
+    """``fn(master_seed, start, stop)`` of a random-sample check: ``_sampled`` with its parts bound."""
+    return partial(_sampled, width=width, reduce=reduce, draw=draw)
 
 
 # --- conjecture search ---------------------------------------------------------
@@ -149,8 +171,7 @@ def _pure4_block_lhs(draws: np.ndarray) -> np.ndarray:
     return lhs
 
 
-def _pure4_correlation_lhs(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, 32, _pure4_block_lhs)
+_pure4_correlation_lhs = _drawn(32, _pure4_block_lhs)
 
 
 def run_conjecture_test(n_samples: int, master_seed: int = DEFAULT_SEED, workers: int = 1) -> ConjectureResult:
@@ -346,10 +367,6 @@ def _reconstruction_margins(draws: np.ndarray) -> np.ndarray:
     return _RECON_TOL - np.max(np.abs(rebuilt - mat), axis=(1, 2))
 
 
-def _inv_reconstruction(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _mixed_width(2), _reconstruction_margins)
-
-
 def _ptrace_composition_margins(draws: np.ndarray) -> np.ndarray:
     mat = _mixed_states(draws, 3)
     direct = _partial_trace_arr(mat, [0], 3)
@@ -357,19 +374,11 @@ def _ptrace_composition_margins(draws: np.ndarray) -> np.ndarray:
     return _PTRACE_TOL - np.max(np.abs(direct - stepwise), axis=(1, 2))
 
 
-def _inv_ptrace_composition(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _mixed_width(3), _ptrace_composition_margins)
-
-
 def _purity_symmetry_margins(draws: np.ndarray) -> np.ndarray:
     mat = _pure_states(draws, 3)
     p_ab = states._purity_arr(_partial_trace_arr(mat, [0, 1], 3))
     p_c = states._purity_arr(_partial_trace_arr(mat, [2], 3))
     return _PURITY_SYM_TOL - np.abs(p_ab - p_c)
-
-
-def _inv_purity_symmetry(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _pure_width(3), _purity_symmetry_margins)
 
 
 def _draw_sampler_output(rng, row: np.ndarray) -> None:
@@ -387,18 +396,10 @@ def _state_validity_margins(draws: np.ndarray) -> np.ndarray:
     return np.ones(len(draws))
 
 
-def _inv_state_validity(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, 2 * (8 + 64), _state_validity_margins, _draw_sampler_output)
-
-
 def _volume_canonical_margins(draws: np.ndarray) -> np.ndarray:
     mat = _mixed_states(draws, 2)
     t_canon = states._spin_corr_arr(ellipsoid._canonical_arr(mat, 2, 0))
     return _TOL - np.abs(_volumes(mat) - np.abs(np.linalg.det(t_canon)))
-
-
-def _inv_volume_canonical(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _mixed_width(2), _volume_canonical_margins)
 
 
 # A mixed two-qubit state, then the normals of its steering directions.
@@ -418,10 +419,6 @@ def _bloch_containment_margins(draws: np.ndarray) -> np.ndarray:
     return 1.0 + _BLOCH_BALL_TOL - np.max(np.linalg.norm(points, axis=-1), axis=-1)
 
 
-def _inv_bloch_containment(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _STEERED_WIDTH, _bloch_containment_margins)
-
-
 def _membership_margins(draws: np.ndarray) -> np.ndarray:
     points, (a, b, T) = _points_and_abT(draws)
     gamma = 1.0 - (a[:, None, :] @ a[:, :, None])[:, 0, 0]
@@ -437,10 +434,6 @@ def _membership_margins(draws: np.ndarray) -> np.ndarray:
     out = np.ones(len(draws))
     out[firm] = 1.0 + _MEMBERSHIP_TOL - np.max(np.einsum("nij,nij->ni", delta, solved), axis=-1)
     return out
-
-
-def _inv_membership(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _STEERED_WIDTH, _membership_margins)
 
 
 # Term count, zero-padded weights, then zero-padded normals of two qubit kets per term.
@@ -465,10 +458,6 @@ def _separable_margins(draws: np.ndarray) -> np.ndarray:
     return _SEPARABLE_BOUND + _TOL - _volumes(mat)
 
 
-def _inv_separable_bound(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _SEPARABLE_WIDTH, _separable_margins, _draw_separable)
-
-
 def _volume_interval_margins(draws: np.ndarray) -> np.ndarray:
     mat = _mixed_states(draws, 2)
     v = _volumes(mat)
@@ -481,10 +470,6 @@ def _volume_interval_margins(draws: np.ndarray) -> np.ndarray:
     return margin
 
 
-def _inv_volume_interval(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _mixed_width(2), _volume_interval_margins)
-
-
 def _monogamy_sum_margins(
     draws: np.ndarray, *, n_qubits: int, pure: bool, exponent: float, bound: float
 ) -> np.ndarray:
@@ -494,31 +479,15 @@ def _monogamy_sum_margins(
     return bound + _TOL - lhs
 
 
-def _inv_monogamy_sum(master_seed: int, start: int, stop: int, *, n_qubits: int,
-                      pure: bool, exponent: float, bound: float) -> np.ndarray:
-    width = _pure_width(n_qubits) if pure else _mixed_width(n_qubits)
-    reduce = partial(_monogamy_sum_margins, n_qubits=n_qubits, pure=pure, exponent=exponent, bound=bound)
-    return _sampled(master_seed, start, stop, width, reduce)
-
-
 def _mixed5_mean_margins(draws: np.ndarray) -> np.ndarray:
     volumes = np.stack(monogamy._hub_volumes(_mixed_states(draws, 5), 5, 0))
     return 0.5 + _TOL - np.mean(volumes, axis=0)
-
-
-def _inv_mixed5_mean_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _mixed_width(5), _mixed5_mean_margins)
 
 
 def _correlation_sum_margins(draws: np.ndarray, *, pure: bool) -> np.ndarray:
     mat = _pure_states(draws, 3) if pure else _mixed_states(draws, 3)
     total = monogamy._correlation_sum_arr(mat, 3, list(combinations(range(3), 2)))
     return _TOL - np.abs(total - 3.0) if pure else 3.0 + _TOL - total
-
-
-def _inv_correlation_sum(master_seed: int, start: int, stop: int, *, pure: bool) -> np.ndarray:
-    width = _pure_width(3) if pure else _mixed_width(3)
-    return _sampled(master_seed, start, stop, width, partial(_correlation_sum_margins, pure=pure))
 
 
 def _purity_identity_margins(draws: np.ndarray, *, n_qubits: int) -> np.ndarray:
@@ -531,20 +500,11 @@ def _purity_identity_margins(draws: np.ndarray, *, n_qubits: int) -> np.ndarray:
     return _TOL - np.max(np.abs(residuals), axis=-1)
 
 
-def _inv_purity_identities(master_seed: int, start: int, stop: int, *, n_qubits: int) -> np.ndarray:
-    reduce = partial(_purity_identity_margins, n_qubits=n_qubits)
-    return _sampled(master_seed, start, stop, _pure_width(n_qubits), reduce)
-
-
 def _canonical_equality_margins(draws: np.ndarray) -> np.ndarray:
     mat = ellipsoid._canonical_arr(_pure_states(draws, 3), 3, 0)
     v_b, v_c = monogamy._hub_volumes(mat, 3, 0)
     _, b2, c2 = monogamy._bloch_norms_sq(mat, 3)
     return _TOL - np.maximum(np.abs(v_b - c2), np.abs(v_c - b2))
-
-
-def _inv_canonical_equalities(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _pure_width(3), _canonical_equality_margins)
 
 
 def _polygon_margins(draws: np.ndarray) -> np.ndarray:
@@ -553,24 +513,12 @@ def _polygon_margins(draws: np.ndarray) -> np.ndarray:
     return monogamy._polygon_arr(mat) + _TOL
 
 
-def _inv_polygon(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _pure_width(3), _polygon_margins)
-
-
 def _concurrence_volume_margins(draws: np.ndarray) -> np.ndarray:
     return monogamy._concurrence_volume_arr(_mixed_states(draws, 2), 2) + _TOL
 
 
-def _inv_concurrence_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _mixed_width(2), _concurrence_volume_margins)
-
-
 def _ckw_margins(draws: np.ndarray) -> np.ndarray:
     return monogamy._ckw_arr(_mixed_states(draws, 3), 0) + _TOL
-
-
-def _inv_ckw(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _mixed_width(3), _ckw_margins)
 
 
 def _tangle_volume_margins(draws: np.ndarray) -> np.ndarray:
@@ -579,10 +527,6 @@ def _tangle_volume_margins(draws: np.ndarray) -> np.ndarray:
     tangle = monogamy._three_tangle_arr(mat)
     a2 = monogamy._bloch_norms_sq(mat, 3)[0]
     return tangle - (1.0 - a2) * (1.0 - _sqrt_volume_sum(mat)) + _TOL
-
-
-def _inv_tangle_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, _pure_width(3), _tangle_volume_margins)
 
 
 def _max_volume_codes(theta) -> np.ndarray:
@@ -628,10 +572,6 @@ def _wclass_margins(draws: np.ndarray) -> np.ndarray:
     return np.where(monogamy._slocc_codes(mat) == _max_volume_codes(theta), margin, -1.0)
 
 
-def _inv_wclass_saturation(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _sampled(master_seed, start, stop, 1 + 3 * 8, _wclass_margins, _draw_wclass)
-
-
 def _noisy(mat: np.ndarray, draws: np.ndarray, n_qubits: int) -> np.ndarray:
     """``mat`` after one random channel per qubit, drawn from ``draws`` (N, n_qubits * 128)."""
     kraus = channels._random_kraus_arr(draws.reshape(len(draws), n_qubits, _CHANNEL_WIDTH))
@@ -645,31 +585,21 @@ def _channel_monotonicity_margins(draws: np.ndarray) -> np.ndarray:
     return _volumes(mat) - _volumes(noisy) + _TOL
 
 
-def _inv_channel_monotonicity(master_seed: int, start: int, stop: int) -> np.ndarray:
-    width = _mixed_width(2) + 2 * _CHANNEL_WIDTH
-    return _sampled(master_seed, start, stop, width, _channel_monotonicity_margins)
-
-
 def _noisy_pure3_margins(draws: np.ndarray) -> np.ndarray:
     noisy = _noisy(_pure_states(draws, 3), draws[:, _pure_width(3) :], 3)
     return 1.0 + _TOL - _sqrt_volume_sum(noisy)
 
 
-def _inv_noisy_pure3_monogamy(master_seed: int, start: int, stop: int) -> np.ndarray:
-    width = _pure_width(3) + 3 * _CHANNEL_WIDTH
-    return _sampled(master_seed, start, stop, width, _noisy_pure3_margins)
-
-
 def _inv_noisy_w_closed_form(master_seed: int, start: int, stop: int) -> np.ndarray:
     # Deterministic 20 x 5 grid; the index selects a row of the epsilon-major sweep.
-    rows = sweep_noisy_w(_open_grid(20, 1.0), (0.0, 0.001, 0.005, 0.01, 0.1))[start:stop]
-    return np.array([_TOL - row.residual for row in rows])
+    residual = _noisy_w_columns(_open_grid(20, 1.0), (0.0, 0.001, 0.005, 0.01, 0.1))[4]
+    return _TOL - residual[start:stop]
 
 
 def _inv_ghz_mapping(master_seed: int, start: int, stop: int) -> np.ndarray:
     # Deterministic 20 x 20 grid over the open square (0, pi/2)^2, alpha-major.
-    rows = sweep_ghz_region(20)[start:stop]
-    return np.array([_TOL - max(row.residual_b, row.residual_c) for row in rows])
+    residual_b, residual_c = _ghz_columns(20)[6:8]
+    return _TOL - np.maximum(residual_b, residual_c)[start:stop]
 
 
 def _inv_counterexample(master_seed: int, start: int, stop: int) -> np.ndarray:
@@ -682,10 +612,6 @@ def _inv_counterexample(master_seed: int, start: int, stop: int) -> np.ndarray:
     return np.array(margins[start:stop])
 
 
-def _inv_mixed4_exploration(master_seed: int, start: int, stop: int) -> np.ndarray:
-    return _inv_monogamy_sum(master_seed, start, stop, n_qubits=4, pure=False, exponent=2.0 / 3.0, bound=1.0)
-
-
 @dataclass(frozen=True)
 class _InvariantCheck:
     name: str
@@ -695,55 +621,75 @@ class _InvariantCheck:
     exploratory: bool = False
 
 
+# A random-sample check's fn is ``_drawn(width, reduce, draw)``, built once
+# here: the benchmark tracer labels each check by the identity of its fn.
 _SUITE: tuple[_InvariantCheck, ...] = (
-    _InvariantCheck("state_reconstruction_round_trip", _inv_reconstruction, 10_000),
-    _InvariantCheck("partial_trace_composition", _inv_ptrace_composition, 10_000),
-    _InvariantCheck("pure3_purity_bipartition_symmetry", _inv_purity_symmetry, 10_000),
-    _InvariantCheck("sampled_state_validity", _inv_state_validity, 10_000),
-    _InvariantCheck("volume_matches_canonical_form", _inv_volume_canonical, 10_000),
-    _InvariantCheck("steered_points_inside_bloch_ball", _inv_bloch_containment, 1_000),
-    _InvariantCheck("steered_points_inside_ellipsoid", _inv_membership, 1_000),
-    _InvariantCheck("separable_volume_bound", _inv_separable_bound, 10_000),
-    _InvariantCheck("volume_in_unit_interval", _inv_volume_interval, 10_000),
+    _InvariantCheck("state_reconstruction_round_trip", _drawn(_mixed_width(2), _reconstruction_margins), 10_000),
+    _InvariantCheck("partial_trace_composition", _drawn(_mixed_width(3), _ptrace_composition_margins), 10_000),
+    _InvariantCheck("pure3_purity_bipartition_symmetry", _drawn(_pure_width(3), _purity_symmetry_margins), 10_000),
+    _InvariantCheck(
+        "sampled_state_validity", _drawn(2 * (8 + 64), _state_validity_margins, _draw_sampler_output), 10_000
+    ),
+    _InvariantCheck("volume_matches_canonical_form", _drawn(_mixed_width(2), _volume_canonical_margins), 10_000),
+    _InvariantCheck("steered_points_inside_bloch_ball", _drawn(_STEERED_WIDTH, _bloch_containment_margins), 1_000),
+    _InvariantCheck("steered_points_inside_ellipsoid", _drawn(_STEERED_WIDTH, _membership_margins), 1_000),
+    _InvariantCheck("separable_volume_bound", _drawn(_SEPARABLE_WIDTH, _separable_margins, _draw_separable), 10_000),
+    _InvariantCheck("volume_in_unit_interval", _drawn(_mixed_width(2), _volume_interval_margins), 10_000),
     _InvariantCheck(
         "pure3_sqrt_volume_monogamy",
-        partial(_inv_monogamy_sum, n_qubits=3, pure=True, exponent=0.5, bound=1.0),
+        _drawn(_pure_width(3), partial(_monogamy_sum_margins, n_qubits=3, pure=True, exponent=0.5, bound=1.0)),
         10_000,
     ),
     _InvariantCheck(
         "mixed3_twothirds_volume_monogamy",
-        partial(_inv_monogamy_sum, n_qubits=3, pure=False, exponent=2.0 / 3.0, bound=1.0),
+        _drawn(_mixed_width(3), partial(_monogamy_sum_margins, n_qubits=3, pure=False, exponent=2.0 / 3.0, bound=1.0)),
         10_000,
     ),
     _InvariantCheck(
         "pure4_twothirds_volume_monogamy",
-        partial(_inv_monogamy_sum, n_qubits=4, pure=True, exponent=2.0 / 3.0, bound=1.0),
+        _drawn(_pure_width(4), partial(_monogamy_sum_margins, n_qubits=4, pure=True, exponent=2.0 / 3.0, bound=1.0)),
         10_000,
     ),
     _InvariantCheck(
         "mixed5_twothirds_volume_sum",
-        partial(_inv_monogamy_sum, n_qubits=5, pure=False, exponent=2.0 / 3.0, bound=2.0),
+        _drawn(_mixed_width(5), partial(_monogamy_sum_margins, n_qubits=5, pure=False, exponent=2.0 / 3.0, bound=2.0)),
         1_000,
     ),
-    _InvariantCheck("mixed5_mean_volume", _inv_mixed5_mean_volume, 1_000),
-    _InvariantCheck("pure3_correlation_identity", partial(_inv_correlation_sum, pure=True), 10_000),
-    _InvariantCheck("mixed3_correlation_bound", partial(_inv_correlation_sum, pure=False), 10_000),
-    _InvariantCheck("pure3_purity_identities", partial(_inv_purity_identities, n_qubits=3), 10_000),
-    _InvariantCheck("pure4_purity_identities", partial(_inv_purity_identities, n_qubits=4), 10_000),
-    _InvariantCheck("canonical_volume_equalities", _inv_canonical_equalities, 10_000),
-    _InvariantCheck("polygon_inequality", _inv_polygon, 10_000),
-    _InvariantCheck("concurrence_volume_bound", _inv_concurrence_volume, 10_000),
-    _InvariantCheck("ckw_inequality", _inv_ckw, 10_000),
-    _InvariantCheck("tangle_volume_bound", _inv_tangle_volume, 10_000),
-    _InvariantCheck("wclass_saturation", _inv_wclass_saturation, 10_000),
-    _InvariantCheck("channel_volume_monotonicity", _inv_channel_monotonicity, 10_000),
-    _InvariantCheck("noisy_pure3_monogamy", _inv_noisy_pure3_monogamy, 1_000),
+    _InvariantCheck("mixed5_mean_volume", _drawn(_mixed_width(5), _mixed5_mean_margins), 1_000),
+    _InvariantCheck(
+        "pure3_correlation_identity", _drawn(_pure_width(3), partial(_correlation_sum_margins, pure=True)), 10_000
+    ),
+    _InvariantCheck(
+        "mixed3_correlation_bound", _drawn(_mixed_width(3), partial(_correlation_sum_margins, pure=False)), 10_000
+    ),
+    _InvariantCheck(
+        "pure3_purity_identities", _drawn(_pure_width(3), partial(_purity_identity_margins, n_qubits=3)), 10_000
+    ),
+    _InvariantCheck(
+        "pure4_purity_identities", _drawn(_pure_width(4), partial(_purity_identity_margins, n_qubits=4)), 10_000
+    ),
+    _InvariantCheck("canonical_volume_equalities", _drawn(_pure_width(3), _canonical_equality_margins), 10_000),
+    _InvariantCheck("polygon_inequality", _drawn(_pure_width(3), _polygon_margins), 10_000),
+    _InvariantCheck("concurrence_volume_bound", _drawn(_mixed_width(2), _concurrence_volume_margins), 10_000),
+    _InvariantCheck("ckw_inequality", _drawn(_mixed_width(3), _ckw_margins), 10_000),
+    _InvariantCheck("tangle_volume_bound", _drawn(_pure_width(3), _tangle_volume_margins), 10_000),
+    _InvariantCheck("wclass_saturation", _drawn(1 + 3 * 8, _wclass_margins, _draw_wclass), 10_000),
+    _InvariantCheck(
+        "channel_volume_monotonicity", _drawn(_mixed_width(2) + 2 * _CHANNEL_WIDTH, _channel_monotonicity_margins),
+        10_000,
+    ),
+    _InvariantCheck("noisy_pure3_monogamy", _drawn(_pure_width(3) + 3 * _CHANNEL_WIDTH, _noisy_pure3_margins), 1_000),
     _InvariantCheck("noisy_w_closed_form", _inv_noisy_w_closed_form, 100, scaled=False),
     _InvariantCheck("ghz_family_mapping", _inv_ghz_mapping, 400, scaled=False),
     _InvariantCheck("counterexample_regression", _inv_counterexample, 2, scaled=False),
 )
 
-_EXPLORATORY = _InvariantCheck("mixed4_twothirds_exploration", _inv_mixed4_exploration, 10_000, exploratory=True)
+_EXPLORATORY = _InvariantCheck(
+    "mixed4_twothirds_exploration",
+    _drawn(_mixed_width(4), partial(_monogamy_sum_margins, n_qubits=4, pure=False, exponent=2.0 / 3.0, bound=1.0)),
+    10_000,
+    exploratory=True,
+)
 
 
 @dataclass(frozen=True)
@@ -762,14 +708,7 @@ class InvariantResult:
         return self.failures == 0 and not self.error
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "failures": self.failures,
-            "worst_margin": self.worst_margin,
-            "exploratory": self.exploratory,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -807,24 +746,10 @@ def run_property_suite(
             count = max(1, round(check.samples * samples / 10_000)) if samples else 0
         try:
             margins = _chunked_values(check.fn, count, master_seed, workers)
-            results.append(
-                InvariantResult(
-                    name=check.name,
-                    samples=int(margins.size),
-                    failures=int(np.count_nonzero(margins < 0)),
-                    worst_margin=float(np.min(margins)) if margins.size else float("inf"),
-                    exploratory=check.exploratory,
-                )
-            )
         except Exception as exc:  # noqa: BLE001 - suite must report, not crash
-            results.append(
-                InvariantResult(
-                    name=check.name,
-                    samples=count,
-                    failures=count,
-                    worst_margin=float("-inf"),
-                    exploratory=check.exploratory,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            failures, worst, error = count, float("-inf"), f"{type(exc).__name__}: {exc}"
+        else:
+            count, failures, error = int(margins.size), int(np.count_nonzero(margins < 0)), ""
+            worst = float(np.min(margins)) if margins.size else float("inf")
+        results.append(InvariantResult(check.name, count, failures, worst, check.exploratory, error))
     return SuiteReport(tuple(results))

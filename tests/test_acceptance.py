@@ -14,10 +14,8 @@ import pytest
 from qsteer.cli import main
 from qsteer.ellipsoid import steering_ellipsoid
 from qsteer.experiments import (
+    _SUITE,
     DEFAULT_SEED,
-    _inv_channel_monotonicity,
-    _inv_noisy_pure3_monogamy,
-    _inv_separable_bound,
     run_conjecture_test,
     run_property_suite,
     sweep_ghz_region,
@@ -35,6 +33,9 @@ from qsteer.monogamy import (
     w_state,
     werner_state,
 )
+
+# Each suite check's fn(master_seed, start, stop), by check name.
+CHECKS = {check.name: check.fn for check in _SUITE}
 
 
 def _passed(number, started, detail):
@@ -143,9 +144,9 @@ def test_criterion_07_property_suite():
 
 def test_criterion_08_noise_monotonicity():
     started = time.perf_counter()
-    mono = _inv_channel_monotonicity(DEFAULT_SEED, 0, 10_000)
+    mono = CHECKS["channel_volume_monotonicity"](DEFAULT_SEED, 0, 10_000)
     assert int(np.count_nonzero(mono < 0)) == 0
-    noisy = _inv_noisy_pure3_monogamy(DEFAULT_SEED, 0, 1_000)
+    noisy = CHECKS["noisy_pure3_monogamy"](DEFAULT_SEED, 0, 1_000)
     assert int(np.count_nonzero(noisy < 0)) == 0
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0
@@ -154,7 +155,7 @@ def test_criterion_08_noise_monotonicity():
 
 def test_criterion_09_separable_bound():
     started = time.perf_counter()
-    margins = _inv_separable_bound(DEFAULT_SEED, 0, 10_000)
+    margins = CHECKS["separable_volume_bound"](DEFAULT_SEED, 0, 10_000)
     assert int(np.count_nonzero(margins < 0)) == 0
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0

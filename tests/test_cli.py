@@ -91,6 +91,14 @@ class TestAnalyzeCommand:
         assert lines[0].startswith("steering_qubit,steered_qubit,volume")
         assert len(lines) == 3
 
+    def test_one_qubit_state_exits_2(self, tmp_path, capsys):
+        path = write_state(tmp_path / "qubit.json", QuantumState.from_amplitudes([1.0, 0.0]))
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"out.{fmt}"
+            assert main(["analyze", "--input", path, "--format", fmt, "--output", str(out)]) == 2
+            assert "analyze needs at least 2 qubits" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_missing_input_is_usage_error(self):
         assert main(["analyze"]) == 2
 
@@ -273,6 +281,8 @@ class TestUsageErrors:
             ["conjecture", "--workers", "0"],
             ["conjecture", "--workers", "-3"],
             ["conjecture", "--samples", "0", "--workers", str(CPUS + 1)],
+            ["conjecture", "--samples", str(2**32 + 1)],
+            ["suite", "--samples", str(2**32 + 1)],
             ["fig1", "--grid", "0"],
             ["fig2", "--grid", "0"],
             ["fig2", "--grid", "-3"],

@@ -1,10 +1,13 @@
 import math
+import os
+import pickle
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import numpy as np
 import pytest
 
-from qsteer import channels, ellipsoid, monogamy, states
+from qsteer import channels, ellipsoid, experiments, monogamy, states
 from qsteer.experiments import (
     _BLOCH_BALL_TOL,
     _EXPLORATORY,
@@ -18,8 +21,10 @@ from qsteer.experiments import (
     _SUITE,
     _TOL,
     GhzSweepRow,
-    _inv_wclass_saturation,
+    _chunked_values,
     _max_volume_class,
+    _open_grid,
+    _pool,
     _pure4_correlation_lhs,
     counterexample_regression,
     run_conjecture_test,
@@ -317,9 +322,28 @@ REFERENCES = {
     "noisy_pure3_monogamy": _ref_noisy_pure3_monogamy,
     "mixed4_twothirds_exploration": _ref_mixed4_exploration,
 }
+
+# --- grid references: each grid check through the row objects of the public sweeps ---
+
+
+def _ref_noisy_w_closed_form(master_seed: int, start: int, stop: int) -> np.ndarray:
+    rows = sweep_noisy_w(_open_grid(20, 1.0), (0.0, 0.001, 0.005, 0.01, 0.1))[start:stop]
+    return np.array([_TOL - row.residual for row in rows])
+
+
+def _ref_ghz_mapping(master_seed: int, start: int, stop: int) -> np.ndarray:
+    rows = sweep_ghz_region(20)[start:stop]
+    return np.array([_TOL - max(row.residual_b, row.residual_c) for row in rows])
+
+
+GRID_REFERENCES = {"noisy_w_closed_form": _ref_noisy_w_closed_form, "ghz_family_mapping": _ref_ghz_mapping}
 CHECKS = {check.name: check for check in _SUITE + (_EXPLORATORY,)}
 # Past the first block boundary (256 samples), so a block is reused.
 REFERENCE_SAMPLES = 300
+
+
+def _exit_worker(master_seed: int, start: int, stop: int) -> np.ndarray:
+    os._exit(1)
 
 
 class TestBatchedChecks:
@@ -338,9 +362,42 @@ class TestBatchedChecks:
         np.testing.assert_array_equal(np.concatenate(parts), expected)
         assert fn(seed, 5, 5).shape == (0,)
 
+    @pytest.mark.parametrize("name", sorted(GRID_REFERENCES))
+    def test_grid_check_matches_row_reference_bitwise(self, name):
+        samples, fn = CHECKS[name].samples, CHECKS[name].fn
+        np.testing.assert_array_equal(fn(0, 0, samples), GRID_REFERENCES[name](0, 0, samples))
+        np.testing.assert_array_equal(fn(0, 17, 83), GRID_REFERENCES[name](0, 17, 83))
+        assert fn(0, 5, 5).shape == (0,)
+
+    def test_check_functions_are_distinct_stable_and_picklable(self):
+        # The benchmark tracer labels each check by id(fn), and worker processes unpickle it.
+        checks = _SUITE + (_EXPLORATORY,)
+        fns = [check.fn for check in checks]
+        assert len({id(fn) for fn in fns}) == len(checks)
+        assert all(fn is check.fn for fn, check in zip(fns, experiments._SUITE + (experiments._EXPLORATORY,)))
+        for check in checks:
+            count = min(check.samples, 3)
+            np.testing.assert_array_equal(pickle.loads(pickle.dumps(check.fn))(7, 0, count), check.fn(7, 0, count))
+
     def test_worker_count_does_not_change_report(self):
         single = run_property_suite(samples=40, master_seed=7, workers=1)
         assert run_property_suite(samples=40, master_seed=7, workers=3).to_dict() == single.to_dict()
+
+
+class TestProcessPool:
+    def test_one_pool_per_worker_count(self):
+        assert _pool(2) is _pool(2)
+        fn = CHECKS["polygon_inequality"].fn
+        np.testing.assert_array_equal(_chunked_values(fn, 30, 3, 2), fn(3, 0, 30))
+        np.testing.assert_array_equal(_chunked_values(fn, 30, 4, 2), fn(4, 0, 30))
+
+    def test_broken_pool_is_replaced(self):
+        broken = _pool(2)
+        with pytest.raises(BrokenProcessPool):
+            _chunked_values(_exit_worker, 4, 0, 2)
+        assert _pool(2) is not broken
+        fn = CHECKS["polygon_inequality"].fn
+        np.testing.assert_array_equal(_chunked_values(fn, 30, 3, 2), fn(3, 0, 30))
 
 
 class TestConjecture:
@@ -511,7 +568,7 @@ class TestPropertySuite:
         assert "pure3_sqrt_volume_monogamy" in names
         assert "counterexample_regression" in names
 
-    @pytest.mark.parametrize("kwargs", [{"samples": -5}, {"workers": 0}, {"workers": -2}])
+    @pytest.mark.parametrize("kwargs", [{"samples": -5}, {"workers": 0}, {"workers": -2}, {"samples": 2**32 + 1}])
     def test_bad_counts_rejected(self, kwargs):
         with pytest.raises(ValueError):
             run_property_suite(**kwargs)
@@ -561,7 +618,7 @@ class TestWClassSaturation:
         theta = states.sample_rng(677332090, 24).uniform(0.0, math.pi / 2.0)
         assert math.pi / 2 - theta < 1e-5
         assert _max_volume_class(theta) is monogamy.SloccClass.BIPARTITE_AC_B
-        assert _inv_wclass_saturation(677332090, 24, 25)[0] >= 0.0
+        assert CHECKS["wclass_saturation"].fn(677332090, 24, 25)[0] >= 0.0
 
 
 class TestCounterexampleRegression:

@@ -65,9 +65,10 @@ class PovmElement:
         e = np.asarray(self.e, dtype=float).reshape(3)
         object.__setattr__(self, "e", e)
         e.setflags(write=False)
-        if self.e0 < 0:
+        # Written so that NaN, which fails every comparison, fails both checks.
+        if not self.e0 >= 0:
             raise ValueError(f"e0 must be nonnegative, got {self.e0}")
-        if np.linalg.norm(e) > 1 + DEFAULT_TOL:
+        if not np.linalg.norm(e) <= 1 + DEFAULT_TOL:
             raise ValueError(f"|e| = {np.linalg.norm(e)} exceeds 1")
 
 

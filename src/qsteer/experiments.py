@@ -57,10 +57,13 @@ def _open_grid(count: int, upper: float) -> np.ndarray:
     return np.arange(1, count + 1) / (count + 1) * upper
 
 
-def _check_counts(samples: int, workers: int) -> None:
+def _check_run(samples: int, master_seed: int, workers: int) -> None:
     # Sample i draws from stream (master_seed, i), whose index is one uint32 word.
     if not 0 <= samples <= 2**32:
         raise ValueError(f"sample count must lie in [0, 2**32], got {samples}")
+    # Checked up front: the suite reports each check's errors instead of raising them.
+    if master_seed < 0:
+        raise ValueError(f"master seed must be >= 0, got {master_seed}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
@@ -180,7 +183,7 @@ def run_conjecture_test(n_samples: int, master_seed: int = DEFAULT_SEED, workers
     The left-hand side is Tr[T_AB T_AB^t] + Tr[T_AC T_AC^t] +
     Tr[T_AD T_AD^t]; a violation is a strict excess beyond 3 + 1e-9.
     """
-    _check_counts(n_samples, workers)
+    _check_run(n_samples, master_seed, workers)
     values = _chunked_values(_pure4_correlation_lhs, n_samples, master_seed, workers)
     if values.size == 0:
         return ConjectureResult(samples=0, violations=0, max_lhs=float("-inf"), worst_state_seed=-1)
@@ -736,7 +739,7 @@ def run_property_suite(
     size.  The optional mixed-4-qubit check records violations of the
     2/3-power bound without failing the suite, since that case is open.
     """
-    _check_counts(samples, workers)
+    _check_run(samples, master_seed, workers)
     checks = _SUITE + ((_EXPLORATORY,) if explore_mixed_4q else ())
     results = []
     for check in checks:

@@ -67,115 +67,43 @@ def as_rng(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _seed_word(master_seed: int) -> int:
+    """High 64 bits of every sample key of ``master_seed``: its SeedSequence hash."""
+    return int(np.random.SeedSequence(int(master_seed)).generate_state(1, np.uint64)[0])
+
+
 def sample_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one sample/worker, derived from (master_seed, index).
+    """Independent stream for one sample, derived from (master_seed, index).
 
-    Streams depend only on the pair, never on chunking, so parallel sweeps
-    are reproducible for any worker count.
+    The stream is Philox with the 128-bit key ``(w << 64) | index``, where
+    ``w`` hashes ``master_seed``; ``index`` must lie in [0, 2**64).  Streams
+    depend only on the pair, never on chunking, so parallel sweeps are
+    reproducible for any worker count.
     """
-    return np.random.default_rng([int(master_seed), int(index)])
-
-
-# SeedSequence hashing constants (NEP 19) and the PCG64 LCG multiplier, which
-# sample_streams uses to reproduce default_rng([master_seed, i]) in bulk.
-_SS_POOL_SIZE = 4
-_SS_INIT_A = 0x43B0D7E5
-_SS_MULT_A = 0x931E8875
-_SS_INIT_B = 0x8B51F9DD
-_SS_MULT_B = 0x58F38DED
-_SS_MIX_MULT_L = 0xCA01F9DD
-_SS_MIX_MULT_R = 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-#: Streams derived per vectorized pass of sample_streams.
-_STREAM_BLOCK = 256
-
-
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian uint32 words of a non-negative int, as SeedSequence splits entropy."""
-    if value < 0:
-        raise ValueError(f"seed words must be non-negative, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
-    """``SeedSequence(words).generate_state(8, uint32)`` for many entropy word lists at once.
-
-    ``entropy`` holds one uint32 array per entropy word, all of one length
-    N; column k of the (8, N) result belongs to the word list
-    ``[e[k] for e in entropy]``.  The uint32 arithmetic wraps exactly as the
-    reference implementation's does.
-    """
-    hash_a = _SS_INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_a
-        value = value ^ np.uint32(hash_a)
-        hash_a = (hash_a * _SS_MULT_A) & _MASK32
-        value = value * np.uint32(hash_a)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_SS_MIX_MULT_L) * x - np.uint32(_SS_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(_SS_POOL_SIZE)]
-    for src in range(_SS_POOL_SIZE):
-        for dst in range(_SS_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_SS_POOL_SIZE, len(entropy)):
-        for dst in range(_SS_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-    hash_b = _SS_INIT_B
-    out = np.empty((8, zero.size), dtype=np.uint32)
-    for k in range(8):
-        value = pool[k % _SS_POOL_SIZE] ^ np.uint32(hash_b)
-        hash_b = (hash_b * _SS_MULT_B) & _MASK32
-        value = value * np.uint32(hash_b)
-        out[k] = value ^ (value >> np.uint32(16))
-    return out
+    index = int(index)
+    if not 0 <= index < 2**64:
+        raise ValueError(f"sample index must lie in [0, 2**64), got {index}")
+    return np.random.Generator(np.random.Philox(key=(_seed_word(master_seed) << 64) | index))
 
 
 def sample_streams(master_seed: int, start: int, stop: int) -> Iterator[tuple[int, np.random.Generator]]:
     """Yield ``(i, rng)`` for i in [start, stop), each rng bit-identical to ``sample_rng(master_seed, i)``.
 
-    The SeedSequence hashes of a block of indices are computed in one
-    vectorized pass, and PCG64's seeding step is applied to each row before
-    it is loaded into a single reused generator.  ``rng`` is therefore valid
-    only until the next iteration.  Indices must lie in [0, 2**32).
+    One Philox generator is re-keyed for each index through its ``state``
+    setter, so ``rng`` is valid only until the next iteration.  Indices
+    must lie in [0, 2**32).
     """
-    seed_words = _uint32_words(int(master_seed))
     start, stop = int(start), int(stop)
-    # Below 2**32 every index is one uint32 entropy word, so all streams of a
-    # block hash the same number of words.
     if start < 0 or stop > 2**32:
         raise ValueError(f"sample indices [{start}, {stop}) must lie in [0, 2**32)")
-    bit_gen = np.random.PCG64(0)
+    bit_gen = np.random.Philox(key=_seed_word(master_seed) << 64)
     rng = np.random.Generator(bit_gen)
-    pcg = {"state": 0, "inc": 0}
-    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for lo in range(start, stop, _STREAM_BLOCK):
-        index = np.arange(lo, min(lo + _STREAM_BLOCK, stop), dtype=np.uint32)
-        entropy = [np.full(index.size, w, dtype=np.uint32) for w in seed_words] + [index]
-        words = _seed_sequence_state(entropy).astype(np.uint64)
-        # generate_state(4, uint64) pairs the words little-endian into
-        # (seed_hi, seed_lo, inc_hi, inc_lo).
-        seed_hi, seed_lo, inc_hi, inc_lo = (words[0::2] | (words[1::2] << np.uint64(32))).tolist()
-        for k, (s_hi, s_lo, i_hi, i_lo) in enumerate(zip(seed_hi, seed_lo, inc_hi, inc_lo)):
-            # pcg_setseq_128_srandom_r: state = ((inc + seed) * mult + inc) mod 2**128.
-            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-            pcg["inc"] = inc
-            pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-            bit_gen.state = full_state
-            yield lo + k, rng
+    # The state getter returns fresh arrays: counter 0, an empty buffer and key [0, w].
+    fresh = bit_gen.state
+    for i in range(start, stop):
+        fresh["state"]["key"][0] = i
+        bit_gen.state = fresh
+        yield i, rng
 
 
 def _check_range(name: str, values: np.ndarray, inside: np.ndarray, interval: str) -> None:
@@ -306,6 +234,7 @@ def _density(state: StateLike) -> tuple[np.ndarray, int]:
     if isinstance(state, QuantumState):
         return state.matrix, state.n_qubits
     arr = np.asarray(state, dtype=complex)
+    _check_finite(arr)
     if arr.ndim == 1:
         n = _check_n_qubits(arr.size)
         return np.outer(arr, arr.conj()), n
@@ -324,6 +253,7 @@ def ket_to_density(psi: StateLike, tol: float = DEFAULT_TOL) -> QuantumState:
     else:
         vec = np.asarray(psi, dtype=complex).reshape(-1)
         n = _check_n_qubits(vec.size)
+        _check_finite(vec)
     norm_sq = float(np.vdot(vec, vec).real)
     if abs(norm_sq - 1.0) > tol:
         raise StateValidationError(f"amplitude vector has squared norm {norm_sq}, expected 1")

@@ -283,6 +283,7 @@ class TestUsageErrors:
             ["conjecture", "--samples", "0", "--workers", str(CPUS + 1)],
             ["conjecture", "--samples", str(2**32 + 1)],
             ["suite", "--samples", str(2**32 + 1)],
+            ["suite", "--seed", "-1"],
             ["fig1", "--grid", "0"],
             ["fig2", "--grid", "0"],
             ["fig2", "--grid", "-3"],

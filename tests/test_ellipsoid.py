@@ -221,6 +221,11 @@ class TestPovmElement:
         with pytest.raises(ValueError):
             PovmElement(0.5, np.array([1.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("e0, e", [(np.nan, np.zeros(3)), (1.0, np.array([np.nan, 0.0, 0.0]))])
+    def test_rejects_nan(self, e0, e):
+        with pytest.raises(ValueError):
+            PovmElement(e0, e)
+
 
 def _mixed_stack(rng, n, count=40):
     return states._induced_arr(states._haar_arr(rng.standard_normal((count, 2 ** (2 * n + 1)))), n)

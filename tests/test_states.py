@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsteer.monogamy import counterexample_state, ghz_state, singlet_state, w_state, werner_state
+from qsteer.ellipsoid import normalized_volume
+from qsteer.monogamy import concurrence, counterexample_state, ghz_state, singlet_state, w_state, werner_state
 from qsteer import states
 from qsteer.states import (
     QuantumState,
@@ -246,6 +247,19 @@ class TestSampleStreams:
                     checked.add(i)
         assert checked == {0, 1, 255, 256, 257, 2**32 - 1}
 
+    @pytest.mark.parametrize("master_seed, index", [(0, 0), (12345, 258), (2**64 + 3, 2**64 - 1)])
+    def test_key_layout(self, master_seed, index):
+        # Pins the stream of every seeded ensemble: changing it must be deliberate.
+        word = int(np.random.SeedSequence(master_seed).generate_state(1, np.uint64)[0])
+        want = np.random.Generator(np.random.Philox(key=(word << 64) | index))
+        for got, ref in zip(_stream_draws(sample_rng(master_seed, index)), _stream_draws(want)):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    def test_index_outside_key_word_rejected(self, index):
+        with pytest.raises(ValueError):
+            sample_rng(3, index)
+
     def test_yields_every_index_in_order(self):
         assert [i for i, _ in sample_streams(3, 250, 520)] == list(range(250, 520))
         assert list(sample_streams(3, 5, 5)) == []
@@ -407,6 +421,20 @@ class TestQuantumStateValidation:
     def test_all_nan_matrix_is_a_validation_error(self):
         with pytest.raises(StateValidationError, match="non-finite"):
             QuantumState.from_matrix(np.full((4, 4), np.nan))
+
+    @pytest.mark.parametrize(
+        "fn, shape",
+        [
+            (ket_to_density, (4,)),
+            (purity, (4,)),
+            (pauli_decomposition, (4, 4)),
+            (normalized_volume, (4, 4)),
+            (concurrence, (4, 4)),
+        ],
+    )
+    def test_raw_arrays_reject_non_finite(self, fn, shape):
+        with pytest.raises(StateValidationError, match="non-finite"):
+            fn(np.full(shape, np.nan))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(StateValidationError):

@@ -58,6 +58,9 @@ def _open_grid(count: int, upper: float) -> np.ndarray:
 
 
 def _check_run(samples: int, master_seed: int, workers: int) -> None:
+    samples = states._integer("sample count", samples)
+    master_seed = states._integer("master seed", master_seed)
+    workers = states._integer("workers", workers)
     # Sample i draws from stream (master_seed, i), whose index is one uint32 word.
     if not 0 <= samples <= 2**32:
         raise ValueError(f"sample count must lie in [0, 2**32], got {samples}")
@@ -166,10 +169,10 @@ class ConjectureResult:
 def _pure4_block_lhs(draws: np.ndarray) -> np.ndarray:
     """Hub correlation sums of the kets whose real and imaginary parts are the rows of ``draws``."""
     # _haar_arr normalizes each ket exactly as random_pure_state does.
-    mats = states._densities(states._haar_arr(draws))
+    kets = states._haar_arr(draws)
     lhs = 0.0
     for other in (1, 2, 3):
-        T = states._spin_corr_arr(_partial_trace_arr(mats, [0, other], 4))
+        T = states._spin_corr_arr(states._ket_trace_arr(kets, [0, other], 4))
         lhs += np.sum(T * T, axis=(1, 2))
     return lhs
 
@@ -256,7 +259,7 @@ def _ghz_columns(grid_steps: int) -> tuple[np.ndarray, ...]:
     kets, x_pred, y_pred = monogamy._ghz_family_arr(alpha, beta)
     v_b, v_c = np.empty(alpha.size), np.empty(alpha.size)
     for block in _blocks(alpha.size):
-        v_b[block], v_c[block] = monogamy._hub_volumes(states._densities(kets[block]), 3, 0)
+        v_b[block], v_c[block] = monogamy._ket_hub_volumes(kets[block], 3, 0)
     return (
         alpha, beta, v_b, v_c, x_pred, y_pred,
         np.abs(v_b - x_pred), np.abs(v_c - y_pred), np.sqrt(v_b) + np.sqrt(v_c),
@@ -348,8 +351,12 @@ def _mixed_width(n_qubits: int) -> int:
 _CHANNEL_WIDTH = 2 * 8 * 8  # one random_channel: a Haar 8x8 unitary
 
 
+def _pure_kets(draws: np.ndarray, n_qubits: int) -> np.ndarray:
+    return states._haar_arr(draws[:, : _pure_width(n_qubits)])
+
+
 def _pure_states(draws: np.ndarray, n_qubits: int) -> np.ndarray:
-    return states._densities(states._haar_arr(draws[:, : _pure_width(n_qubits)]))
+    return states._densities(_pure_kets(draws, n_qubits))
 
 
 def _mixed_states(draws: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -476,9 +483,12 @@ def _volume_interval_margins(draws: np.ndarray) -> np.ndarray:
 def _monogamy_sum_margins(
     draws: np.ndarray, *, n_qubits: int, pure: bool, exponent: float, bound: float
 ) -> np.ndarray:
-    mat = _pure_states(draws, n_qubits) if pure else _mixed_states(draws, n_qubits)
+    if pure:
+        volumes = monogamy._ket_hub_volumes(_pure_kets(draws, n_qubits), n_qubits, 0)
+    else:
+        volumes = monogamy._hub_volumes(_mixed_states(draws, n_qubits), n_qubits, 0)
     # float_power calls the C pow, as Python's float ** does.
-    lhs = sum(np.float_power(v, exponent) for v in monogamy._hub_volumes(mat, n_qubits, 0))
+    lhs = sum(np.float_power(v, exponent) for v in volumes)
     return bound + _TOL - lhs
 
 

@@ -28,6 +28,7 @@ from .states import (
     _bloch_arr,
     _check_range,
     _density,
+    _ket_trace_arr,
     _partial_trace_arr,
     _purity_arr,
     _spin_corr_arr,
@@ -110,6 +111,15 @@ def _hub_volumes(mat: np.ndarray, n: int, hub: int) -> list[float]:
         reduced = _partial_trace_arr(mat, [hub, other], n)
         volumes.append(_volume_from_abT(*_steering_abT(reduced, 2, 0)))
     return volumes
+
+
+def _ket_hub_volumes(kets: np.ndarray, n: int, hub: int) -> list[float]:
+    """``_hub_volumes`` of the pure kets' densities bit for bit, traced from the kets directly."""
+    return [
+        _volume_from_abT(*_steering_abT(_ket_trace_arr(kets, [hub, other], n), 2, 0))
+        for other in range(n)
+        if other != hub
+    ]
 
 
 def volume_monogamy_report(rho: StateLike, hub: int = 0) -> MonogamyReport:

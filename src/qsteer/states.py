@@ -7,6 +7,7 @@ row-major.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -67,9 +68,18 @@ def as_rng(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float or other non-integral value raises a TypeError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _seed_word(master_seed: int) -> int:
     """High 64 bits of every sample key of ``master_seed``: its SeedSequence hash."""
-    return int(np.random.SeedSequence(int(master_seed)).generate_state(1, np.uint64)[0])
+    seed = _integer("master seed", master_seed)
+    return int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
 
 
 def sample_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -80,7 +90,7 @@ def sample_rng(master_seed: int, index: int) -> np.random.Generator:
     depend only on the pair, never on chunking, so parallel sweeps are
     reproducible for any worker count.
     """
-    index = int(index)
+    index = _integer("sample index", index)
     if not 0 <= index < 2**64:
         raise ValueError(f"sample index must lie in [0, 2**64), got {index}")
     return np.random.Generator(np.random.Philox(key=(_seed_word(master_seed) << 64) | index))
@@ -90,18 +100,28 @@ def sample_streams(master_seed: int, start: int, stop: int) -> Iterator[tuple[in
     """Yield ``(i, rng)`` for i in [start, stop), each rng bit-identical to ``sample_rng(master_seed, i)``.
 
     One Philox generator is re-keyed for each index through its ``state``
-    setter, so ``rng`` is valid only until the next iteration.  Indices
-    must lie in [0, 2**32).
+    setter, so ``rng`` is valid only until the next iteration.  The state
+    dict is built once from plain Python ints (counter 0, an empty buffer,
+    key ``[i, w]``) and only ``key[0]`` changes per index: the setter
+    converts Python ints about three times faster than uint64 array entries.
+    Indices must lie in [0, 2**32).
     """
-    start, stop = int(start), int(stop)
+    start, stop = _integer("start", start), _integer("stop", stop)
     if start < 0 or stop > 2**32:
         raise ValueError(f"sample indices [{start}, {stop}) must lie in [0, 2**32)")
-    bit_gen = np.random.Philox(key=_seed_word(master_seed) << 64)
+    key = [0, _seed_word(master_seed)]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bit_gen = np.random.Philox(0)
     rng = np.random.Generator(bit_gen)
-    # The state getter returns fresh arrays: counter 0, an empty buffer and key [0, w].
-    fresh = bit_gen.state
     for i in range(start, stop):
-        fresh["state"]["key"][0] = i
+        key[0] = i
         bit_gen.state = fresh
         yield i, rng
 
@@ -279,6 +299,28 @@ def _partial_trace_arr(mat: np.ndarray, keep: Sequence[int], n_qubits: int) -> n
     reduced = np.einsum(tensor, row + col, out_axes)
     d = 2 ** len(keep)
     return reduced.reshape(batch + (d, d))
+
+
+def _ket_trace_arr(kets: np.ndarray, keep: Sequence[int], n_qubits: int) -> np.ndarray:
+    """Reduced density on ``keep`` of the pure kets (..., 2**n); leading axes are a batch.
+
+    Bit for bit ``_partial_trace_arr(_densities(kets), keep, n_qubits)``
+    without forming |psi><psi|: the same products, added over the traced
+    configurations in the same C order, starting from zero.
+    """
+    batch = kets.shape[:-1]
+    traced = [q for q in range(n_qubits) if q not in keep]
+    axes = [*range(len(batch)), *(len(batch) + q for q in (*keep, *traced))]
+    d = 2 ** len(keep)
+    amps = kets.reshape(batch + (2,) * n_qubits).transpose(axes).reshape(batch + (d, -1))
+    conj = amps.conj()
+    if not traced:
+        # einsum only permutes axes then, so no sum starts from zero to turn -0.0 into 0.0.
+        return amps[..., :, None, 0] * conj[..., None, :, 0]
+    out = np.zeros(batch + (d, d), dtype=complex)
+    for t in range(amps.shape[-1]):
+        out += amps[..., :, None, t] * conj[..., None, :, t]
+    return out
 
 
 def partial_trace(rho: StateLike, keep: Iterable[int]) -> QuantumState:

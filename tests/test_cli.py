@@ -312,9 +312,22 @@ GOLDEN_CALLS = [
 ]
 
 
+# Conjecture searches, byte for byte as the density-matrix hub reduce wrote them.
+CONJECTURE_GOLDEN = [
+    ("conjecture_seed12345_20000.json", ["conjecture", "--samples", "20000", "--seed", "12345"]),
+    ("conjecture_seed7_20000.json", ["conjecture", "--samples", "20000", "--seed", "7"]),
+]
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("name, argv", GOLDEN_CALLS, ids=[name for name, _ in GOLDEN_CALLS])
     def test_bytes_match_golden_file(self, tmp_path, name, argv):
+        out = tmp_path / name
+        assert main([*argv, "--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("name, argv", CONJECTURE_GOLDEN, ids=[name for name, _ in CONJECTURE_GOLDEN])
+    def test_conjecture_bytes_match_golden_file(self, tmp_path, name, argv):
         out = tmp_path / name
         assert main([*argv, "--output", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / name).read_bytes()

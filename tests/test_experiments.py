@@ -470,6 +470,36 @@ class TestConjecture:
         assert run_conjecture_test(600, master_seed=4, workers=3) == single
         assert single.max_lhs == whole.max()
 
+    @pytest.mark.parametrize("seed", [12345, 7])
+    def test_block_lhs_matches_density_formula(self, seed):
+        # The hub reduce before it traced kets directly: build each density, then trace it.
+        rows = np.empty((300, 32))
+        for i, rng in sample_streams(seed, 0, 300):
+            rng.standard_normal(out=rows[i])
+        mats = states._densities(states._haar_arr(rows))
+        want = 0.0
+        for other in (1, 2, 3):
+            T = states._spin_corr_arr(_partial_trace_arr(mats, [0, other], 4))
+            want += np.sum(T * T, axis=(1, 2))
+        assert experiments._pure4_block_lhs(rows).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"n_samples": 10.7}, "sample count"),
+            ({"n_samples": 10, "master_seed": 1.5}, "master seed"),
+            ({"n_samples": 10, "workers": 2.0}, "workers"),
+        ],
+    )
+    def test_rejects_non_integers(self, kwargs, name):
+        # int() and numpy used to truncate these, or fail deep inside the sampling.
+        with pytest.raises(TypeError, match=name):
+            run_conjecture_test(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        got = run_conjecture_test(np.int64(10), master_seed=np.uint64(1), workers=np.int32(1))
+        assert got == run_conjecture_test(10, master_seed=1)
+
     def test_dict_round_trip_fields(self):
         payload = run_conjecture_test(10, master_seed=1).to_dict()
         assert set(payload) == {"samples", "violations", "max_lhs", "worst_state_seed", "near_misses"}
@@ -573,6 +603,12 @@ class TestPropertySuite:
     )
     def test_bad_counts_rejected(self, kwargs):
         with pytest.raises(ValueError):
+            run_property_suite(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [({"samples": 3.5}, "sample count"), ({"master_seed": 7.0}, "master seed")])
+    def test_non_integers_rejected(self, kwargs, name):
+        # samples=3.5 used to be rounded silently into the ensemble sizes.
+        with pytest.raises(TypeError, match=name):
             run_property_suite(**kwargs)
 
     def test_zero_samples_run_no_scaled_check(self):

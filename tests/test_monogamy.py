@@ -413,6 +413,15 @@ class TestStackedKernels:
             monogamy._purity_residuals_4q_arr(mats), [purity_identity_residuals_4q(m) for m in mats]
         )
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_ket_hub_volumes_match_density_hub_volumes(self, rng, n):
+        # A GHZ ket holds exact zeros, where a sum that starts from zero can turn -0.0 into 0.0.
+        kets = np.concatenate([states._haar_arr(rng.standard_normal((20, 2 ** (n + 1)))), [ghz_state(n).data]])
+        for hub in range(n):
+            got = monogamy._ket_hub_volumes(kets, n, hub)
+            want = monogamy._hub_volumes(states._densities(kets), n, hub)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
     def test_slocc_codes_cover_every_class(self, rng):
         kets = [
             random_pure_product_3q(rng),

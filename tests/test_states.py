@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,7 +236,8 @@ def _stream_draws(rng):
 
 
 class TestSampleStreams:
-    @pytest.mark.parametrize("master_seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 3])
+    # Seed 5's seed word is >= 2**63, so the re-keyed state dict holds a key word past int64.
+    @pytest.mark.parametrize("master_seed", [0, 1, 5, 12345, 2**32 - 1, 2**32, 2**64 + 3])
     def test_matches_sample_rng(self, master_seed):
         # 0..258 crosses the block boundary at 256; the last index is the largest allowed.
         ranges = [(0, 258), (2**32 - 1, 2**32)]
@@ -246,6 +249,17 @@ class TestSampleStreams:
                         np.testing.assert_array_equal(got, want)
                     checked.add(i)
         assert checked == {0, 1, 255, 256, 257, 2**32 - 1}
+
+    def test_seed_word_of_5_is_past_int64(self):
+        assert states._seed_word(5) >= 2**63
+
+    def test_buffered_uint32_does_not_reach_next_sample(self):
+        # An odd count of uint32 draws leaves half of a 64-bit word buffered in the generator.
+        for i, rng in sample_streams(5, 0, 6):
+            for got, want in zip(_stream_draws(rng), _stream_draws(sample_rng(5, i))):
+                np.testing.assert_array_equal(got, want)
+            rng.integers(0, 2**32 - 1, size=3, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
 
     @pytest.mark.parametrize("master_seed, index", [(0, 0), (12345, 258), (2**64 + 3, 2**64 - 1)])
     def test_key_layout(self, master_seed, index):
@@ -275,6 +289,25 @@ class TestSampleStreams:
         with pytest.raises(ValueError):
             list(sample_streams(7, start, stop))
 
+    @pytest.mark.parametrize("master_seed, index, name", [(5, 1.5, "sample index"), (1.5, 0, "master seed")])
+    def test_sample_rng_rejects_non_integers(self, master_seed, index, name):
+        # int() used to truncate these: sample_rng(5, 1.5) was sample 1's stream.
+        with pytest.raises(TypeError, match=name):
+            sample_rng(master_seed, index)
+
+    @pytest.mark.parametrize(
+        "master_seed, start, stop, name", [(5, 0.9, 2.9, "start"), (5, 0, 2.9, "stop"), (5.0, 0, 2, "master seed")]
+    )
+    def test_sample_streams_rejects_non_integers(self, master_seed, start, stop, name):
+        with pytest.raises(TypeError, match=name):
+            list(sample_streams(master_seed, start, stop))
+
+    def test_numpy_integers_accepted(self):
+        for got, want in zip(_stream_draws(sample_rng(np.int64(5), np.uint32(3))), _stream_draws(sample_rng(5, 3))):
+            np.testing.assert_array_equal(got, want)
+        streams = sample_streams(np.uint64(5), np.int32(2), np.int64(4))
+        assert [i for i, _ in streams] == [2, 3]
+
 
 class TestBatchedKernels:
     @pytest.mark.parametrize("n, keep", [(2, [0]), (2, [1]), (3, [0, 1]), (3, [2, 0]), (4, [0, 3]), (5, [1, 2, 4])])
@@ -298,6 +331,33 @@ class TestBatchedKernels:
         assert stacked.shape == (20, 3, 3)
         for mat, T in zip(mats, stacked):
             np.testing.assert_array_equal(T, states._spin_corr_arr(mat))
+
+
+class TestKetTrace:
+    """_ket_trace_arr equals the partial trace of the built densities bit for bit."""
+
+    @pytest.mark.parametrize("batch", [(), (1,), (7,), (256,), (3, 5)], ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_keep_permutation_matches_density_trace(self, rng, n, batch):
+        kets = states._haar_arr(rng.standard_normal(batch + (2 ** (n + 1),)))
+        mats = states._densities(kets)
+        for size in range(1, n + 1):
+            for keep in itertools.permutations(range(n), size):
+                got = states._ket_trace_arr(kets, list(keep), n)
+                want = states._partial_trace_arr(mats, list(keep), n)
+                assert got.shape == want.shape == batch + (2**size, 2**size)
+                # tobytes() tells -0.0 from 0.0, which array equality does not.
+                assert got.tobytes() == want.tobytes(), keep
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_signed_zeros_match_density_trace(self, rng, n):
+        # Exact zeros of either sign, as in GHZ- and W-type kets.
+        parts = [rng.choice([0.0, -0.0, 1.0, -0.5], size=(40, 2**n)) for _ in range(2)]
+        kets = parts[0] + 1j * parts[1]
+        for size in range(1, n + 1):
+            for keep in itertools.permutations(range(n), size):
+                got = states._ket_trace_arr(kets, list(keep), n)
+                assert got.tobytes() == states._partial_trace_arr(states._densities(kets), list(keep), n).tobytes()
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1e-9])

@@ -19,11 +19,11 @@ from .states import (
     QuantumState,
     StateLike,
     StateValidationError,
+    _abT_arr,
     _bloch_arr,
     _density,
     _kron_arr,
     _partial_trace_arr,
-    _spin_corr_arr,
 )
 
 __all__ = [
@@ -106,11 +106,9 @@ def _steering_abT(mat: np.ndarray, n: int, steering_qubit: int) -> tuple[np.ndar
         raise StateValidationError(f"expected a two-qubit state, got {n} qubits")
     if steering_qubit not in (0, 1):
         raise StateValidationError(f"steering_qubit must be 0 or 1, got {steering_qubit}")
-    a = _bloch_arr(_partial_trace_arr(mat, [steering_qubit], 2))
-    b = _bloch_arr(_partial_trace_arr(mat, [1 - steering_qubit], 2))
-    T = _spin_corr_arr(mat)
+    a, b, T = _abT_arr(mat)
     if steering_qubit == 1:
-        T = np.swapaxes(T, -1, -2)
+        return b, a, np.swapaxes(T, -1, -2)
     return a, b, T
 
 

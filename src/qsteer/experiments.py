@@ -256,10 +256,11 @@ def _ghz_columns(grid_steps: int) -> tuple[np.ndarray, ...]:
         raise ValueError("grid_steps must be >= 2")
     angles = _open_grid(grid_steps, math.pi / 2.0)
     alpha, beta = np.repeat(angles, grid_steps), np.tile(angles, grid_steps)
-    kets, x_pred, y_pred = monogamy._ghz_family_arr(alpha, beta)
-    v_b, v_c = np.empty(alpha.size), np.empty(alpha.size)
+    x_pred, y_pred, v_b, v_c = (np.empty(alpha.size) for _ in range(4))
+    # Each block builds its own kets, so no column of kets spans the grid.
     for block in _blocks(alpha.size):
-        v_b[block], v_c[block] = monogamy._ket_hub_volumes(kets[block], 3, 0)
+        kets, x_pred[block], y_pred[block] = monogamy._ghz_family_arr(alpha[block], beta[block])
+        v_b[block], v_c[block] = monogamy._ket_hub_volumes(kets, 3, 0)
     return (
         alpha, beta, v_b, v_c, x_pred, y_pred,
         np.abs(v_b - x_pred), np.abs(v_c - y_pred), np.sqrt(v_b) + np.sqrt(v_c),

@@ -50,8 +50,8 @@ PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 #: Identity plus Paulis, indexed 0..3, shape (4, 2, 2).
 PAULIS_WITH_ID = np.concatenate([np.eye(2, dtype=complex)[None], PAULIS])
 
-# Precomputed sigma_j (x) sigma_k stack, shape (3, 3, 4, 4); used by the
-# two-qubit correlation extraction in hot Monte-Carlo loops.
+# Precomputed sigma_j (x) sigma_k stack, shape (3, 3, 4, 4); the (a, b, T)
+# gather plans are read off it, and _reconstruct_arr sums over it.
 _PAULI_PAIRS = np.einsum("jab,kcd->jkacbd", PAULIS, PAULIS).reshape(3, 3, 4, 4)
 
 SeedLike = Union[int, Sequence[int], np.random.Generator, np.random.SeedSequence, None]
@@ -143,9 +143,10 @@ def _check_n_qubits(dim: int) -> int:
 
 
 def _check_tol(tol: float) -> None:
-    # ``x > tol`` is False for every x when tol is NaN, so a NaN tol would accept any state.
-    if not tol >= 0:
-        raise ValueError(f"tol must be a number >= 0, got {tol}")
+    # ``x > tol`` is False for every x when tol is NaN, so a NaN tol would accept any state;
+    # an infinite one accepts any state too, and at tol >= 1 the trace check accepts zero.
+    if not 0 <= tol < 1:
+        raise ValueError(f"tol must be a number in [0, 1), got {tol}")
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -360,11 +361,99 @@ def bloch_vector(rho: StateLike) -> np.ndarray:
     return _bloch_arr(mat)
 
 
+def _pauli_terms(op: np.ndarray) -> list[tuple[int, float]]:
+    """Terms ``(index, sign)`` of Re Tr[op rho] over the float64 view of a complex 4x4 ``rho``.
+
+    Every entry of ``op`` is 0, +-1 or +-i, so the real part of each
+    product op[r, c] rho[c, r] is +-Re or +-Im of rho[c, r]: float entry
+    2 (4c + r), or the one after it.  Terms come in the row-major order of
+    ``op``, the order in which ``np.einsum`` adds the products.
+    """
+    terms = []
+    for r, c in zip(*np.nonzero(op)):
+        p = op[r, c]
+        terms.append((2 * (4 * c + r) + int(p.imag != 0), p.real - p.imag))
+    return terms
+
+
+def _marginal_terms(sigma: np.ndarray, slot: int) -> list[tuple[int, float]]:
+    """Terms of Tr[sigma rho_M] for the marginal rho_M of qubit ``slot`` of a two-qubit ``rho``.
+
+    Each entry of ``sigma``, in row-major order, brings the two entries of
+    ``rho`` whose sum the partial trace makes the marginal entry.
+    """
+    eye = np.eye(2)
+    terms = []
+    for x, y in zip(*np.nonzero(sigma)):
+        unit = np.zeros((2, 2), dtype=complex)
+        unit[x, y] = sigma[x, y]
+        terms += _pauli_terms(np.kron(unit, eye) if slot == 0 else np.kron(eye, unit))
+    return terms
+
+
+def _plan(coefficients: list[list[tuple[int, float]]]) -> tuple[np.ndarray, np.ndarray]:
+    """Float-view indices (4, m) and signs (4, m, 1): term t of coefficient c at [t, c]."""
+    table = np.array(coefficients).T
+    return table[0].astype(np.intp), table[1][..., None]
+
+
+# Gather plans of (a, b, T): columns 0-2 are a, 3-5 are b and 6-14 are T
+# row-major; _T_PLAN is the T columns alone.
+_ABT_PLAN = _plan(
+    [_marginal_terms(sigma, 0) for sigma in PAULIS]
+    + [_marginal_terms(sigma, 1) for sigma in PAULIS]
+    + [_pauli_terms(op) for op in _PAULI_PAIRS.reshape(9, 4, 4)]
+)
+_T_PLAN = (_ABT_PLAN[0][:, 6:], _ABT_PLAN[1][:, 6:])
+
+
+def _signed_terms(mat: np.ndarray, plan: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The signed terms (4, m, N) that ``plan`` picks from each matrix of the (..., 4, 4) stack ``mat``."""
+    flat = np.ascontiguousarray(mat, dtype=complex).view(np.float64).reshape(-1, 32)
+    index, sign = plan
+    return flat.T[index] * sign
+
+
+def _sum_terms(terms: np.ndarray, shape: tuple) -> np.ndarray:
+    """(((0 + t0) + t1) + t2) + t3 over axis 0 of ``terms``, reshaped to ``shape``.
+
+    The result is the ``.real`` view of a zeroed complex buffer.  A sum
+    begun at 0.0 turns -0.0 into 0.0, as einsum does, and the view's
+    16-byte trailing stride is that of einsum's ``.real`` output: a stacked
+    matmul picks its BLAS or non-BLAS loop, and a sum over several axes its
+    order, by memory layout.
+    """
+    out = np.zeros(terms.shape[:0:-1], dtype=complex).real
+    np.add.reduce(terms, axis=0, out=out.T, initial=0.0)
+    return out.reshape(shape)
+
+
+def _abT_arr(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, T) of the trailing (4, 4) axes of ``mat``; leading axes are a batch.
+
+    Bit for bit the einsum forms ``_bloch_arr(_partial_trace_arr(mat, [q], 2))``
+    and ``einsum("jkab,...ba->...jk", _PAULI_PAIRS, mat).real``: the same
+    signed terms, added in the same order.  T adds its four terms as
+    (((0 + t0) + t1) + t2) + t3.  a and b add two marginal entries of two
+    terms each; einsum does it as (0 + ((0 + t0) + t1)) + ((0 + t2) + t3),
+    and (((0 + t0) + t1) + (t2 + t3)) + 0 is equal, because a sum begun at
+    0.0 is never -0.0, so the sign of a zero addend never shows.
+    """
+    batch = mat.shape[:-2]
+    terms = _signed_terms(mat, _ABT_PLAN)
+    # a and b: the second marginal entry, t2 + t3, takes slot 2 and a zero slot 3.
+    terms[2, :6] += terms[3, :6]
+    terms[3, :6] = 0.0
+    out = _sum_terms(terms, batch + (15,))
+    return out[..., :3], out[..., 3:6], out[..., 6:].reshape(batch + (3, 3))
+
+
 def _spin_corr_arr(rho4: np.ndarray) -> np.ndarray:
-    """T of the trailing (4, 4) axes of ``rho4``; leading axes are a batch."""
-    # As in _partial_trace_arr, a single matrix skips the slower ellipsis form.
-    subscripts = "jkab,ba->jk" if rho4.ndim == 2 else "jkab,...ba->...jk"
-    return np.einsum(subscripts, _PAULI_PAIRS, rho4).real
+    """T of the trailing (4, 4) axes of ``rho4``; leading axes are a batch.
+
+    The T columns of :func:`_abT_arr`, with the same bits and layout.
+    """
+    return _sum_terms(_signed_terms(rho4, _T_PLAN), rho4.shape[:-2] + (3, 3))
 
 
 def spin_correlation_matrix(rho: StateLike) -> np.ndarray:
@@ -449,9 +538,7 @@ def _pauli_arr(mat: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, n
 
     Leading axes are a batch; one entry out of range rejects the stack.
     """
-    a = _bloch_arr(_partial_trace_arr(mat, [0], 2))
-    b = _bloch_arr(_partial_trace_arr(mat, [1], 2))
-    T = _spin_corr_arr(mat)
+    a, b, T = _abT_arr(mat)
     if np.any(np.linalg.norm(a, axis=-1) > 1 + tol) or np.any(np.linalg.norm(b, axis=-1) > 1 + tol):
         raise StateValidationError("Bloch vector norm exceeds 1")
     if np.any(np.abs(T) > 1 + tol):

@@ -147,7 +147,7 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--input", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1", "1e300"])
     def test_bad_tol_exits_2(self, tmp_path, capsys, tol):
         path = tmp_path / "norm9.json"
         path.write_text(json.dumps({"n_qubits": 1, "kind": "pure", "data": [[3.0, 0.0], [0.0, 0.0]]}))
@@ -331,6 +331,12 @@ class TestGoldenOutput:
         out = tmp_path / name
         assert main([*argv, "--output", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_suite_bytes_match_golden_file(self, tmp_path):
+        # Every invariant's margins at a small scale, as the einsum (a, b, T) kernels wrote them.
+        out = tmp_path / "suite.json"
+        assert main(["suite", "--samples", "200", "--seed", "7", "--workers", "1", "--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "suite_seed7_200.json").read_bytes()
 
     def test_full_size_figures_match_committed_digests(self, tmp_path):
         digests = dict(line.split()[::-1] for line in (GOLDEN / "figures.sha256").read_text().splitlines())

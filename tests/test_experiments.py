@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
@@ -543,6 +544,17 @@ class TestGhzSweep:
         rows = sweep_ghz_region(grid_steps=7)
         assert rows == expected
         assert all(type(value) is float for row in rows for value in vars(row).values())
+
+    def test_peak_memory_is_near_the_output(self):
+        # Kets are built per block, so the peak is the output columns plus one block.
+        experiments._ghz_columns(2)
+        tracemalloc.start()
+        try:
+            columns = experiments._ghz_columns(400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sum(column.nbytes for column in columns)
 
 
 class TestNoisyWSweep:

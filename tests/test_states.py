@@ -367,6 +367,27 @@ def test_pauli_decomposition_rejects_nan_or_negative_tol(tol):
         pauli_decomposition(9 * np.eye(4) / 4, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), 1.0, 1e300])
+def test_infinite_or_huge_tol_is_rejected(tol):
+    # Such a tol switched validation off: a ket of norm 3 was accepted, and at
+    # tol >= 1 the trace check accepts the zero matrix.
+    calls = [
+        lambda: QuantumState.from_matrix(np.zeros((2, 2)), tol=tol),
+        lambda: QuantumState.from_amplitudes([3.0, 0.0], tol=tol),
+        lambda: ket_to_density([3.0, 0.0], tol=tol),
+        lambda: pauli_decomposition(9 * np.eye(4) / 4, tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be"):
+            call()
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.5, np.nextafter(1.0, 0.0)])
+def test_tol_in_unit_interval_is_accepted(tol):
+    assert QuantumState.from_amplitudes([1.0, 0.0], tol=tol).n_qubits == 1
+    assert pauli_decomposition(np.eye(4) / 4, tol=tol).T.shape == (3, 3)
+
+
 class TestStackedKernels:
     """Each stacked kernel equals its per-matrix form bit for bit."""
 

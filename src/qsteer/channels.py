@@ -63,10 +63,7 @@ class KrausChannel:
 
     def apply(self, rho2: np.ndarray) -> np.ndarray:
         """Act on a single-qubit density matrix."""
-        out = np.zeros((2, 2), dtype=complex)
-        for k in self.operators:
-            out += k @ rho2 @ k.conj().T
-        return out
+        return _apply_local_arr([self.superoperator], np.asarray(rho2, dtype=complex), 1)
 
     def to_dict(self) -> dict:
         return {

@@ -22,6 +22,7 @@ from .states import (
     _abT_arr,
     _bloch_arr,
     _density,
+    _integer,
     _kron_arr,
     _partial_trace_arr,
 )
@@ -104,6 +105,7 @@ def _steering_abT(mat: np.ndarray, n: int, steering_qubit: int) -> tuple[np.ndar
     """(a, b, T) with the steering qubit in the Alice slot of a 2-qubit matrix; leading axes are a batch."""
     if n != 2:
         raise StateValidationError(f"expected a two-qubit state, got {n} qubits")
+    steering_qubit = _integer("steering_qubit", steering_qubit)
     if steering_qubit not in (0, 1):
         raise StateValidationError(f"steering_qubit must be 0 or 1, got {steering_qubit}")
     a, b, T = _abT_arr(mat)
@@ -113,19 +115,10 @@ def _steering_abT(mat: np.ndarray, n: int, steering_qubit: int) -> tuple[np.ndar
 
 
 def _volume_from_abT(a: np.ndarray, b: np.ndarray, T: np.ndarray):
-    """|det(T - a b^T)| / (1 - |a|^2)^2, or 0 for a pure steering marginal.
-
-    A single (a, b, T) gives a float; leading batch axes give an array whose
-    entries equal the single-state results bit for bit.
-    """
-    if a.ndim == 1:
-        gamma = 1.0 - float(a @ a)
-        if gamma <= DEGENERACY_THRESHOLD:
-            return 0.0
-        return float(abs(np.linalg.det(T - a[:, None] * b)) / gamma**2)
+    """|det(T - a b^T)| / (1 - |a|^2)^2, or 0 for a pure steering marginal; leading axes are a batch."""
     # matmul reduces each row with the same dot kernel as ``a @ a``, and
-    # float_power calls the C pow that the float ``**`` above uses; einsum
-    # and ``** 2`` round differently in the last bit.
+    # float_power calls the C pow that a float ``**`` uses; einsum and
+    # ``** 2`` round differently in the last bit.
     gamma = 1.0 - (a[..., None, :] @ a[..., :, None])[..., 0, 0]
     pure = gamma <= DEGENERACY_THRESHOLD
     det = np.linalg.det(T - a[..., :, None] * b[..., None, :])
@@ -158,6 +151,7 @@ def canonical_form(rho: StateLike, steering_qubit: int = 0) -> QuantumState:
         If the steering qubit's marginal is pure (1 - |a|^2 <= 1e-12).
     """
     mat, n = _density(rho)
+    steering_qubit = _integer("steering_qubit", steering_qubit)
     if steering_qubit < 0 or steering_qubit >= n:
         raise StateValidationError(f"steering_qubit {steering_qubit} out of range for {n} qubits")
     return QuantumState(n, _canonical_arr(mat, n, steering_qubit))
@@ -172,7 +166,7 @@ def _canonical_arr(mat: np.ndarray, n: int, steering_qubit: int) -> np.ndarray:
     a = _bloch_arr(marginal)
     pure = 1.0 - (a[..., None, :] @ a[..., :, None])[..., 0, 0] <= DEGENERACY_THRESHOLD
     if np.any(pure):
-        first = a[pure][0] if a.ndim > 1 else a
+        first = a[pure][0]
         raise DegenerateMarginalError(
             f"steering qubit {steering_qubit} has a pure marginal (|a| = {np.linalg.norm(first):.12g})"
         )
@@ -210,7 +204,7 @@ def steering_ellipsoid(rho: StateLike, steering_qubit: int = 0) -> SteeringEllip
         center=center,
         orientation=q,
         semiaxes=semiaxes,
-        normalized_volume=_volume_from_abT(a, b, T),
+        normalized_volume=float(_volume_from_abT(a, b, T)),
         degenerate=False,
     )
 
@@ -222,8 +216,7 @@ def normalized_volume(rho: StateLike, steering_qubit: int = 0) -> float:
     canonical form whenever the latter exists.
     """
     mat, n = _density(rho)
-    a, b, T = _steering_abT(mat, n, steering_qubit)
-    return _volume_from_abT(a, b, T)
+    return float(_volume_from_abT(*_steering_abT(mat, n, steering_qubit)))
 
 
 def _steered_arr(a: np.ndarray, b: np.ndarray, T: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -260,7 +260,7 @@ def _ghz_columns(grid_steps: int) -> tuple[np.ndarray, ...]:
     # Each block builds its own kets, so no column of kets spans the grid.
     for block in _blocks(alpha.size):
         kets, x_pred[block], y_pred[block] = monogamy._ghz_family_arr(alpha[block], beta[block])
-        v_b[block], v_c[block] = monogamy._ket_hub_volumes(kets, 3, 0)
+        v_b[block], v_c[block] = monogamy._hub_volumes(kets, 3, 0, states._ket_trace_arr)
     return (
         alpha, beta, v_b, v_c, x_pred, y_pred,
         np.abs(v_b - x_pred), np.abs(v_c - y_pred), np.sqrt(v_b) + np.sqrt(v_c),
@@ -485,7 +485,7 @@ def _monogamy_sum_margins(
     draws: np.ndarray, *, n_qubits: int, pure: bool, exponent: float, bound: float
 ) -> np.ndarray:
     if pure:
-        volumes = monogamy._ket_hub_volumes(_pure_kets(draws, n_qubits), n_qubits, 0)
+        volumes = monogamy._hub_volumes(_pure_kets(draws, n_qubits), n_qubits, 0, states._ket_trace_arr)
     else:
         volumes = monogamy._hub_volumes(_mixed_states(draws, n_qubits), n_qubits, 0)
     # float_power calls the C pow, as Python's float ** does.

@@ -28,7 +28,7 @@ from .states import (
     _bloch_arr,
     _check_range,
     _density,
-    _ket_trace_arr,
+    _integer,
     _partial_trace_arr,
     _purity_arr,
     _spin_corr_arr,
@@ -103,23 +103,17 @@ class SloccClass(enum.Enum):
     GHZ_CLASS = "GHZClass"
 
 
-def _hub_volumes(mat: np.ndarray, n: int, hub: int) -> list[float]:
-    volumes = []
-    for other in range(n):
-        if other == hub:
-            continue
-        reduced = _partial_trace_arr(mat, [hub, other], n)
-        volumes.append(_volume_from_abT(*_steering_abT(reduced, 2, 0)))
-    return volumes
+def _hub_volumes(mat: np.ndarray, n: int, hub: int, trace=None) -> list[np.ndarray]:
+    """Volumes v_{X|hub}, X ascending, of the n-qubit states ``mat``; leading axes are a batch.
 
-
-def _ket_hub_volumes(kets: np.ndarray, n: int, hub: int) -> list[float]:
-    """``_hub_volumes`` of the pure kets' densities bit for bit, traced from the kets directly."""
-    return [
-        _volume_from_abT(*_steering_abT(_ket_trace_arr(kets, [hub, other], n), 2, 0))
-        for other in range(n)
-        if other != hub
-    ]
+    ``trace(mat, keep, n)`` reduces ``mat`` to each (hub, X) pair: by default
+    ``_partial_trace_arr`` of density matrices; ``states._ket_trace_arr`` of
+    kets gives the same bits without forming |psi><psi|.  The default is
+    looked up at call time, so that ``benchmarks/tracer.py``, which rebinds
+    module names, still sees it.
+    """
+    trace = trace or _partial_trace_arr
+    return [_volume_from_abT(*_steering_abT(trace(mat, [hub, other], n), 2, 0)) for other in range(n) if other != hub]
 
 
 def volume_monogamy_report(rho: StateLike, hub: int = 0) -> MonogamyReport:
@@ -127,9 +121,10 @@ def volume_monogamy_report(rho: StateLike, hub: int = 0) -> MonogamyReport:
     mat, n = _density(rho)
     if n < 3:
         raise StateValidationError(f"monogamy report needs at least 3 qubits, got {n}")
+    hub = _integer("hub", hub)
     if hub < 0 or hub >= n:
         raise StateValidationError(f"hub {hub} out of range for {n} qubits")
-    volumes = _hub_volumes(mat, n, hub)
+    volumes = [float(v) for v in _hub_volumes(mat, n, hub)]
     return MonogamyReport(
         hub=hub,
         volumes=tuple(volumes),
@@ -151,6 +146,7 @@ def pairwise_correlation_sum(rho: StateLike, pairs: Sequence[tuple[int, int]] | 
     mat, n = _density(rho)
     if pairs is None:
         pairs = list(combinations(range(n), 2))
+    pairs = [(_integer("pairs entry", i), _integer("pairs entry", j)) for i, j in pairs]
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise StateValidationError(f"invalid qubit pair ({i}, {j}) for {n} qubits")
@@ -303,9 +299,12 @@ def _wootters_lambdas(mat: np.ndarray, rank_cap: int | None = None) -> np.ndarra
     return np.sqrt(mu)
 
 
-def _concurrence_arr(mat: np.ndarray):
-    """Wootters concurrence of the trailing (4, 4) axes of ``mat``; leading axes are a batch."""
-    lam = _wootters_lambdas(mat)
+def _concurrence_arr(mat: np.ndarray, rank_cap: int | None = None):
+    """Wootters concurrence of the trailing (4, 4) axes of ``mat``; leading axes are a batch.
+
+    ``rank_cap`` zeroes all but that many of the largest spin-flip eigenvalues.
+    """
+    lam = _wootters_lambdas(mat, rank_cap)
     c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     return np.where(c > 0.0, c, 0.0)
 
@@ -342,17 +341,21 @@ def ckw_residual(rho: StateLike, hub: int = 0) -> float:
     mat, n = _density(rho)
     if n != 3:
         raise StateValidationError(f"ckw_residual expects three qubits, got {n}")
+    hub = _integer("hub", hub)
     if hub not in (0, 1, 2):
         raise StateValidationError(f"hub must be 0, 1 or 2, got {hub}")
     return float(_ckw_arr(mat, hub))
 
 
-def _ckw_arr(mat: np.ndarray, hub: int = 0):
-    """:func:`ckw_residual` of the trailing (8, 8) axes of ``mat``; leading axes are a batch."""
+def _ckw_arr(mat: np.ndarray, hub: int = 0, rank_cap: int | None = None):
+    """:func:`ckw_residual` of the trailing (8, 8) axes of ``mat``; leading axes are a batch.
+
+    ``rank_cap`` is passed to each concurrence (see :func:`_concurrence_arr`).
+    """
     total = 4.0 * np.linalg.det(_partial_trace_arr(mat, [hub], 3)).real
     for other in (q for q in range(3) if q != hub):
         # float_power calls the C pow, as Python's float ** does.
-        total = total - np.float_power(_concurrence_arr(_partial_trace_arr(mat, [hub, other], 3)), 2)
+        total = total - np.float_power(_concurrence_arr(_partial_trace_arr(mat, [hub, other], 3), rank_cap), 2)
     return total
 
 
@@ -370,13 +373,11 @@ def three_tangle(psi: StateLike) -> float:
 
 
 def _three_tangle_arr(mat: np.ndarray):
-    """:func:`three_tangle` of the trailing (8, 8) axes of pure ``mat``; leading axes are a batch."""
-    total = 4.0 * np.linalg.det(_partial_trace_arr(mat, [0], 3)).real
-    for other in (1, 2):
-        lam = _wootters_lambdas(_partial_trace_arr(mat, [0, other], 3), rank_cap=2)
-        gap = lam[..., 0] - lam[..., 1]
-        total = total - np.float_power(np.where(gap > 0.0, gap, 0.0), 2)
-    return total
+    """:func:`three_tangle` of the trailing (8, 8) axes of pure ``mat``; leading axes are a batch.
+
+    The CKW residual from qubit 0 with the pair reductions' rank capped at 2.
+    """
+    return _ckw_arr(mat, 0, rank_cap=2)
 
 
 def slocc_classify(psi: StateLike) -> SloccClass:

@@ -270,15 +270,9 @@ def ket_to_density(psi: StateLike, tol: float = DEFAULT_TOL) -> QuantumState:
     if isinstance(psi, QuantumState):
         if not psi.is_pure:
             raise StateValidationError("ket_to_density expects an amplitude vector")
-        vec, n = psi.data, psi.n_qubits
-    else:
-        vec = np.asarray(psi, dtype=complex).reshape(-1)
-        n = _check_n_qubits(vec.size)
-        _check_finite(vec)
-    norm_sq = float(np.vdot(vec, vec).real)
-    if abs(norm_sq - 1.0) > tol:
-        raise StateValidationError(f"amplitude vector has squared norm {norm_sq}, expected 1")
-    return QuantumState(n, np.outer(vec, vec.conj()))
+        psi = psi.data
+    ket = QuantumState.from_amplitudes(psi, tol)
+    return QuantumState(ket.n_qubits, ket.matrix)
 
 
 def _densities(kets: np.ndarray) -> np.ndarray:
@@ -290,14 +284,9 @@ def _partial_trace_arr(mat: np.ndarray, keep: Sequence[int], n_qubits: int) -> n
     """Reduce the trailing (2**n, 2**n) axes of ``mat``; leading axes are a batch."""
     batch = mat.shape[:-2]
     tensor = mat.reshape(batch + (2,) * (2 * n_qubits))
-    row = list(range(n_qubits))
     # Tying a qubit's column axis to its row axis traces that qubit out.
-    col = [n_qubits + q if q in keep else q for q in row]
-    out_axes = [*keep, *[n_qubits + q for q in keep]]
-    if batch:
-        # An ellipsis costs a single matrix about 1 us more per call.
-        row, out_axes = [..., *row], [..., *out_axes]
-    reduced = np.einsum(tensor, row + col, out_axes)
+    col = [n_qubits + q if q in keep else q for q in range(n_qubits)]
+    reduced = np.einsum(tensor, [..., *range(n_qubits), *col], [..., *keep, *[n_qubits + q for q in keep]])
     d = 2 ** len(keep)
     return reduced.reshape(batch + (d, d))
 
@@ -336,7 +325,7 @@ def partial_trace(rho: StateLike, keep: Iterable[int]) -> QuantumState:
         this list, so ``keep=[2, 0]`` puts qubit 2 first.
     """
     mat, n = _density(rho)
-    keep = [int(q) for q in keep]
+    keep = [_integer("keep entry", q) for q in keep]
     if not keep:
         raise StateValidationError("keep list must not be empty")
     if len(set(keep)) != len(keep):
@@ -348,9 +337,7 @@ def partial_trace(rho: StateLike, keep: Iterable[int]) -> QuantumState:
 
 def _bloch_arr(rho2: np.ndarray) -> np.ndarray:
     """Bloch vector of the trailing (2, 2) axes of ``rho2``; leading axes are a batch."""
-    # As in _partial_trace_arr, a single matrix skips the slower ellipsis form.
-    subscripts = "jab,ba->j" if rho2.ndim == 2 else "jab,...ba->...j"
-    return np.einsum(subscripts, PAULIS, rho2).real
+    return np.einsum("jab,...ba->...j", PAULIS, rho2).real
 
 
 def bloch_vector(rho: StateLike) -> np.ndarray:
@@ -471,7 +458,7 @@ def pauli_coefficient(rho: StateLike, labels: Sequence[int]) -> float:
     qubit.
     """
     mat, n = _density(rho)
-    labels = [int(l) for l in labels]
+    labels = [_integer("labels entry", l) for l in labels]
     if len(labels) != n:
         raise StateValidationError(f"need {n} labels, got {len(labels)}")
     if any(l < 0 or l > 3 for l in labels):
@@ -484,9 +471,7 @@ def pauli_coefficient(rho: StateLike, labels: Sequence[int]) -> float:
 
 def _purity_arr(mat: np.ndarray):
     """Tr[rho^2] of the trailing (d, d) axes of ``mat``; leading axes are a batch."""
-    # As in _partial_trace_arr, a single matrix skips the slower ellipsis form.
-    subscripts = "ij,ji->" if mat.ndim == 2 else "...ij,...ji->..."
-    return np.einsum(subscripts, mat, mat).real
+    return np.einsum("...ij,...ji->...", mat, mat).real
 
 
 def purity(rho: StateLike) -> float:
@@ -564,8 +549,6 @@ def _haar_arr(draws: np.ndarray) -> np.ndarray:
     """
     d = draws.shape[-1] // 2
     vec = draws[..., :d] + 1j * draws[..., d:]
-    if vec.ndim == 1:
-        return vec / np.linalg.norm(vec)
     re, im = vec.real, vec.imag
     # 1 x d times d x 1 products are the strided dot products that
     # np.linalg.norm takes; norm(axis=-1) rounds differently.

@@ -11,7 +11,7 @@ from qsteer.ellipsoid import (
     steered_point,
     steering_ellipsoid,
 )
-from qsteer.monogamy import concurrence, singlet_state, w_state, werner_state
+from qsteer.monogamy import concurrence, ghz_state, singlet_state, w_state, werner_state
 from qsteer.states import (
     bloch_vector,
     partial_trace,
@@ -22,6 +22,14 @@ from qsteer.states import (
 )
 
 from conftest import random_single_qubit_density
+
+
+def _ref_volume_from_abT(a, b, T):
+    """The single-triple volume formula that the batch kernel replaced, verbatim."""
+    gamma = 1.0 - float(a @ a)
+    if gamma <= ellipsoid.DEGENERACY_THRESHOLD:
+        return 0.0
+    return float(abs(np.linalg.det(T - a[:, None] * b)) / gamma**2)
 
 
 class TestCanonicalForm:
@@ -142,7 +150,7 @@ class TestBatchedVolume:
             assert stacked.shape == (2, 4)
             for idx in np.ndindex(2, 4):
                 single = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mats[idx], 2, steering))
-                assert isinstance(single, float)
+                assert single.shape == ()
                 assert stacked[idx] == single
         assert ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mats, 2, 0))[1, 3] == 0.0
 
@@ -153,8 +161,26 @@ class TestBatchedVolume:
         b = rng.uniform(-1.0, 1.0, (20_000, 3))
         T = rng.uniform(-1.0, 1.0, (20_000, 3, 3))
         stacked = ellipsoid._volume_from_abT(a, b, T)
-        singles = [ellipsoid._volume_from_abT(*triple) for triple in zip(a, b, T)]
+        singles = [_ref_volume_from_abT(*triple) for triple in zip(a, b, T)]
         np.testing.assert_array_equal(stacked, singles)
+
+    def test_single_state_matches_scalar_formula(self, rng):
+        # GHZ pairs have a = 0 and exact zeros; the product and pure-state pairs have pure marginals.
+        product = np.kron(np.diag([1.0, 0.0]), random_single_qubit_density(rng)).astype(complex)
+        mats = [partial_trace(ghz_state(3), [0, 1]).data, werner_state().matrix, singlet_state().matrix, product]
+        mats += [random_mixed_state(2, seed=rng).matrix for _ in range(20)]
+        mats += [random_pure_state(2, seed=rng).matrix for _ in range(5)]
+        mats += [np.kron(random_pure_state(1, seed=rng).matrix, random_single_qubit_density(rng))]
+        for mat in mats:
+            for steering in (0, 1):
+                triple = ellipsoid._steering_abT(mat, 2, steering)
+                want = _ref_volume_from_abT(*triple)
+                single = ellipsoid._volume_from_abT(*triple)
+                assert single.shape == ()
+                assert float(single).hex() == want.hex()
+                assert normalized_volume(mat, steering).hex() == want.hex()
+                assert steering_ellipsoid(mat, steering).normalized_volume.hex() == want.hex()
+        assert normalized_volume(product) == 0.0
 
     def test_stack_of_pure_marginals_is_zero(self, rng):
         mats = np.stack([random_pure_state(1, seed=rng).matrix for _ in range(5)])

@@ -155,7 +155,7 @@ def _ref_monogamy_sum(master_seed: int, start: int, stop: int, *, n_qubits: int,
     out = np.empty(stop - start)
     for i, rng in sample_streams(master_seed, start, stop):
         mat = _pure_matrix(rng, n_qubits) if pure else _mixed_matrix(rng, n_qubits)
-        lhs = sum(v**exponent for v in monogamy._hub_volumes(mat, n_qubits, 0))
+        lhs = sum(float(v) ** exponent for v in monogamy._hub_volumes(mat, n_qubits, 0))
         out[i - start] = bound + _TOL - lhs
     return out
 

@@ -366,6 +366,16 @@ class TestCanonicalVolumeEqualities:
             assert rep.sqrt_lhs <= 1.0 + 1e-9
 
 
+def _ref_three_tangle(mat):
+    """The 3-tangle formula that the rank-capped CKW residual replaced, verbatim."""
+    total = 4.0 * np.linalg.det(states._partial_trace_arr(mat, [0], 3)).real
+    for other in (1, 2):
+        lam = monogamy._wootters_lambdas(states._partial_trace_arr(mat, [0, other], 3), rank_cap=2)
+        gap = lam[..., 0] - lam[..., 1]
+        total = total - np.float_power(np.where(gap > 0.0, gap, 0.0), 2)
+    return total
+
+
 def _stack(rng, n, pure, count=40):
     if pure:
         return states._densities(states._haar_arr(rng.standard_normal((count, 2 ** (n + 1)))))
@@ -406,6 +416,14 @@ class TestStackedKernels:
             monogamy._correlation_sum_arr(mats, 3, pairs), [pairwise_correlation_sum(m) for m in mats]
         )
 
+    def test_three_tangle_matches_former_formula(self, rng):
+        kets = [ghz_state().data, w_state().data, max_volume_state(0.0).data, max_volume_state(0.7).data]
+        kets += [random_pure_product_3q(rng)]
+        mats = np.concatenate([states._densities(np.array(kets)), _stack(rng, 3, pure=True)])
+        assert monogamy._three_tangle_arr(mats).tobytes() == _ref_three_tangle(mats).tobytes()
+        for mat in mats:
+            assert three_tangle(mat).hex() == float(_ref_three_tangle(mat)).hex()
+
     def test_pure_four_qubit_measures(self, rng):
         mats = _stack(rng, 4, pure=True)
         np.testing.assert_array_equal(monogamy._l_bcd_arr(mats), [l_bcd(m) for m in mats])
@@ -418,7 +436,7 @@ class TestStackedKernels:
         # A GHZ ket holds exact zeros, where a sum that starts from zero can turn -0.0 into 0.0.
         kets = np.concatenate([states._haar_arr(rng.standard_normal((20, 2 ** (n + 1)))), [ghz_state(n).data]])
         for hub in range(n):
-            got = monogamy._ket_hub_volumes(kets, n, hub)
+            got = monogamy._hub_volumes(kets, n, hub, states._ket_trace_arr)
             want = monogamy._hub_volumes(states._densities(kets), n, hub)
             assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 

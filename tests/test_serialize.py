@@ -240,3 +240,59 @@ def test_csv_quoting_matches_the_csv_module():
         csv.writer(buf, quoting=csv.QUOTE_MINIMAL).writerow(row)
         lines.append(buf.getvalue().removesuffix("\r\n"))
     assert out == "\n".join(lines) + "\n"
+
+
+def test_public_single_state_results_are_python_floats_that_serialize():
+    # The single-state calls run the batch kernels, whose results are 0-d arrays; the
+    # public functions must hand back Python floats, and dumps rejects 0-d arrays.
+    from qsteer import (
+        ckw_residual,
+        concurrence,
+        concurrence_volume_residual,
+        counterexample_state,
+        ghz_state,
+        isotropic_channel,
+        l_bcd,
+        monotonicity_check,
+        normalized_volume,
+        pairwise_correlation_sum,
+        pauli_coefficient,
+        polygon_residual,
+        purified_counterexample,
+        purity,
+        steering_ellipsoid,
+        three_tangle,
+        volume_monogamy_report,
+        w_state,
+        werner_state,
+    )
+
+    werner, w = werner_state(), w_state()
+    product = np.kron(np.diag([1.0, 0.0]), werner_state().matrix[:2, :2] * 2).astype(complex)
+    scalars = [
+        normalized_volume(werner),
+        normalized_volume(product),
+        purity(werner),
+        purity(w),
+        pauli_coefficient(w, [3, 0, 0]),
+        concurrence(werner),
+        concurrence_volume_residual(werner, 1),
+        ckw_residual(counterexample_state(), 1),
+        three_tangle(ghz_state()),
+        polygon_residual(w),
+        pairwise_correlation_sum(w),
+        l_bcd(purified_counterexample()),
+        *monotonicity_check(werner, [isotropic_channel(0.1)] * 2)[:2],
+    ]
+    assert all(type(value) is float for value in scalars), [type(value) for value in scalars]
+    ellipsoids = [steering_ellipsoid(werner), steering_ellipsoid(product), steering_ellipsoid(werner, 1)]
+    reports = [volume_monogamy_report(state, hub) for state in (w, counterexample_state()) for hub in range(3)]
+    reports.append(volume_monogamy_report(purified_counterexample(), 3))
+    for ell in ellipsoids:
+        assert type(ell.normalized_volume) is float
+    for report in reports:
+        fields = [*report.volumes, report.sqrt_lhs, report.two_thirds_lhs, report.n_bound, report.mean_volume]
+        assert all(type(value) is float for value in fields)
+        assert type(report.hub) is int
+    for result in ellipsoids + reports:
+        dumps(result.to_dict())

@@ -5,8 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsteer.ellipsoid import normalized_volume
-from qsteer.monogamy import concurrence, counterexample_state, ghz_state, singlet_state, w_state, werner_state
+from qsteer.ellipsoid import canonical_form, normalized_volume, steering_ellipsoid
+from qsteer.monogamy import (
+    ckw_residual,
+    concurrence,
+    concurrence_volume_residual,
+    counterexample_state,
+    ghz_state,
+    pairwise_correlation_sum,
+    singlet_state,
+    volume_monogamy_report,
+    w_state,
+    werner_state,
+)
 from qsteer import states
 from qsteer.states import (
     QuantumState,
@@ -358,6 +369,121 @@ class TestKetTrace:
             for keep in itertools.permutations(range(n), size):
                 got = states._ket_trace_arr(kets, list(keep), n)
                 assert got.tobytes() == states._partial_trace_arr(states._densities(kets), list(keep), n).tobytes()
+
+
+# --- references: the single-matrix forms that the batch kernels replaced, verbatim ---
+
+
+def _ref_partial_trace(mat, keep, n_qubits):
+    tensor = mat.reshape((2,) * (2 * n_qubits))
+    row = list(range(n_qubits))
+    col = [n_qubits + q if q in keep else q for q in row]
+    out_axes = [*keep, *[n_qubits + q for q in keep]]
+    d = 2 ** len(keep)
+    return np.einsum(tensor, row + col, out_axes).reshape(d, d)
+
+
+def _ref_bloch(rho2):
+    return np.einsum("jab,ba->j", states.PAULIS, rho2).real
+
+
+def _ref_purity(mat):
+    return np.einsum("ij,ji->", mat, mat).real
+
+
+def _ref_haar(draws):
+    d = draws.shape[-1] // 2
+    vec = draws[:d] + 1j * draws[d:]
+    return vec / np.linalg.norm(vec)
+
+
+def _single_matrices(rng):
+    """Single density matrices; GHZ, W, product and pure-marginal states hold exact zeros."""
+    product = np.kron(np.diag([1.0, 0.0]), random_single_qubit_density(rng)).astype(complex)
+    mats = [ghz_state(n).matrix for n in (2, 3, 4)]
+    mats += [w_state().matrix, werner_state().matrix, counterexample_state().matrix, product, np.kron(product, product)]
+    mats += [random_mixed_state(n, seed=rng).matrix for n in (1, 2, 3, 4) for _ in range(3)]
+    mats += [random_pure_state(n, seed=rng).matrix for n in (1, 2, 3, 4)]
+    return mats
+
+
+class TestSingleMatrixForms:
+    """On one matrix, each batch kernel gives the bits of the single-matrix formula it replaced."""
+
+    def test_partial_trace(self, rng):
+        for mat in _single_matrices(rng):
+            n = mat.shape[0].bit_length() - 1
+            for size in range(1, n + 1):
+                for keep in itertools.permutations(range(n), size):
+                    got = states._partial_trace_arr(mat, list(keep), n)
+                    # tobytes() tells -0.0 from 0.0, which array equality does not.
+                    assert got.tobytes() == _ref_partial_trace(mat, list(keep), n).tobytes(), keep
+
+    def test_bloch_vector_and_purity(self, rng):
+        for mat in _single_matrices(rng):
+            n = mat.shape[0].bit_length() - 1
+            got = states._purity_arr(mat)
+            assert got.shape == ()
+            assert got.tobytes() == _ref_purity(mat).tobytes()
+            assert purity(mat).hex() == float(_ref_purity(mat)).hex()
+            for q in range(n):
+                marginal = _ref_partial_trace(mat, [q], n)
+                assert states._bloch_arr(marginal).tobytes() == _ref_bloch(marginal).tobytes()
+                assert bloch_vector(marginal).tobytes() == _ref_bloch(marginal).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
+    def test_haar_ket(self, rng, dim):
+        draws = rng.standard_normal((40, 2 * dim))
+        # Exact zeros of either sign in the real or the imaginary parts.
+        draws[0, 1:] = 0.0
+        draws[1, dim:] = -0.0
+        draws[2, ::2] = 0.0
+        for row in draws:
+            assert states._haar_arr(row).tobytes() == _ref_haar(row).tobytes()
+
+    def test_public_samplers_normalize_as_the_reference(self):
+        for n in (1, 2, 3, 4):
+            got = random_pure_state(n, seed=sample_rng(11, n)).data
+            assert got.tobytes() == _ref_haar(sample_rng(11, n).standard_normal(2 ** (n + 1))).tobytes()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: partial_trace(w_state(), [1.9]), "keep"),
+        (lambda: partial_trace(w_state(), [0, 2.0]), "keep"),
+        (lambda: pauli_coefficient(w_state(), [3.5, 0, 0]), "labels"),
+        (lambda: volume_monogamy_report(w_state(), hub=0.5), "hub"),
+        (lambda: volume_monogamy_report(w_state(), hub=1.0), "hub"),
+        (lambda: ckw_residual(w_state(), hub=0.5), "hub"),
+        (lambda: normalized_volume(werner_state(), steering_qubit=1.0), "steering_qubit"),
+        (lambda: steering_ellipsoid(werner_state(), steering_qubit=0.5), "steering_qubit"),
+        (lambda: canonical_form(w_state(), steering_qubit=0.5), "steering_qubit"),
+        (lambda: concurrence_volume_residual(werner_state(), steering_qubit=1.0), "steering_qubit"),
+        (lambda: pairwise_correlation_sum(w_state(), [(0, 1.5)]), "pairs"),
+        (lambda: pairwise_correlation_sum(w_state(), [(0.0, 1)]), "pairs"),
+    ],
+    ids=[
+        "partial_trace-1.9", "partial_trace-2.0", "pauli_coefficient", "report-0.5", "report-1.0", "ckw",
+        "normalized_volume", "steering_ellipsoid", "canonical_form", "concurrence_volume", "pairs-1.5", "pairs-0.0",
+    ],
+)
+def test_float_qubit_indices_raise_type_error_naming_the_argument(call, name):
+    # int() used to truncate these: partial_trace(w_state(), [1.9]) was qubit 1's marginal.
+    with pytest.raises(TypeError, match=name):
+        call()
+
+
+def test_numpy_integer_qubit_indices_are_accepted():
+    w, werner = w_state(), werner_state()
+    assert partial_trace(w, [np.int64(1)]).data.tobytes() == partial_trace(w, [1]).data.tobytes()
+    assert pauli_coefficient(w, np.array([3, 0, 0])) == pauli_coefficient(w, [3, 0, 0])
+    report = volume_monogamy_report(w, hub=np.int32(1))
+    assert type(report.hub) is int and report == volume_monogamy_report(w, hub=1)
+    assert ckw_residual(w, hub=np.uint8(2)) == ckw_residual(w, hub=2)
+    assert normalized_volume(werner, steering_qubit=np.int64(1)) == normalized_volume(werner, steering_qubit=1)
+    pairs = np.array([[0, 1], [1, 2]])
+    assert pairwise_correlation_sum(w, pairs) == pairwise_correlation_sum(w, [(0, 1), (1, 2)])
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1e-9])

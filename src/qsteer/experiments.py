@@ -13,13 +13,13 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from functools import cache, partial
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import channels, ellipsoid, monogamy, states
-from .states import QuantumState, _partial_trace_arr, sample_streams
+from .states import _partial_trace_arr, sample_streams
 
 __all__ = [
     "DEFAULT_SEED",
@@ -81,16 +81,13 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _chunked_values(fn: Callable, n_samples: int, master_seed: int, workers: int) -> np.ndarray:
-    """Evaluate ``fn(master_seed, start, stop)`` over [0, n_samples), possibly in parallel.
+def _chunks(fn: Callable, n_samples: int, master_seed: int, workers: int) -> list:
+    """``fn(master_seed, lo, hi)`` of consecutive chunks [lo, hi) that cover [0, n_samples), in order.
 
-    The concatenated result is ordered by sample index and identical for
-    every worker count, because each sample seeds its own stream.
+    With ``workers > 1`` the chunks run in the cached process pool of ``_pool``.
     """
-    if n_samples <= 0:
-        return np.empty(0)
     if workers == 1:
-        return np.asarray(fn(master_seed, 0, n_samples))
+        return [fn(master_seed, 0, n_samples)]
     n_chunks = min(n_samples, 4 * workers)
     bounds = np.linspace(0, n_samples, n_chunks + 1).astype(int)
     pool = _pool(workers)
@@ -100,16 +97,51 @@ def _chunked_values(fn: Callable, n_samples: int, master_seed: int, workers: int
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
-        parts = [f.result() for f in futures]
+        return [f.result() for f in futures]
     except BrokenProcessPool:
         # A dead worker breaks the pool for good; later runs get a fresh one.
         _pool.cache_clear()
         raise
-    return np.concatenate(parts)
+
+
+def _chunked_values(fn: Callable, n_samples: int, master_seed: int, workers: int) -> np.ndarray:
+    """Evaluate ``fn(master_seed, start, stop)`` over [0, n_samples), possibly in parallel.
+
+    The concatenated result is ordered by sample index and identical for
+    every worker count, because each sample seeds its own stream.
+    """
+    if n_samples <= 0:
+        return np.empty(0)
+    return np.concatenate(_chunks(fn, n_samples, master_seed, workers))
 
 
 def _normals(rng: np.random.Generator, row: np.ndarray) -> None:
     rng.standard_normal(out=row)
+
+
+def _drawn_blocks(master_seed: int, start: int, stop: int, widths: Sequence[tuple[int, int]], draw: Callable):
+    """Yield ``(lo, rows)``: the drawn rows of samples [lo, lo + len(rows)), in blocks of at most _BLOCK.
+
+    ``widths`` lists segments ``(end, width)`` by ascending end, the last
+    ending at or after ``stop``: ``draw(rng, row)`` fills the first
+    ``width`` entries of the row of each sample before ``end`` (and after
+    the previous end) from its stream.  The rows are as wide as the widest
+    segment and the array is reused, so entries past a sample's width are
+    stale and a caller must not keep ``rows``.
+    """
+    rows = np.empty((min(_BLOCK, stop - start), max((width for _, width in widths), default=0)))
+    streams = sample_streams(master_seed, start, stop)
+    for lo in range(start, stop, _BLOCK):
+        hi = min(lo + _BLOCK, stop)
+        seg_lo = lo
+        for end, width in widths:
+            n = min(end, hi) - seg_lo
+            if n > 0:
+                seg_rows = rows[:, :width]
+                for i, rng in islice(streams, n):
+                    draw(rng, seg_rows[i - lo])
+                seg_lo += n
+        yield lo, rows[: hi - lo]
 
 
 def _sampled(
@@ -122,11 +154,7 @@ def _sampled(
     values.  The block array is reused, so ``reduce`` must not keep it.
     """
     out = np.empty(stop - start)
-    rows = np.empty((min(_BLOCK, stop - start), width))
-    for lo in range(start, stop, _BLOCK):
-        block = rows[: min(_BLOCK, stop - lo)]
-        for i, rng in sample_streams(master_seed, lo, lo + len(block)):
-            draw(rng, block[i - lo])
+    for lo, block in _drawn_blocks(master_seed, start, stop, [(stop, width)], draw):
         # A helper call frees each block's intermediates before the next block's exist.
         out[lo - start : lo - start + len(block)] = reduce(block)
     return out
@@ -135,6 +163,41 @@ def _sampled(
 def _drawn(width: int, reduce: Callable, draw: Callable = _normals) -> partial:
     """``fn(master_seed, start, stop)`` of a random-sample check: ``_sampled`` with its parts bound."""
     return partial(_sampled, width=width, reduce=reduce, draw=draw)
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _shared_sampled(
+    master_seed: int, start: int, stop: int, checks: Sequence[tuple[int, int, Callable]]
+) -> tuple[list[np.ndarray], list[str]]:
+    """Values and error texts over [start, stop) of checks ``(count, width, reduce)`` drawn from normals.
+
+    Check k covers samples [0, count_k) as ``_sampled`` with ``width_k``
+    and ``reduce_k`` would, but each sample's stream is re-keyed and drawn
+    once: its row holds the widest width among the checks that cover it, and
+    one ``standard_normal(k)`` call is bit for bit the smaller calls it
+    replaces.  Each reduce gets a C-contiguous copy of its check's rows, the
+    layout ``_sampled`` hands it.  A reduce that raises gives its check the
+    error text of its first failing block and no later blocks; the other
+    checks go on.
+    """
+    ends = sorted({count for count, _, _ in checks if count > start})
+    widths = [(end, max(width for count, width, _ in checks if count >= end)) for end in ends]
+    stop = min(stop, ends[-1]) if ends else start
+    values = [np.empty(max(0, min(count, stop) - start)) for count, _, _ in checks]
+    errors = [""] * len(checks)
+    for lo, block in _drawn_blocks(master_seed, start, stop, widths, _normals):
+        for k, (count, width, reduce) in enumerate(checks):
+            n = min(count, lo + len(block)) - lo
+            if n <= 0 or errors[k]:
+                continue
+            try:
+                values[k][lo - start : lo - start + n] = reduce(block[:n, :width].copy())
+            except Exception as exc:  # noqa: BLE001 - one check's error must not stop the others
+                errors[k] = _error_text(exc)
+    return values, errors
 
 
 # --- conjecture search ---------------------------------------------------------
@@ -336,7 +399,8 @@ _POINTS_PER_STATE = 100
 # reduce, which turns a block of drawn rows into margins with stacked kernels.
 # A row holds the normals of every Haar ket and unitary (real parts, then
 # imaginary parts); one standard_normal(k) call is bit for bit the smaller
-# calls it replaces.
+# calls it replaces, so the checks whose draw is _normals share one row per
+# sample in the suite (_shared_sampled).
 
 
 def _pure_width(n_qubits: int) -> int:
@@ -394,16 +458,17 @@ def _purity_symmetry_margins(draws: np.ndarray) -> np.ndarray:
 
 def _draw_sampler_output(rng, row: np.ndarray) -> None:
     # This check is about the public samplers and validators themselves, so
-    # it draws through the samplers and validates each state one at a time.
+    # it draws through the samplers, one state at a time.
     cells = row.view(complex)
     cells[:8] = states.random_pure_state(3, seed=rng).data
     cells[8:] = states.random_mixed_state(3, seed=rng).matrix.reshape(-1)
 
 
 def _state_validity_margins(draws: np.ndarray) -> np.ndarray:
-    for cells in draws.view(complex):
-        QuantumState.from_amplitudes(cells[:8])
-        QuantumState.from_matrix(cells[8:].reshape(8, 8))
+    # The stacked validator of QuantumState.from_amplitudes and from_matrix.
+    cells = draws.view(complex)
+    states._validate_arr(cells[:, :8], states.DEFAULT_TOL)
+    states._validate_arr(cells[:, 8:].reshape(len(draws), 8, 8), states.DEFAULT_TOL)
     return np.ones(len(draws))
 
 
@@ -636,7 +701,8 @@ class _InvariantCheck:
 
 
 # A random-sample check's fn is ``_drawn(width, reduce, draw)``, built once
-# here: the benchmark tracer labels each check by the identity of its fn.
+# here: the benchmark tracer labels each check by the identity of its fn, and
+# the suite reads the width and reduce of each normals check from fn.keywords.
 _SUITE: tuple[_InvariantCheck, ...] = (
     _InvariantCheck("state_reconstruction_round_trip", _drawn(_mixed_width(2), _reconstruction_margins), 10_000),
     _InvariantCheck("partial_trace_composition", _drawn(_mixed_width(3), _ptrace_composition_margins), 10_000),
@@ -737,6 +803,40 @@ class SuiteReport:
         return {"passed": self.passed, "invariants": [r.to_dict() for r in self.results]}
 
 
+def _scaled_count(check: _InvariantCheck, samples: int) -> int:
+    if not check.scaled:
+        return check.samples
+    # At least one sample per check for any nonzero scale; none for zero.
+    return max(1, round(check.samples * samples / 10_000)) if samples else 0
+
+
+def _shared_outcomes(
+    checks: Sequence[_InvariantCheck], counts: Sequence[int], master_seed: int, workers: int
+) -> dict[int, tuple[np.ndarray, str]]:
+    """``(margins, error)`` by position in ``checks`` of every check whose draw is plain normals.
+
+    They share one pass over the samples (``_shared_sampled``), chunked over
+    [0, largest count) for ``workers > 1``; the error text of a check is that
+    of its first failing chunk.
+    """
+    shared = [k for k, check in enumerate(checks) if getattr(check.fn, "keywords", {}).get("draw") is _normals]
+    n_samples = max((counts[k] for k in shared), default=0)
+    if n_samples == 0:
+        return {k: (np.empty(0), "") for k in shared}
+    parts = tuple((counts[k], checks[k].fn.keywords["width"], checks[k].fn.keywords["reduce"]) for k in shared)
+    try:
+        chunks = _chunks(partial(_shared_sampled, checks=parts), n_samples, master_seed, workers)
+    except Exception as exc:  # noqa: BLE001 - suite must report, not crash
+        return {k: (np.empty(0), _error_text(exc)) for k in shared}
+    return {
+        k: (
+            np.concatenate([values[j] for values, _ in chunks]),
+            next((errors[j] for _, errors in chunks if errors[j]), ""),
+        )
+        for j, k in enumerate(shared)
+    }
+
+
 def run_property_suite(
     samples: int = 10_000,
     master_seed: int = DEFAULT_SEED,
@@ -752,18 +852,21 @@ def run_property_suite(
     """
     _check_run(samples, master_seed, workers)
     checks = _SUITE + ((_EXPLORATORY,) if explore_mixed_4q else ())
+    counts = [_scaled_count(check, samples) for check in checks]
+    outcomes = _shared_outcomes(checks, counts, master_seed, workers)
     results = []
-    for check in checks:
-        count = check.samples
-        if check.scaled:
-            # At least one sample per check for any nonzero scale; none for zero.
-            count = max(1, round(check.samples * samples / 10_000)) if samples else 0
-        try:
-            margins = _chunked_values(check.fn, count, master_seed, workers)
-        except Exception as exc:  # noqa: BLE001 - suite must report, not crash
-            failures, worst, error = count, float("-inf"), f"{type(exc).__name__}: {exc}"
+    for k, (check, count) in enumerate(zip(checks, counts)):
+        if k in outcomes:
+            margins, error = outcomes[k]
         else:
-            count, failures, error = int(margins.size), int(np.count_nonzero(margins < 0)), ""
+            try:
+                margins, error = _chunked_values(check.fn, count, master_seed, workers), ""
+            except Exception as exc:  # noqa: BLE001 - suite must report, not crash
+                error = _error_text(exc)
+        if error:
+            failures, worst = count, float("-inf")
+        else:
+            count, failures = int(margins.size), int(np.count_nonzero(margins < 0))
             worst = float(np.min(margins)) if margins.size else float("inf")
         results.append(InvariantResult(check.name, count, failures, worst, check.exploratory, error))
     return SuiteReport(tuple(results))

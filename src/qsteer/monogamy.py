@@ -434,6 +434,7 @@ def w_state() -> QuantumState:
 
 def ghz_state(n_qubits: int = 3) -> QuantumState:
     """(|0...0> + |1...1>) / sqrt(2)."""
+    n_qubits = _integer("n_qubits", n_qubits)
     if n_qubits < 2:
         raise StateValidationError("ghz_state needs at least 2 qubits")
     s = 1.0 / math.sqrt(2.0)

@@ -154,6 +154,46 @@ def _check_finite(arr: np.ndarray) -> None:
         raise StateValidationError("state data has non-finite (NaN or inf) entries")
 
 
+def _validate_arr(data: np.ndarray, tol: float) -> None:
+    """Raise the StateValidationError of the first invalid state in the stack ``data``.
+
+    ``data`` is (N, d) complex amplitude vectors or (N, d, d) complex
+    matrices.  A vector must be finite with squared norm within ``tol`` of 1;
+    a matrix must be finite, Hermitian, of unit trace and positive
+    semidefinite, checked in that order, each within ``tol``.  Each state
+    gets the bits and the message it gets alone: the squared norm is a
+    1 x d times d x 1 product, which calls the same BLAS dot as
+    ``np.vdot``, and stacked ``eigvalsh`` gives each matrix its own bits.
+    """
+    # A NaN or inf entry makes ``err`` NaN or inf, so a non-finite state fails
+    # ``err <= tol`` too, and only the state reported needs the finite check.
+    with np.errstate(invalid="ignore", over="ignore"):
+        if data.ndim == 2:
+            norm_sq = (data.conj()[:, None, :] @ data[:, :, None])[:, 0, 0].real
+            err = np.abs(norm_sq - 1.0)
+        else:
+            herm_err = np.max(np.abs(data - np.swapaxes(data.conj(), -1, -2)), axis=(-2, -1))
+            tr = np.trace(data, axis1=-2, axis2=-1)
+            err = np.maximum(herm_err, np.abs(tr - 1.0))
+    first = np.flatnonzero(~(err <= tol))
+    k = int(first[0]) if first.size else len(data)
+    if data.ndim == 3:
+        # Only the states before k pass every check above; NaN would fail inside eigvalsh.
+        min_eig = np.linalg.eigvalsh(data[:k])[:, 0]
+        negative = np.flatnonzero(min_eig < -tol)
+        if negative.size:
+            eig = float(min_eig[negative[0]])
+            raise StateValidationError(f"matrix is not positive semidefinite (min eigenvalue {eig:.3g})")
+    if k == len(data):
+        return
+    _check_finite(data[k])
+    if data.ndim == 2:
+        raise StateValidationError(f"amplitude vector has squared norm {float(norm_sq[k])}, expected 1")
+    if herm_err[k] > tol:
+        raise StateValidationError(f"matrix is not Hermitian (max deviation {float(herm_err[k]):.3g})")
+    raise StateValidationError(f"matrix has trace {complex(tr[k]):.6g}, expected 1")
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """A pure amplitude vector or a density matrix over ``n_qubits`` qubits.
@@ -189,10 +229,7 @@ class QuantumState:
         _check_tol(tol)
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
         n = _check_n_qubits(vec.size)
-        _check_finite(vec)
-        norm_sq = float(np.vdot(vec, vec).real)
-        if abs(norm_sq - 1.0) > tol:
-            raise StateValidationError(f"amplitude vector has squared norm {norm_sq}, expected 1")
+        _validate_arr(vec[None], tol)
         return cls(n, vec)
 
     @classmethod
@@ -202,17 +239,7 @@ class QuantumState:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise StateValidationError(f"expected a square matrix, got shape {mat.shape}")
         n = _check_n_qubits(mat.shape[0])
-        # NaN passes every comparison below and fails inside eigvalsh.
-        _check_finite(mat)
-        herm_err = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_err > tol:
-            raise StateValidationError(f"matrix is not Hermitian (max deviation {herm_err:.3g})")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > tol:
-            raise StateValidationError(f"matrix has trace {tr:.6g}, expected 1")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < -tol:
-            raise StateValidationError(f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3g})")
+        _validate_arr(mat[None], tol)
         return cls(n, mat)
 
     def to_dict(self) -> dict:
@@ -584,6 +611,7 @@ def _induced_arr(kets: np.ndarray, n_qubits: int) -> np.ndarray:
 
 def random_pure_state(n_qubits: int, seed: SeedLike = None) -> QuantumState:
     """Haar-random pure state: normalized i.i.d. complex Gaussian amplitudes."""
+    n_qubits = _integer("n_qubits", n_qubits)
     if n_qubits < 1:
         raise StateValidationError("n_qubits must be >= 1")
     rng = as_rng(seed)
@@ -596,10 +624,10 @@ def random_mixed_state(n_qubits: int, ancilla_qubits: int | None = None, seed: S
     ``ancilla_qubits`` defaults to ``n_qubits`` (full-rank support);
     ``ancilla_qubits=0`` yields a pure projector.
     """
+    n_qubits = _integer("n_qubits", n_qubits)
     if n_qubits < 1:
         raise StateValidationError("n_qubits must be >= 1")
-    if ancilla_qubits is None:
-        ancilla_qubits = n_qubits
+    ancilla_qubits = n_qubits if ancilla_qubits is None else _integer("ancilla_qubits", ancilla_qubits)
     if ancilla_qubits < 0:
         raise StateValidationError("ancilla_qubits must be >= 0")
     rng = as_rng(seed)
@@ -626,6 +654,9 @@ def _separable_arr(terms: np.ndarray, weights: np.ndarray, draws: np.ndarray) ->
 
 def random_separable_two_qubit(seed: SeedLike = None, max_terms: int = MAX_SEPARABLE_TERMS) -> QuantumState:
     """Convex mixture of up to ``max_terms`` random pure product states; separable by construction."""
+    max_terms = _integer("max_terms", max_terms)
+    if max_terms < 1:
+        raise StateValidationError(f"max_terms must be >= 1, got {max_terms}")
     rng = as_rng(seed)
     terms = int(rng.integers(1, max_terms + 1))
     weights = rng.dirichlet(np.ones(terms))

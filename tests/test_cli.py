@@ -338,6 +338,13 @@ class TestGoldenOutput:
         assert main(["suite", "--samples", "200", "--seed", "7", "--workers", "1", "--output", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "suite_seed7_200.json").read_bytes()
 
+    def test_explored_suite_bytes_match_golden_file(self, tmp_path):
+        # The suite as each check wrote it alone, before the checks shared each sample's normals.
+        out = tmp_path / "suite.json"
+        argv = ["suite", "--samples", "1000", "--seed", "7", "--explore-mixed-4q", "--workers", "1"]
+        assert main([*argv, "--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "suite_seed7_1000_explore.json").read_bytes()
+
     def test_full_size_figures_match_committed_digests(self, tmp_path):
         digests = dict(line.split()[::-1] for line in (GOLDEN / "figures.sha256").read_text().splitlines())
         calls = {

@@ -22,11 +22,16 @@ from qsteer.experiments import (
     _SUITE,
     _TOL,
     GhzSweepRow,
+    InvariantResult,
     _chunked_values,
     _max_volume_class,
+    _normals,
     _open_grid,
     _pool,
     _pure4_correlation_lhs,
+    _scaled_count,
+    _shared_outcomes,
+    _shared_sampled,
     counterexample_regression,
     run_conjecture_test,
     run_property_suite,
@@ -383,6 +388,89 @@ class TestBatchedChecks:
     def test_worker_count_does_not_change_report(self):
         single = run_property_suite(samples=40, master_seed=7, workers=1)
         assert run_property_suite(samples=40, master_seed=7, workers=3).to_dict() == single.to_dict()
+
+
+# 10^4-checks end at 570 (mid-block 2) and 10^3-checks at 57 (mid-block 0).
+SHARED_SCALE = 570
+SHARED_CHECKS = tuple(
+    check for check in _SUITE + (_EXPLORATORY,) if getattr(check.fn, "keywords", {}).get("draw") is _normals
+)
+
+
+class TestSharedNormals:
+    """The suite draws each sample's normals once for every check whose draw is plain normals."""
+
+    def test_every_normals_check_is_shared(self):
+        own_draws = {"sampled_state_validity", "separable_volume_bound", "wclass_saturation"}
+        random_checks = {check.name for check in _SUITE + (_EXPLORATORY,) if check.scaled}
+        assert {check.name for check in SHARED_CHECKS} == random_checks - own_draws
+
+    @pytest.mark.parametrize("seed, workers", [(7, 1), (12345, 1), (5, 1), (7, 2)])
+    def test_shared_margins_match_each_check_alone(self, seed, workers):
+        counts = [_scaled_count(check, SHARED_SCALE) for check in SHARED_CHECKS]
+        assert sorted(set(counts)) == [57, 570]
+        outcomes = _shared_outcomes(SHARED_CHECKS, counts, seed, workers)
+        assert sorted(outcomes) == list(range(len(SHARED_CHECKS)))
+        for k, (check, count) in enumerate(zip(SHARED_CHECKS, counts)):
+            margins, error = outcomes[k]
+            assert error == ""
+            assert margins.tobytes() == check.fn(seed, 0, count).tobytes(), check.name
+
+    def test_shared_pass_over_a_later_range(self):
+        # A chunk that starts past the 10^3-checks' end gives them no samples.
+        counts = [_scaled_count(check, SHARED_SCALE) for check in SHARED_CHECKS]
+        parts = tuple((n, check.fn.keywords["width"], check.fn.keywords["reduce"]) for check, n in zip(SHARED_CHECKS, counts))
+        values, errors = _shared_sampled(12345, 300, 570, parts)
+        assert errors == [""] * len(parts)
+        for check, count, got in zip(SHARED_CHECKS, counts, values):
+            want = check.fn(12345, 300, count) if count > 300 else np.empty(0)
+            assert got.tobytes() == want.tobytes(), check.name
+
+    @pytest.mark.parametrize("name", ["polygon_inequality", "mixed5_mean_volume"])
+    def test_failing_reduce_reports_only_its_own_check(self, monkeypatch, name):
+        expected = run_property_suite(samples=60, master_seed=3, explore_mixed_4q=True).results
+
+        def boom(draws):
+            raise RuntimeError("reduce failed")
+
+        monkeypatch.setitem(CHECKS[name].fn.keywords, "reduce", boom)
+        report = run_property_suite(samples=60, master_seed=3, workers=1, explore_mixed_4q=True)
+        assert not report.passed
+        for got, want in zip(report.results, expected, strict=True):
+            if got.name == name:
+                error = "RuntimeError: reduce failed"
+                assert got == InvariantResult(name, want.samples, want.samples, float("-inf"), False, error)
+            else:
+                assert got == want
+
+    def test_error_text_is_that_of_the_first_failing_block(self, monkeypatch):
+        name = "pure3_correlation_identity"
+        reduce, calls = CHECKS[name].fn.keywords["reduce"], []
+
+        def late_boom(draws):
+            calls.append(len(draws))
+            if len(calls) > 1:
+                raise ValueError(f"call {len(calls)}")
+            return reduce(draws)
+
+        monkeypatch.setitem(CHECKS[name].fn.keywords, "reduce", late_boom)
+        result = next(r for r in run_property_suite(samples=570, master_seed=3).results if r.name == name)
+        assert (result.samples, result.failures, result.error) == (570, 570, "ValueError: call 2")
+        # The third block (samples 512 to 570) is not reduced for a check that has failed.
+        assert calls == [256, 256]
+
+    @pytest.mark.parametrize("index", [0, 255, 256, 2**32 - 1])
+    def test_a_narrow_draw_is_a_prefix_of_a_wider_one(self, index):
+        # The shared row of a sample serves every narrower check: standard_normal(out=row[:w])
+        # is the first w numbers of any wider draw from the same stream.
+        ((_, rng),) = sample_streams(12345, index, index + 1)
+        wide = rng.standard_normal(4096)
+        for width in (16, 32, 128, 288, 332, 400, 512, 2048):
+            ((_, rng),) = sample_streams(12345, index, index + 1)
+            row = np.full(2048, np.nan)
+            rng.standard_normal(out=row[:width])
+            assert row[:width].tobytes() == wide[:width].tobytes()
+            assert np.isnan(row[width:]).all()
 
 
 class TestProcessPool:

@@ -334,6 +334,17 @@ class TestFamilies:
         with pytest.raises(ValueError):
             ghz_family(*angles)
 
+    @pytest.mark.parametrize("n_qubits", [3.0, 2.5, "3"])
+    def test_ghz_state_rejects_non_integers(self, n_qubits):
+        # ghz_state(3.0) used to die inside numpy's zeros().
+        with pytest.raises(TypeError, match="n_qubits must be an integer"):
+            ghz_state(n_qubits)
+
+    def test_ghz_state_range_and_numpy_integers(self):
+        with pytest.raises(StateValidationError, match="at least 2 qubits"):
+            ghz_state(1)
+        np.testing.assert_array_equal(ghz_state(np.int64(4)).data, ghz_state(4).data)
+
     def test_max_volume_range(self):
         with pytest.raises(ValueError):
             max_volume_state(-0.1)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,46 @@ class TestRandomStates:
     def test_separable_is_valid_two_qubit_state(self, rng):
         for _ in range(50):
             QuantumState.from_matrix(random_separable_two_qubit(seed=rng).matrix)
+
+    @pytest.mark.parametrize(
+        "sampler, kwargs, name",
+        [
+            (random_pure_state, {"n_qubits": 2.0}, "n_qubits"),
+            (random_mixed_state, {"n_qubits": 2.0}, "n_qubits"),
+            (random_mixed_state, {"n_qubits": 2, "ancilla_qubits": 1.5}, "ancilla_qubits"),
+            (random_separable_two_qubit, {"max_terms": 2.5}, "max_terms"),
+            (random_separable_two_qubit, {"max_terms": 2.0}, "max_terms"),
+        ],
+    )
+    def test_samplers_reject_non_integers(self, sampler, kwargs, name):
+        # These died inside numpy, or (max_terms=2.5) drew up to 2 terms without a word.
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            sampler(seed=3, **kwargs)
+
+    @pytest.mark.parametrize(
+        "sampler, kwargs, name",
+        [
+            (random_pure_state, {"n_qubits": 0}, "n_qubits"),
+            (random_mixed_state, {"n_qubits": 0}, "n_qubits"),
+            (random_mixed_state, {"n_qubits": 2, "ancilla_qubits": -1}, "ancilla_qubits"),
+            (random_separable_two_qubit, {"max_terms": 0}, "max_terms"),
+            (random_separable_two_qubit, {"max_terms": -2}, "max_terms"),
+        ],
+    )
+    def test_samplers_reject_out_of_range_counts(self, sampler, kwargs, name):
+        with pytest.raises(StateValidationError, match=f"{name} must be >="):
+            sampler(seed=3, **kwargs)
+
+    def test_samplers_accept_numpy_integers(self):
+        np.testing.assert_array_equal(random_pure_state(np.int64(3), seed=4).data, random_pure_state(3, seed=4).data)
+        np.testing.assert_array_equal(
+            random_mixed_state(np.uint8(2), ancilla_qubits=np.int32(1), seed=4).data,
+            random_mixed_state(2, ancilla_qubits=1, seed=4).data,
+        )
+        np.testing.assert_array_equal(
+            random_separable_two_qubit(seed=4, max_terms=np.int64(3)).data,
+            random_separable_two_qubit(seed=4, max_terms=3).data,
+        )
 
 
 def _stream_draws(rng):
@@ -597,6 +638,99 @@ def test_pauli_reconstruction_round_trip(seed):
 def test_sampled_states_satisfy_invariants(seed):
     QuantumState.from_amplitudes(random_pure_state(3, seed=seed).data)
     QuantumState.from_matrix(random_mixed_state(3, seed=seed).matrix)
+
+
+def _valid_stack(rng, n_states: int, pure: bool) -> np.ndarray:
+    if pure:
+        return np.stack([random_pure_state(3, seed=rng).data for _ in range(n_states)])
+    return np.stack([random_mixed_state(3, seed=rng).matrix for _ in range(n_states)])
+
+
+def _single_error(state: np.ndarray) -> str:
+    validate = QuantumState.from_amplitudes if state.ndim == 1 else QuantumState.from_matrix
+    with pytest.raises(StateValidationError) as info:
+        validate(state)
+    return str(info.value)
+
+
+def _corrupt_ket(vec: np.ndarray, how: str) -> np.ndarray:
+    vec = vec.copy()
+    if how == "nan":
+        vec[3] = np.nan
+    elif how == "inf":
+        vec[0] = complex(0.0, np.inf)
+    else:
+        vec *= 1.1
+    return vec
+
+
+def _corrupt_matrix(mat: np.ndarray, how: str) -> np.ndarray:
+    mat = mat.copy()
+    if how == "nan":
+        mat[2, 5] = np.nan
+    elif how == "inf":
+        mat[1, 1] = np.inf
+    elif how == "hermitian":
+        mat[0, 7] += 1e-3
+    elif how == "trace":
+        mat *= 0.9
+    else:
+        # Hermitian with trace 1, and smallest eigenvalue -0.05.
+        w, v = np.linalg.eigh(mat)
+        w[0] = -0.05
+        w[1:] *= 1.05 / np.sum(w[1:])
+        mat = (v * w) @ v.conj().T
+    return mat
+
+
+class TestStackedValidator:
+    """``states._validate_arr`` is the validator of ``from_amplitudes`` and ``from_matrix``, one stack at a time."""
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_valid_stacks_pass(self, rng, pure):
+        states._validate_arr(_valid_stack(rng, 40, pure), states.DEFAULT_TOL)
+        states._validate_arr(np.empty((0, 8) if pure else (0, 8, 8), dtype=complex), states.DEFAULT_TOL)
+
+    @pytest.mark.parametrize("how", ["nan", "inf", "norm"])
+    @pytest.mark.parametrize("k", [0, 17, 39])
+    def test_ket_stack_reports_the_single_state_message(self, rng, how, k):
+        kets = _valid_stack(rng, 40, pure=True)
+        kets[k] = _corrupt_ket(kets[k], how)
+        with pytest.raises(StateValidationError) as info:
+            states._validate_arr(kets, states.DEFAULT_TOL)
+        assert str(info.value) == _single_error(kets[k])
+
+    @pytest.mark.parametrize("how", ["nan", "inf", "hermitian", "trace", "psd"])
+    @pytest.mark.parametrize("k", [0, 17, 39])
+    def test_matrix_stack_reports_the_single_state_message(self, rng, how, k):
+        mats = _valid_stack(rng, 40, pure=False)
+        mats[k] = _corrupt_matrix(mats[k], how)
+        with pytest.raises(StateValidationError) as info:
+            states._validate_arr(mats, states.DEFAULT_TOL)
+        assert str(info.value) == _single_error(mats[k])
+
+    def test_first_invalid_state_wins(self, rng):
+        # Sample 5 fails its last check, sample 20 its first: sample 5 is reported.
+        mats = _valid_stack(rng, 30, pure=False)
+        mats[5] = _corrupt_matrix(mats[5], "psd")
+        mats[20] = _corrupt_matrix(mats[20], "nan")
+        with pytest.raises(StateValidationError, match="positive semidefinite"):
+            states._validate_arr(mats, states.DEFAULT_TOL)
+        kets = _valid_stack(rng, 30, pure=True)
+        kets[4] = _corrupt_ket(kets[4], "norm")
+        kets[9] = _corrupt_ket(kets[9], "nan")
+        with pytest.raises(StateValidationError, match="squared norm"):
+            states._validate_arr(kets, states.DEFAULT_TOL)
+
+    def test_non_finite_input_raises_no_warning(self, rng):
+        mats = _valid_stack(rng, 3, pure=False)
+        mats[1] = _corrupt_matrix(mats[1], "inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateValidationError, match="non-finite"):
+                states._validate_arr(mats, states.DEFAULT_TOL)
+            with pytest.raises(StateValidationError, match="non-finite"):
+                QuantumState.from_amplitudes([np.inf, np.inf, 0.0, 0.0])
 
 
 class TestQuantumStateValidation:

@@ -14,6 +14,7 @@ from .states import (
     SeedLike,
     StateLike,
     StateValidationError,
+    _check_finite,
     _check_n_qubits,
     _check_range,
     _density,
@@ -156,6 +157,7 @@ def apply_local(channels, rho):
         if rho.shape[-1] != rho.shape[-2]:
             raise StateValidationError(f"cannot interpret array of shape {rho.shape} as a state stack")
         mat, n = rho, _check_n_qubits(rho.shape[-1])
+        _check_finite(mat)
     else:
         mat, n = _density(rho)
     channels = list(channels)

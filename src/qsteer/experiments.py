@@ -119,45 +119,63 @@ def _normals(rng: np.random.Generator, row: np.ndarray) -> None:
     rng.standard_normal(out=row)
 
 
-def _drawn_blocks(master_seed: int, start: int, stop: int, widths: Sequence[tuple[int, int]], draw: Callable):
-    """Yield ``(lo, rows)``: the drawn rows of samples [lo, lo + len(rows)), in blocks of at most _BLOCK.
+def _shared_sampled(
+    master_seed: int, start: int, stop: int, checks: Sequence[tuple[int, int, Callable, Callable]]
+) -> tuple[list[np.ndarray], list[Exception | None]]:
+    """Values over [start, stop) and first exceptions of random-sample checks ``(count, width, reduce, draw)``.
 
-    ``widths`` lists segments ``(end, width)`` by ascending end, the last
-    ending at or after ``stop``: ``draw(rng, row)`` fills the first
-    ``width`` entries of the row of each sample before ``end`` (and after
-    the previous end) from its stream.  The rows are as wide as the widest
-    segment and the array is reused, so entries past a sample's width are
-    stale and a caller must not keep ``rows``.
+    Check k covers samples [0, count_k).  ``draw_k(rng, row)`` fills the
+    first ``width_k`` floats of sample i's row from its stream;
+    ``reduce_k(block)`` maps a C-contiguous block of at most _BLOCK rows to
+    their values.  Checks with the same draw share one pass: each sample's
+    stream is re-keyed and drawn once, into a row as wide as the widest of
+    them that covers it (one ``standard_normal(k)`` call is bit for bit the
+    smaller calls it replaces).  A reduce that raises gives its check the
+    exception of its first failing block and no later blocks; the other
+    checks go on.  The block array is reused, so a reduce must not keep it.
     """
-    rows = np.empty((min(_BLOCK, stop - start), max((width for _, width in widths), default=0)))
-    streams = sample_streams(master_seed, start, stop)
-    for lo in range(start, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
-        seg_lo = lo
-        for end, width in widths:
-            n = min(end, hi) - seg_lo
-            if n > 0:
-                seg_rows = rows[:, :width]
-                for i, rng in islice(streams, n):
-                    draw(rng, seg_rows[i - lo])
-                seg_lo += n
-        yield lo, rows[: hi - lo]
+    values = [np.empty(max(0, min(count, stop) - start)) for count, *_ in checks]
+    errors: list[Exception | None] = [None] * len(checks)
+    for draw in dict.fromkeys(check[3] for check in checks):
+        group = [k for k, check in enumerate(checks) if check[3] is draw and check[0] > start]
+        ends = sorted({checks[k][0] for k in group})
+        if not ends:
+            continue
+        # Segments (end, width) by ascending end: the widest check covering each.
+        widths = [(end, max(checks[k][1] for k in group if checks[k][0] >= end)) for end in ends]
+        group_stop = min(stop, ends[-1])
+        rows = np.empty((min(_BLOCK, group_stop - start), widths[0][1]))
+        streams = sample_streams(master_seed, start, group_stop)
+        for lo in range(start, group_stop, _BLOCK):
+            hi = min(lo + _BLOCK, group_stop)
+            seg_lo = lo
+            for end, width in widths:
+                n = min(end, hi) - seg_lo
+                if n > 0:
+                    seg_rows = rows[:, :width]
+                    for i, rng in islice(streams, n):
+                        draw(rng, seg_rows[i - lo])
+                    seg_lo += n
+            for k in group:
+                count, width, reduce, _ = checks[k]
+                n = min(count, hi) - lo
+                if n <= 0 or errors[k] is not None:
+                    continue
+                try:
+                    values[k][lo - start : lo - start + n] = reduce(np.ascontiguousarray(rows[:n, :width]))
+                except Exception as exc:  # noqa: BLE001 - one check's error must not stop the others
+                    errors[k] = exc
+    return values, errors
 
 
 def _sampled(
     master_seed: int, start: int, stop: int, width: int, reduce: Callable, draw: Callable = _normals
 ) -> np.ndarray:
-    """One value per sample in [start, stop), from the sample streams of ``master_seed``.
-
-    ``draw(rng, row)`` fills a row of ``width`` floats from sample i's
-    stream; ``reduce(block)`` maps a block of at most _BLOCK rows to their
-    values.  The block array is reused, so ``reduce`` must not keep it.
-    """
-    out = np.empty(stop - start)
-    for lo, block in _drawn_blocks(master_seed, start, stop, [(stop, width)], draw):
-        # A helper call frees each block's intermediates before the next block's exist.
-        out[lo - start : lo - start + len(block)] = reduce(block)
-    return out
+    """One value per sample in [start, stop): ``_shared_sampled`` of the one check, which raises its error."""
+    (values,), (error,) = _shared_sampled(master_seed, start, stop, ((stop, width, reduce, draw),))
+    if error is not None:
+        raise error
+    return values
 
 
 def _drawn(width: int, reduce: Callable, draw: Callable = _normals) -> partial:
@@ -167,37 +185,6 @@ def _drawn(width: int, reduce: Callable, draw: Callable = _normals) -> partial:
 
 def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
-
-
-def _shared_sampled(
-    master_seed: int, start: int, stop: int, checks: Sequence[tuple[int, int, Callable]]
-) -> tuple[list[np.ndarray], list[str]]:
-    """Values and error texts over [start, stop) of checks ``(count, width, reduce)`` drawn from normals.
-
-    Check k covers samples [0, count_k) as ``_sampled`` with ``width_k``
-    and ``reduce_k`` would, but each sample's stream is re-keyed and drawn
-    once: its row holds the widest width among the checks that cover it, and
-    one ``standard_normal(k)`` call is bit for bit the smaller calls it
-    replaces.  Each reduce gets a C-contiguous copy of its check's rows, the
-    layout ``_sampled`` hands it.  A reduce that raises gives its check the
-    error text of its first failing block and no later blocks; the other
-    checks go on.
-    """
-    ends = sorted({count for count, _, _ in checks if count > start})
-    widths = [(end, max(width for count, width, _ in checks if count >= end)) for end in ends]
-    stop = min(stop, ends[-1]) if ends else start
-    values = [np.empty(max(0, min(count, stop) - start)) for count, _, _ in checks]
-    errors = [""] * len(checks)
-    for lo, block in _drawn_blocks(master_seed, start, stop, widths, _normals):
-        for k, (count, width, reduce) in enumerate(checks):
-            n = min(count, lo + len(block)) - lo
-            if n <= 0 or errors[k]:
-                continue
-            try:
-                values[k][lo - start : lo - start + n] = reduce(block[:n, :width].copy())
-            except Exception as exc:  # noqa: BLE001 - one check's error must not stop the others
-                errors[k] = _error_text(exc)
-    return values, errors
 
 
 # --- conjecture search ---------------------------------------------------------
@@ -232,12 +219,7 @@ class ConjectureResult:
 def _pure4_block_lhs(draws: np.ndarray) -> np.ndarray:
     """Hub correlation sums of the kets whose real and imaginary parts are the rows of ``draws``."""
     # _haar_arr normalizes each ket exactly as random_pure_state does.
-    kets = states._haar_arr(draws)
-    lhs = 0.0
-    for other in (1, 2, 3):
-        T = states._spin_corr_arr(states._ket_trace_arr(kets, [0, other], 4))
-        lhs += np.sum(T * T, axis=(1, 2))
-    return lhs
+    return monogamy._correlation_sum_arr(states._haar_arr(draws), 4, [(0, 1), (0, 2), (0, 3)], states._ket_trace_arr)
 
 
 _pure4_correlation_lhs = _drawn(32, _pure4_block_lhs)
@@ -399,8 +381,8 @@ _POINTS_PER_STATE = 100
 # reduce, which turns a block of drawn rows into margins with stacked kernels.
 # A row holds the normals of every Haar ket and unitary (real parts, then
 # imaginary parts); one standard_normal(k) call is bit for bit the smaller
-# calls it replaces, so the checks whose draw is _normals share one row per
-# sample in the suite (_shared_sampled).
+# calls it replaces, so the suite draws one row per sample for all the checks
+# whose draw is _normals (_shared_sampled).
 
 
 def _pure_width(n_qubits: int) -> int:
@@ -629,11 +611,6 @@ def _max_volume_codes(theta) -> np.ndarray:
     )
 
 
-def _max_volume_class(theta: float) -> monogamy.SloccClass:
-    """SLOCC class that the marginal spectra of ``max_volume_state(theta)`` imply."""
-    return monogamy._SLOCC_CLASSES[int(_max_volume_codes(theta))]
-
-
 def _draw_wclass(rng, row: np.ndarray) -> None:
     """theta, then the normals of three Haar 2x2 unitaries."""
     row[0] = rng.uniform(0.0, math.pi / 2.0)
@@ -702,7 +679,7 @@ class _InvariantCheck:
 
 # A random-sample check's fn is ``_drawn(width, reduce, draw)``, built once
 # here: the benchmark tracer labels each check by the identity of its fn, and
-# the suite reads the width and reduce of each normals check from fn.keywords.
+# the suite reads the width, reduce and draw of each check from fn.keywords.
 _SUITE: tuple[_InvariantCheck, ...] = (
     _InvariantCheck("state_reconstruction_round_trip", _drawn(_mixed_width(2), _reconstruction_margins), 10_000),
     _InvariantCheck("partial_trace_composition", _drawn(_mixed_width(3), _ptrace_composition_margins), 10_000),
@@ -813,17 +790,17 @@ def _scaled_count(check: _InvariantCheck, samples: int) -> int:
 def _shared_outcomes(
     checks: Sequence[_InvariantCheck], counts: Sequence[int], master_seed: int, workers: int
 ) -> dict[int, tuple[np.ndarray, str]]:
-    """``(margins, error)`` by position in ``checks`` of every check whose draw is plain normals.
+    """``(margins, error)`` by position in ``checks`` of every random-sample (``scaled``) check.
 
     They share one pass over the samples (``_shared_sampled``), chunked over
     [0, largest count) for ``workers > 1``; the error text of a check is that
     of its first failing chunk.
     """
-    shared = [k for k, check in enumerate(checks) if getattr(check.fn, "keywords", {}).get("draw") is _normals]
+    shared = [k for k, check in enumerate(checks) if check.scaled]
     n_samples = max((counts[k] for k in shared), default=0)
     if n_samples == 0:
         return {k: (np.empty(0), "") for k in shared}
-    parts = tuple((counts[k], checks[k].fn.keywords["width"], checks[k].fn.keywords["reduce"]) for k in shared)
+    parts = tuple((counts[k], *(checks[k].fn.keywords[key] for key in ("width", "reduce", "draw"))) for k in shared)
     try:
         chunks = _chunks(partial(_shared_sampled, checks=parts), n_samples, master_seed, workers)
     except Exception as exc:  # noqa: BLE001 - suite must report, not crash
@@ -831,7 +808,7 @@ def _shared_outcomes(
     return {
         k: (
             np.concatenate([values[j] for values, _ in chunks]),
-            next((errors[j] for _, errors in chunks if errors[j]), ""),
+            next((_error_text(errors[j]) for _, errors in chunks if errors[j] is not None), ""),
         )
         for j, k in enumerate(shared)
     }
@@ -859,8 +836,9 @@ def run_property_suite(
         if k in outcomes:
             margins, error = outcomes[k]
         else:
+            # A grid check computes its whole grid on every call, so it runs once, in this process.
             try:
-                margins, error = _chunked_values(check.fn, count, master_seed, workers), ""
+                margins, error = _chunked_values(check.fn, count, master_seed, 1), ""
             except Exception as exc:  # noqa: BLE001 - suite must report, not crash
                 error = _error_text(exc)
         if error:

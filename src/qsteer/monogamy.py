@@ -135,9 +135,12 @@ def volume_monogamy_report(rho: StateLike, hub: int = 0) -> MonogamyReport:
     )
 
 
-def _corr_strength(mat: np.ndarray, n: int, pair: Sequence[int]):
-    """Tr[T^t T] of the reduced two-qubit state on ``pair``; leading axes of ``mat`` are a batch."""
-    T = _spin_corr_arr(_partial_trace_arr(mat, list(pair), n))
+def _corr_strength(mat: np.ndarray, n: int, pair: Sequence[int], trace=None):
+    """Tr[T^t T] of the reduced two-qubit state on ``pair``; leading axes of ``mat`` are a batch.
+
+    ``trace`` is as in ``_hub_volumes``: ``states._ket_trace_arr`` takes kets.
+    """
+    T = _spin_corr_arr((trace or _partial_trace_arr)(mat, list(pair), n))
     return np.sum(T * T, axis=(-2, -1))
 
 
@@ -153,9 +156,9 @@ def pairwise_correlation_sum(rho: StateLike, pairs: Sequence[tuple[int, int]] | 
     return float(_correlation_sum_arr(mat, n, pairs))
 
 
-def _correlation_sum_arr(mat: np.ndarray, n: int, pairs: Sequence[tuple[int, int]]):
-    """Sum of Tr[T^t T] over ``pairs``; leading axes of ``mat`` are a batch."""
-    return sum(_corr_strength(mat, n, pair) for pair in pairs)
+def _correlation_sum_arr(mat: np.ndarray, n: int, pairs: Sequence[tuple[int, int]], trace=None):
+    """Sum of Tr[T^t T] over ``pairs``; leading axes of ``mat`` are a batch, ``trace`` as in ``_corr_strength``."""
+    return sum(_corr_strength(mat, n, pair, trace) for pair in pairs)
 
 
 def _pure_density(state: StateLike, n_expected: int | None = None) -> tuple[np.ndarray, int]:

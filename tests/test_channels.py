@@ -162,6 +162,14 @@ class TestApplyLocalContraction:
         with pytest.raises(StateValidationError):
             apply_local([identity_channel()] * 2, np.zeros((3, 4, 2), dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stack_rejected(self, rng, bad):
+        # A single non-finite 4x4 matrix was rejected, but a stack with one came back as non-finite output.
+        mats = np.stack([random_mixed_state(2, seed=rng).matrix for _ in range(3)])
+        mats[1, 2, 3] = bad
+        with pytest.raises(StateValidationError, match="non-finite"):
+            apply_local([identity_channel()] * 2, mats)
+
     def test_superoperator_is_fixed_at_construction(self, rng):
         channel = random_channel(seed=rng)
         expected = sum(np.einsum("ik,jl->ijkl", k, k.conj()) for k in channel.operators)

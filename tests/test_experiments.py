@@ -3,6 +3,7 @@ import os
 import pickle
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -24,8 +25,7 @@ from qsteer.experiments import (
     GhzSweepRow,
     InvariantResult,
     _chunked_values,
-    _max_volume_class,
-    _normals,
+    _max_volume_codes,
     _open_grid,
     _pool,
     _pure4_correlation_lhs,
@@ -392,18 +392,17 @@ class TestBatchedChecks:
 
 # 10^4-checks end at 570 (mid-block 2) and 10^3-checks at 57 (mid-block 0).
 SHARED_SCALE = 570
-SHARED_CHECKS = tuple(
-    check for check in _SUITE + (_EXPLORATORY,) if getattr(check.fn, "keywords", {}).get("draw") is _normals
-)
+SHARED_CHECKS = tuple(check for check in _SUITE + (_EXPLORATORY,) if check.scaled)
 
 
 class TestSharedNormals:
-    """The suite draws each sample's normals once for every check whose draw is plain normals."""
+    """The suite runs every random-sample check in one pass; checks with the same draw share each sample's row."""
 
-    def test_every_normals_check_is_shared(self):
-        own_draws = {"sampled_state_validity", "separable_volume_bound", "wclass_saturation"}
-        random_checks = {check.name for check in _SUITE + (_EXPLORATORY,) if check.scaled}
-        assert {check.name for check in SHARED_CHECKS} == random_checks - own_draws
+    def test_every_random_sample_check_is_shared(self):
+        checks = _SUITE + (_EXPLORATORY,)
+        outcomes = _shared_outcomes(checks, [_scaled_count(check, 20) for check in checks], 7, 1)
+        # Own draws (sampler output, separable mixtures, W-class saturation) included; grid checks not.
+        assert sorted(outcomes) == [k for k, check in enumerate(checks) if check.scaled]
 
     @pytest.mark.parametrize("seed, workers", [(7, 1), (12345, 1), (5, 1), (7, 2)])
     def test_shared_margins_match_each_check_alone(self, seed, workers):
@@ -419,14 +418,19 @@ class TestSharedNormals:
     def test_shared_pass_over_a_later_range(self):
         # A chunk that starts past the 10^3-checks' end gives them no samples.
         counts = [_scaled_count(check, SHARED_SCALE) for check in SHARED_CHECKS]
-        parts = tuple((n, check.fn.keywords["width"], check.fn.keywords["reduce"]) for check, n in zip(SHARED_CHECKS, counts))
+        parts = tuple(
+            (n, *(check.fn.keywords[key] for key in ("width", "reduce", "draw")))
+            for check, n in zip(SHARED_CHECKS, counts)
+        )
         values, errors = _shared_sampled(12345, 300, 570, parts)
-        assert errors == [""] * len(parts)
+        assert errors == [None] * len(parts)
         for check, count, got in zip(SHARED_CHECKS, counts, values):
             want = check.fn(12345, 300, count) if count > 300 else np.empty(0)
             assert got.tobytes() == want.tobytes(), check.name
 
-    @pytest.mark.parametrize("name", ["polygon_inequality", "mixed5_mean_volume"])
+    @pytest.mark.parametrize(
+        "name", ["polygon_inequality", "mixed5_mean_volume", "wclass_saturation", "separable_volume_bound"]
+    )
     def test_failing_reduce_reports_only_its_own_check(self, monkeypatch, name):
         expected = run_property_suite(samples=60, master_seed=3, explore_mixed_4q=True).results
 
@@ -458,6 +462,30 @@ class TestSharedNormals:
         assert (result.samples, result.failures, result.error) == (570, 570, "ValueError: call 2")
         # The third block (samples 512 to 570) is not reduced for a check that has failed.
         assert calls == [256, 256]
+
+    def test_a_check_alone_raises_the_error_of_its_reduce(self, monkeypatch):
+        def degenerate(draws):
+            raise ellipsoid.ZeroProbabilityError("no such outcome")
+
+        fn = CHECKS["separable_volume_bound"].fn
+        monkeypatch.setitem(fn.keywords, "reduce", degenerate)
+        with pytest.raises(ellipsoid.ZeroProbabilityError, match="no such outcome"):
+            fn(7, 0, 10)
+        monkeypatch.setitem(_pure4_correlation_lhs.keywords, "reduce", degenerate)
+        with pytest.raises(ellipsoid.ZeroProbabilityError, match="no such outcome"):
+            run_conjecture_test(10, master_seed=7)
+
+    def test_grid_checks_run_once_in_process(self, monkeypatch):
+        # A local function cannot reach a worker process, and each grid is whole in one call.
+        calls = []
+
+        def grid(master_seed, start, stop):
+            calls.append((start, stop))
+            return np.ones(stop - start)
+
+        monkeypatch.setattr(experiments, "_SUITE", tuple(c if c.scaled else replace(c, fn=grid) for c in _SUITE))
+        assert run_property_suite(samples=20, master_seed=3, workers=2).passed
+        assert calls == [(0, check.samples) for check in _SUITE if not check.scaled]
 
     @pytest.mark.parametrize("index", [0, 255, 256, 2**32 - 1])
     def test_a_narrow_draw_is_a_prefix_of_a_wider_one(self, index):
@@ -747,15 +775,16 @@ class TestPropertySuite:
 class TestWClassSaturation:
     @pytest.mark.parametrize("theta", [0.0, 1e-6, 5e-5, math.pi / 4, math.pi / 2 - 5e-5, math.pi / 2 - 1e-6, math.pi / 2])
     def test_expected_class_matches_classifier(self, theta):
-        assert monogamy.slocc_classify(monogamy.max_volume_state(theta)) is _max_volume_class(theta)
-        assert _max_volume_class(theta) is _ref_max_volume_class(theta)
+        expected = monogamy._SLOCC_CLASSES[int(_max_volume_codes(theta))]
+        assert monogamy.slocc_classify(monogamy.max_volume_state(theta)) is expected
+        assert expected is _ref_max_volume_class(theta)
 
     def test_end_of_range_sample_saturates(self):
         # Sample 27 of master seed 677336445 draws theta = pi/2 - 5.0e-7, where
         # qubit 1 factors out; the state is bipartite yet saturates the bound.
         theta = states.sample_rng(677336445, 27).uniform(0.0, math.pi / 2.0)
         assert math.pi / 2 - theta < 1e-5
-        assert _max_volume_class(theta) is monogamy.SloccClass.BIPARTITE_AC_B
+        assert monogamy._SLOCC_CLASSES[int(_max_volume_codes(theta))] is monogamy.SloccClass.BIPARTITE_AC_B
         assert CHECKS["wclass_saturation"].fn(677336445, 27, 28)[0] >= 0.0
 
 

@@ -17,8 +17,10 @@ from .states import (
     _check_finite,
     _check_n_qubits,
     _check_range,
+    _check_tol,
     _density,
     _haar_unitary_arr,
+    _real,
     as_rng,
 )
 
@@ -64,7 +66,7 @@ class KrausChannel:
 
     def apply(self, rho2: np.ndarray) -> np.ndarray:
         """Act on a single-qubit density matrix."""
-        return _apply_local_arr([self.superoperator], np.asarray(rho2, dtype=complex), 1)
+        return _apply_local_arr([self.superoperator], _density(rho2, 1)[0], 1)
 
     def to_dict(self) -> dict:
         return {
@@ -92,16 +94,18 @@ def _superoperator_arr(ops: np.ndarray) -> np.ndarray:
     Raises ValueError naming the worst channel's error if any stack fails
     the completeness test max |sum K^dag K - 1| <= 1e-10.
     """
-    gram = np.swapaxes(ops.conj(), -1, -2) @ ops
-    terms = np.einsum("...ik,...jl->...ijkl", ops, ops.conj())
-    # Accumulated from 0 in Kraus order, as Python's sum adds, which fixes
-    # even the signs of zero entries.
-    total = sup = 0
-    for k in range(ops.shape[-3]):
-        total = total + gram[..., k, :, :]
-        sup = sup + terms[..., k, :, :, :, :]
-    err = np.max(np.abs(total - np.eye(2)), axis=(-2, -1))
-    if np.any(err > COMPLETENESS_TOL):
+    # A NaN or inf operator makes ``err`` NaN or inf, which fails ``err <= tol``.
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = np.swapaxes(ops.conj(), -1, -2) @ ops
+        terms = np.einsum("...ik,...jl->...ijkl", ops, ops.conj())
+        # Accumulated from 0 in Kraus order, as Python's sum adds, which fixes
+        # even the signs of zero entries.
+        total = sup = 0
+        for k in range(ops.shape[-3]):
+            total = total + gram[..., k, :, :]
+            sup = sup + terms[..., k, :, :, :, :]
+        err = np.max(np.abs(total - np.eye(2)), axis=(-2, -1))
+    if np.any(~(err <= COMPLETENESS_TOL)):
         raise ValueError(f"Kraus completeness violated: max |sum K^dag K - 1| = {np.max(err):.3g}")
     return sup
 
@@ -116,8 +120,8 @@ def isotropic_channel(epsilon: float) -> KrausChannel:
     Kraus form {sqrt(1 - 3 eps/4) 1, sqrt(eps/4) sigma_x, sqrt(eps/4)
     sigma_y, sqrt(eps/4) sigma_z}.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    epsilon = _real("epsilon", epsilon)
+    _check_range("epsilon", epsilon, 0.0 <= epsilon <= 1.0, "[0, 1]")
     ops = [math.sqrt(1.0 - 0.75 * epsilon) * np.eye(2, dtype=complex)]
     if epsilon > 0.0:
         ops.extend(math.sqrt(epsilon / 4.0) * PAULIS[j] for j in range(3))
@@ -211,14 +215,13 @@ def noisy_w_volume(p: float, epsilon: float) -> float:
     v' = 4 p^4 (1-p^2)^2 (1-eps)^6 / [1 - (1-eps)^2 (1-2p^2)^2]^2 for
     noise strength eps on every qubit; equals 1/4 for eps = 0.
     """
-    return float(_noisy_w_volume_arr(p, epsilon))
+    return float(_noisy_w_volume_arr(_real("p", p), _real("epsilon", epsilon)))
 
 
 def monotonicity_check(rho: StateLike, channels, tol: float = 1e-9) -> tuple[float, float, bool]:
     """Volumes before/after local noise on a two-qubit state, and whether v' <= v + tol."""
-    mat, n = _density(rho)
-    if n != 2:
-        raise StateValidationError(f"monotonicity_check expects two qubits, got {n}")
+    _check_tol(tol)
+    mat, _ = _density(rho, 2)
     v_before = normalized_volume(mat)
     v_after = normalized_volume(apply_local(channels, mat))
     return v_before, v_after, v_after <= v_before + tol

@@ -18,13 +18,12 @@ from .states import (
     PauliDecomposition,
     QuantumState,
     StateLike,
-    StateValidationError,
     _abT_arr,
     _bloch_arr,
     _density,
-    _integer,
     _kron_arr,
     _partial_trace_arr,
+    _qubit,
 )
 
 __all__ = [
@@ -101,13 +100,9 @@ class SteeringEllipsoid:
         }
 
 
-def _steering_abT(mat: np.ndarray, n: int, steering_qubit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, T) with the steering qubit in the Alice slot of a 2-qubit matrix; leading axes are a batch."""
-    if n != 2:
-        raise StateValidationError(f"expected a two-qubit state, got {n} qubits")
-    steering_qubit = _integer("steering_qubit", steering_qubit)
-    if steering_qubit not in (0, 1):
-        raise StateValidationError(f"steering_qubit must be 0 or 1, got {steering_qubit}")
+def _steering_abT(mat: np.ndarray, steering_qubit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, T) with the steering qubit in the Alice slot of two-qubit matrices; leading axes are a batch."""
+    steering_qubit = _qubit("steering_qubit", steering_qubit, 2)
     a, b, T = _abT_arr(mat)
     if steering_qubit == 1:
         return b, a, np.swapaxes(T, -1, -2)
@@ -151,9 +146,7 @@ def canonical_form(rho: StateLike, steering_qubit: int = 0) -> QuantumState:
         If the steering qubit's marginal is pure (1 - |a|^2 <= 1e-12).
     """
     mat, n = _density(rho)
-    steering_qubit = _integer("steering_qubit", steering_qubit)
-    if steering_qubit < 0 or steering_qubit >= n:
-        raise StateValidationError(f"steering_qubit {steering_qubit} out of range for {n} qubits")
+    steering_qubit = _qubit("steering_qubit", steering_qubit, n)
     return QuantumState(n, _canonical_arr(mat, n, steering_qubit))
 
 
@@ -186,8 +179,8 @@ def steering_ellipsoid(rho: StateLike, steering_qubit: int = 0) -> SteeringEllip
     marginal factorizes the state and collapses the ellipsoid to the single
     point at the steered qubit's Bloch vector.
     """
-    mat, n = _density(rho)
-    a, b, T = _steering_abT(mat, n, steering_qubit)
+    mat, _ = _density(rho, 2)
+    a, b, T = _steering_abT(mat, steering_qubit)
     gamma = 1.0 - float(a @ a)
     if gamma <= DEGENERACY_THRESHOLD:
         return SteeringEllipsoid(
@@ -215,8 +208,8 @@ def normalized_volume(rho: StateLike, steering_qubit: int = 0) -> float:
     Returns 0 for a pure steering marginal.  Equals |det T| of the
     canonical form whenever the latter exists.
     """
-    mat, n = _density(rho)
-    return float(_volume_from_abT(*_steering_abT(mat, n, steering_qubit)))
+    mat, _ = _density(rho, 2)
+    return float(_volume_from_abT(*_steering_abT(mat, steering_qubit)))
 
 
 def _steered_arr(a: np.ndarray, b: np.ndarray, T: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -340,7 +340,7 @@ def _noisy_w_columns(p_grid: Sequence[float] | None, epsilons: Sequence[float] |
         for block in _blocks(p.size):
             noisy = channels.apply_local(noise, states._densities(kets[block]))
             pair = _partial_trace_arr(noisy, [0, 1], 3)
-            numeric[e, block] = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(pair, 2, 0))
+            numeric[e, block] = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(pair, 0))
     return (
         np.tile(p, eps.size), np.repeat(eps, p.size), closed.ravel(), numeric.ravel(),
         np.abs(closed - numeric).ravel(), 2.0 * np.sqrt(numeric).ravel(),
@@ -411,7 +411,7 @@ def _mixed_states(draws: np.ndarray, n_qubits: int) -> np.ndarray:
 
 
 def _volumes(mat: np.ndarray) -> np.ndarray:
-    return ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mat, 2, 0))
+    return ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mat, 0))
 
 
 def _sqrt_volume_sum(mat: np.ndarray) -> np.ndarray:
@@ -575,7 +575,7 @@ def _polygon_margins(draws: np.ndarray) -> np.ndarray:
 
 
 def _concurrence_volume_margins(draws: np.ndarray) -> np.ndarray:
-    return monogamy._concurrence_volume_arr(_mixed_states(draws, 2), 2) + _TOL
+    return monogamy._concurrence_volume_arr(_mixed_states(draws, 2)) + _TOL
 
 
 def _ckw_margins(draws: np.ndarray) -> np.ndarray:

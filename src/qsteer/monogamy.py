@@ -31,6 +31,8 @@ from .states import (
     _integer,
     _partial_trace_arr,
     _purity_arr,
+    _qubit,
+    _real,
     _spin_corr_arr,
 )
 
@@ -113,7 +115,7 @@ def _hub_volumes(mat: np.ndarray, n: int, hub: int, trace=None) -> list[np.ndarr
     module names, still sees it.
     """
     trace = trace or _partial_trace_arr
-    return [_volume_from_abT(*_steering_abT(trace(mat, [hub, other], n), 2, 0)) for other in range(n) if other != hub]
+    return [_volume_from_abT(*_steering_abT(trace(mat, [hub, other], n), 0)) for other in range(n) if other != hub]
 
 
 def volume_monogamy_report(rho: StateLike, hub: int = 0) -> MonogamyReport:
@@ -121,9 +123,7 @@ def volume_monogamy_report(rho: StateLike, hub: int = 0) -> MonogamyReport:
     mat, n = _density(rho)
     if n < 3:
         raise StateValidationError(f"monogamy report needs at least 3 qubits, got {n}")
-    hub = _integer("hub", hub)
-    if hub < 0 or hub >= n:
-        raise StateValidationError(f"hub {hub} out of range for {n} qubits")
+    hub = _qubit("hub", hub, n)
     volumes = [float(v) for v in _hub_volumes(mat, n, hub)]
     return MonogamyReport(
         hub=hub,
@@ -149,10 +149,10 @@ def pairwise_correlation_sum(rho: StateLike, pairs: Sequence[tuple[int, int]] | 
     mat, n = _density(rho)
     if pairs is None:
         pairs = list(combinations(range(n), 2))
-    pairs = [(_integer("pairs entry", i), _integer("pairs entry", j)) for i, j in pairs]
+    pairs = [(_qubit("pairs entry", i, n), _qubit("pairs entry", j, n)) for i, j in pairs]
     for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise StateValidationError(f"invalid qubit pair ({i}, {j}) for {n} qubits")
+        if i == j:
+            raise StateValidationError(f"pairs entry ({i}, {j}) names one qubit twice")
     return float(_correlation_sum_arr(mat, n, pairs))
 
 
@@ -161,12 +161,11 @@ def _correlation_sum_arr(mat: np.ndarray, n: int, pairs: Sequence[tuple[int, int
     return sum(_corr_strength(mat, n, pair, trace) for pair in pairs)
 
 
-def _pure_density(state: StateLike, n_expected: int | None = None) -> tuple[np.ndarray, int]:
-    mat, n = _density(state)
-    if n_expected is not None and n != n_expected:
-        raise StateValidationError(f"expected {n_expected} qubits, got {n}")
+def _pure_density(state: StateLike, n_qubits: int) -> np.ndarray:
+    """Density matrix of a pure ``n_qubits``-qubit state."""
+    mat, _ = _density(state, n_qubits)
     _check_pure_arr(mat)
-    return mat, n
+    return mat
 
 
 def _check_pure_arr(mat: np.ndarray) -> None:
@@ -191,7 +190,7 @@ def purity_identity_residuals_3q(psi: StateLike) -> np.ndarray:
     All three vanish for pure 3-qubit states (Schmidt purity matching across
     each bipartition).
     """
-    mat, _ = _pure_density(psi, 3)
+    mat = _pure_density(psi, 3)
     return _purity_residuals_3q_arr(mat)
 
 
@@ -228,9 +227,7 @@ def l_bcd(rho: StateLike) -> float:
     Sum over l, m, n in {x, y, z} of Tr[rho 1 (x) sigma_l (x) sigma_m (x)
     sigma_n] squared.
     """
-    mat, n = _density(rho)
-    if n != 4:
-        raise StateValidationError(f"l_bcd expects a 4-qubit state, got {n}")
+    mat, _ = _density(rho, 4)
     return float(_l_bcd_arr(mat))
 
 
@@ -248,7 +245,7 @@ def purity_identity_residuals_4q(psi: StateLike) -> np.ndarray:
     1..3 (including the tripartite term) against 3 + 4 a^2.  All four vanish
     for pure 4-qubit states.
     """
-    mat, _ = _pure_density(psi, 4)
+    mat = _pure_density(psi, 4)
     return _purity_residuals_4q_arr(mat)
 
 
@@ -273,7 +270,7 @@ def polygon_residual(psi: StateLike) -> float:
     Nonnegative for every pure 3-qubit state (the marginal-problem polygon
     constraint on qubit 0).
     """
-    mat, _ = _pure_density(psi, 3)
+    mat = _pure_density(psi, 3)
     return float(_polygon_arr(mat))
 
 
@@ -319,21 +316,19 @@ def concurrence(rho: StateLike) -> float:
     lambda_i of the eigenvalues of rho rho_tilde, and returns
     max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4).
     """
-    mat, n = _density(rho)
-    if n != 2:
-        raise StateValidationError(f"concurrence expects two qubits, got {n}")
+    mat, _ = _density(rho, 2)
     return float(_concurrence_arr(mat))
 
 
 def concurrence_volume_residual(rho: StateLike, steering_qubit: int = 0) -> float:
     """(1 - a^2) sqrt(v) - C^2 for a two-qubit state; nonnegative for all states."""
-    mat, n = _density(rho)
-    return float(_concurrence_volume_arr(mat, n, steering_qubit))
+    mat, _ = _density(rho, 2)
+    return float(_concurrence_volume_arr(mat, steering_qubit))
 
 
-def _concurrence_volume_arr(mat: np.ndarray, n: int, steering_qubit: int = 0):
+def _concurrence_volume_arr(mat: np.ndarray, steering_qubit: int = 0):
     """:func:`concurrence_volume_residual`; leading axes of ``mat`` are a batch."""
-    a, b, T = _steering_abT(mat, n, steering_qubit)
+    a, b, T = _steering_abT(mat, steering_qubit)
     v = _volume_from_abT(a, b, T)
     c = _concurrence_arr(mat)
     return (1.0 - (a[..., None, :] @ a[..., :, None])[..., 0, 0]) * np.sqrt(v) - c * c
@@ -341,13 +336,8 @@ def _concurrence_volume_arr(mat: np.ndarray, n: int, steering_qubit: int = 0):
 
 def ckw_residual(rho: StateLike, hub: int = 0) -> float:
     """4 det(rho_hub) - C^2(hub, X) - C^2(hub, Y) for a 3-qubit state; nonnegative."""
-    mat, n = _density(rho)
-    if n != 3:
-        raise StateValidationError(f"ckw_residual expects three qubits, got {n}")
-    hub = _integer("hub", hub)
-    if hub not in (0, 1, 2):
-        raise StateValidationError(f"hub must be 0, 1 or 2, got {hub}")
-    return float(_ckw_arr(mat, hub))
+    mat, _ = _density(rho, 3)
+    return float(_ckw_arr(mat, _qubit("hub", hub, 3)))
 
 
 def _ckw_arr(mat: np.ndarray, hub: int = 0, rank_cap: int | None = None):
@@ -371,7 +361,7 @@ def three_tangle(psi: StateLike) -> float:
     outright; this keeps the tangle of W-class states at machine-level zero
     instead of eigensolver noise.
     """
-    mat, _ = _pure_density(psi, 3)
+    mat = _pure_density(psi, 3)
     return float(_three_tangle_arr(mat))
 
 
@@ -390,7 +380,7 @@ def slocc_classify(psi: StateLike) -> SloccClass:
     out); with no factoring qubit the 3-tangle separates the W class (tangle
     ~ 0) from the GHZ class.
     """
-    mat, _ = _pure_density(psi, 3)
+    mat = _pure_density(psi, 3)
     return _SLOCC_CLASSES[int(_slocc_codes(mat))]
 
 
@@ -460,7 +450,7 @@ def w_family(p: float) -> QuantumState:
     A one-parameter family of W-class states, symmetric in qubits 1 and 2;
     every member saturates the sqrt-volume monogamy bound.
     """
-    return QuantumState(3, _w_family_arr(p))
+    return QuantumState(3, _w_family_arr(_real("p", p)))
 
 
 def _ghz_family_arr(alpha, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -487,7 +477,7 @@ def ghz_family(alpha: float, beta: float) -> tuple[QuantumState, tuple[float, fl
     predicted pair (v_{B|A}, v_{C|A}) = ((cos 2a + cos 2b)^2 / 4,
     (cos 2a - cos 2b)^2 / 4).
     """
-    kets, x, y = _ghz_family_arr(alpha, beta)
+    kets, x, y = _ghz_family_arr(_real("alpha", alpha), _real("beta", beta))
     return QuantumState(3, kets), (float(x), float(y))
 
 
@@ -497,8 +487,8 @@ def max_volume_state(theta: float) -> QuantumState:
     Canonical form of the states saturating the sqrt-volume monogamy bound;
     W class for interior t, bipartite at the endpoints.
     """
-    if not 0.0 <= theta <= math.pi / 2.0:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    theta = _real("theta", theta)
+    _check_range("theta", theta, 0.0 <= theta <= math.pi / 2.0, "[0, pi/2]")
     return QuantumState(3, _max_volume_arr(theta))
 
 

@@ -129,11 +129,26 @@ def sample_streams(master_seed: int, start: int, stop: int) -> Iterator[tuple[in
 def _check_range(name: str, values: np.ndarray, inside: np.ndarray, interval: str) -> None:
     """Raise ValueError naming the first entry of ``values`` outside ``interval``.
 
-    ``inside`` is the elementwise range test; comparisons with NaN are
-    False, so NaN entries are rejected too.
+    ``inside`` is the elementwise range test (a bool for a scalar); comparisons
+    with NaN are False, so NaN entries are rejected too.
     """
     if not np.all(inside):
-        raise ValueError(f"{name} must lie in {interval}, got {values[~inside].flat[0]}")
+        raise ValueError(f"{name} must lie in {interval}, got {np.asarray(values)[~np.asarray(inside)].flat[0]}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; an array, even of one entry, raises a TypeError naming it."""
+    if np.ndim(value) != 0:
+        raise TypeError(f"{name} must be a real scalar, got {value!r}")
+    return float(value)
+
+
+def _qubit(name: str, value, n_qubits: int) -> int:
+    """``value`` as a qubit index of an ``n_qubits``-qubit state; a float raises a TypeError."""
+    q = _integer(name, value)
+    if not 0 <= q < n_qubits:
+        raise StateValidationError(f"{name} {q} out of range for {n_qubits} qubits")
+    return q
 
 
 def _check_n_qubits(dim: int) -> int:
@@ -277,23 +292,24 @@ class QuantumState:
 StateLike = Union[QuantumState, np.ndarray]
 
 
-def _density(state: StateLike) -> tuple[np.ndarray, int]:
-    """Density matrix plus qubit count for a QuantumState, ket or matrix."""
+def _density(state: StateLike, n_qubits: int | None = None) -> tuple[np.ndarray, int]:
+    """Density matrix plus qubit count of a QuantumState, ket or matrix, which must have ``n_qubits`` if given."""
     if isinstance(state, QuantumState):
-        return state.matrix, state.n_qubits
-    arr = np.asarray(state, dtype=complex)
-    _check_finite(arr)
-    if arr.ndim == 1:
-        n = _check_n_qubits(arr.size)
-        return np.outer(arr, arr.conj()), n
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return arr, _check_n_qubits(arr.shape[0])
-    raise StateValidationError(f"cannot interpret array of shape {arr.shape} as a state")
+        mat, n = state.matrix, state.n_qubits
+    else:
+        arr = np.asarray(state, dtype=complex)
+        _check_finite(arr)
+        if not (arr.ndim == 1 or arr.ndim == 2 and arr.shape[0] == arr.shape[1]):
+            raise StateValidationError(f"cannot interpret array of shape {arr.shape} as a state")
+        n = _check_n_qubits(arr.shape[0])
+        mat = np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
+    if n_qubits is not None and n != n_qubits:
+        raise StateValidationError(f"expected a {n_qubits}-qubit state, got {n} qubits")
+    return mat, n
 
 
 def ket_to_density(psi: StateLike, tol: float = DEFAULT_TOL) -> QuantumState:
     """Outer product |psi><psi| of a normalized amplitude vector."""
-    _check_tol(tol)
     if isinstance(psi, QuantumState):
         if not psi.is_pure:
             raise StateValidationError("ket_to_density expects an amplitude vector")
@@ -352,13 +368,11 @@ def partial_trace(rho: StateLike, keep: Iterable[int]) -> QuantumState:
         this list, so ``keep=[2, 0]`` puts qubit 2 first.
     """
     mat, n = _density(rho)
-    keep = [_integer("keep entry", q) for q in keep]
+    keep = [_qubit("keep entry", q, n) for q in keep]
     if not keep:
         raise StateValidationError("keep list must not be empty")
     if len(set(keep)) != len(keep):
         raise StateValidationError(f"duplicate qubit indices in keep list {keep}")
-    if any(q < 0 or q >= n for q in keep):
-        raise StateValidationError(f"qubit index out of range in {keep} for {n} qubits")
     return QuantumState(len(keep), _partial_trace_arr(mat, keep, n))
 
 
@@ -369,9 +383,7 @@ def _bloch_arr(rho2: np.ndarray) -> np.ndarray:
 
 def bloch_vector(rho: StateLike) -> np.ndarray:
     """Bloch vector (Tr[rho sigma_x], Tr[rho sigma_y], Tr[rho sigma_z]) of one qubit."""
-    mat, n = _density(rho)
-    if n != 1:
-        raise StateValidationError(f"bloch_vector expects a single-qubit state, got {n} qubits")
+    mat, _ = _density(rho, 1)
     return _bloch_arr(mat)
 
 
@@ -472,9 +484,7 @@ def _spin_corr_arr(rho4: np.ndarray) -> np.ndarray:
 
 def spin_correlation_matrix(rho: StateLike) -> np.ndarray:
     """Spin correlation matrix T_jk = Tr[rho sigma_j (x) sigma_k] of a two-qubit state."""
-    mat, n = _density(rho)
-    if n != 2:
-        raise StateValidationError(f"spin_correlation_matrix expects two qubits, got {n}")
+    mat, _ = _density(rho, 2)
     return _spin_corr_arr(mat)
 
 
@@ -561,9 +571,7 @@ def _pauli_arr(mat: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, n
 def pauli_decomposition(rho: StateLike, tol: float = DEFAULT_TOL) -> PauliDecomposition:
     """Extract (a, b, T) of a two-qubit state, checking the physical ranges."""
     _check_tol(tol)
-    mat, n = _density(rho)
-    if n != 2:
-        raise StateValidationError(f"pauli_decomposition expects two qubits, got {n}")
+    mat, _ = _density(rho, 2)
     return PauliDecomposition(*_pauli_arr(mat, tol))
 
 

@@ -38,6 +38,20 @@ class TestKrausChannel:
         with pytest.raises(ValueError):
             KrausChannel(())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_operators_rejected(self, bad):
+        with pytest.raises(ValueError, match="completeness"):
+            KrausChannel((np.full((2, 2), bad, dtype=complex),))
+        with pytest.raises(ValueError, match="completeness"):
+            KrausChannel((np.eye(2, dtype=complex), np.diag([bad, 0.0]).astype(complex)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_payload_rejected(self, bad):
+        payload = identity_channel().to_dict()
+        payload["kraus"][0][3] = [bad, 0.0]
+        with pytest.raises(ValueError, match="completeness"):
+            KrausChannel.from_dict(payload)
+
     def test_json_round_trip(self, rng):
         channel = random_channel(seed=rng)
         again = KrausChannel.from_dict(channel.to_dict())
@@ -74,6 +88,11 @@ class TestIsotropicChannel:
     @pytest.mark.parametrize("eps", [-0.1, 1.1])
     def test_range(self, eps):
         with pytest.raises(ValueError):
+            isotropic_channel(eps)
+
+    @pytest.mark.parametrize("eps", [np.array([0.1]), np.array([0.1, 0.2]), [0.1]])
+    def test_scalar_only(self, eps):
+        with pytest.raises(TypeError, match="epsilon must be a real scalar"):
             isotropic_channel(eps)
 
 
@@ -230,6 +249,14 @@ class TestNoisyWVolume:
         with pytest.raises(ValueError, match="epsilon must"):
             noisy_w_volume(0.5, math.nan)
 
+    @pytest.mark.parametrize("p, eps", [(np.array([0.2, 0.3]), 0.1), (0.5, np.array([0.1])), (np.array(0.5), [0.1])])
+    def test_scalars_only(self, p, eps):
+        with pytest.raises(TypeError, match="must be a real scalar"):
+            noisy_w_volume(p, eps)
+
+    def test_zero_dimensional_array_is_a_scalar(self):
+        assert noisy_w_volume(np.array(0.5), np.float64(0.1)) == noisy_w_volume(0.5, 0.1)
+
 
 class TestMonotonicity:
     def test_identity_channels_keep_volume(self, rng):
@@ -265,6 +292,12 @@ class TestMonotonicity:
             monotonicity_check(w_family(0.5), [identity_channel()] * 3)
 
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf, 1.0])
+    def test_tol_validated(self, tol):
+        with pytest.raises(ValueError, match="tol must be"):
+            monotonicity_check(werner_state(), [identity_channel()] * 2, tol=tol)
+
+
 class TestStackedKernels:
     """Each stacked kernel equals its per-channel or per-state form bit for bit."""
 
@@ -280,6 +313,13 @@ class TestStackedKernels:
     def test_completeness_is_tested_per_channel(self, rng):
         kraus = channels._random_kraus_arr(rng.standard_normal((6, 128)))
         kraus[4, 0] *= 1.001
+        with pytest.raises(ValueError, match="completeness"):
+            channels._superoperator_arr(kraus)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_channel_in_stack_rejected(self, rng, bad):
+        kraus = channels._random_kraus_arr(rng.standard_normal((6, 128)))
+        kraus[2, 1, 0, 0] = bad
         with pytest.raises(ValueError, match="completeness"):
             channels._superoperator_arr(kraus)
 

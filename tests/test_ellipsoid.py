@@ -146,13 +146,13 @@ class TestBatchedVolume:
         product = np.kron(np.diag([1.0, 0.0]), random_single_qubit_density(rng)).astype(complex)
         mats = np.stack([random_mixed_state(2, seed=rng).matrix for _ in range(7)] + [product]).reshape(2, 4, 4, 4)
         for steering in (0, 1):
-            stacked = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mats, 2, steering))
+            stacked = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mats, steering))
             assert stacked.shape == (2, 4)
             for idx in np.ndindex(2, 4):
-                single = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mats[idx], 2, steering))
+                single = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mats[idx], steering))
                 assert single.shape == ()
                 assert stacked[idx] == single
-        assert ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mats, 2, 0))[1, 3] == 0.0
+        assert ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mats, 0))[1, 3] == 0.0
 
     def test_stack_matches_single_calls_on_many_triples(self, rng):
         # Enough triples that a last-bit difference in |a|^2 or in the squared
@@ -173,7 +173,7 @@ class TestBatchedVolume:
         mats += [np.kron(random_pure_state(1, seed=rng).matrix, random_single_qubit_density(rng))]
         for mat in mats:
             for steering in (0, 1):
-                triple = ellipsoid._steering_abT(mat, 2, steering)
+                triple = ellipsoid._steering_abT(mat, steering)
                 want = _ref_volume_from_abT(*triple)
                 single = ellipsoid._volume_from_abT(*triple)
                 assert single.shape == ()
@@ -185,7 +185,7 @@ class TestBatchedVolume:
     def test_stack_of_pure_marginals_is_zero(self, rng):
         mats = np.stack([random_pure_state(1, seed=rng).matrix for _ in range(5)])
         pairs = np.einsum("nab,cd->nacbd", mats, random_single_qubit_density(rng)).reshape(5, 4, 4)
-        volumes = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(pairs, 2, 0))
+        volumes = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(pairs, 0))
         np.testing.assert_array_equal(volumes, np.zeros(5))
 
 
@@ -275,7 +275,7 @@ class TestStackedKernels:
 
     def test_center_and_orientation(self, rng):
         mats = _mixed_stack(rng, 2)
-        a, b, T = ellipsoid._steering_abT(mats, 2, 0)
+        a, b, T = ellipsoid._steering_abT(mats, 0)
         gamma = 1.0 - (a[:, None, :] @ a[:, :, None])[:, 0, 0]
         center, q = ellipsoid._center_orientation(a, b, T, gamma)
         for k, mat in enumerate(mats):

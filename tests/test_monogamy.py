@@ -348,8 +348,32 @@ class TestFamilies:
     def test_max_volume_range(self):
         with pytest.raises(ValueError):
             max_volume_state(-0.1)
-        with pytest.raises(ValueError):
-            max_volume_state(math.pi / 2 + 0.1)
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi/2\], got 1.6"):
+            max_volume_state(1.6)
+        with pytest.raises(ValueError, match="got nan"):
+            max_volume_state(math.nan)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: w_family(np.array([0.2, 0.3])),
+            lambda: w_family(np.array([0.2])),
+            lambda: w_family([0.5]),
+            lambda: max_volume_state(np.array([0.1])),
+            lambda: max_volume_state(np.array([0.1, 0.2])),
+            lambda: ghz_family(np.array([0.2, 0.3]), 0.4),
+            lambda: ghz_family(0.2, np.array([0.4])),
+        ],
+    )
+    def test_builders_take_scalars_only(self, build):
+        with pytest.raises(TypeError, match="must be a real scalar"):
+            build()
+
+    def test_builders_accept_numpy_scalars(self):
+        np.testing.assert_array_equal(w_family(np.float64(0.3)).data, w_family(0.3).data)
+        np.testing.assert_array_equal(max_volume_state(np.array(0.7)).data, max_volume_state(0.7).data)
+        state, pred = ghz_family(np.float32(0.5), np.array(0.25))
+        assert state.data.shape == (8,) and pred == ghz_family(float(np.float32(0.5)), 0.25)[1]
 
     def test_purified_counterexample_traces_back(self):
         pure4 = purified_counterexample()
@@ -407,7 +431,7 @@ class TestStackedKernels:
         mats = np.concatenate([_stack(rng, 2, pure=False), _stack(rng, 2, pure=True)])
         np.testing.assert_array_equal(monogamy._concurrence_arr(mats), [concurrence(m) for m in mats])
         np.testing.assert_array_equal(
-            monogamy._concurrence_volume_arr(mats, 2), [concurrence_volume_residual(m) for m in mats]
+            monogamy._concurrence_volume_arr(mats), [concurrence_volume_residual(m) for m in mats]
         )
 
     @pytest.mark.parametrize("hub", [0, 1, 2])

@@ -81,7 +81,7 @@ def test_spin_correlation_matches_einsum(shape):
 def test_steering_abT_matches_einsum(shape, steering_qubit):
     for seed in range(3):
         for layout, mat in _layouts(shape, seed):
-            got = ellipsoid._steering_abT(mat, 2, steering_qubit)
+            got = ellipsoid._steering_abT(mat, steering_qubit)
             want = _ref_steering_abT(mat, steering_qubit)
             for g, w in zip(got, want):
                 _assert_same(g, w)
@@ -101,16 +101,16 @@ def test_pauli_arr_matches_einsum(shape):
 def test_signed_zeros_become_positive_zeros():
     # einsum starts every sum from 0.0, so all -0.0 inputs give +0.0 outputs.
     mat = np.full((4, 4), -0.0 - 0.0j)
-    for got in (*ellipsoid._steering_abT(mat, 2, 0), states._spin_corr_arr(mat)):
+    for got in (*ellipsoid._steering_abT(mat, 0), states._spin_corr_arr(mat)):
         assert not np.signbit(got).any()
-    for g, w in zip(ellipsoid._steering_abT(mat, 2, 1), _ref_steering_abT(mat, 1)):
+    for g, w in zip(ellipsoid._steering_abT(mat, 1), _ref_steering_abT(mat, 1)):
         _assert_same(g, w)
 
 
 def test_real_input_matches_einsum():
     mat = _matrices((5,), 0).real
     _assert_same(states._spin_corr_arr(mat), _ref_spin_corr_arr(mat))
-    for g, w in zip(ellipsoid._steering_abT(mat, 2, 0), _ref_steering_abT(mat, 0)):
+    for g, w in zip(ellipsoid._steering_abT(mat, 0), _ref_steering_abT(mat, 0)):
         _assert_same(g, w)
 
 
@@ -121,7 +121,7 @@ def test_layout_keeps_downstream_rounding(shape, steering_qubit):
     # sum over (-2, -1) its order; both must see the einsum layout's bits.
     for seed in range(3):
         mat = _matrices(shape, seed, scale=-1)
-        got = ellipsoid._steering_abT(mat, 2, steering_qubit)
+        got = ellipsoid._steering_abT(mat, steering_qubit)
         want = _ref_steering_abT(mat, steering_qubit)
         _assert_same(np.asarray(ellipsoid._volume_from_abT(*got)), np.asarray(ellipsoid._volume_from_abT(*want)))
         gamma = 1.0 - (want[0][..., None, :] @ want[0][..., :, None])[..., 0, 0]

@@ -9,18 +9,20 @@ import numpy as np
 
 from .ellipsoid import normalized_volume
 from .states import (
+    DEFAULT_TOL,
     PAULIS,
     QuantumState,
     SeedLike,
     StateLike,
     StateValidationError,
-    _check_finite,
     _check_n_qubits,
     _check_range,
     _check_tol,
+    _complex_pairs,
     _density,
     _haar_unitary_arr,
     _real,
+    _validate_arr,
     as_rng,
 )
 
@@ -76,16 +78,13 @@ class KrausChannel:
     @classmethod
     def from_dict(cls, payload: dict) -> "KrausChannel":
         try:
-            blocks = payload["kraus"]
+            flats = [_complex_pairs("Kraus block", block) for block in payload["kraus"]]
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"channel payload missing field: {exc}") from exc
-        ops = []
-        for block in blocks:
-            flat = np.array([complex(re, im) for re, im in block], dtype=complex)
+            raise ValueError(f"channel payload needs a 'kraus' list of blocks: {exc}") from exc
+        for flat in flats:
             if flat.size != 4:
                 raise ValueError(f"Kraus block has {flat.size} entries, expected 4")
-            ops.append(flat.reshape(2, 2))
-        return cls(tuple(ops))
+        return cls(tuple(flat.reshape(2, 2) for flat in flats))
 
 
 def _superoperator_arr(ops: np.ndarray) -> np.ndarray:
@@ -153,15 +152,16 @@ def apply_local(channels, rho):
 
     ``rho`` is a state, ket or density matrix, which gives a
     :class:`QuantumState`, or a (..., 2**n, 2**n) array stack of density
-    matrices, which gives the array stack of outputs.  Each channel acts as
-    one contraction of its superoperator with its qubit's row and column
-    axes.
+    matrices, which gives the array stack of outputs.  Every matrix of a
+    stack is validated as :meth:`QuantumState.from_matrix` validates one.
+    Each channel acts as one contraction of its superoperator with its
+    qubit's row and column axes.
     """
     if isinstance(rho, np.ndarray) and rho.ndim > 2:
         if rho.shape[-1] != rho.shape[-2]:
             raise StateValidationError(f"cannot interpret array of shape {rho.shape} as a state stack")
         mat, n = rho, _check_n_qubits(rho.shape[-1])
-        _check_finite(mat)
+        _validate_arr(mat.reshape((-1,) + mat.shape[-2:]), DEFAULT_TOL)
     else:
         mat, n = _density(rho)
     channels = list(channels)
@@ -221,7 +221,7 @@ def noisy_w_volume(p: float, epsilon: float) -> float:
 def monotonicity_check(rho: StateLike, channels, tol: float = 1e-9) -> tuple[float, float, bool]:
     """Volumes before/after local noise on a two-qubit state, and whether v' <= v + tol."""
     _check_tol(tol)
-    mat, _ = _density(rho, 2)
-    v_before = normalized_volume(mat)
-    v_after = normalized_volume(apply_local(channels, mat))
+    state = QuantumState(2, _density(rho, 2)[0])
+    v_before = normalized_volume(state)
+    v_after = normalized_volume(apply_local(channels, state))
     return v_before, v_after, v_after <= v_before + tol

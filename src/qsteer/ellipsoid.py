@@ -120,17 +120,22 @@ def _volume_from_abT(a: np.ndarray, b: np.ndarray, T: np.ndarray):
     return np.where(pure, 0.0, np.abs(det) / np.float_power(np.where(pure, 1.0, gamma), 2))
 
 
-def _center_orientation(a: np.ndarray, b: np.ndarray, T: np.ndarray, gamma):
-    """Ellipsoid center (b - T^t a) / gamma and orientation matrix Q for gamma = 1 - |a|^2 > 0.
+def _center_orientation(a: np.ndarray, b: np.ndarray, T: np.ndarray):
+    """``(live, center, Q)`` of the ellipsoids of (a, b, T); leading axes are a batch.
 
-    Leading axes of (a, b, T) and of ``gamma`` are a batch.
+    A live row, gamma = 1 - |a|^2 above DEGENERACY_THRESHOLD, gets the center
+    (b - T^t a) / gamma and orientation matrix Q; any other row gets the
+    point ellipsoid: center b and Q = 0.
     """
-    gamma = np.asarray(gamma)[..., None]
+    gamma = 1.0 - (a[..., None, :] @ a[..., :, None])[..., 0, 0]
+    live = gamma > DEGENERACY_THRESHOLD
+    scale = np.where(live, gamma, 1.0)[..., None]
     shifted = T - a[..., :, None] * b[..., None, :]
-    center = (b - (np.swapaxes(T, -1, -2) @ a[..., :, None])[..., 0]) / gamma
-    metric = np.eye(3) + a[..., :, None] * a[..., None, :] / gamma[..., None]
-    q = np.swapaxes(shifted, -1, -2) @ metric @ shifted / gamma[..., None]
-    return center, (q + np.swapaxes(q, -1, -2)) / 2.0
+    center = (b - (np.swapaxes(T, -1, -2) @ a[..., :, None])[..., 0]) / scale
+    metric = np.eye(3) + a[..., :, None] * a[..., None, :] / scale[..., None]
+    q = np.swapaxes(shifted, -1, -2) @ metric @ shifted / scale[..., None]
+    q = (q + np.swapaxes(q, -1, -2)) / 2.0
+    return live, np.where(live[..., None], center, b), np.where(live[..., None, None], q, 0.0)
 
 
 def canonical_form(rho: StateLike, steering_qubit: int = 0) -> QuantumState:
@@ -181,24 +186,15 @@ def steering_ellipsoid(rho: StateLike, steering_qubit: int = 0) -> SteeringEllip
     """
     mat, _ = _density(rho, 2)
     a, b, T = _steering_abT(mat, steering_qubit)
-    gamma = 1.0 - float(a @ a)
-    if gamma <= DEGENERACY_THRESHOLD:
-        return SteeringEllipsoid(
-            center=b.copy(),
-            orientation=np.zeros((3, 3)),
-            semiaxes=np.zeros(3),
-            normalized_volume=0.0,
-            degenerate=True,
-        )
-    center, q = _center_orientation(a, b, T, gamma)
-    eigvals = np.clip(np.linalg.eigvalsh(q), 0.0, None)
-    semiaxes = np.sqrt(eigvals)[::-1].copy()
+    live, center, q = _center_orientation(a, b, T)
+    # The point ellipsoid's zero semiaxes are +0.0, never sqrt(-0.0).
+    semiaxes = np.where(live, np.sqrt(np.clip(np.linalg.eigvalsh(q), 0.0, None))[::-1], 0.0)
     return SteeringEllipsoid(
         center=center,
         orientation=q,
         semiaxes=semiaxes,
         normalized_volume=float(_volume_from_abT(a, b, T)),
-        degenerate=False,
+        degenerate=not live,
     )
 
 

@@ -336,9 +336,9 @@ def _noisy_w_columns(p_grid: Sequence[float] | None, epsilons: Sequence[float] |
     kets = monogamy._w_family_arr(p)
     numeric = np.empty(closed.shape)
     for e, strength in enumerate(eps):
-        noise = [channels.isotropic_channel(float(strength))] * 3
+        noise = [channels.isotropic_channel(float(strength)).superoperator] * 3
         for block in _blocks(p.size):
-            noisy = channels.apply_local(noise, states._densities(kets[block]))
+            noisy = channels._apply_local_arr(noise, states._densities(kets[block]), 3)
             pair = _partial_trace_arr(noisy, [0, 1], 3)
             numeric[e, block] = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(pair, 0))
     return (
@@ -479,11 +479,9 @@ def _bloch_containment_margins(draws: np.ndarray) -> np.ndarray:
 
 def _membership_margins(draws: np.ndarray) -> np.ndarray:
     points, (a, b, T) = _points_and_abT(draws)
-    gamma = 1.0 - (a[:, None, :] @ a[:, :, None])[:, 0, 0]
-    live = gamma > ellipsoid.DEGENERACY_THRESHOLD
     # Every row, not a fancy-indexed copy of T: matmul sums in another order
     # when the strides of T change.
-    center, q = ellipsoid._center_orientation(a, b, T, np.where(live, gamma, 1.0))
+    live, center, q = ellipsoid._center_orientation(a, b, T)
     # Where the quadratic form is undefined the margin stays 1; containment
     # is covered by the Bloch-ball check.
     firm = live & (np.linalg.eigvalsh(q)[:, 0] > 1e-10)

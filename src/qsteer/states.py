@@ -164,11 +164,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be a number in [0, 1), got {tol}")
 
 
-def _check_finite(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise StateValidationError("state data has non-finite (NaN or inf) entries")
-
-
 def _validate_arr(data: np.ndarray, tol: float) -> None:
     """Raise the StateValidationError of the first invalid state in the stack ``data``.
 
@@ -201,12 +196,21 @@ def _validate_arr(data: np.ndarray, tol: float) -> None:
             raise StateValidationError(f"matrix is not positive semidefinite (min eigenvalue {eig:.3g})")
     if k == len(data):
         return
-    _check_finite(data[k])
+    if not np.all(np.isfinite(data[k])):
+        raise StateValidationError("state data has non-finite (NaN or inf) entries")
     if data.ndim == 2:
         raise StateValidationError(f"amplitude vector has squared norm {float(norm_sq[k])}, expected 1")
     if herm_err[k] > tol:
         raise StateValidationError(f"matrix is not Hermitian (max deviation {float(herm_err[k]):.3g})")
     raise StateValidationError(f"matrix has trace {complex(tr[k]):.6g}, expected 1")
+
+
+def _complex_pairs(name: str, pairs) -> np.ndarray:
+    """Complex vector of a JSON list of [re, im] number pairs; anything else raises StateValidationError."""
+    try:
+        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StateValidationError(f"{name} must be a list of [re, im] number pairs: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -276,10 +280,7 @@ class QuantumState:
             raise StateValidationError(f"n_qubits must be an integer >= 1, got {n!r}")
         if kind not in ("pure", "mixed"):
             raise StateValidationError(f"unknown state kind {kind!r}")
-        try:
-            flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise StateValidationError(f"state data must be a list of [re, im] number pairs: {exc}") from exc
+        flat = _complex_pairs("state data", pairs)
         log2_size = n if kind == "pure" else 2 * n
         # Bit lengths first, so that a huge n_qubits fails without building 2**n.
         if flat.size.bit_length() != log2_size + 1 or flat.size != 2**log2_size:
@@ -293,16 +294,14 @@ StateLike = Union[QuantumState, np.ndarray]
 
 
 def _density(state: StateLike, n_qubits: int | None = None) -> tuple[np.ndarray, int]:
-    """Density matrix plus qubit count of a QuantumState, ket or matrix, which must have ``n_qubits`` if given."""
-    if isinstance(state, QuantumState):
-        mat, n = state.matrix, state.n_qubits
-    else:
-        arr = np.asarray(state, dtype=complex)
-        _check_finite(arr)
-        if not (arr.ndim == 1 or arr.ndim == 2 and arr.shape[0] == arr.shape[1]):
-            raise StateValidationError(f"cannot interpret array of shape {arr.shape} as a state")
-        n = _check_n_qubits(arr.shape[0])
-        mat = np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
+    """Density matrix and qubit count (``n_qubits`` if given) of a QuantumState, or of a ket or matrix.
+
+    A ket or matrix is validated as :meth:`QuantumState.from_amplitudes` or :meth:`QuantumState.from_matrix` does.
+    """
+    if not isinstance(state, QuantumState):
+        arr = np.asarray(state)
+        state = QuantumState.from_amplitudes(arr) if arr.ndim == 1 else QuantumState.from_matrix(arr)
+    mat, n = state.matrix, state.n_qubits
     if n_qubits is not None and n != n_qubits:
         raise StateValidationError(f"expected a {n_qubits}-qubit state, got {n} qubits")
     return mat, n

@@ -52,6 +52,20 @@ class TestKrausChannel:
         with pytest.raises(ValueError, match="completeness"):
             KrausChannel.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "kraus",
+        [
+            5,
+            [[["1", "0"], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
+            [[1.0, [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
+        ],
+        ids=["not a list", "string entry", "bare number"],
+    )
+    def test_malformed_payload_raises_value_error(self, kraus):
+        # Each of these escaped as a TypeError.
+        with pytest.raises(ValueError):
+            KrausChannel.from_dict({"kraus": kraus})
+
     def test_json_round_trip(self, rng):
         channel = random_channel(seed=rng)
         again = KrausChannel.from_dict(channel.to_dict())

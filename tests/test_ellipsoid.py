@@ -32,6 +32,41 @@ def _ref_volume_from_abT(a, b, T):
     return float(abs(np.linalg.det(T - a[:, None] * b)) / gamma**2)
 
 
+def _ref_center_orientation(a, b, T, gamma):
+    """The orientation kernel before it took the degenerate rows itself, verbatim."""
+    gamma = np.asarray(gamma)[..., None]
+    shifted = T - a[..., :, None] * b[..., None, :]
+    center = (b - (np.swapaxes(T, -1, -2) @ a[..., :, None])[..., 0]) / gamma
+    metric = np.eye(3) + a[..., :, None] * a[..., None, :] / gamma[..., None]
+    q = np.swapaxes(shifted, -1, -2) @ metric @ shifted / gamma[..., None]
+    return center, (q + np.swapaxes(q, -1, -2)) / 2.0
+
+
+def _ref_steering_ellipsoid(rho, steering_qubit=0):
+    """steering_ellipsoid with its single-state branch for a pure steering marginal, verbatim."""
+    mat, _ = states._density(rho, 2)
+    a, b, T = ellipsoid._steering_abT(mat, steering_qubit)
+    gamma = 1.0 - float(a @ a)
+    if gamma <= ellipsoid.DEGENERACY_THRESHOLD:
+        return ellipsoid.SteeringEllipsoid(
+            center=b.copy(),
+            orientation=np.zeros((3, 3)),
+            semiaxes=np.zeros(3),
+            normalized_volume=0.0,
+            degenerate=True,
+        )
+    center, q = _ref_center_orientation(a, b, T, gamma)
+    eigvals = np.clip(np.linalg.eigvalsh(q), 0.0, None)
+    semiaxes = np.sqrt(eigvals)[::-1].copy()
+    return ellipsoid.SteeringEllipsoid(
+        center=center,
+        orientation=q,
+        semiaxes=semiaxes,
+        normalized_volume=float(ellipsoid._volume_from_abT(a, b, T)),
+        degenerate=False,
+    )
+
+
 class TestCanonicalForm:
     def test_balanced_marginal_is_fixed_point(self):
         # Werner already has a = 0, so the filter is the identity.
@@ -90,6 +125,36 @@ class TestSteeringEllipsoid:
         assert ell.normalized_volume == 0.0
         np.testing.assert_allclose(ell.center, bloch_vector(rho_b), atol=1e-12)
         np.testing.assert_allclose(ell.semiaxes, [0, 0, 0])
+
+    @staticmethod
+    def _near_pure_product(rng, gamma):
+        """A product state whose steering marginal has 1 - |a|^2 close to ``gamma``."""
+        n = rng.standard_normal(3)
+        r = np.sqrt(1.0 - gamma) * n / np.linalg.norm(n)
+        rho_a = (np.eye(2) + np.einsum("j,jab->ab", r, states.PAULIS)) / 2.0
+        return np.kron(rho_a, random_single_qubit_density(rng))
+
+    def test_every_field_keeps_its_bits(self, rng):
+        cases = [werner_state(), singlet_state(), random_pure_state(2, seed=rng)]
+        cases += [random_mixed_state(2, seed=rng) for _ in range(20)]
+        pure = np.diag([1.0, 0.0]).astype(complex)
+        cases += [np.kron(pure, random_single_qubit_density(rng)), np.kron(random_single_qubit_density(rng), pure)]
+        sides = []
+        for scale in (0.99, 1.01, 0.5, 2.0):
+            rho = self._near_pure_product(rng, scale * ellipsoid.DEGENERACY_THRESHOLD)
+            a = ellipsoid._steering_abT(rho, 0)[0]
+            sides.append(1.0 - float(a @ a) > ellipsoid.DEGENERACY_THRESHOLD)
+            cases.append(rho)
+        assert sides == [False, True, False, True]
+        for rho in cases:
+            for steering_qubit in (0, 1):
+                got = steering_ellipsoid(rho, steering_qubit)
+                want = _ref_steering_ellipsoid(rho, steering_qubit)
+                for field in ("center", "orientation", "semiaxes"):
+                    g, w = getattr(got, field), getattr(want, field)
+                    assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes()), field
+                assert np.float64(got.normalized_volume).tobytes() == np.float64(want.normalized_volume).tobytes()
+                assert got.degenerate is want.degenerate
 
     def test_orientation_is_symmetric_psd(self, rng):
         for _ in range(50):
@@ -276,8 +341,7 @@ class TestStackedKernels:
     def test_center_and_orientation(self, rng):
         mats = _mixed_stack(rng, 2)
         a, b, T = ellipsoid._steering_abT(mats, 0)
-        gamma = 1.0 - (a[:, None, :] @ a[:, :, None])[:, 0, 0]
-        center, q = ellipsoid._center_orientation(a, b, T, gamma)
+        _, center, q = ellipsoid._center_orientation(a, b, T)
         for k, mat in enumerate(mats):
             ell = steering_ellipsoid(mat)
             np.testing.assert_array_equal(center[k], ell.center)

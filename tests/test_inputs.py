@@ -11,19 +11,23 @@ import pytest
 import qsteer
 from qsteer import (
     StateValidationError,
+    apply_local,
     canonical_form,
     ckw_residual,
     concurrence,
     concurrence_volume_residual,
     identity_channel,
     isotropic_channel,
+    ket_to_density,
     l_bcd,
     monotonicity_check,
     normalized_volume,
     pairwise_correlation_sum,
     partial_trace,
+    pauli_coefficient,
     pauli_decomposition,
     polygon_residual,
+    purity,
     purity_identity_residuals_3q,
     purity_identity_residuals_4q,
     random_pure_state,
@@ -140,6 +144,82 @@ def test_kraus_apply_keeps_its_bits():
     channel = isotropic_channel(0.3)
     want = qsteer.channels._apply_local_arr([channel.superoperator], rho, 1)
     np.testing.assert_array_equal(channel.apply(rho), want)
+
+
+# --- one validator for every raw array -------------------------------------------
+
+# (name, function of one state, qubit count it takes) for every public entry
+# point that takes a state; ket_to_density takes kets only.
+_TAKES_A_STATE = _FIXED_COUNT + [
+    ("partial_trace", lambda rho: partial_trace(rho, [0]), 2),
+    ("pauli_coefficient", lambda rho: pauli_coefficient(rho, [3, 0]), 2),
+    ("purity", purity, 2),
+    ("canonical_form", canonical_form, 2),
+    ("volume_monogamy_report", volume_monogamy_report, 3),
+    ("pairwise_correlation_sum", pairwise_correlation_sum, 3),
+    ("apply_local", lambda rho: apply_local([identity_channel()] * 2, rho), 2),
+]
+
+
+def _invalid_states(n_qubits: int) -> dict:
+    """Arrays of the right shape that fail one state invariant each, with the message they must raise."""
+    d = 2**n_qubits
+    ket = np.zeros(d)
+    ket[0] = ket[-1] = 1.0
+    skew = np.zeros((d, d))
+    skew[0, 1], skew[1, 0] = 0.1, -0.1
+    return {
+        "ket of squared norm 2": (ket, "^amplitude vector has squared norm 2.0, expected 1$"),
+        "trace 2": (2.0 * np.eye(d) / d, r"^matrix has trace 2\+0j, expected 1$"),
+        "non-Hermitian": (np.eye(d) / d + skew, "^matrix is not Hermitian"),
+        "negative eigenvalue": (np.diag([1.5, -0.5] + [0.0] * (d - 2)), "^matrix is not positive semidefinite"),
+    }
+
+
+@pytest.mark.parametrize("fn, n_qubits", [row[1:] for row in _TAKES_A_STATE], ids=[row[0] for row in _TAKES_A_STATE])
+@pytest.mark.parametrize("kind", list(_invalid_states(1)))
+def test_invalid_state_rejected(fn, n_qubits, kind):
+    bad, message = _invalid_states(n_qubits)[kind]
+    with pytest.raises(StateValidationError, match=message):
+        fn(bad)
+
+
+def test_ket_to_density_rejects_an_unnormalized_ket():
+    bad, message = _invalid_states(2)["ket of squared norm 2"]
+    with pytest.raises(StateValidationError, match=message):
+        ket_to_density(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bloch_vector(np.array([1.0, 1.0])),
+        lambda: purity(5 * np.eye(4)),
+        lambda: normalized_volume(np.eye(4)),
+        lambda: apply_local([identity_channel()] * 2, np.stack([np.eye(4)] * 3)),
+        lambda: isotropic_channel(0.2).apply(2 * np.eye(2)),
+    ],
+    ids=["bloch_vector", "purity", "normalized_volume", "apply_local", "KrausChannel.apply"],
+)
+def test_unnormalized_input_is_never_computed(call):
+    with pytest.raises(StateValidationError):
+        call()
+
+
+@pytest.mark.parametrize("kind", ["trace 2", "non-Hermitian", "negative eigenvalue"])
+def test_apply_local_rejects_one_invalid_member_of_a_stack(kind):
+    bad, message = _invalid_states(2)[kind]
+    stack = np.stack([_mixed(2), _mixed(2), bad, _mixed(2)]).reshape(2, 2, 4, 4)
+    with pytest.raises(StateValidationError, match=message):
+        apply_local([identity_channel()] * 2, stack)
+
+
+def test_other_tolerances_go_through_quantum_state():
+    rho = _mixed(2) * (1.0 + 1e-7)
+    with pytest.raises(StateValidationError, match="trace"):
+        normalized_volume(rho)
+    state = qsteer.QuantumState.from_matrix(rho, tol=1e-6)
+    assert normalized_volume(state) == normalized_volume(qsteer.QuantumState(2, rho))
 
 
 # --- the public API, recorded from the package before the shared input checks ----

@@ -109,25 +109,35 @@ def _steering_abT(mat: np.ndarray, steering_qubit: int) -> tuple[np.ndarray, np.
     return a, b, T
 
 
-def _volume_from_abT(a: np.ndarray, b: np.ndarray, T: np.ndarray):
-    """|det(T - a b^T)| / (1 - |a|^2)^2, or 0 for a pure steering marginal; leading axes are a batch."""
-    # matmul reduces each row with the same dot kernel as ``a @ a``, and
-    # float_power calls the C pow that a float ``**`` uses; einsum and
-    # ``** 2`` round differently in the last bit.
-    gamma = 1.0 - (a[..., None, :] @ a[..., :, None])[..., 0, 0]
+def _gamma(a: np.ndarray):
+    """1 - |a|^2 of Bloch vectors ``a``; leading axes are a batch."""
+    # matmul reduces each row with the same dot kernel as ``a @ a``; einsum
+    # rounds differently in the last bit.
+    return 1.0 - (a[..., None, :] @ a[..., :, None])[..., 0, 0]
+
+
+def _volume_from_abT(a: np.ndarray, b: np.ndarray, T: np.ndarray, gamma=None):
+    """|det(T - a b^T)| / (1 - |a|^2)^2, or 0 for a pure steering marginal; leading axes are a batch.
+
+    ``gamma`` is ``_gamma(a)`` if the caller has it already.
+    """
+    gamma = _gamma(a) if gamma is None else gamma
     pure = gamma <= DEGENERACY_THRESHOLD
+    # float_power calls the C pow that a float ``**`` uses; ``** 2`` rounds
+    # differently in the last bit.
     det = np.linalg.det(T - a[..., :, None] * b[..., None, :])
     return np.where(pure, 0.0, np.abs(det) / np.float_power(np.where(pure, 1.0, gamma), 2))
 
 
-def _center_orientation(a: np.ndarray, b: np.ndarray, T: np.ndarray):
+def _center_orientation(a: np.ndarray, b: np.ndarray, T: np.ndarray, gamma=None):
     """``(live, center, Q)`` of the ellipsoids of (a, b, T); leading axes are a batch.
 
     A live row, gamma = 1 - |a|^2 above DEGENERACY_THRESHOLD, gets the center
     (b - T^t a) / gamma and orientation matrix Q; any other row gets the
-    point ellipsoid: center b and Q = 0.
+    point ellipsoid: center b and Q = 0.  ``gamma`` is ``_gamma(a)`` if the
+    caller has it already.
     """
-    gamma = 1.0 - (a[..., None, :] @ a[..., :, None])[..., 0, 0]
+    gamma = _gamma(a) if gamma is None else gamma
     live = gamma > DEGENERACY_THRESHOLD
     scale = np.where(live, gamma, 1.0)[..., None]
     shifted = T - a[..., :, None] * b[..., None, :]
@@ -162,7 +172,7 @@ def _canonical_arr(mat: np.ndarray, n: int, steering_qubit: int) -> np.ndarray:
     """
     marginal = _partial_trace_arr(mat, [steering_qubit], n)
     a = _bloch_arr(marginal)
-    pure = 1.0 - (a[..., None, :] @ a[..., :, None])[..., 0, 0] <= DEGENERACY_THRESHOLD
+    pure = _gamma(a) <= DEGENERACY_THRESHOLD
     if np.any(pure):
         first = a[pure][0]
         raise DegenerateMarginalError(
@@ -186,14 +196,15 @@ def steering_ellipsoid(rho: StateLike, steering_qubit: int = 0) -> SteeringEllip
     """
     mat, _ = _density(rho, 2)
     a, b, T = _steering_abT(mat, steering_qubit)
-    live, center, q = _center_orientation(a, b, T)
+    gamma = _gamma(a)
+    live, center, q = _center_orientation(a, b, T, gamma)
     # The point ellipsoid's zero semiaxes are +0.0, never sqrt(-0.0).
     semiaxes = np.where(live, np.sqrt(np.clip(np.linalg.eigvalsh(q), 0.0, None))[::-1], 0.0)
     return SteeringEllipsoid(
         center=center,
         orientation=q,
         semiaxes=semiaxes,
-        normalized_volume=float(_volume_from_abT(a, b, T)),
+        normalized_volume=float(_volume_from_abT(a, b, T, gamma)),
         degenerate=not live,
     )
 

@@ -406,8 +406,13 @@ def _pure_states(draws: np.ndarray, n_qubits: int) -> np.ndarray:
     return states._densities(_pure_kets(draws, n_qubits))
 
 
+def _mixed_kets(draws: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Haar kets of n system and n ancilla qubits: as (N, 2**n, 2**n), factors A of the induced states A A^dagger."""
+    return states._haar_arr(draws[:, : _mixed_width(n_qubits)])
+
+
 def _mixed_states(draws: np.ndarray, n_qubits: int) -> np.ndarray:
-    return states._induced_arr(states._haar_arr(draws[:, : _mixed_width(n_qubits)]), n_qubits)
+    return states._induced_arr(_mixed_kets(draws, n_qubits), n_qubits)
 
 
 def _volumes(mat: np.ndarray) -> np.ndarray:
@@ -522,7 +527,7 @@ def _volume_interval_margins(draws: np.ndarray) -> np.ndarray:
     if unit.size:
         # Unit volume must certify a pure entangled state.
         mixed = states._purity_arr(mat[unit]) < 1.0 - _TOL
-        margin[unit[(monogamy._concurrence_arr(mat[unit]) <= 0.0) | mixed]] = -1.0
+        margin[unit[(monogamy._concurrence_arr(monogamy._eigh_factor(mat[unit])) <= 0.0) | mixed]] = -1.0
     return margin
 
 
@@ -573,17 +578,19 @@ def _polygon_margins(draws: np.ndarray) -> np.ndarray:
 
 
 def _concurrence_volume_margins(draws: np.ndarray) -> np.ndarray:
-    return monogamy._concurrence_volume_arr(_mixed_states(draws, 2)) + _TOL
+    kets = _mixed_kets(draws, 2)
+    return monogamy._concurrence_volume_arr(states._induced_arr(kets, 2), kets.reshape(-1, 4, 4)) + _TOL
 
 
 def _ckw_margins(draws: np.ndarray) -> np.ndarray:
-    return monogamy._ckw_arr(_mixed_states(draws, 3), 0) + _TOL
+    return monogamy._ckw_arr(_mixed_kets(draws, 3).reshape(-1, 8, 8), 0) + _TOL
 
 
 def _tangle_volume_margins(draws: np.ndarray) -> np.ndarray:
-    mat = _pure_states(draws, 3)
+    kets = _pure_kets(draws, 3)
+    mat = states._densities(kets)
     monogamy._check_pure_arr(mat)
-    tangle = monogamy._three_tangle_arr(mat)
+    tangle = monogamy._three_tangle_arr(kets)
     a2 = monogamy._bloch_norms_sq(mat, 3)[0]
     return tangle - (1.0 - a2) * (1.0 - _sqrt_volume_sum(mat)) + _TOL
 
@@ -615,15 +622,20 @@ def _draw_wclass(rng, row: np.ndarray) -> None:
     rng.standard_normal(out=row[1:])
 
 
-def _wclass_margins(draws: np.ndarray) -> np.ndarray:
+def _wclass_kets(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta and the kets of ``max_volume_state(theta)`` under each row's three local unitaries."""
     theta = draws[:, 0]
     u = states._haar_unitary_arr(draws[:, 1:].reshape(len(draws), 3, 8), 2)
     local = states._kron_arr(states._kron_arr(u[:, 0], u[:, 1]), u[:, 2])
-    vec = (local @ monogamy._max_volume_arr(theta)[:, :, None])[:, :, 0]
+    return theta, (local @ monogamy._max_volume_arr(theta)[:, :, None])[:, :, 0]
+
+
+def _wclass_margins(draws: np.ndarray) -> np.ndarray:
+    theta, vec = _wclass_kets(draws)
     mat = states._densities(vec)
     margin = _SATURATION_TOL - np.abs(_sqrt_volume_sum(mat) - 1.0)
     monogamy._check_pure_arr(mat)
-    return np.where(monogamy._slocc_codes(mat) == _max_volume_codes(theta), margin, -1.0)
+    return np.where(monogamy._slocc_codes(vec) == _max_volume_codes(theta), margin, -1.0)
 
 
 def _noisy(mat: np.ndarray, draws: np.ndarray, n_qubits: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ellipsoid import _steering_abT, _volume_from_abT
+from .ellipsoid import _gamma, _steering_abT, _volume_from_abT
 from .states import (
     DEFAULT_TOL,
     PAULIS,
@@ -29,6 +29,7 @@ from .states import (
     _check_range,
     _density,
     _integer,
+    _ket_trace_arr,
     _partial_trace_arr,
     _purity_arr,
     _qubit,
@@ -280,75 +281,93 @@ def _polygon_arr(mat: np.ndarray):
     return 1.0 + a - b - c
 
 
-_SPIN_FLIP = np.kron(PAULIS[1], PAULIS[1])
-
-# Eigenvalues of rho rho_tilde below this fraction of the largest one are
-# rank-deficiency noise; without the floor their square roots inject ~1e-8
-# errors into the concurrence of rank-deficient states.
-_WOOTTERS_FLOOR = 1e-12
+# sigma_y (x) sigma_y maps rows (0, 1, 2, 3) of A to (-A_3, A_2, A_1, -A_0).
+_FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 
-def _wootters_lambdas(mat: np.ndarray, rank_cap: int | None = None) -> np.ndarray:
-    """Descending sqrt-eigenvalues of rho rho_tilde, shape (..., 4); leading axes of ``mat`` are a batch."""
-    flipped = _SPIN_FLIP @ mat.conj() @ _SPIN_FLIP
-    mu = np.sort(np.linalg.eigvals(mat @ flipped).real, axis=-1)[..., ::-1]
-    top = mu[..., :1]
-    mu = np.where((top <= 0.0) | (mu < top * _WOOTTERS_FLOOR), 0.0, mu)
-    if rank_cap is not None:
-        mu[..., rank_cap:] = 0.0
-    return np.sqrt(mu)
+def _spin_flip_tau(factor: np.ndarray) -> np.ndarray:
+    """tau = A^T (sigma_y (x) sigma_y) A of factors A, shape (..., 4, r) to (..., r, r)."""
+    return np.swapaxes(factor, -1, -2) @ (_FLIP_SIGN * factor[..., ::-1, :])
 
 
-def _concurrence_arr(mat: np.ndarray, rank_cap: int | None = None):
-    """Wootters concurrence of the trailing (4, 4) axes of ``mat``; leading axes are a batch.
+def _eigh_factor(mat: np.ndarray) -> np.ndarray:
+    """A with A A^dagger = ``mat``: eigenvectors scaled by the square roots of eigenvalues clipped at 0.
 
-    ``rank_cap`` zeroes all but that many of the largest spin-flip eigenvalues.
+    Columns are in ascending eigenvalue order; leading axes of ``mat`` are a batch.
     """
-    lam = _wootters_lambdas(mat, rank_cap)
-    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    vals, vecs = np.linalg.eigh(mat)
+    return vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]
+
+
+def _wootters_lambdas(factor: np.ndarray) -> np.ndarray:
+    """Wootters values of rho = A A^dagger, descending: the singular values of tau = A^T (sigma_y (x) sigma_y) A.
+
+    ``factor`` is A, shape (..., 4, r); leading axes are a batch; the
+    result is (..., min(r, 4)).  They equal the square roots of the
+    eigenvalues of rho rho_tilde, with no square root of a noisy eigenvalue
+    taken.  A factor with r > 4 columns is first reduced to the 4 x 4 factor
+    R^dagger of A^dagger = Q R, which has the same rho.
+    """
+    if factor.shape[-1] > 4:
+        factor = np.swapaxes(np.linalg.qr(np.swapaxes(factor, -1, -2).conj(), mode="r"), -1, -2).conj()
+    return np.linalg.svd(_spin_flip_tau(factor), compute_uv=False)
+
+
+def _concurrence_arr(factor: np.ndarray):
+    """Wootters concurrence max(0, lambda_1 - lambda_2 - ...) of rho = A A^dagger for factors A (..., 4, r)."""
+    lam = _wootters_lambdas(factor)
+    c = lam[..., 0] - np.sum(lam[..., 1:], axis=-1)
     return np.where(c > 0.0, c, 0.0)
 
 
 def concurrence(rho: StateLike) -> float:
     """Wootters concurrence of a two-qubit state.
 
-    Spin-flips the complex conjugate, takes the descending square roots
-    lambda_i of the eigenvalues of rho rho_tilde, and returns
-    max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4).
+    max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4), where the lambda_i
+    are the descending square roots of the eigenvalues of rho rho_tilde,
+    rho_tilde the spin-flipped complex conjugate; computed as the singular
+    values of a factor's tau (see ``_wootters_lambdas``).
     """
     mat, _ = _density(rho, 2)
-    return float(_concurrence_arr(mat))
+    return float(_concurrence_arr(_eigh_factor(mat)))
 
 
 def concurrence_volume_residual(rho: StateLike, steering_qubit: int = 0) -> float:
     """(1 - a^2) sqrt(v) - C^2 for a two-qubit state; nonnegative for all states."""
     mat, _ = _density(rho, 2)
-    return float(_concurrence_volume_arr(mat, steering_qubit))
+    return float(_concurrence_volume_arr(mat, _eigh_factor(mat), steering_qubit))
 
 
-def _concurrence_volume_arr(mat: np.ndarray, steering_qubit: int = 0):
-    """:func:`concurrence_volume_residual`; leading axes of ``mat`` are a batch."""
+def _concurrence_volume_arr(mat: np.ndarray, factor: np.ndarray, steering_qubit: int = 0):
+    """:func:`concurrence_volume_residual` of densities ``mat`` = A A^dagger, A = ``factor``; leading axes are a batch."""
     a, b, T = _steering_abT(mat, steering_qubit)
-    v = _volume_from_abT(a, b, T)
-    c = _concurrence_arr(mat)
-    return (1.0 - (a[..., None, :] @ a[..., :, None])[..., 0, 0]) * np.sqrt(v) - c * c
+    gamma = _gamma(a)
+    c = _concurrence_arr(factor)
+    return gamma * np.sqrt(_volume_from_abT(a, b, T, gamma)) - c * c
 
 
 def ckw_residual(rho: StateLike, hub: int = 0) -> float:
     """4 det(rho_hub) - C^2(hub, X) - C^2(hub, Y) for a 3-qubit state; nonnegative."""
     mat, _ = _density(rho, 3)
-    return float(_ckw_arr(mat, _qubit("hub", hub, 3)))
+    return float(_ckw_arr(_eigh_factor(mat), _qubit("hub", hub, 3)))
 
 
-def _ckw_arr(mat: np.ndarray, hub: int = 0, rank_cap: int | None = None):
-    """:func:`ckw_residual` of the trailing (8, 8) axes of ``mat``; leading axes are a batch.
+def _ckw_arr(factor: np.ndarray, hub: int = 0):
+    """:func:`ckw_residual` of rho = A A^dagger for 3-qubit factors A (..., 8, r); leading axes are a batch.
 
-    ``rank_cap`` is passed to each concurrence (see :func:`_concurrence_arr`).
+    A pair's factor is A with the third qubit moved into the columns, (..., 4, 2 r).
     """
+    # The product states._induced_arr forms, so an induced state's rho_hub keeps its bits.
+    mat = factor @ np.swapaxes(factor.conj(), -1, -2)
     total = 4.0 * np.linalg.det(_partial_trace_arr(mat, [hub], 3)).real
+    qubits = factor.reshape(factor.shape[:-2] + (2, 2, 2, -1))
+    batch = factor.ndim - 2
     for other in (q for q in range(3) if q != hub):
+        third = 3 - hub - other
+        axes = (*range(batch), *(batch + q for q in (hub, other, third)), batch + 3)
+        pair = qubits.transpose(axes).reshape(factor.shape[:-2] + (4, -1))
         # float_power calls the C pow, as Python's float ** does.
-        total = total - np.float_power(_concurrence_arr(_partial_trace_arr(mat, [hub, other], 3), rank_cap), 2)
+        total = total - np.float_power(_concurrence_arr(pair), 2)
     return total
 
 
@@ -356,21 +375,27 @@ def three_tangle(psi: StateLike) -> float:
     """Residual tripartite entanglement 4 det(rho_A) - C^2_AB - C^2_AC of a pure 3-qubit state.
 
     Zero exactly on the W class, positive on the GHZ class, 1 for the GHZ
-    state itself.  The reductions of a pure 3-qubit state have rank at most
-    2, so the two structurally zero spin-flip eigenvalues are dropped
-    outright; this keeps the tangle of W-class states at machine-level zero
-    instead of eigensolver noise.
+    state itself.  Computed as 4 |det tau| of the 2 x 2 spin-flip matrix of
+    the ket (see ``_three_tangle_arr``), with no eigensolver in the way.
     """
-    mat = _pure_density(psi, 3)
-    return float(_three_tangle_arr(mat))
+    return float(_three_tangle_arr(_pure_ket(psi)))
 
 
-def _three_tangle_arr(mat: np.ndarray):
-    """:func:`three_tangle` of the trailing (8, 8) axes of pure ``mat``; leading axes are a batch.
+def _pure_ket(psi: StateLike) -> np.ndarray:
+    """A ket of a pure 3-qubit state: its density's top eigenvector, scaled by the root of its eigenvalue."""
+    return _eigh_factor(_pure_density(psi, 3))[..., -1]
 
-    The CKW residual from qubit 0 with the pair reductions' rank capped at 2.
+
+def _three_tangle_arr(kets: np.ndarray):
+    """:func:`three_tangle` of 3-qubit kets (..., 8); leading axes are a batch.
+
+    With A the ket as a 4 x 2 matrix (qubits 0 and 1 by qubit 2), rho_AB =
+    A A^dagger has the two Wootters values of the 2 x 2 tau, and the CKW
+    residual is 4 lambda_1 lambda_2 = 4 |det tau| (Coffman, Kundu and
+    Wootters, PRA 61, 052306 (2000)).
     """
-    return _ckw_arr(mat, 0, rank_cap=2)
+    tau = _spin_flip_tau(kets.reshape(kets.shape[:-1] + (4, 2)))
+    return 4.0 * np.abs(tau[..., 0, 0] * tau[..., 1, 1] - tau[..., 0, 1] * tau[..., 1, 0])
 
 
 def slocc_classify(psi: StateLike) -> SloccClass:
@@ -380,8 +405,7 @@ def slocc_classify(psi: StateLike) -> SloccClass:
     out); with no factoring qubit the 3-tangle separates the W class (tangle
     ~ 0) from the GHZ class.
     """
-    mat = _pure_density(psi, 3)
-    return _SLOCC_CLASSES[int(_slocc_codes(mat))]
+    return _SLOCC_CLASSES[int(_slocc_codes(_pure_ket(psi)))]
 
 
 #: Order of the class codes that :func:`_slocc_codes` returns.
@@ -395,15 +419,26 @@ _SLOCC_CLASSES = (
 )
 
 
-def _slocc_codes(mat: np.ndarray) -> np.ndarray:
-    """Indices into _SLOCC_CLASSES for pure 3-qubit ``mat``; leading axes are a batch."""
+def _slocc_codes(kets: np.ndarray) -> np.ndarray:
+    """Indices into _SLOCC_CLASSES of 3-qubit kets (..., 8); leading axes are a batch.
+
+    The smaller eigenvalue p of a qubit marginal with trace t is below
+    RANK_TOL exactly when its determinant p (t - p) is below RANK_TOL (t -
+    RANK_TOL), since p <= t / 2; so no eigensolver is needed.
+    """
+    marginals = [_ket_trace_arr(kets, [q], 3) for q in range(3)]
     pure_marginals = np.stack(
-        [np.linalg.eigvalsh(_partial_trace_arr(mat, [q], 3))[..., 0] < RANK_TOL for q in range(3)], axis=-1
+        [
+            (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
+            < RANK_TOL * ((m[..., 0, 0] + m[..., 1, 1]).real - RANK_TOL)
+            for m in marginals
+        ],
+        axis=-1,
     )
     count = np.sum(pure_marginals, axis=-1)
     # A single pure marginal names the qubit that factors out: A, then B, then C.
     bipartite = 1 + np.argmax(pure_marginals, axis=-1)
-    entangled = np.where(_three_tangle_arr(mat) <= TANGLE_TOL, 4, 5)
+    entangled = np.where(_three_tangle_arr(kets) <= TANGLE_TOL, 4, 5)
     # Two pure marginals force the third for a pure state, so >= 2 means
     # fully product up to numerical noise.
     return np.where(count >= 2, 0, np.where(count == 1, bipartite, entangled))

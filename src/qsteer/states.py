@@ -202,7 +202,9 @@ def _validate_arr(data: np.ndarray, tol: float) -> None:
         raise StateValidationError(f"amplitude vector has squared norm {float(norm_sq[k])}, expected 1")
     if herm_err[k] > tol:
         raise StateValidationError(f"matrix is not Hermitian (max deviation {float(herm_err[k]):.3g})")
-    raise StateValidationError(f"matrix has trace {complex(tr[k]):.6g}, expected 1")
+    # The deviation gets its own digits: a trace off by 1e-7 prints as 1+0j.
+    deviation = float(np.abs(tr[k] - 1.0))
+    raise StateValidationError(f"matrix has trace {complex(tr[k]):.6g}, expected 1 (|trace - 1| = {deviation:.3g})")
 
 
 def _complex_pairs(name: str, pairs) -> np.ndarray:
@@ -293,14 +295,15 @@ class QuantumState:
 StateLike = Union[QuantumState, np.ndarray]
 
 
-def _density(state: StateLike, n_qubits: int | None = None) -> tuple[np.ndarray, int]:
+def _density(state: StateLike, n_qubits: int | None = None, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     """Density matrix and qubit count (``n_qubits`` if given) of a QuantumState, or of a ket or matrix.
 
-    A ket or matrix is validated as :meth:`QuantumState.from_amplitudes` or :meth:`QuantumState.from_matrix` does.
+    A ket or matrix is validated as :meth:`QuantumState.from_amplitudes` or
+    :meth:`QuantumState.from_matrix` does, within ``tol``.
     """
     if not isinstance(state, QuantumState):
         arr = np.asarray(state)
-        state = QuantumState.from_amplitudes(arr) if arr.ndim == 1 else QuantumState.from_matrix(arr)
+        state = QuantumState.from_amplitudes(arr, tol) if arr.ndim == 1 else QuantumState.from_matrix(arr, tol)
     mat, n = state.matrix, state.n_qubits
     if n_qubits is not None and n != n_qubits:
         raise StateValidationError(f"expected a {n_qubits}-qubit state, got {n} qubits")
@@ -570,7 +573,7 @@ def _pauli_arr(mat: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, n
 def pauli_decomposition(rho: StateLike, tol: float = DEFAULT_TOL) -> PauliDecomposition:
     """Extract (a, b, T) of a two-qubit state, checking the physical ranges."""
     _check_tol(tol)
-    mat, _ = _density(rho, 2)
+    mat, _ = _density(rho, 2, tol)
     return PauliDecomposition(*_pauli_arr(mat, tol))
 
 

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from qsteer import channels, ellipsoid, experiments, monogamy, states
+from qsteer import channels, ellipsoid, experiments, monogamy, serialize, states
 from qsteer.experiments import (
     _BLOCH_BALL_TOL,
     _EXPLORATORY,
@@ -212,27 +212,40 @@ def _ref_polygon(master_seed: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
+# The Wootters checks take each state's factor, the ket that random_mixed_state
+# traces or the ket of random_pure_state, so one state at a time they call the
+# kernels on that ket; the public functions factor the density instead and
+# agree within 1e-11 (tests/test_monogamy.py).
+
+
+def _mixed_factor(rng, n_qubits: int) -> np.ndarray:
+    """The purifying ket behind ``_mixed_matrix(rng, n_qubits)``, as a (2**n, 2**n) factor."""
+    dim = 2**n_qubits
+    return states.random_pure_state(2 * n_qubits, seed=rng).data.reshape(dim, dim)
+
+
 def _ref_concurrence_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
     for i, rng in sample_streams(master_seed, start, stop):
-        mat = _mixed_matrix(rng, 2)
-        out[i - start] = monogamy.concurrence_volume_residual(mat) + _TOL
+        factor = _mixed_factor(rng, 2)
+        mat = states._induced_arr(factor.reshape(-1), 2)
+        out[i - start] = monogamy._concurrence_volume_arr(mat, factor) + _TOL
     return out
 
 
 def _ref_ckw(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
     for i, rng in sample_streams(master_seed, start, stop):
-        mat = _mixed_matrix(rng, 3)
-        out[i - start] = monogamy.ckw_residual(mat) + _TOL
+        out[i - start] = monogamy._ckw_arr(_mixed_factor(rng, 3)) + _TOL
     return out
 
 
 def _ref_tangle_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
     for i, rng in sample_streams(master_seed, start, stop):
-        mat = _pure_matrix(rng, 3)
-        tangle = monogamy.three_tangle(mat)
+        psi = states.random_pure_state(3, seed=rng)
+        mat = psi.matrix
+        tangle = monogamy._three_tangle_arr(psi.data)
         a = states._bloch_arr(_partial_trace_arr(mat, [0], 3))
         report_lhs = sum(math.sqrt(v) for v in monogamy._hub_volumes(mat, 3, 0))
         out[i - start] = tangle - (1.0 - a @ a) * (1.0 - report_lhs) + _TOL
@@ -786,6 +799,38 @@ class TestWClassSaturation:
         assert math.pi / 2 - theta < 1e-5
         assert monogamy._SLOCC_CLASSES[int(_max_volume_codes(theta))] is monogamy.SloccClass.BIPARTITE_AC_B
         assert CHECKS["wclass_saturation"].fn(677336445, 27, 28)[0] >= 0.0
+
+
+# The worst tangle_volume_bound samples of the two golden runs that print one
+# (default seed at 10^4 samples; seed 7 at 10^3): (seed, sample count, index)
+# and the 3-tangle and margin of each sample's float64 ket, evaluated from its
+# entries at 50 digits with mpmath (offline; mpmath is not a dependency).
+TANGLE_WORST_SAMPLES = [
+    (
+        12345, 10_000, 5814,
+        "0.0022478146434492226038151848098187072999884203600404",
+        "0.0022288259951877541208319547399374232888912002905776",
+    ),
+    (
+        7, 1_000, 522,
+        "0.006028138643577763845260152626345020441562246117337",
+        "0.0059749718987761581423607058496893519326361802257915",
+    ),
+]
+
+
+class TestTangleWorstSamples:
+    @pytest.mark.parametrize("seed, count, index, tangle, margin", TANGLE_WORST_SAMPLES)
+    def test_worst_sample_matches_fifty_digit_value(self, seed, count, index, tangle, margin):
+        fn = CHECKS["tangle_volume_bound"].fn
+        assert int(np.argmin(fn(seed, 0, count))) == index
+        ket = states._haar_arr(states.sample_rng(seed, index).standard_normal(experiments._pure_width(3)))
+        # The eigensolver formula was off by 4.7e-14 and 3.8e-13 here.
+        assert abs(float(monogamy._three_tangle_arr(ket)) - float(tangle)) <= 1e-16
+        value = fn(seed, index, index + 1)[0]
+        assert abs(value - float(margin)) <= 1e-15
+        # So the printed 12 digits are the exact value's.
+        assert serialize.format_float(value) == serialize.format_float(float(margin))
 
 
 class TestCounterexampleRegression:

@@ -170,7 +170,7 @@ def _invalid_states(n_qubits: int) -> dict:
     skew[0, 1], skew[1, 0] = 0.1, -0.1
     return {
         "ket of squared norm 2": (ket, "^amplitude vector has squared norm 2.0, expected 1$"),
-        "trace 2": (2.0 * np.eye(d) / d, r"^matrix has trace 2\+0j, expected 1$"),
+        "trace 2": (2.0 * np.eye(d) / d, r"^matrix has trace 2\+0j, expected 1 \(\|trace - 1\| = 1\)$"),
         "non-Hermitian": (np.eye(d) / d + skew, "^matrix is not Hermitian"),
         "negative eigenvalue": (np.diag([1.5, -0.5] + [0.0] * (d - 2)), "^matrix is not positive semidefinite"),
     }

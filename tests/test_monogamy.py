@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsteer import monogamy, states
+from qsteer import experiments, monogamy, states
 from qsteer.ellipsoid import canonical_form, normalized_volume
 from qsteer.monogamy import (
     SloccClass,
@@ -401,47 +401,154 @@ class TestCanonicalVolumeEqualities:
             assert rep.sqrt_lhs <= 1.0 + 1e-9
 
 
-def _ref_three_tangle(mat):
-    """The 3-tangle formula that the rank-capped CKW residual replaced, verbatim."""
-    total = 4.0 * np.linalg.det(states._partial_trace_arr(mat, [0], 3)).real
-    for other in (1, 2):
-        lam = monogamy._wootters_lambdas(states._partial_trace_arr(mat, [0, other], 3), rank_cap=2)
-        gap = lam[..., 0] - lam[..., 1]
-        total = total - np.float_power(np.where(gap > 0.0, gap, 0.0), 2)
+_SPIN_FLIP = np.kron(states.SIGMA_Y, states.SIGMA_Y)
+
+
+def _ref_wootters(mat, rank_cap=None):
+    """Descending sqrt-eigenvalues of rho rho_tilde by a general eigensolver: the formula the factor kernel replaced."""
+    flipped = _SPIN_FLIP @ mat.conj() @ _SPIN_FLIP
+    mu = np.sort(np.linalg.eigvals(mat @ flipped).real, axis=-1)[..., ::-1]
+    top = mu[..., :1]
+    mu = np.where((top <= 0.0) | (mu < top * 1e-12), 0.0, mu)
+    if rank_cap is not None:
+        mu[..., rank_cap:] = 0.0
+    return np.sqrt(mu)
+
+
+def _ref_concurrence(mat, rank_cap=None):
+    lam = _ref_wootters(mat, rank_cap)
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return np.where(c > 0.0, c, 0.0)
+
+
+def _ref_ckw(mat, hub=0, rank_cap=None):
+    """4 det(rho_hub) - C^2 - C^2 with the eigensolver concurrence; rank_cap=2 gave the 3-tangle of pure states."""
+    total = 4.0 * np.linalg.det(states._partial_trace_arr(mat, [hub], 3)).real
+    for other in (q for q in range(3) if q != hub):
+        total = total - _ref_concurrence(states._partial_trace_arr(mat, [hub, other], 3), rank_cap) ** 2
     return total
+
+
+def _kets(rng, n_qubits, count=40):
+    return states._haar_arr(rng.standard_normal((count, 2 ** (n_qubits + 1))))
 
 
 def _stack(rng, n, pure, count=40):
     if pure:
-        return states._densities(states._haar_arr(rng.standard_normal((count, 2 ** (n + 1)))))
-    return states._induced_arr(states._haar_arr(rng.standard_normal((count, 2 ** (2 * n + 1)))), n)
+        return states._densities(_kets(rng, n, count))
+    return states._induced_arr(_kets(rng, 2 * n, count), n)
+
+
+def _factors(rng, n, count=40):
+    """Induced n-qubit states and their factors: Haar kets of n system and n ancilla qubits as 2**n x 2**n."""
+    kets = _kets(rng, 2 * n, count)
+    return states._induced_arr(kets, n), kets.reshape(count, 2**n, 2**n)
+
+
+# States per agreement test: the suite's default scale.
+_AGREEMENT_STATES = 10_000
+
+
+class TestWoottersKernel:
+    """The factor kernels against the eigensolver formula and against exact values."""
+
+    def test_induced_two_qubit_states_match_eigensolver(self, rng):
+        mats, factors = _factors(rng, 2, _AGREEMENT_STATES)
+        ref = _ref_concurrence(mats)
+        assert np.max(np.abs(monogamy._concurrence_arr(factors) - ref)) <= 1e-11
+        assert np.max(np.abs(monogamy._concurrence_arr(monogamy._eigh_factor(mats)) - ref)) <= 1e-11
+        np.testing.assert_allclose(monogamy._wootters_lambdas(factors), _ref_wootters(mats), rtol=0, atol=1e-11)
+
+    def test_pure_three_qubit_states_match_eigensolver(self, rng):
+        kets = _kets(rng, 3, _AGREEMENT_STATES)
+        mats = states._densities(kets)
+        ref = _ref_ckw(mats, 0, rank_cap=2)
+        assert np.max(np.abs(monogamy._three_tangle_arr(kets) - ref)) <= 1e-11
+        # The public functions' ket: the top column of the density's eigh factor.
+        assert np.max(np.abs(monogamy._three_tangle_arr(monogamy._eigh_factor(mats)[..., -1]) - ref)) <= 1e-11
+        # A pure-state reduction has a 4 x 2 factor; its tau has two Wootters values.
+        pair = states._partial_trace_arr(mats, [0, 1], 3)
+        got = monogamy._concurrence_arr(kets.reshape(-1, 4, 2))
+        assert np.max(np.abs(got - _ref_concurrence(pair, rank_cap=2))) <= 1e-11
+
+    @pytest.mark.parametrize("hub", [0, 1, 2])
+    def test_mixed_three_qubit_states_match_eigensolver(self, rng, hub):
+        mats, factors = _factors(rng, 3, _AGREEMENT_STATES)
+        ref = _ref_ckw(mats, hub)
+        assert np.max(np.abs(monogamy._ckw_arr(factors, hub) - ref)) <= 1e-11
+        assert np.max(np.abs(monogamy._ckw_arr(monogamy._eigh_factor(mats), hub) - ref)) <= 1e-11
+
+    def test_density_factor_reproduces_the_density(self, rng):
+        mats = np.concatenate([_stack(rng, 2, pure=False), _stack(rng, 2, pure=True)])
+        factor = monogamy._eigh_factor(mats)
+        np.testing.assert_allclose(factor @ np.swapaxes(factor.conj(), -1, -2), mats, rtol=0, atol=1e-15)
+
+    def test_wide_factor_is_reduced_to_four_columns(self, rng):
+        mats, factors = _factors(rng, 3, 20)
+        # A pair factor with the third qubit and the ancilla in its columns: 4 x 16.
+        wide = factors.reshape(20, 4, 16)
+        lam = monogamy._wootters_lambdas(wide)
+        assert lam.shape == (20, 4)
+        np.testing.assert_allclose(lam, _ref_wootters(states._partial_trace_arr(mats, [0, 1], 3)), atol=1e-11)
+
+    def test_ghz_tangle_is_one(self):
+        assert monogamy._three_tangle_arr(ghz_state().data) == pytest.approx(1.0, abs=1e-15)
+        assert three_tangle(ghz_state()) == pytest.approx(1.0, abs=1e-15)
+
+    def test_w_tangle_is_zero(self):
+        assert monogamy._three_tangle_arr(w_state().data) <= 1e-15
+        assert three_tangle(w_state()) <= 1e-15
+
+    def test_ghz_family_tangle_closed_form(self):
+        # Only sin(a) cos(a) sin(b) cos(b) / 4 survives in Cayley's hyperdeterminant.
+        alpha, beta = np.meshgrid(np.linspace(0.05, 1.5, 15), np.linspace(0.05, 1.5, 15))
+        kets, _, _ = monogamy._ghz_family_arr(alpha, beta)
+        expected = np.sin(2.0 * alpha) * np.sin(2.0 * beta)
+        np.testing.assert_allclose(monogamy._three_tangle_arr(kets), expected, rtol=0, atol=1e-15)
+        state, _ = ghz_family(0.4, 1.1)
+        assert three_tangle(state) == pytest.approx(math.sin(0.8) * math.sin(2.2), abs=1e-15)
+
+    def test_w_class_tangle_headroom_over_the_suite_states(self):
+        # The 10^4 rotated max-volume states of the default-seed wclass_saturation check.
+        draws = np.empty((_AGREEMENT_STATES, 25))
+        for i, rng in states.sample_streams(experiments.DEFAULT_SEED, 0, _AGREEMENT_STATES):
+            experiments._draw_wclass(rng, draws[i])
+        theta, kets = experiments._wclass_kets(draws)
+        w_class = experiments._max_volume_codes(theta) == monogamy._SLOCC_CLASSES.index(SloccClass.W_CLASS)
+        assert np.count_nonzero(w_class) > 9_000
+        assert np.max(monogamy._three_tangle_arr(kets[w_class])) <= 1e-14
+        assert np.all(monogamy._slocc_codes(kets) == experiments._max_volume_codes(theta))
 
 
 class TestStackedKernels:
     """Each stacked kernel equals its per-matrix form bit for bit."""
 
-    @pytest.mark.parametrize("rank_cap", [None, 2])
-    def test_wootters_lambdas(self, rng, rank_cap):
-        mats = np.concatenate([_stack(rng, 2, pure=False), _stack(rng, 2, pure=True), np.zeros((1, 4, 4))])
-        stacked = monogamy._wootters_lambdas(mats, rank_cap)
-        for mat, lam in zip(mats, stacked):
-            np.testing.assert_array_equal(lam, monogamy._wootters_lambdas(mat, rank_cap))
+    @pytest.mark.parametrize("columns", [1, 2, 4, 16])
+    def test_wootters_lambdas(self, rng, columns):
+        kets = _kets(rng, 2 + int(math.log2(columns)))
+        factors = np.concatenate([kets.reshape(-1, 4, columns), np.zeros((1, 4, columns))])
+        stacked = monogamy._wootters_lambdas(factors)
+        for factor, lam in zip(factors, stacked):
+            np.testing.assert_array_equal(lam, monogamy._wootters_lambdas(factor))
 
     def test_two_qubit_measures(self, rng):
         mats = np.concatenate([_stack(rng, 2, pure=False), _stack(rng, 2, pure=True)])
-        np.testing.assert_array_equal(monogamy._concurrence_arr(mats), [concurrence(m) for m in mats])
+        factors = monogamy._eigh_factor(mats)
+        np.testing.assert_array_equal(monogamy._concurrence_arr(factors), [concurrence(m) for m in mats])
         np.testing.assert_array_equal(
-            monogamy._concurrence_volume_arr(mats), [concurrence_volume_residual(m) for m in mats]
+            monogamy._concurrence_volume_arr(mats, factors), [concurrence_volume_residual(m) for m in mats]
         )
 
     @pytest.mark.parametrize("hub", [0, 1, 2])
     def test_ckw(self, rng, hub):
         mats = _stack(rng, 3, pure=False)
-        np.testing.assert_array_equal(monogamy._ckw_arr(mats, hub), [ckw_residual(m, hub) for m in mats])
+        factors = monogamy._eigh_factor(mats)
+        np.testing.assert_array_equal(monogamy._ckw_arr(factors, hub), [ckw_residual(m, hub) for m in mats])
 
     def test_pure_three_qubit_measures(self, rng):
         mats = _stack(rng, 3, pure=True)
-        np.testing.assert_array_equal(monogamy._three_tangle_arr(mats), [three_tangle(m) for m in mats])
+        kets = monogamy._eigh_factor(mats)[..., -1]
+        np.testing.assert_array_equal(monogamy._three_tangle_arr(kets), [three_tangle(m) for m in mats])
         np.testing.assert_array_equal(monogamy._polygon_arr(mats), [polygon_residual(m) for m in mats])
         np.testing.assert_array_equal(
             monogamy._purity_residuals_3q_arr(mats), [purity_identity_residuals_3q(m) for m in mats]
@@ -450,14 +557,6 @@ class TestStackedKernels:
         np.testing.assert_array_equal(
             monogamy._correlation_sum_arr(mats, 3, pairs), [pairwise_correlation_sum(m) for m in mats]
         )
-
-    def test_three_tangle_matches_former_formula(self, rng):
-        kets = [ghz_state().data, w_state().data, max_volume_state(0.0).data, max_volume_state(0.7).data]
-        kets += [random_pure_product_3q(rng)]
-        mats = np.concatenate([states._densities(np.array(kets)), _stack(rng, 3, pure=True)])
-        assert monogamy._three_tangle_arr(mats).tobytes() == _ref_three_tangle(mats).tobytes()
-        for mat in mats:
-            assert three_tangle(mat).hex() == float(_ref_three_tangle(mat)).hex()
 
     def test_pure_four_qubit_measures(self, rng):
         mats = _stack(rng, 4, pure=True)
@@ -484,9 +583,9 @@ class TestStackedKernels:
             w_state().data,
             ghz_state(3).data,
         ]
-        mats = np.concatenate([states._densities(np.array(kets)), _stack(rng, 3, pure=True)])
-        codes = monogamy._slocc_codes(mats)
-        assert [monogamy._SLOCC_CLASSES[c] for c in codes] == [slocc_classify(m) for m in mats]
+        kets = np.concatenate([np.array(kets), _kets(rng, 3)])
+        codes = monogamy._slocc_codes(kets)
+        assert [monogamy._SLOCC_CLASSES[c] for c in codes] == [slocc_classify(k) for k in kets]
         assert set(codes[:6]) == {0, 1, 2, 3, 4, 5}
 
     def test_pure_check_rejects_a_mixed_state_in_the_stack(self, rng):

@@ -747,6 +747,19 @@ class TestQuantumStateValidation:
         with pytest.raises(StateValidationError, match="positive semidefinite"):
             QuantumState.from_matrix(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_trace_message_names_a_small_deviation(self):
+        # At six digits the trace itself prints as 1+0j.
+        rho = random_mixed_state(2, seed=3).matrix * (1.0 + 1e-7)
+        with pytest.raises(StateValidationError, match=r"^matrix has trace 1\+0j, expected 1 \(\|trace - 1\| = 1e-07\)$"):
+            QuantumState.from_matrix(rho)
+
+    def test_pauli_decomposition_tol_reaches_raw_array_validation(self):
+        rho = random_mixed_state(2, seed=3).matrix * (1.0 + 1e-7)
+        with pytest.raises(StateValidationError, match="trace"):
+            pauli_decomposition(rho)
+        decomp = pauli_decomposition(rho, tol=1e-6)
+        np.testing.assert_array_equal(decomp.T, pauli_decomposition(QuantumState(2, rho), tol=1e-6).T)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_amplitudes_reject_non_finite(self, bad):
         with pytest.raises(StateValidationError, match="non-finite"):

@@ -39,6 +39,8 @@ __all__ = [
 
 COMPLETENESS_TOL = 1e-10
 
+_KRAUS_WIDTH = 2 * 8 * 8  # normals behind one random_channel: a Haar 8x8 unitary
+
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -135,11 +137,11 @@ def random_channel(seed: SeedLike = None) -> KrausChannel:
     environment of dimension 4.
     """
     rng = as_rng(seed)
-    return KrausChannel(tuple(_random_kraus_arr(rng.standard_normal(128))))
+    return KrausChannel(tuple(_random_kraus_arr(rng.standard_normal(_KRAUS_WIDTH))))
 
 
 def _random_kraus_arr(draws: np.ndarray) -> np.ndarray:
-    """Kraus stacks (..., 4, 2, 2) of :func:`random_channel` from its normals (..., 128).
+    """Kraus stacks (..., 4, 2, 2) of :func:`random_channel` from its normals (..., _KRAUS_WIDTH).
 
     The four 2x2 row blocks of the first two columns of a Haar 8x8 unitary.
     """

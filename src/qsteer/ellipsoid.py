@@ -100,13 +100,13 @@ class SteeringEllipsoid:
         }
 
 
-def _steering_abT(mat: np.ndarray, steering_qubit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, T) with the steering qubit in the Alice slot of two-qubit matrices; leading axes are a batch."""
+def _steering_abT(mat: np.ndarray, steering_qubit: int) -> tuple[np.ndarray, ...]:
+    """(a, b, T, ``_gamma(a)``), steering qubit in the Alice slot, of two-qubit matrices; leading axes are a batch."""
     steering_qubit = _qubit("steering_qubit", steering_qubit, 2)
     a, b, T = _abT_arr(mat)
     if steering_qubit == 1:
-        return b, a, np.swapaxes(T, -1, -2)
-    return a, b, T
+        a, b, T = b, a, np.swapaxes(T, -1, -2)
+    return a, b, T, _gamma(a)
 
 
 def _gamma(a: np.ndarray):
@@ -116,12 +116,11 @@ def _gamma(a: np.ndarray):
     return 1.0 - (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
-def _volume_from_abT(a: np.ndarray, b: np.ndarray, T: np.ndarray, gamma=None):
-    """|det(T - a b^T)| / (1 - |a|^2)^2, or 0 for a pure steering marginal; leading axes are a batch.
+def _volume_from_abT(a: np.ndarray, b: np.ndarray, T: np.ndarray, gamma: np.ndarray):
+    """|det(T - a b^T)| / gamma^2, or 0 for a pure steering marginal; leading axes are a batch.
 
-    ``gamma`` is ``_gamma(a)`` if the caller has it already.
+    ``gamma`` is ``_gamma(a)`` = 1 - |a|^2.
     """
-    gamma = _gamma(a) if gamma is None else gamma
     pure = gamma <= DEGENERACY_THRESHOLD
     # float_power calls the C pow that a float ``**`` uses; ``** 2`` rounds
     # differently in the last bit.
@@ -129,15 +128,13 @@ def _volume_from_abT(a: np.ndarray, b: np.ndarray, T: np.ndarray, gamma=None):
     return np.where(pure, 0.0, np.abs(det) / np.float_power(np.where(pure, 1.0, gamma), 2))
 
 
-def _center_orientation(a: np.ndarray, b: np.ndarray, T: np.ndarray, gamma=None):
+def _center_orientation(a: np.ndarray, b: np.ndarray, T: np.ndarray, gamma: np.ndarray):
     """``(live, center, Q)`` of the ellipsoids of (a, b, T); leading axes are a batch.
 
-    A live row, gamma = 1 - |a|^2 above DEGENERACY_THRESHOLD, gets the center
-    (b - T^t a) / gamma and orientation matrix Q; any other row gets the
-    point ellipsoid: center b and Q = 0.  ``gamma`` is ``_gamma(a)`` if the
-    caller has it already.
+    A live row, gamma = ``_gamma(a)`` = 1 - |a|^2 above DEGENERACY_THRESHOLD,
+    gets the center (b - T^t a) / gamma and orientation matrix Q; any other
+    row gets the point ellipsoid: center b and Q = 0.
     """
-    gamma = _gamma(a) if gamma is None else gamma
     live = gamma > DEGENERACY_THRESHOLD
     scale = np.where(live, gamma, 1.0)[..., None]
     shifted = T - a[..., :, None] * b[..., None, :]
@@ -195,8 +192,7 @@ def steering_ellipsoid(rho: StateLike, steering_qubit: int = 0) -> SteeringEllip
     point at the steered qubit's Bloch vector.
     """
     mat, _ = _density(rho, 2)
-    a, b, T = _steering_abT(mat, steering_qubit)
-    gamma = _gamma(a)
+    a, b, T, gamma = _steering_abT(mat, steering_qubit)
     live, center, q = _center_orientation(a, b, T, gamma)
     # The point ellipsoid's zero semiaxes are +0.0, never sqrt(-0.0).
     semiaxes = np.where(live, np.sqrt(np.clip(np.linalg.eigvalsh(q), 0.0, None))[::-1], 0.0)

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import channels, ellipsoid, monogamy, states
-from .states import _partial_trace_arr, sample_streams
+from .channels import _KRAUS_WIDTH
+from .states import _draw_separable, _partial_trace_arr, sample_streams
 
 __all__ = [
     "DEFAULT_SEED",
@@ -340,7 +341,7 @@ def _noisy_w_columns(p_grid: Sequence[float] | None, epsilons: Sequence[float] |
         for block in _blocks(p.size):
             noisy = channels._apply_local_arr(noise, states._densities(kets[block]), 3)
             pair = _partial_trace_arr(noisy, [0, 1], 3)
-            numeric[e, block] = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(pair, 0))
+            numeric[e, block] = _volumes(pair)
     return (
         np.tile(p, eps.size), np.repeat(eps, p.size), closed.ravel(), numeric.ravel(),
         np.abs(closed - numeric).ravel(), 2.0 * np.sqrt(numeric).ravel(),
@@ -393,9 +394,6 @@ def _pure_width(n_qubits: int) -> int:
 def _mixed_width(n_qubits: int) -> int:
     """Normals behind one induced-measure mixed n-qubit state (an n-qubit ancilla)."""
     return 2 ** (2 * n_qubits + 1)
-
-
-_CHANNEL_WIDTH = 2 * 8 * 8  # one random_channel: a Haar 8x8 unitary
 
 
 def _pure_kets(draws: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -486,7 +484,7 @@ def _membership_margins(draws: np.ndarray) -> np.ndarray:
     points, (a, b, T) = _points_and_abT(draws)
     # Every row, not a fancy-indexed copy of T: matmul sums in another order
     # when the strides of T change.
-    live, center, q = ellipsoid._center_orientation(a, b, T)
+    live, center, q = ellipsoid._center_orientation(a, b, T, ellipsoid._gamma(a))
     # Where the quadratic form is undefined the margin stays 1; containment
     # is covered by the Bloch-ball check.
     firm = live & (np.linalg.eigvalsh(q)[:, 0] > 1e-10)
@@ -497,26 +495,11 @@ def _membership_margins(draws: np.ndarray) -> np.ndarray:
     return out
 
 
-# Term count, zero-padded weights, then zero-padded normals of two qubit kets per term.
-_SEPARABLE_WIDTH = 1 + states.MAX_SEPARABLE_TERMS * (1 + 2 * _pure_width(1))
-
-
-def _draw_separable(rng, row: np.ndarray) -> None:
-    """The draws of ``random_separable_two_qubit`` in its order, zero-padded to the most terms."""
-    terms = int(rng.integers(1, states.MAX_SEPARABLE_TERMS + 1))
-    row.fill(0.0)
-    row[0] = terms
-    row[1 : 1 + terms] = rng.dirichlet(np.ones(terms))
-    normals = row[1 + states.MAX_SEPARABLE_TERMS :]
-    rng.standard_normal(out=normals[: terms * 2 * _pure_width(1)])
+_SEPARABLE_WIDTH = states._separable_width(states.MAX_SEPARABLE_TERMS)
 
 
 def _separable_margins(draws: np.ndarray) -> np.ndarray:
-    most = states.MAX_SEPARABLE_TERMS
-    mat = states._separable_arr(
-        draws[:, 0].astype(int), draws[:, 1 : 1 + most], draws[:, 1 + most :].reshape(len(draws), most, 2, 4)
-    )
-    return _SEPARABLE_BOUND + _TOL - _volumes(mat)
+    return _SEPARABLE_BOUND + _TOL - _volumes(states._separable_arr(draws))
 
 
 def _volume_interval_margins(draws: np.ndarray) -> np.ndarray:
@@ -639,8 +622,8 @@ def _wclass_margins(draws: np.ndarray) -> np.ndarray:
 
 
 def _noisy(mat: np.ndarray, draws: np.ndarray, n_qubits: int) -> np.ndarray:
-    """``mat`` after one random channel per qubit, drawn from ``draws`` (N, n_qubits * 128)."""
-    kraus = channels._random_kraus_arr(draws.reshape(len(draws), n_qubits, _CHANNEL_WIDTH))
+    """``mat`` after one random channel per qubit, drawn from ``draws`` (N, n_qubits * _KRAUS_WIDTH)."""
+    kraus = channels._random_kraus_arr(draws.reshape(len(draws), n_qubits, _KRAUS_WIDTH))
     sups = channels._superoperator_arr(kraus)
     return channels._apply_local_arr([sups[:, q] for q in range(n_qubits)], mat, n_qubits)
 
@@ -742,10 +725,10 @@ _SUITE: tuple[_InvariantCheck, ...] = (
     _InvariantCheck("tangle_volume_bound", _drawn(_pure_width(3), _tangle_volume_margins), 10_000),
     _InvariantCheck("wclass_saturation", _drawn(1 + 3 * 8, _wclass_margins, _draw_wclass), 10_000),
     _InvariantCheck(
-        "channel_volume_monotonicity", _drawn(_mixed_width(2) + 2 * _CHANNEL_WIDTH, _channel_monotonicity_margins),
+        "channel_volume_monotonicity", _drawn(_mixed_width(2) + 2 * _KRAUS_WIDTH, _channel_monotonicity_margins),
         10_000,
     ),
-    _InvariantCheck("noisy_pure3_monogamy", _drawn(_pure_width(3) + 3 * _CHANNEL_WIDTH, _noisy_pure3_margins), 1_000),
+    _InvariantCheck("noisy_pure3_monogamy", _drawn(_pure_width(3) + 3 * _KRAUS_WIDTH, _noisy_pure3_margins), 1_000),
     _InvariantCheck("noisy_w_closed_form", _inv_noisy_w_closed_form, 100, scaled=False),
     _InvariantCheck("ghz_family_mapping", _inv_ghz_mapping, 400, scaled=False),
     _InvariantCheck("counterexample_regression", _inv_counterexample, 2, scaled=False),

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ellipsoid import _gamma, _steering_abT, _volume_from_abT
+from .ellipsoid import _steering_abT, _volume_from_abT
 from .states import (
     DEFAULT_TOL,
     PAULIS,
@@ -35,6 +35,7 @@ from .states import (
     _qubit,
     _real,
     _spin_corr_arr,
+    _state,
 )
 
 __all__ = [
@@ -340,8 +341,7 @@ def concurrence_volume_residual(rho: StateLike, steering_qubit: int = 0) -> floa
 
 def _concurrence_volume_arr(mat: np.ndarray, factor: np.ndarray, steering_qubit: int = 0):
     """:func:`concurrence_volume_residual` of densities ``mat`` = A A^dagger, A = ``factor``; leading axes are a batch."""
-    a, b, T = _steering_abT(mat, steering_qubit)
-    gamma = _gamma(a)
+    a, b, T, gamma = _steering_abT(mat, steering_qubit)
     c = _concurrence_arr(factor)
     return gamma * np.sqrt(_volume_from_abT(a, b, T, gamma)) - c * c
 
@@ -382,8 +382,11 @@ def three_tangle(psi: StateLike) -> float:
 
 
 def _pure_ket(psi: StateLike) -> np.ndarray:
-    """A ket of a pure 3-qubit state: its density's top eigenvector, scaled by the root of its eigenvalue."""
-    return _eigh_factor(_pure_density(psi, 3))[..., -1]
+    """A pure 3-qubit state's ket: as given, or a density's top eigenvector scaled by the root of its eigenvalue."""
+    state = _state(psi, 3)
+    if state.is_pure:
+        return state.data
+    return _eigh_factor(_pure_density(state, 3))[..., -1]
 
 
 def _three_tangle_arr(kets: np.ndarray):

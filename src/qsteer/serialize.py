@@ -9,7 +9,6 @@ decides how each column converts (see ``_json_column``, ``_csv_column``).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
@@ -158,18 +157,12 @@ def columns_to_csv(fields: Sequence[str], columns: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_csv(rows: Sequence, fields: Sequence[str] | None = None) -> str:
-    """Header plus one line per row; rows are dataclasses or dicts with uniform keys."""
+def rows_to_csv(rows: Sequence[dict]) -> str:
+    """Header plus one line per row; rows are dicts with the keys of the first, which name the columns."""
     if not rows:
-        return "" if fields is None else columns_to_csv(fields, [])
-    first = rows[0]
-    if dataclasses.is_dataclass(first):
-        fields = [f.name for f in dataclasses.fields(first)] if fields is None else fields
-        columns = [[getattr(row, name) for row in rows] for name in fields]
-    else:
-        fields = list(first.keys()) if fields is None else fields
-        columns = [[row[name] for row in rows] for name in fields]
-    return columns_to_csv(fields, columns)
+        return ""
+    fields = list(rows[0])
+    return columns_to_csv(fields, [[row[name] for row in rows] for name in fields])
 
 
 def load_state_file(path: str, tol: float = 1e-9) -> QuantumState:

@@ -240,15 +240,17 @@ class QuantumState:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Density-matrix form (outer product for pure states)."""
+        """Density-matrix form (|psi><psi| for pure states)."""
         if self.is_pure:
-            return np.outer(self.data, self.data.conj())
+            return _densities(self.data)
         return self.data
 
     @classmethod
     def from_amplitudes(cls, amplitudes, tol: float = DEFAULT_TOL) -> "QuantumState":
         _check_tol(tol)
-        vec = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
+        vec = np.asarray(amplitudes, dtype=complex).copy()
+        if vec.ndim != 1:
+            raise StateValidationError(f"expected a 1-d amplitude vector, got shape {vec.shape}")
         n = _check_n_qubits(vec.size)
         _validate_arr(vec[None], tol)
         return cls(n, vec)
@@ -295,8 +297,8 @@ class QuantumState:
 StateLike = Union[QuantumState, np.ndarray]
 
 
-def _density(state: StateLike, n_qubits: int | None = None, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
-    """Density matrix and qubit count (``n_qubits`` if given) of a QuantumState, or of a ket or matrix.
+def _state(state: StateLike, n_qubits: int | None = None, tol: float = DEFAULT_TOL) -> QuantumState:
+    """A QuantumState, or a ket or matrix as one, of ``n_qubits`` qubits if given.
 
     A ket or matrix is validated as :meth:`QuantumState.from_amplitudes` or
     :meth:`QuantumState.from_matrix` does, within ``tol``.
@@ -304,10 +306,15 @@ def _density(state: StateLike, n_qubits: int | None = None, tol: float = DEFAULT
     if not isinstance(state, QuantumState):
         arr = np.asarray(state)
         state = QuantumState.from_amplitudes(arr, tol) if arr.ndim == 1 else QuantumState.from_matrix(arr, tol)
-    mat, n = state.matrix, state.n_qubits
-    if n_qubits is not None and n != n_qubits:
-        raise StateValidationError(f"expected a {n_qubits}-qubit state, got {n} qubits")
-    return mat, n
+    if n_qubits is not None and state.n_qubits != n_qubits:
+        raise StateValidationError(f"expected a {n_qubits}-qubit state, got {state.n_qubits} qubits")
+    return state
+
+
+def _density(state: StateLike, n_qubits: int | None = None, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
+    """Density matrix and qubit count of :func:`_state` of the arguments."""
+    state = _state(state, n_qubits, tol)
+    return state.matrix, state.n_qubits
 
 
 def ket_to_density(psi: StateLike, tol: float = DEFAULT_TOL) -> QuantumState:
@@ -647,18 +654,35 @@ def random_mixed_state(n_qubits: int, ancilla_qubits: int | None = None, seed: S
     return QuantumState(n_qubits, _induced_arr(vec, n_qubits))
 
 
-def _separable_arr(terms: np.ndarray, weights: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Mixtures (N, 4, 4) of ``terms`` (N,) product states, added in order.
+def _separable_width(max_terms: int) -> int:
+    """Floats in a separable row: the term count, ``max_terms`` weights, then 8 normals (two qubit kets) per term."""
+    return 1 + 9 * max_terms
 
-    ``weights`` (N, T) and the Haar normals ``draws`` (N, T, 2, 4) of each
-    term's two qubit kets are zero-padded beyond each row's term count.
+
+def _draw_separable(rng: np.random.Generator, row: np.ndarray) -> None:
+    """Fill ``row`` with the draws of :func:`random_separable_two_qubit`, in its order, zero-padded.
+
+    The term count is uniform on 1 up to the row's capacity, ``(len(row) - 1) // 9``.
     """
-    mat = np.zeros(weights.shape[:1] + (4, 4), dtype=complex)
-    for t in range(weights.shape[1]):
-        rows = terms > t
-        kets = _haar_arr(draws[rows, t])
+    most = (len(row) - 1) // 9
+    terms = int(rng.integers(1, most + 1))
+    row.fill(0.0)
+    row[0] = terms
+    row[1 : 1 + terms] = rng.dirichlet(np.ones(terms))
+    rng.standard_normal(out=row[1 + most : 1 + most + 8 * terms])
+
+
+def _separable_arr(rows: np.ndarray) -> np.ndarray:
+    """Mixtures (N, 4, 4) of separable rows (N, 1 + 9 T), added in term order up to the most terms a row holds."""
+    most = (rows.shape[-1] - 1) // 9
+    terms, weights = rows[:, 0], rows[:, 1 : 1 + most]
+    draws = rows[:, 1 + most :].reshape(len(rows), most, 2, 4)
+    mat = np.zeros((len(rows), 4, 4), dtype=complex)
+    for t in range(int(terms.max(initial=0))):
+        live = terms > t
+        kets = _haar_arr(draws[live, t])
         vec = (kets[:, 0, :, None] * kets[:, 1, None, :]).reshape(-1, 4)
-        mat[rows] += weights[rows, t, None, None] * _densities(vec)
+        mat[live] += weights[live, t, None, None] * _densities(vec)
     return mat
 
 
@@ -667,8 +691,6 @@ def random_separable_two_qubit(seed: SeedLike = None, max_terms: int = MAX_SEPAR
     max_terms = _integer("max_terms", max_terms)
     if max_terms < 1:
         raise StateValidationError(f"max_terms must be >= 1, got {max_terms}")
-    rng = as_rng(seed)
-    terms = int(rng.integers(1, max_terms + 1))
-    weights = rng.dirichlet(np.ones(terms))
-    draws = rng.standard_normal((terms, 2, 4))
-    return QuantumState(2, _separable_arr(np.array([terms]), weights[None], draws[None])[0])
+    row = np.empty(_separable_width(max_terms))
+    _draw_separable(as_rng(seed), row)
+    return QuantumState(2, _separable_arr(row[None])[0])

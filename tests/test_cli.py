@@ -309,6 +309,11 @@ GOLDEN_CALLS = [
     ("analyze_werner.json", ["analyze", "--input", str(GOLDEN / "state_werner.json")]),
     ("analyze_w.csv", ["analyze", "--input", str(GOLDEN / "state_w.json"), "--format", "csv"]),
     ("analyze_w.json", ["analyze", "--input", str(GOLDEN / "state_w.json")]),
+    # random_mixed_state(4, seed=4) and random_pure_state(5, seed=5), as their to_dict JSON.
+    ("analyze_mixed4.csv", ["analyze", "--input", str(GOLDEN / "state_mixed4.json"), "--format", "csv"]),
+    ("analyze_mixed4.json", ["analyze", "--input", str(GOLDEN / "state_mixed4.json")]),
+    ("analyze_pure5.csv", ["analyze", "--input", str(GOLDEN / "state_pure5.json"), "--format", "csv"]),
+    ("analyze_pure5.json", ["analyze", "--input", str(GOLDEN / "state_pure5.json")]),
 ]
 
 

@@ -45,7 +45,7 @@ def _ref_center_orientation(a, b, T, gamma):
 def _ref_steering_ellipsoid(rho, steering_qubit=0):
     """steering_ellipsoid with its single-state branch for a pure steering marginal, verbatim."""
     mat, _ = states._density(rho, 2)
-    a, b, T = ellipsoid._steering_abT(mat, steering_qubit)
+    a, b, T, _ = ellipsoid._steering_abT(mat, steering_qubit)
     gamma = 1.0 - float(a @ a)
     if gamma <= ellipsoid.DEGENERACY_THRESHOLD:
         return ellipsoid.SteeringEllipsoid(
@@ -62,7 +62,7 @@ def _ref_steering_ellipsoid(rho, steering_qubit=0):
         center=center,
         orientation=q,
         semiaxes=semiaxes,
-        normalized_volume=float(ellipsoid._volume_from_abT(a, b, T)),
+        normalized_volume=float(ellipsoid._volume_from_abT(a, b, T, ellipsoid._gamma(a))),
         degenerate=False,
     )
 
@@ -225,7 +225,7 @@ class TestBatchedVolume:
         a = rng.uniform(-0.57, 0.57, (20_000, 3))
         b = rng.uniform(-1.0, 1.0, (20_000, 3))
         T = rng.uniform(-1.0, 1.0, (20_000, 3, 3))
-        stacked = ellipsoid._volume_from_abT(a, b, T)
+        stacked = ellipsoid._volume_from_abT(a, b, T, ellipsoid._gamma(a))
         singles = [_ref_volume_from_abT(*triple) for triple in zip(a, b, T)]
         np.testing.assert_array_equal(stacked, singles)
 
@@ -238,9 +238,9 @@ class TestBatchedVolume:
         mats += [np.kron(random_pure_state(1, seed=rng).matrix, random_single_qubit_density(rng))]
         for mat in mats:
             for steering in (0, 1):
-                triple = ellipsoid._steering_abT(mat, steering)
-                want = _ref_volume_from_abT(*triple)
-                single = ellipsoid._volume_from_abT(*triple)
+                a, b, T, gamma = ellipsoid._steering_abT(mat, steering)
+                want = _ref_volume_from_abT(a, b, T)
+                single = ellipsoid._volume_from_abT(a, b, T, gamma)
                 assert single.shape == ()
                 assert float(single).hex() == want.hex()
                 assert normalized_volume(mat, steering).hex() == want.hex()
@@ -252,6 +252,17 @@ class TestBatchedVolume:
         pairs = np.einsum("nab,cd->nacbd", mats, random_single_qubit_density(rng)).reshape(5, 4, 4)
         volumes = ellipsoid._volume_from_abT(*ellipsoid._steering_abT(pairs, 0))
         np.testing.assert_array_equal(volumes, np.zeros(5))
+
+    def test_steering_abT_gamma_is_gamma_of_a(self, rng):
+        # The one 1 - |a|^2 that both kernels take: _gamma of the steering Bloch vector, bit for bit.
+        product = np.kron(np.diag([1.0, 0.0]), random_single_qubit_density(rng)).astype(complex)
+        mats = np.stack([random_mixed_state(2, seed=rng).matrix for _ in range(11)] + [product])
+        for steering in (0, 1):
+            for mat in (mats, mats.reshape(3, 4, 4, 4), mats[0], product):
+                a, _, _, gamma = ellipsoid._steering_abT(mat, steering)
+                want = ellipsoid._gamma(a)
+                assert np.shape(gamma) == np.shape(want) == mat.shape[:-2]
+                assert np.asarray(gamma).tobytes() == np.asarray(want).tobytes()
 
 
 class TestSteeredPoint:
@@ -340,8 +351,7 @@ class TestStackedKernels:
 
     def test_center_and_orientation(self, rng):
         mats = _mixed_stack(rng, 2)
-        a, b, T = ellipsoid._steering_abT(mats, 0)
-        _, center, q = ellipsoid._center_orientation(a, b, T)
+        _, center, q = ellipsoid._center_orientation(*ellipsoid._steering_abT(mats, 0))
         for k, mat in enumerate(mats):
             ell = steering_ellipsoid(mat)
             np.testing.assert_array_equal(center[k], ell.center)

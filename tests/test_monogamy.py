@@ -558,6 +558,28 @@ class TestStackedKernels:
             monogamy._correlation_sum_arr(mats, 3, pairs), [pairwise_correlation_sum(m) for m in mats]
         )
 
+    def test_pure_inputs_reach_the_kernels_as_given(self, rng):
+        # A ket or a pure QuantumState is used as it is: no |psi><psi|, no eigh.
+        kets = np.concatenate([_kets(rng, 3), [w_state().data, ghz_state(3).data, max_volume_state(0.0).data]])
+        for ket in kets:
+            tangle = float(monogamy._three_tangle_arr(ket))
+            cls = monogamy._SLOCC_CLASSES[int(monogamy._slocc_codes(ket))]
+            for psi in (ket, ket.tolist(), states.QuantumState.from_amplitudes(ket)):
+                assert three_tangle(psi).hex() == tangle.hex()
+                assert slocc_classify(psi) is cls
+
+    def test_matrix_inputs_keep_the_top_eigenvector_path(self, rng):
+        for mat in _stack(rng, 3, pure=True):
+            ket = monogamy._eigh_factor(mat)[..., -1]
+            for rho in (mat, states.QuantumState.from_matrix(mat)):
+                assert three_tangle(rho).hex() == float(monogamy._three_tangle_arr(ket)).hex()
+                assert slocc_classify(rho) is monogamy._SLOCC_CLASSES[int(monogamy._slocc_codes(ket))]
+        for fn in (three_tangle, slocc_classify):
+            with pytest.raises(StateValidationError, match="pure"):
+                fn(counterexample_state())
+            with pytest.raises(StateValidationError, match="3-qubit"):
+                fn(random_pure_state(4, seed=rng))
+
     def test_pure_four_qubit_measures(self, rng):
         mats = _stack(rng, 4, pure=True)
         np.testing.assert_array_equal(monogamy._l_bcd_arr(mats), [l_bcd(m) for m in mats])

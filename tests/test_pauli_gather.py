@@ -26,12 +26,13 @@ def _ref_spin_corr_arr(rho4: np.ndarray) -> np.ndarray:
 
 
 def _ref_steering_abT(mat: np.ndarray, steering_qubit: int):
+    """The einsum (a, b, T), plus the 1 - |a|^2 of ``ellipsoid._gamma`` that ``_steering_abT`` returns with them."""
     a = _ref_bloch_arr(states._partial_trace_arr(mat, [steering_qubit], 2))
     b = _ref_bloch_arr(states._partial_trace_arr(mat, [1 - steering_qubit], 2))
     T = _ref_spin_corr_arr(mat)
     if steering_qubit == 1:
         T = np.swapaxes(T, -1, -2)
-    return a, b, T
+    return a, b, T, ellipsoid._gamma(a)
 
 
 def _matrices(shape: tuple, seed: int, scale: int = 0) -> np.ndarray:
@@ -85,7 +86,7 @@ def test_steering_abT_matches_einsum(shape, steering_qubit):
             want = _ref_steering_abT(mat, steering_qubit)
             for g, w in zip(got, want):
                 _assert_same(g, w)
-            assert [g.strides[-1] for g in got] == [w.strides[-1] for w in want], layout
+            assert [g.strides[-1] for g in got[:3]] == [w.strides[-1] for w in want[:3]], layout
             assert got[2].strides[-2:] == want[2].strides[-2:], layout
 
 

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -82,22 +81,13 @@ def _ref_csv_cell(value: Any) -> str:
     return str(value)
 
 
-def _ref_rows_to_csv(rows: Sequence, fields: Sequence[str] | None = None) -> str:
+def _ref_rows_to_csv(rows: Sequence[dict]) -> str:
     if not rows:
-        return "" if fields is None else ",".join(fields) + "\n"
-    first = rows[0]
-    if fields is None:
-        if dataclasses.is_dataclass(first):
-            fields = [f.name for f in dataclasses.fields(first)]
-        else:
-            fields = list(first.keys())
+        return ""
+    fields = list(rows[0].keys())
     lines = [",".join(fields)]
     for row in rows:
-        if dataclasses.is_dataclass(row):
-            cells = (getattr(row, name) for name in fields)
-        else:
-            cells = (row[name] for name in fields)
-        lines.append(",".join(_ref_csv_cell(value) for value in cells))
+        lines.append(",".join(_ref_csv_cell(row[name]) for name in fields))
     return "\n".join(lines) + "\n"
 
 
@@ -135,19 +125,9 @@ def test_columns_to_json_matches_per_cell_reference(as_array):
     assert text.count("null") == 3  # inf, -inf and nan
 
 
-def test_rows_to_csv_matches_reference_for_dicts_and_dataclasses():
-    @dataclasses.dataclass(frozen=True)
-    class Row:
-        x: float
-        n: int
-        flag: bool
-        y: float
-
+def test_rows_to_csv_matches_reference_for_dicts():
     rows = _rows_of(FIELDS, _table(False))
     assert rows_to_csv(rows) == _ref_rows_to_csv(rows)
-    assert rows_to_csv(rows, fields=["y", "x"]) == _ref_rows_to_csv(rows, fields=["y", "x"])
-    records = [Row(**row) for row in rows]
-    assert rows_to_csv(records) == _ref_rows_to_csv(records)
 
 
 def test_mixed_type_column_formats_cell_by_cell():
@@ -158,7 +138,6 @@ def test_mixed_type_column_formats_cell_by_cell():
 
 def test_empty_tables():
     assert rows_to_csv([]) == _ref_rows_to_csv([]) == ""
-    assert rows_to_csv([], fields=["a", "b"]) == _ref_rows_to_csv([], fields=["a", "b"]) == "a,b\n"
     assert columns_to_csv(["a", "b"], [np.empty(0), []]) == "a,b\n"
     assert columns_to_csv(["a"], []) == "a\n"
     assert columns_to_json(["a", "b"], [np.empty(0), []]) == _ref_dumps([]) == "[]\n"

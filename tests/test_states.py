@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -85,6 +86,28 @@ class TestKetToDensity:
     def test_rejects_matrix_input(self):
         with pytest.raises(StateValidationError):
             ket_to_density(werner_state())
+
+    @pytest.mark.parametrize("ket", [np.diag([1.0, 0.0, 0.0, 0.0]), [[1, 0], [0, 0]], np.zeros((2, 2, 2))])
+    def test_rejects_a_shaped_ket(self, ket):
+        # A ket is one-dimensional; a 4 x 4 projector used to be read as 16 amplitudes.
+        shape = str(np.shape(ket))
+        with pytest.raises(StateValidationError, match=re.escape(shape)):
+            ket_to_density(ket)
+        with pytest.raises(StateValidationError, match=re.escape(shape)):
+            QuantumState.from_amplitudes(ket)
+
+
+class TestMatrixProperty:
+    def test_pure_matrix_matches_outer_product(self, rng):
+        # The reference is the np.outer that QuantumState.matrix used before it shared _densities.
+        for n in range(1, 6):
+            for _ in range(50):
+                ket = random_pure_state(n, seed=rng).data
+                got = QuantumState(n, ket).matrix
+                want = np.outer(ket, ket.conj())
+                assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+        for ket in (w_state().data, ghz_state(4).data, singlet_state().data):
+            np.testing.assert_array_equal(QuantumState.from_amplitudes(ket).matrix, np.outer(ket, ket.conj()))
 
 
 class TestPartialTrace:
@@ -610,19 +633,30 @@ class TestStackedKernels:
         np.testing.assert_array_equal(states._kron_arr(x, y), np.array([np.kron(p, q) for p, q in zip(x, y)]))
         np.testing.assert_array_equal(states._kron_arr(np.eye(2), y[0]), np.kron(np.eye(2), y[0]))
 
-    def test_separable_rows_match_public_sampler(self):
-        rows = []
-        for _, rng in sample_streams(11, 0, 30):
-            terms = int(rng.integers(1, states.MAX_SEPARABLE_TERMS + 1))
-            weights = np.zeros(states.MAX_SEPARABLE_TERMS)
-            weights[:terms] = rng.dirichlet(np.ones(terms))
-            draws = np.zeros((states.MAX_SEPARABLE_TERMS, 2, 4))
-            draws[:terms] = rng.standard_normal((terms, 2, 4))
-            rows.append((terms, weights, draws))
-        terms, weights, draws = (np.array(col) for col in zip(*rows))
-        mats = states._separable_arr(terms, weights, draws)
-        for i, rng in sample_streams(11, 0, 30):
-            np.testing.assert_array_equal(mats[i], random_separable_two_qubit(seed=rng).matrix)
+    @pytest.mark.parametrize("max_terms", range(1, 7))
+    def test_separable_rows_match_reference_sampler(self, max_terms):
+        # Stacked rows, one per stream, as the suite draws and reduces them.
+        rows = np.empty((200, states._separable_width(max_terms)))
+        for i, rng in sample_streams(11, 0, 200):
+            states._draw_separable(rng, rows[i])
+        mats = states._separable_arr(rows)
+        for i, rng in sample_streams(11, 0, 200):
+            want = _ref_separable(rng, max_terms)
+            np.testing.assert_array_equal(mats[i], want)
+            np.testing.assert_array_equal(random_separable_two_qubit(seed=sample_rng(11, i), max_terms=max_terms).matrix, want)
+
+
+def _ref_separable(rng, max_terms):
+    """random_separable_two_qubit before it drew into a row: its draws, then the mixture added term by term."""
+    terms = int(rng.integers(1, max_terms + 1))
+    weights = rng.dirichlet(np.ones(terms))
+    draws = rng.standard_normal((terms, 2, 4))
+    mat = np.zeros((4, 4), dtype=complex)
+    for t in range(terms):
+        kets = states._haar_arr(draws[t])
+        vec = np.kron(kets[0], kets[1])
+        mat += weights[t] * np.outer(vec, vec.conj())
+    return mat
 
 
 @settings(max_examples=60, deadline=None)

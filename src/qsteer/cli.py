@@ -14,10 +14,12 @@ import functools
 import os
 import sys
 
+import numpy as np
+
 from . import experiments, serialize
-from .ellipsoid import steering_ellipsoid
-from .monogamy import volume_monogamy_report
-from .states import StateValidationError, partial_trace
+from .ellipsoid import SteeringEllipsoid, _ellipsoid_arr
+from .monogamy import MonogamyReport
+from .states import StateValidationError, _ket_trace_arr, _partial_trace_arr
 
 __all__ = ["build_parser", "main"]
 
@@ -63,8 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # A usage error (exit 2): exit 1 would read as a failed suite.
+            raise ValueError(f"cannot write output file {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -78,51 +84,35 @@ def _emit_columns(args, row_type: type, columns) -> None:
 
 def _cmd_analyze(args) -> int:
     state = serialize.load_state_file(args.input, tol=args.tol)
-    if state.n_qubits < 2:
+    n = state.n_qubits
+    if n < 2:
         raise StateValidationError("analyze needs at least 2 qubits")
-    hubs = (0, 1) if state.n_qubits == 2 else (0,)
-    ellipsoids = []
-    for hub in hubs:
-        for steered in range(state.n_qubits):
-            if steered == hub:
-                continue
-            if state.n_qubits == 2:
-                ell = steering_ellipsoid(state, steering_qubit=hub)
-            else:
-                ell = steering_ellipsoid(partial_trace(state, [hub, steered]), steering_qubit=0)
-            ellipsoids.append({"steering_qubit": hub, "steered_qubit": steered, **ell.to_dict()})
-    monogamy_block = None
-    if state.n_qubits >= 3:
-        monogamy_block = volume_monogamy_report(state, hub=0).to_dict()
+    # Each hub's (hub, X) pairs form one stack; a pure state's come from its ket.
+    # A two-qubit state is its own pair, steered from either qubit.
+    trace = _ket_trace_arr if state.is_pure else _partial_trace_arr
+    blocks = []
+    for hub in (0, 1) if n == 2 else (0,):
+        steered = [x for x in range(n) if x != hub]
+        pairs = np.stack([trace(state.data, [0, 1] if n == 2 else [hub, x], n) for x in steered])
+        blocks.append((np.full(len(steered), hub), np.array(steered), *_ellipsoid_arr(pairs, hub if n == 2 else 0)))
+    hubs, steered, center, q, semiaxes, volume, live = map(np.concatenate, zip(*blocks))
+    report = MonogamyReport._from_volumes(0, volume, n) if n >= 3 else None
     if args.format == "csv":
-        rows = []
-        for entry in ellipsoids:
-            row = {
-                "steering_qubit": entry["steering_qubit"],
-                "steered_qubit": entry["steered_qubit"],
-                "volume": entry["volume"],
-                "degenerate": entry["degenerate"],
-            }
-            row.update({f"center_{axis}": entry["center"][i] for i, axis in enumerate("xyz")})
-            row.update({f"semiaxis_{i + 1}": entry["semiaxes"][i] for i in range(3)})
-            if monogamy_block:
-                row.update(
-                    {
-                        "sqrt_lhs": monogamy_block["sqrt_lhs"],
-                        "two_thirds_lhs": monogamy_block["two_thirds_lhs"],
-                        "n_bound": monogamy_block["n_bound"],
-                        "mean_volume": monogamy_block["mean_volume"],
-                    }
-                )
-            rows.append(row)
-        _write(args, serialize.rows_to_csv(rows))
+        fields = ["steering_qubit", "steered_qubit", "volume", "degenerate"]
+        fields += [f"center_{axis}" for axis in "xyz"] + [f"semiaxis_{i}" for i in (1, 2, 3)]
+        columns = [hubs, steered, volume, ~live, *center.T, *semiaxes.T]
+        if report:
+            aggregates = ("sqrt_lhs", "two_thirds_lhs", "n_bound", "mean_volume")
+            fields += aggregates
+            columns += [[getattr(report, name)] * len(volume) for name in aggregates]
+        _write(args, serialize.columns_to_csv(fields, columns))
     else:
-        _write(
-            args,
-            serialize.dumps(
-                {"n_qubits": state.n_qubits, "ellipsoids": ellipsoids, "monogamy": monogamy_block}
-            ),
-        )
+        ellipsoids = [
+            {"steering_qubit": h, "steered_qubit": x, **SteeringEllipsoid(*geometry, not alive).to_dict()}
+            for h, x, *geometry, alive in zip(hubs.tolist(), steered.tolist(), center, q, semiaxes, volume, live)
+        ]
+        monogamy_block = report.to_dict() if report else None
+        _write(args, serialize.dumps({"n_qubits": n, "ellipsoids": ellipsoids, "monogamy": monogamy_block}))
     return 0
 
 

@@ -192,17 +192,17 @@ def steering_ellipsoid(rho: StateLike, steering_qubit: int = 0) -> SteeringEllip
     point at the steered qubit's Bloch vector.
     """
     mat, _ = _density(rho, 2)
+    center, q, semiaxes, volume, live = _ellipsoid_arr(mat, steering_qubit)
+    return SteeringEllipsoid(center, q, semiaxes, float(volume), not live)
+
+
+def _ellipsoid_arr(mat: np.ndarray, steering_qubit: int) -> tuple[np.ndarray, ...]:
+    """:func:`steering_ellipsoid` as ``(center, Q, semiaxes, volume, not degenerate)``; leading axes are a batch."""
     a, b, T, gamma = _steering_abT(mat, steering_qubit)
     live, center, q = _center_orientation(a, b, T, gamma)
     # The point ellipsoid's zero semiaxes are +0.0, never sqrt(-0.0).
-    semiaxes = np.where(live, np.sqrt(np.clip(np.linalg.eigvalsh(q), 0.0, None))[::-1], 0.0)
-    return SteeringEllipsoid(
-        center=center,
-        orientation=q,
-        semiaxes=semiaxes,
-        normalized_volume=float(_volume_from_abT(a, b, T, gamma)),
-        degenerate=not live,
-    )
+    semiaxes = np.where(live[..., None], np.sqrt(np.clip(np.linalg.eigvalsh(q), 0.0, None))[..., ::-1], 0.0)
+    return center, q, semiaxes, _volume_from_abT(a, b, T, gamma), live
 
 
 def normalized_volume(rho: StateLike, steering_qubit: int = 0) -> float:

@@ -95,6 +95,19 @@ class MonogamyReport:
             "mean_volume": self.mean_volume,
         }
 
+    @classmethod
+    def _from_volumes(cls, hub: int, volumes, n: int) -> "MonogamyReport":
+        """The report of the volumes v_{X|hub}, X ascending, of an ``n``-qubit state."""
+        volumes = [float(v) for v in volumes]
+        return cls(
+            hub=hub,
+            volumes=tuple(volumes),
+            sqrt_lhs=float(sum(math.sqrt(v) for v in volumes)),
+            two_thirds_lhs=float(sum(v ** (2.0 / 3.0) for v in volumes)),
+            n_bound=(n - 1) / 2.0,
+            mean_volume=float(np.mean(volumes)),
+        )
+
 
 class SloccClass(enum.Enum):
     """The six entanglement classes of pure 3-qubit states under SLOCC."""
@@ -122,19 +135,14 @@ def _hub_volumes(mat: np.ndarray, n: int, hub: int, trace=None) -> list[np.ndarr
 
 def volume_monogamy_report(rho: StateLike, hub: int = 0) -> MonogamyReport:
     """Per-party normalized volumes v_{X|hub} and their aggregate left-hand sides."""
-    mat, n = _density(rho)
+    state = _state(rho)
+    n = state.n_qubits
     if n < 3:
         raise StateValidationError(f"monogamy report needs at least 3 qubits, got {n}")
     hub = _qubit("hub", hub, n)
-    volumes = [float(v) for v in _hub_volumes(mat, n, hub)]
-    return MonogamyReport(
-        hub=hub,
-        volumes=tuple(volumes),
-        sqrt_lhs=float(sum(math.sqrt(v) for v in volumes)),
-        two_thirds_lhs=float(sum(v ** (2.0 / 3.0) for v in volumes)),
-        n_bound=(n - 1) / 2.0,
-        mean_volume=float(np.mean(volumes)),
-    )
+    # A pure state's pairs come from its ket, with the bits of its density's.
+    trace = _ket_trace_arr if state.is_pure else _partial_trace_arr
+    return MonogamyReport._from_volumes(hub, _hub_volumes(state.data, n, hub, trace), n)
 
 
 def _corr_strength(mat: np.ndarray, n: int, pair: Sequence[int], trace=None):

@@ -174,4 +174,6 @@ def load_state_file(path: str, tol: float = 1e-9) -> QuantumState:
         raise StateValidationError(f"cannot read state file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StateValidationError(f"state file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StateValidationError(f"state file {path} is not UTF-8 text: {exc}") from exc
     return QuantumState.from_dict(payload, tol=tol)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsteer import cli, experiments, serialize, states
+from qsteer import cli, ellipsoid, experiments, monogamy, serialize, states
 from qsteer.cli import build_parser, main
 from qsteer.monogamy import counterexample_state, ghz_state, werner_state
 from qsteer.states import QuantumState
@@ -99,6 +99,31 @@ class TestAnalyzeCommand:
             assert "analyze needs at least 2 qubits" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_pure_file_is_traced_from_its_ket_in_one_kernel_call(self, monkeypatch, capsys):
+        calls = {"_densities": 0, "_ellipsoid_arr": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(states, "_densities")
+        counted(cli, "_ellipsoid_arr")
+        # The one-state API forms the density, so analyze must not reach it.
+        for owner, name in [
+            (states, "partial_trace"),
+            (ellipsoid, "steering_ellipsoid"),
+            (monogamy, "volume_monogamy_report"),
+        ]:
+            monkeypatch.setattr(owner, name, None)
+        assert main(["analyze", "--input", str(GOLDEN / "state_pure5.json")]) == 0
+        assert calls == {"_densities": 0, "_ellipsoid_arr": 1}
+        assert capsys.readouterr().out == (GOLDEN / "analyze_pure5.json").read_text()
+
     def test_missing_input_is_usage_error(self):
         assert main(["analyze"]) == 2
 
@@ -153,6 +178,15 @@ class TestAnalyzeCommand:
         path.write_text(json.dumps({"n_qubits": 1, "kind": "pure", "data": [[3.0, 0.0], [0.0, 0.0]]}))
         assert main(["analyze", "--input", str(path), "--tol", tol]) == 2
         assert "tol must be" in capsys.readouterr().err
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
+        # A missing directory and a directory path; exit 1 is kept for a failed suite.
+        path = tmp_path / target
+        assert main(["fig1", "--grid", "3", "--output", str(path)]) == 2
+        assert f"error: cannot write output file {path}: " in capsys.readouterr().err
 
 
 class TestConjectureCommand:
@@ -314,6 +348,14 @@ GOLDEN_CALLS = [
     ("analyze_mixed4.json", ["analyze", "--input", str(GOLDEN / "state_mixed4.json")]),
     ("analyze_pure5.csv", ["analyze", "--input", str(GOLDEN / "state_pure5.json"), "--format", "csv"]),
     ("analyze_pure5.json", ["analyze", "--input", str(GOLDEN / "state_pure5.json")]),
+    # A pure qubit 0 (random_pure_state(1, seed=2)) times random_mixed_state(1, seed=2): steered
+    # from qubit 0 the ellipsoid is a point, from qubit 1 it is live; then random_mixed_state(3, seed=3),
+    # random_pure_state(4, seed=4) and random_mixed_state(5, seed=5).
+    *(
+        (f"analyze_{name}.{fmt}", ["analyze", "--input", str(GOLDEN / f"state_{name}.json"), "--format", fmt])
+        for name in ("product2", "mixed3", "pure4", "mixed5")
+        for fmt in ("csv", "json")
+    ),
 ]
 
 

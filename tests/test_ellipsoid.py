@@ -349,13 +349,20 @@ class TestStackedKernels:
         with pytest.raises(DegenerateMarginalError):
             ellipsoid._canonical_arr(np.concatenate([mats, product[None]]), 2, 0)
 
-    def test_center_and_orientation(self, rng):
-        mats = _mixed_stack(rng, 2)
-        _, center, q = ellipsoid._center_orientation(*ellipsoid._steering_abT(mats, 0))
+    @pytest.mark.parametrize("steering_qubit", [0, 1])
+    def test_ellipsoid(self, rng, steering_qubit):
+        # A product with a pure qubit 0 puts a point ellipsoid among the live ones when steered from it.
+        product = np.kron(np.diag([1.0, 0.0]), random_single_qubit_density(rng)).astype(complex)
+        mats = np.concatenate([_mixed_stack(rng, 2), product[None]])
+        center, q, semiaxes, volume, live = ellipsoid._ellipsoid_arr(mats, steering_qubit)
+        assert live[-1] == bool(steering_qubit)
         for k, mat in enumerate(mats):
-            ell = steering_ellipsoid(mat)
+            ell = steering_ellipsoid(mat, steering_qubit)
             np.testing.assert_array_equal(center[k], ell.center)
             np.testing.assert_array_equal(q[k], ell.orientation)
+            np.testing.assert_array_equal(semiaxes[k], ell.semiaxes)
+            assert volume[k] == ell.normalized_volume
+            assert live[k] == (not ell.degenerate)
 
     def test_steered_points(self, rng):
         mats = _mixed_stack(rng, 2, count=10)

@@ -82,6 +82,16 @@ class TestVolumeMonogamyReport:
         with pytest.raises(StateValidationError):
             volume_monogamy_report(werner_state(), hub=0)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_ket_report_equals_density_report_bit_for_bit(self, n):
+        # A ket's pairs are traced from the ket itself, never from |psi><psi|.
+        for seed in range(10):
+            ket = random_pure_state(n, seed=[seed, n])
+            for hub in (0, n - 1):
+                from_density = volume_monogamy_report(states.ket_to_density(ket), hub)
+                # repr prints each float exactly, so equal reprs are equal bits.
+                assert repr(volume_monogamy_report(ket, hub)) == repr(from_density)
+
     def test_report_dict_schema(self):
         payload = volume_monogamy_report(w_state()).to_dict()
         assert set(payload) == {"hub", "volumes", "sqrt_lhs", "two_thirds_lhs", "n_bound", "mean_volume"}

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 from typing import Any, Sequence
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsteer.serialize import columns_to_csv, columns_to_json, dumps, format_float, rows_to_csv
+from qsteer.serialize import columns_to_csv, columns_to_json, dumps, format_float, load_state_file, rows_to_csv
+from qsteer.states import StateValidationError
 
 # --- references: the per-cell emitters the column formatters replaced, verbatim ---
 
@@ -275,3 +277,10 @@ def test_public_single_state_results_are_python_floats_that_serialize():
         assert type(report.hub) is int
     for result in ellipsoids + reports:
         dumps(result.to_dict())
+
+
+def test_non_utf8_state_file_names_the_file(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(StateValidationError, match=re.escape(f"state file {path} is not UTF-8 text")):
+        load_state_file(str(path))

@@ -8,9 +8,8 @@ functions or partials of them, so they pickle.
 
 from __future__ import annotations
 
+import atexit
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 from itertools import combinations, islice
@@ -73,12 +72,16 @@ def _check_run(samples: int, master_seed: int, workers: int) -> None:
 
 
 @cache
-def _pool(workers: int) -> ProcessPoolExecutor:
+def _pool(workers: int):
     """One process pool per worker count, shared by every parallel run of the process.
 
     Its workers start once and keep the module state they started with, so
     a later change to it (a monkeypatch, say) does not reach them.
     """
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, so only when a pool is used
+
+    # Dropped at exit, while concurrent.futures (imported later, so torn down earlier) can still collect it.
+    atexit.register(_pool.cache_clear)
     return ProcessPoolExecutor(max_workers=workers)
 
 
@@ -89,6 +92,8 @@ def _chunks(fn: Callable, n_samples: int, master_seed: int, workers: int) -> lis
     """
     if workers == 1:
         return [fn(master_seed, 0, n_samples)]
+    from concurrent.futures.process import BrokenProcessPool
+
     n_chunks = min(n_samples, 4 * workers)
     bounds = np.linspace(0, n_samples, n_chunks + 1).astype(int)
     pool = _pool(workers)
@@ -377,9 +382,9 @@ _SATURATION_TOL = 1e-8
 _SEPARABLE_BOUND = 1.0 / 27.0
 _POINTS_PER_STATE = 100
 
-# Each random-sample check is a draw, which takes sample i's numbers from its
-# stream in exactly the calls, order and shapes of the public samplers, and a
-# reduce, which turns a block of drawn rows into margins with stacked kernels.
+# Each random-sample check is a draw, which takes from sample i's stream the
+# numbers the public samplers take, in their order, and a reduce, which does
+# all the arithmetic on a block of drawn rows with stacked kernels.
 # A row holds the normals of every Haar ket and unitary (real parts, then
 # imaginary parts); one standard_normal(k) call is bit for bit the smaller
 # calls it replaces, so the suite draws one row per sample for all the checks
@@ -441,19 +446,11 @@ def _purity_symmetry_margins(draws: np.ndarray) -> np.ndarray:
     return _PURITY_SYM_TOL - np.abs(p_ab - p_c)
 
 
-def _draw_sampler_output(rng, row: np.ndarray) -> None:
-    # This check is about the public samplers and validators themselves, so
-    # it draws through the samplers, one state at a time.
-    cells = row.view(complex)
-    cells[:8] = states.random_pure_state(3, seed=rng).data
-    cells[8:] = states.random_mixed_state(3, seed=rng).matrix.reshape(-1)
-
-
 def _state_validity_margins(draws: np.ndarray) -> np.ndarray:
-    # The stacked validator of QuantumState.from_amplitudes and from_matrix.
-    cells = draws.view(complex)
-    states._validate_arr(cells[:, :8], states.DEFAULT_TOL)
-    states._validate_arr(cells[:, 8:].reshape(len(draws), 8, 8), states.DEFAULT_TOL)
+    # The stacked validator of QuantumState.from_amplitudes and from_matrix, on the states that
+    # random_pure_state(3) and then random_mixed_state(3) build from the same 16 + 128 normals.
+    states._validate_arr(_pure_kets(draws, 3), states.DEFAULT_TOL)
+    states._validate_arr(_mixed_states(draws[:, _pure_width(3) :], 3), states.DEFAULT_TOL)
     return np.ones(len(draws))
 
 
@@ -600,14 +597,14 @@ def _max_volume_codes(theta) -> np.ndarray:
 
 
 def _draw_wclass(rng, row: np.ndarray) -> None:
-    """theta, then the normals of three Haar 2x2 unitaries."""
-    row[0] = rng.uniform(0.0, math.pi / 2.0)
+    """random(), which times pi/2 is bit for bit uniform(0, pi/2), then the normals of three Haar 2x2 unitaries."""
+    row[0] = rng.random()
     rng.standard_normal(out=row[1:])
 
 
 def _wclass_kets(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """theta and the kets of ``max_volume_state(theta)`` under each row's three local unitaries."""
-    theta = draws[:, 0]
+    theta = draws[:, 0] * (math.pi / 2.0)
     u = states._haar_unitary_arr(draws[:, 1:].reshape(len(draws), 3, 8), 2)
     local = states._kron_arr(states._kron_arr(u[:, 0], u[:, 1]), u[:, 2])
     return theta, (local @ monogamy._max_volume_arr(theta)[:, :, None])[:, :, 0]
@@ -678,7 +675,7 @@ _SUITE: tuple[_InvariantCheck, ...] = (
     _InvariantCheck("partial_trace_composition", _drawn(_mixed_width(3), _ptrace_composition_margins), 10_000),
     _InvariantCheck("pure3_purity_bipartition_symmetry", _drawn(_pure_width(3), _purity_symmetry_margins), 10_000),
     _InvariantCheck(
-        "sampled_state_validity", _drawn(2 * (8 + 64), _state_validity_margins, _draw_sampler_output), 10_000
+        "sampled_state_validity", _drawn(_pure_width(3) + _mixed_width(3), _state_validity_margins), 10_000
     ),
     _InvariantCheck("volume_matches_canonical_form", _drawn(_mixed_width(2), _volume_canonical_margins), 10_000),
     _InvariantCheck("steered_points_inside_bloch_ball", _drawn(_STEERED_WIDTH, _bloch_containment_margins), 1_000),

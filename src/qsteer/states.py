@@ -655,7 +655,7 @@ def random_mixed_state(n_qubits: int, ancilla_qubits: int | None = None, seed: S
 
 
 def _separable_width(max_terms: int) -> int:
-    """Floats in a separable row: the term count, ``max_terms`` weights, then 8 normals (two qubit kets) per term."""
+    """Floats in a separable row: the term count, ``max_terms`` exponentials, then 8 normals (two kets) per term."""
     return 1 + 9 * max_terms
 
 
@@ -663,20 +663,23 @@ def _draw_separable(rng: np.random.Generator, row: np.ndarray) -> None:
     """Fill ``row`` with the draws of :func:`random_separable_two_qubit`, in its order, zero-padded.
 
     The term count is uniform on 1 up to the row's capacity, ``(len(row) - 1) // 9``.
+    The weight slots hold the exponentials that ``dirichlet(ones(terms))`` draws
+    (numpy's gamma(1) is the exponential); :func:`_separable_arr` normalizes them.
     """
     most = (len(row) - 1) // 9
     terms = int(rng.integers(1, most + 1))
     row.fill(0.0)
     row[0] = terms
-    row[1 : 1 + terms] = rng.dirichlet(np.ones(terms))
+    rng.standard_exponential(out=row[1 : 1 + terms])
     rng.standard_normal(out=row[1 + most : 1 + most + 8 * terms])
 
 
 def _separable_arr(rows: np.ndarray) -> np.ndarray:
     """Mixtures (N, 4, 4) of separable rows (N, 1 + 9 T), added in term order up to the most terms a row holds."""
     most = (rows.shape[-1] - 1) // 9
-    terms, weights = rows[:, 0], rows[:, 1 : 1 + most]
-    draws = rows[:, 1 + most :].reshape(len(rows), most, 2, 4)
+    terms, draws = rows[:, 0], rows[:, 1 + most :].reshape(len(rows), most, 2, 4)
+    # As numpy's dirichlet: each exponential times 1 / their sum from 0 in term order; the zero padding adds nothing.
+    weights = rows[:, 1 : 1 + most] * (1.0 / sum(rows[:, 1 + t] for t in range(most)))[:, None]
     mat = np.zeros((len(rows), 4, 4), dtype=complex)
     for t in range(int(terms.max(initial=0))):
         live = terms > t

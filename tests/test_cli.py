@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -407,11 +409,11 @@ class TestGoldenOutput:
 
 class TestSuiteCsvQuoting:
     def test_error_message_with_comma_stays_one_cell(self, tmp_path, monkeypatch):
-        def corrupt(n_qubits, ancilla_qubits=None, seed=None):
+        def corrupt(kets, n_qubits):
             dim = 2**n_qubits
-            return states.QuantumState(n_qubits, np.eye(dim, dtype=complex) * (0.9 / dim))
+            return np.broadcast_to(np.eye(dim, dtype=complex) * (0.9 / dim), kets.shape[:-1] + (dim, dim))
 
-        monkeypatch.setattr(states, "random_mixed_state", corrupt)
+        monkeypatch.setattr(states, "_induced_arr", corrupt)
         out = tmp_path / "suite.csv"
         assert main(["suite", "--samples", "5", "--seed", "1", "--format", "csv", "--output", str(out)]) == 1
         with open(out, newline="", encoding="utf-8") as fh:
@@ -421,6 +423,14 @@ class TestSuiteCsvQuoting:
         assert all(len(row) == len(header) for row in rows)
         error = next(row for row in rows if row[0] == "sampled_state_validity")[5]
         assert "trace" in error and "," in error
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only a run with workers > 1 needs concurrent.futures.process and the multiprocessing it loads.
+    code = "import sys, qsteer.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestCachedParser:

@@ -1,6 +1,8 @@
 import math
 import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -414,7 +416,7 @@ class TestSharedNormals:
     def test_every_random_sample_check_is_shared(self):
         checks = _SUITE + (_EXPLORATORY,)
         outcomes = _shared_outcomes(checks, [_scaled_count(check, 20) for check in checks], 7, 1)
-        # Own draws (sampler output, separable mixtures, W-class saturation) included; grid checks not.
+        # Own draws (separable mixtures, W-class saturation) included; grid checks not.
         assert sorted(outcomes) == [k for k, check in enumerate(checks) if check.scaled]
 
     @pytest.mark.parametrize("seed, workers", [(7, 1), (12345, 1), (5, 1), (7, 2)])
@@ -528,6 +530,21 @@ class TestProcessPool:
         assert _pool(2) is not broken
         fn = CHECKS["polygon_inequality"].fn
         np.testing.assert_array_equal(_chunked_values(fn, 30, 3, 2), fn(3, 0, 30))
+
+    def test_exit_after_a_parallel_run_is_quiet(self, tmp_path):
+        # concurrent.futures is imported only when a pool starts, so at exit its globals go before this
+        # module's; a pool still cached then would print "Exception ignored in ... weakref_cb".  A
+        # pytest run keeps the modules alive until that teardown, so the script is a test module.
+        script = tmp_path / "test_parallel_run.py"
+        script.write_text(
+            "import os\nfrom qsteer.cli import main\n\n\ndef test_run():\n"
+            "    assert main(['conjecture', '--samples', '20', '--workers', '2', '--output', os.devnull]) == 0\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(experiments.__file__)))
+        argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(script)]
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout
+        assert "Exception ignored" not in proc.stderr + proc.stdout
 
 
 class TestConjecture:
@@ -773,16 +790,32 @@ class TestPropertySuite:
         assert report.passed
 
     def test_corrupted_state_is_reported_not_raised(self, monkeypatch):
-        def corrupt(n_qubits, ancilla_qubits=None, seed=None):
+        def corrupt(kets, n_qubits):
             dim = 2**n_qubits
-            return QuantumState(n_qubits, np.eye(dim, dtype=complex) * (0.9 / dim))
+            return np.broadcast_to(np.eye(dim, dtype=complex) * (0.9 / dim), kets.shape[:-1] + (dim, dim))
 
-        monkeypatch.setattr(states, "random_mixed_state", corrupt)
+        monkeypatch.setattr(states, "_induced_arr", corrupt)
         report = run_property_suite(samples=5, master_seed=1)
         assert not report.passed
         validity = next(r for r in report.results if r.name == "sampled_state_validity")
         assert not validity.passed
         assert "trace" in validity.error
+
+    @pytest.mark.parametrize("master_seed", [7, 12345])
+    def test_validity_reduce_validates_the_sampler_output(self, monkeypatch, master_seed):
+        # sampled_state_validity draws one row of normals per sample; its reduce must build, bit for bit,
+        # the states random_pure_state(3) and then random_mixed_state(3) draw from the same stream.
+        fn = CHECKS["sampled_state_validity"].fn
+        rows = np.empty((500, fn.keywords["width"]))
+        for i, rng in sample_streams(master_seed, 0, 500):
+            fn.keywords["draw"](rng, rows[i])
+        validated = []
+        monkeypatch.setattr(states, "_validate_arr", lambda data, tol: validated.append(np.array(data)))
+        fn.keywords["reduce"](rows)
+        kets, mats = validated
+        for i, rng in sample_streams(master_seed, 0, 500):
+            assert kets[i].tobytes() == states.random_pure_state(3, seed=rng).data.tobytes()
+            assert mats[i].tobytes() == states.random_mixed_state(3, seed=rng).matrix.tobytes()
 
 
 class TestWClassSaturation:

@@ -310,6 +310,24 @@ def _stream_draws(rng):
     )
 
 
+class TestNumpyDrawIdentities:
+    """numpy identities that let a suite draw store raw variates and do the arithmetic in its reduce."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_dirichlet_of_ones_is_normalized_exponentials(self, k):
+        # numpy's gamma(1) is the exponential; dirichlet sums from 0.0 in order, then multiplies by 1 / sum.
+        for (_, a), (_, b) in zip(sample_streams(3, 0, 2000), sample_streams(3, 0, 2000)):
+            e = b.standard_exponential(k)
+            total = 0.0
+            for x in e:
+                total += x
+            assert a.dirichlet(np.ones(k)).tobytes() == (e * (1.0 / total)).tobytes()
+
+    def test_uniform_to_half_pi_is_scaled_random(self):
+        for (_, a), (_, b) in zip(sample_streams(3, 0, 2000), sample_streams(3, 0, 2000)):
+            assert a.uniform(0.0, np.pi / 2.0).hex() == ((np.pi / 2.0) * b.random()).hex()
+
+
 class TestSampleStreams:
     # Seed 5's seed word is >= 2**63, so the re-keyed state dict holds a key word past int64.
     @pytest.mark.parametrize("master_seed", [0, 1, 5, 12345, 2**32 - 1, 2**32, 2**64 + 3])

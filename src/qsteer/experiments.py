@@ -303,6 +303,7 @@ def sweep_ghz_region(grid_steps: int = 50) -> list[GhzSweepRow]:
 
 def _ghz_columns(grid_steps: int) -> tuple[np.ndarray, ...]:
     """The float64 columns of ``sweep_ghz_region``, in ``GhzSweepRow`` field order."""
+    grid_steps = states._integer("grid_steps", grid_steps)
     if grid_steps < 2:
         raise ValueError("grid_steps must be >= 2")
     angles = _open_grid(grid_steps, math.pi / 2.0)
@@ -314,7 +315,7 @@ def _ghz_columns(grid_steps: int) -> tuple[np.ndarray, ...]:
         v_b[block], v_c[block] = monogamy._hub_volumes(kets, 3, 0, states._ket_trace_arr)
     return (
         alpha, beta, v_b, v_c, x_pred, y_pred,
-        np.abs(v_b - x_pred), np.abs(v_c - y_pred), np.sqrt(v_b) + np.sqrt(v_c),
+        np.abs(v_b - x_pred), np.abs(v_c - y_pred), monogamy._relation_sums([v_b, v_c])["sqrt_lhs"],
     )
 
 
@@ -422,10 +423,6 @@ def _volumes(mat: np.ndarray) -> np.ndarray:
     return ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mat, 0))
 
 
-def _sqrt_volume_sum(mat: np.ndarray) -> np.ndarray:
-    return sum(np.sqrt(v) for v in monogamy._hub_volumes(mat, 3, 0))
-
-
 def _reconstruction_margins(draws: np.ndarray) -> np.ndarray:
     mat = _mixed_states(draws, 2)
     rebuilt = states._reconstruct_arr(*states._pauli_arr(mat))
@@ -511,21 +508,19 @@ def _volume_interval_margins(draws: np.ndarray) -> np.ndarray:
     return margin
 
 
-def _monogamy_sum_margins(
-    draws: np.ndarray, *, n_qubits: int, pure: bool, exponent: float, bound: float
-) -> np.ndarray:
+def _monogamy_sum_margins(draws: np.ndarray, *, n_qubits: int, pure: bool, lhs: str, bound: float) -> np.ndarray:
+    """``bound`` + _TOL minus the ``MonogamyReport`` field ``lhs`` of each row's hub-0 volumes."""
     if pure:
         volumes = monogamy._hub_volumes(_pure_kets(draws, n_qubits), n_qubits, 0, states._ket_trace_arr)
     else:
         volumes = monogamy._hub_volumes(_mixed_states(draws, n_qubits), n_qubits, 0)
-    # float_power calls the C pow, as Python's float ** does.
-    lhs = sum(np.float_power(v, exponent) for v in volumes)
-    return bound + _TOL - lhs
+    return bound + _TOL - monogamy._relation_sums(volumes)[lhs]
 
 
-def _mixed5_mean_margins(draws: np.ndarray) -> np.ndarray:
-    volumes = np.stack(monogamy._hub_volumes(_mixed_states(draws, 5), 5, 0))
-    return 0.5 + _TOL - np.mean(volumes, axis=0)
+def _relation(n_qubits: int, pure: bool, lhs: str, bound: float) -> partial:
+    """The check of ``MonogamyReport.<lhs> <= bound`` on Haar-random pure or induced mixed n-qubit states."""
+    width = _pure_width(n_qubits) if pure else _mixed_width(n_qubits)
+    return _drawn(width, partial(_monogamy_sum_margins, n_qubits=n_qubits, pure=pure, lhs=lhs, bound=bound))
 
 
 def _correlation_sum_margins(draws: np.ndarray, *, pure: bool) -> np.ndarray:
@@ -547,7 +542,7 @@ def _purity_identity_margins(draws: np.ndarray, *, n_qubits: int) -> np.ndarray:
 def _canonical_equality_margins(draws: np.ndarray) -> np.ndarray:
     mat = ellipsoid._canonical_arr(_pure_states(draws, 3), 3, 0)
     v_b, v_c = monogamy._hub_volumes(mat, 3, 0)
-    _, b2, c2 = monogamy._bloch_norms_sq(mat, 3)
+    b2, c2 = monogamy._bloch_norms_sq(mat, 3, (1, 2))
     return _TOL - np.maximum(np.abs(v_b - c2), np.abs(v_c - b2))
 
 
@@ -571,8 +566,9 @@ def _tangle_volume_margins(draws: np.ndarray) -> np.ndarray:
     mat = states._densities(kets)
     monogamy._check_pure_arr(mat)
     tangle = monogamy._three_tangle_arr(kets)
-    a2 = monogamy._bloch_norms_sq(mat, 3)[0]
-    return tangle - (1.0 - a2) * (1.0 - _sqrt_volume_sum(mat)) + _TOL
+    (a2,) = monogamy._bloch_norms_sq(mat, 3, (0,))
+    lhs = monogamy._relation_sums(monogamy._hub_volumes(mat, 3, 0))["sqrt_lhs"]
+    return tangle - (1.0 - a2) * (1.0 - lhs) + _TOL
 
 
 def _max_volume_codes(theta) -> np.ndarray:
@@ -613,7 +609,8 @@ def _wclass_kets(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _wclass_margins(draws: np.ndarray) -> np.ndarray:
     theta, vec = _wclass_kets(draws)
     mat = states._densities(vec)
-    margin = _SATURATION_TOL - np.abs(_sqrt_volume_sum(mat) - 1.0)
+    lhs = monogamy._relation_sums(monogamy._hub_volumes(mat, 3, 0))["sqrt_lhs"]
+    margin = _SATURATION_TOL - np.abs(lhs - 1.0)
     monogamy._check_pure_arr(mat)
     return np.where(monogamy._slocc_codes(vec) == _max_volume_codes(theta), margin, -1.0)
 
@@ -633,7 +630,7 @@ def _channel_monotonicity_margins(draws: np.ndarray) -> np.ndarray:
 
 def _noisy_pure3_margins(draws: np.ndarray) -> np.ndarray:
     noisy = _noisy(_pure_states(draws, 3), draws[:, _pure_width(3) :], 3)
-    return 1.0 + _TOL - _sqrt_volume_sum(noisy)
+    return 1.0 + _TOL - monogamy._relation_sums(monogamy._hub_volumes(noisy, 3, 0))["sqrt_lhs"]
 
 
 def _inv_noisy_w_closed_form(master_seed: int, start: int, stop: int) -> np.ndarray:
@@ -682,27 +679,11 @@ _SUITE: tuple[_InvariantCheck, ...] = (
     _InvariantCheck("steered_points_inside_ellipsoid", _drawn(_STEERED_WIDTH, _membership_margins), 1_000),
     _InvariantCheck("separable_volume_bound", _drawn(_SEPARABLE_WIDTH, _separable_margins, _draw_separable), 10_000),
     _InvariantCheck("volume_in_unit_interval", _drawn(_mixed_width(2), _volume_interval_margins), 10_000),
-    _InvariantCheck(
-        "pure3_sqrt_volume_monogamy",
-        _drawn(_pure_width(3), partial(_monogamy_sum_margins, n_qubits=3, pure=True, exponent=0.5, bound=1.0)),
-        10_000,
-    ),
-    _InvariantCheck(
-        "mixed3_twothirds_volume_monogamy",
-        _drawn(_mixed_width(3), partial(_monogamy_sum_margins, n_qubits=3, pure=False, exponent=2.0 / 3.0, bound=1.0)),
-        10_000,
-    ),
-    _InvariantCheck(
-        "pure4_twothirds_volume_monogamy",
-        _drawn(_pure_width(4), partial(_monogamy_sum_margins, n_qubits=4, pure=True, exponent=2.0 / 3.0, bound=1.0)),
-        10_000,
-    ),
-    _InvariantCheck(
-        "mixed5_twothirds_volume_sum",
-        _drawn(_mixed_width(5), partial(_monogamy_sum_margins, n_qubits=5, pure=False, exponent=2.0 / 3.0, bound=2.0)),
-        1_000,
-    ),
-    _InvariantCheck("mixed5_mean_volume", _drawn(_mixed_width(5), _mixed5_mean_margins), 1_000),
+    _InvariantCheck("pure3_sqrt_volume_monogamy", _relation(3, True, "sqrt_lhs", 1.0), 10_000),
+    _InvariantCheck("mixed3_twothirds_volume_monogamy", _relation(3, False, "two_thirds_lhs", 1.0), 10_000),
+    _InvariantCheck("pure4_twothirds_volume_monogamy", _relation(4, True, "two_thirds_lhs", 1.0), 10_000),
+    _InvariantCheck("mixed5_twothirds_volume_sum", _relation(5, False, "two_thirds_lhs", 2.0), 1_000),
+    _InvariantCheck("mixed5_mean_volume", _relation(5, False, "mean_volume", 0.5), 1_000),
     _InvariantCheck(
         "pure3_correlation_identity", _drawn(_pure_width(3), partial(_correlation_sum_margins, pure=True)), 10_000
     ),
@@ -733,7 +714,7 @@ _SUITE: tuple[_InvariantCheck, ...] = (
 
 _EXPLORATORY = _InvariantCheck(
     "mixed4_twothirds_exploration",
-    _drawn(_mixed_width(4), partial(_monogamy_sum_margins, n_qubits=4, pure=False, exponent=2.0 / 3.0, bound=1.0)),
+    _relation(4, False, "two_thirds_lhs", 1.0),
     10_000,
     exploratory=True,
 )

@@ -28,6 +28,7 @@ from .states import (
     _bloch_arr,
     _check_range,
     _density,
+    _induced_arr,
     _integer,
     _ket_trace_arr,
     _partial_trace_arr,
@@ -98,15 +99,24 @@ class MonogamyReport:
     @classmethod
     def _from_volumes(cls, hub: int, volumes, n: int) -> "MonogamyReport":
         """The report of the volumes v_{X|hub}, X ascending, of an ``n``-qubit state."""
-        volumes = [float(v) for v in volumes]
-        return cls(
-            hub=hub,
-            volumes=tuple(volumes),
-            sqrt_lhs=float(sum(math.sqrt(v) for v in volumes)),
-            two_thirds_lhs=float(sum(v ** (2.0 / 3.0) for v in volumes)),
-            n_bound=(n - 1) / 2.0,
-            mean_volume=float(np.mean(volumes)),
-        )
+        sums = {name: float(value) for name, value in _relation_sums(volumes).items()}
+        return cls(hub=hub, volumes=tuple(float(v) for v in volumes), n_bound=(n - 1) / 2.0, **sums)
+
+
+def _relation_sums(volumes: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
+    """The report fields ``sqrt_lhs``, ``two_thirds_lhs`` and ``mean_volume`` of per-pair volumes.
+
+    ``volumes`` holds one array per pair, whose axes are a batch.  Both sums
+    add the pairs in order, with Python ``sum``: ``np.sum`` adds 8 or more
+    entries pairwise, which rounds differently.  ``np.mean`` does so for one
+    state's 8 or more pairs, but adds a batch's in order.
+    """
+    return {
+        "sqrt_lhs": sum(np.sqrt(v) for v in volumes),
+        # float_power calls the C pow, as Python's float ** does.
+        "two_thirds_lhs": sum(np.float_power(v, 2.0 / 3.0) for v in volumes),
+        "mean_volume": np.mean(np.stack(volumes), axis=0),
+    }
 
 
 class SloccClass(enum.Enum):
@@ -160,6 +170,8 @@ def pairwise_correlation_sum(rho: StateLike, pairs: Sequence[tuple[int, int]] | 
     if pairs is None:
         pairs = list(combinations(range(n), 2))
     pairs = [(_qubit("pairs entry", i, n), _qubit("pairs entry", j, n)) for i, j in pairs]
+    if not pairs:
+        raise StateValidationError("pairs list must not be empty")
     for i, j in pairs:
         if i == j:
             raise StateValidationError(f"pairs entry ({i}, {j}) names one qubit twice")
@@ -185,12 +197,12 @@ def _check_pure_arr(mat: np.ndarray) -> None:
         raise StateValidationError(f"expected a pure state, got purity {np.min(pur):.12g}")
 
 
-def _bloch_norms_sq(mat: np.ndarray, n: int) -> np.ndarray:
-    """|r_q|^2 of each qubit's Bloch vector, shape (n, ...); trailing axes follow the batch of ``mat``."""
-    out = np.empty((n,) + mat.shape[:-2])
-    for q in range(n):
+def _bloch_norms_sq(mat: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
+    """|r_q|^2 of the Bloch vector of each q in ``qubits``, shape (len(qubits), ...); then the batch of ``mat``."""
+    out = np.empty((len(qubits),) + mat.shape[:-2])
+    for k, q in enumerate(qubits):
         a = _bloch_arr(_partial_trace_arr(mat, [q], n))
-        out[q] = (a[..., None, :] @ a[..., :, None])[..., 0, 0]
+        out[k] = (a[..., None, :] @ a[..., :, None])[..., 0, 0]
     return out
 
 
@@ -206,7 +218,7 @@ def purity_identity_residuals_3q(psi: StateLike) -> np.ndarray:
 
 def _purity_residuals_3q_arr(mat: np.ndarray) -> np.ndarray:
     """:func:`purity_identity_residuals_3q` as (..., 3); leading axes of ``mat`` are a batch."""
-    a2, b2, c2 = _bloch_norms_sq(mat, 3)
+    a2, b2, c2 = _bloch_norms_sq(mat, 3, range(3))
     t_ab = _corr_strength(mat, 3, (0, 1))
     t_ac = _corr_strength(mat, 3, (0, 2))
     t_bc = _corr_strength(mat, 3, (1, 2))
@@ -261,7 +273,7 @@ def purity_identity_residuals_4q(psi: StateLike) -> np.ndarray:
 
 def _purity_residuals_4q_arr(mat: np.ndarray) -> np.ndarray:
     """:func:`purity_identity_residuals_4q` as (..., 4); leading axes of ``mat`` are a batch."""
-    a2, b2, c2, d2 = _bloch_norms_sq(mat, 4)
+    a2, b2, c2, d2 = _bloch_norms_sq(mat, 4, range(4))
     t = {pair: _corr_strength(mat, 4, pair) for pair in combinations(range(4), 2)}
     return np.stack(
         [
@@ -286,7 +298,7 @@ def polygon_residual(psi: StateLike) -> float:
 
 def _polygon_arr(mat: np.ndarray):
     """:func:`polygon_residual` of the trailing (8, 8) axes of ``mat``; leading axes are a batch."""
-    a, b, c = np.sqrt(_bloch_norms_sq(mat, 3))
+    a, b, c = np.sqrt(_bloch_norms_sq(mat, 3, range(3)))
     return 1.0 + a - b - c
 
 
@@ -365,8 +377,7 @@ def _ckw_arr(factor: np.ndarray, hub: int = 0):
 
     A pair's factor is A with the third qubit moved into the columns, (..., 4, 2 r).
     """
-    # The product states._induced_arr forms, so an induced state's rho_hub keeps its bits.
-    mat = factor @ np.swapaxes(factor.conj(), -1, -2)
+    mat = _induced_arr(factor.reshape(factor.shape[:-2] + (-1,)), 3)
     total = 4.0 * np.linalg.det(_partial_trace_arr(mat, [hub], 3)).real
     qubits = factor.reshape(factor.shape[:-2] + (2, 2, 2, -1))
     batch = factor.ndim - 2

@@ -7,6 +7,7 @@ import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from functools import partial
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from qsteer.experiments import (
     sweep_ghz_region,
     sweep_noisy_w,
 )
+from qsteer.monogamy import volume_monogamy_report
 from qsteer.states import QuantumState, _partial_trace_arr, sample_streams
 
 # --- per-sample references: each suite check, one state at a time through the public functions ---
@@ -157,12 +159,16 @@ def _ref_volume_interval(master_seed: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def _two_thirds_power(v: float) -> float:
+    return v ** (2.0 / 3.0)
+
+
 def _ref_monogamy_sum(master_seed: int, start: int, stop: int, *, n_qubits: int,
-                      pure: bool, exponent: float, bound: float) -> np.ndarray:
+                      pure: bool, power: Callable[[float], float], bound: float) -> np.ndarray:
     out = np.empty(stop - start)
     for i, rng in sample_streams(master_seed, start, stop):
         mat = _pure_matrix(rng, n_qubits) if pure else _mixed_matrix(rng, n_qubits)
-        lhs = sum(float(v) ** exponent for v in monogamy._hub_volumes(mat, n_qubits, 0))
+        lhs = sum(power(float(v)) for v in monogamy._hub_volumes(mat, n_qubits, 0))
         out[i - start] = bound + _TOL - lhs
     return out
 
@@ -307,7 +313,7 @@ def _ref_noisy_pure3_monogamy(master_seed: int, start: int, stop: int) -> np.nda
 
 
 def _ref_mixed4_exploration(master_seed, start, stop):
-    return _ref_monogamy_sum(master_seed, start, stop, n_qubits=4, pure=False, exponent=2.0 / 3.0, bound=1.0)
+    return _ref_monogamy_sum(master_seed, start, stop, n_qubits=4, pure=False, power=_two_thirds_power, bound=1.0)
 
 
 REFERENCES = {
@@ -320,14 +326,16 @@ REFERENCES = {
     "steered_points_inside_ellipsoid": _ref_membership,
     "separable_volume_bound": _ref_separable_bound,
     "volume_in_unit_interval": _ref_volume_interval,
-    "pure3_sqrt_volume_monogamy": partial(_ref_monogamy_sum, n_qubits=3, pure=True, exponent=0.5, bound=1.0),
+    "pure3_sqrt_volume_monogamy": partial(_ref_monogamy_sum, n_qubits=3, pure=True, power=math.sqrt, bound=1.0),
     "mixed3_twothirds_volume_monogamy": partial(
-        _ref_monogamy_sum, n_qubits=3, pure=False, exponent=2.0 / 3.0, bound=1.0
+        _ref_monogamy_sum, n_qubits=3, pure=False, power=_two_thirds_power, bound=1.0
     ),
     "pure4_twothirds_volume_monogamy": partial(
-        _ref_monogamy_sum, n_qubits=4, pure=True, exponent=2.0 / 3.0, bound=1.0
+        _ref_monogamy_sum, n_qubits=4, pure=True, power=_two_thirds_power, bound=1.0
     ),
-    "mixed5_twothirds_volume_sum": partial(_ref_monogamy_sum, n_qubits=5, pure=False, exponent=2.0 / 3.0, bound=2.0),
+    "mixed5_twothirds_volume_sum": partial(
+        _ref_monogamy_sum, n_qubits=5, pure=False, power=_two_thirds_power, bound=2.0
+    ),
     "mixed5_mean_volume": _ref_mixed5_mean_volume,
     "pure3_correlation_identity": partial(_ref_correlation_sum, pure=True),
     "mixed3_correlation_bound": partial(_ref_correlation_sum, pure=False),
@@ -408,6 +416,40 @@ class TestBatchedChecks:
 # 10^4-checks end at 570 (mid-block 2) and 10^3-checks at 57 (mid-block 0).
 SHARED_SCALE = 570
 SHARED_CHECKS = tuple(check for check in _SUITE + (_EXPLORATORY,) if check.scaled)
+
+
+# The rows that bound a MonogamyReport field of hub-0 volumes, with their keywords.
+RELATION_ROWS = {
+    name: check.fn.keywords["reduce"].keywords
+    for name, check in CHECKS.items()
+    if check.scaled and getattr(check.fn.keywords["reduce"], "func", None) is experiments._monogamy_sum_margins
+}
+
+
+class TestRelationRows:
+    """Each volume-relation row's margin is its bound + _TOL minus the report field it names, bit for bit."""
+
+    def test_every_volume_sum_row_is_a_relation_row(self):
+        assert sorted(RELATION_ROWS) == [
+            "mixed3_twothirds_volume_monogamy", "mixed4_twothirds_exploration", "mixed5_mean_volume",
+            "mixed5_twothirds_volume_sum", "pure3_sqrt_volume_monogamy", "pure4_twothirds_volume_monogamy",
+        ]
+
+    @pytest.mark.parametrize("seed, index", [(12345, 1198), (7, 1091)])
+    def test_sqrt_row_where_pow_rounds_differently(self, seed, index):
+        report = volume_monogamy_report(states.random_pure_state(3, seed=states.sample_rng(seed, index)))
+        assert sum(v**0.5 for v in report.volumes) != report.sqrt_lhs
+        margin = CHECKS["pure3_sqrt_volume_monogamy"].fn(seed, index, index + 1)[0]
+        assert margin.hex() == (1.0 + 1e-9 - report.sqrt_lhs).hex()
+
+    @pytest.mark.parametrize("name", sorted(RELATION_ROWS))
+    def test_margins_equal_the_report_field(self, name):
+        row = RELATION_ROWS[name]
+        sampler = states.random_pure_state if row["pure"] else states.random_mixed_state
+        margins = CHECKS[name].fn(12345, 0, 4)
+        for i, rng in sample_streams(12345, 0, 4):
+            report = volume_monogamy_report(sampler(row["n_qubits"], seed=rng))
+            assert margins[i].hex() == (row["bound"] + _TOL - getattr(report, row["lhs"])).hex()
 
 
 class TestSharedNormals:
@@ -672,6 +714,11 @@ class TestGhzSweep:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_ghz_region(grid_steps=1)
+
+    @pytest.mark.parametrize("grid_steps", [2.5, 20.0, "20"])
+    def test_non_integer_grid_rejected(self, grid_steps):
+        with pytest.raises(TypeError, match="^grid_steps must be an integer"):
+            sweep_ghz_region(grid_steps)
 
     def test_rows_equal_per_point_loop_bitwise(self):
         angles = np.arange(1, 8) / 8 * (math.pi / 2.0)

@@ -133,6 +133,16 @@ def test_pair_of_one_qubit_rejected():
         pairwise_correlation_sum(_mixed(3), [(0, 1), (2, 2)])
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda rho: partial_trace(rho, []), "keep"), (lambda rho: pairwise_correlation_sum(rho, []), "pairs")],
+    ids=["partial_trace", "pairwise_correlation_sum"],
+)
+def test_empty_qubit_list_rejected(call, name):
+    with pytest.raises(StateValidationError, match=f"^{name} list must not be empty$"):
+        call(_mixed(3))
+
+
 @pytest.mark.parametrize("rho2", [np.eye(4) / 4, np.full((2, 2), math.nan), np.ones((2, 3))])
 def test_kraus_apply_rejects_non_qubit_input(rho2):
     with pytest.raises(StateValidationError):

@@ -78,6 +78,17 @@ class TestVolumeMonogamyReport:
         assert rep.mean_volume == pytest.approx(np.mean(rep.volumes))
         assert rep.sqrt_lhs == pytest.approx(sum(math.sqrt(v) for v in rep.volumes))
 
+    def test_ten_qubit_sums_add_the_pairs_in_order(self):
+        rep = volume_monogamy_report(random_pure_state(10, seed=13))
+        volumes = np.array(rep.volumes)
+        assert volumes.size == 9
+        # np.sum adds 8 or more entries pairwise; here both sums round differently that way.
+        assert np.sum(np.sqrt(volumes)) != rep.sqrt_lhs
+        assert np.sum(np.float_power(volumes, 2.0 / 3.0)) != rep.two_thirds_lhs
+        assert rep.sqrt_lhs == sum(math.sqrt(v) for v in rep.volumes)
+        assert rep.two_thirds_lhs == sum(v ** (2.0 / 3.0) for v in rep.volumes)
+        assert rep.mean_volume == np.mean(volumes)
+
     def test_two_qubit_state_rejected(self):
         with pytest.raises(StateValidationError):
             volume_monogamy_report(werner_state(), hub=0)

@@ -325,8 +325,8 @@ def sweep_noisy_w(
 ) -> list[NoisyWSweepRow]:
     """Noisy W-family volumes: closed form vs direct channel application.
 
-    ``lhs`` is the numeric sqrt-volume sum 2 sqrt(v'); rows are grouped by
-    noise strength (epsilon-major) to mirror one curve per strength.
+    ``lhs`` is the numeric sqrt-volume sum sqrt(v') + sqrt(v') of the two
+    symmetric pairs; rows are grouped by noise strength (epsilon-major).
     Defaults: 100 p-values on (0, 1) and strengths (0, 0.001, 0.005, 0.01).
     """
     return _rows(NoisyWSweepRow, _noisy_w_columns(p_grid, epsilons))
@@ -350,7 +350,7 @@ def _noisy_w_columns(p_grid: Sequence[float] | None, epsilons: Sequence[float] |
             numeric[e, block] = _volumes(pair)
     return (
         np.tile(p, eps.size), np.repeat(eps, p.size), closed.ravel(), numeric.ravel(),
-        np.abs(closed - numeric).ravel(), 2.0 * np.sqrt(numeric).ravel(),
+        np.abs(closed - numeric).ravel(), monogamy._relation_sums([numeric, numeric])["sqrt_lhs"].ravel(),
     )
 
 

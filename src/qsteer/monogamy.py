@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -31,12 +30,17 @@ from .states import (
     _induced_arr,
     _integer,
     _ket_trace_arr,
+    _kron_arr,
     _partial_trace_arr,
+    _pauli_terms,
+    _plan,
     _purity_arr,
     _qubit,
     _real,
+    _signed_terms,
     _spin_corr_arr,
     _state,
+    _sum_terms,
 )
 
 __all__ = [
@@ -106,16 +110,16 @@ class MonogamyReport:
 def _relation_sums(volumes: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
     """The report fields ``sqrt_lhs``, ``two_thirds_lhs`` and ``mean_volume`` of per-pair volumes.
 
-    ``volumes`` holds one array per pair, whose axes are a batch.  Both sums
-    add the pairs in order, with Python ``sum``: ``np.sum`` adds 8 or more
-    entries pairwise, which rounds differently.  ``np.mean`` does so for one
-    state's 8 or more pairs, but adds a batch's in order.
+    ``volumes`` holds one array per pair, whose axes are a batch.  All three
+    add the pairs in order, with Python ``sum``, so one state gets the bits
+    it gets in a batch: ``np.sum`` and ``np.mean`` add one state's 8 or more
+    pairs pairwise, which rounds differently.
     """
     return {
         "sqrt_lhs": sum(np.sqrt(v) for v in volumes),
         # float_power calls the C pow, as Python's float ** does.
         "two_thirds_lhs": sum(np.float_power(v, 2.0 / 3.0) for v in volumes),
-        "mean_volume": np.mean(np.stack(volumes), axis=0),
+        "mean_volume": sum(volumes) / len(volumes),
     }
 
 
@@ -232,15 +236,10 @@ def _purity_residuals_3q_arr(mat: np.ndarray) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=1)
-def _three_pauli_stack() -> np.ndarray:
-    """All 27 operators 1 (x) sigma_l (x) sigma_m (x) sigma_n, shape (27, 16, 16)."""
-    ops = []
-    for l in range(3):
-        for m in range(3):
-            for p in range(3):
-                ops.append(np.kron(np.eye(2), np.kron(PAULIS[l], np.kron(PAULIS[m], PAULIS[p]))))
-    return np.stack(ops)
+# Gather plan of the 27 coefficients Tr[rho 1 (x) sigma_l (x) sigma_m (x) sigma_n], l, m, n
+# row-major, each adding rho's entries in row-major order, as einsum with rho first does.
+_L_BCD_OPS = _kron_arr(np.eye(2), _kron_arr(_kron_arr(PAULIS[:, None, None], PAULIS[:, None]), PAULIS))
+_L_BCD_PLAN = _plan([sorted(_pauli_terms(op)) for op in _L_BCD_OPS.reshape(27, 16, 16)])
 
 
 def l_bcd(rho: StateLike) -> float:
@@ -255,7 +254,7 @@ def l_bcd(rho: StateLike) -> float:
 
 def _l_bcd_arr(mat: np.ndarray):
     """:func:`l_bcd` of the trailing (16, 16) axes of ``mat``; leading axes are a batch."""
-    coeffs = np.einsum("...ab,kba->...k", mat, _three_pauli_stack()).real
+    coeffs = _sum_terms(_signed_terms(mat, _L_BCD_PLAN), mat.shape[:-2] + (27,))
     return np.sum(coeffs**2, axis=-1)
 
 

@@ -385,30 +385,18 @@ def partial_trace(rho: StateLike, keep: Iterable[int]) -> QuantumState:
     return QuantumState(len(keep), _partial_trace_arr(mat, keep, n))
 
 
-def _bloch_arr(rho2: np.ndarray) -> np.ndarray:
-    """Bloch vector of the trailing (2, 2) axes of ``rho2``; leading axes are a batch."""
-    return np.einsum("jab,...ba->...j", PAULIS, rho2).real
-
-
-def bloch_vector(rho: StateLike) -> np.ndarray:
-    """Bloch vector (Tr[rho sigma_x], Tr[rho sigma_y], Tr[rho sigma_z]) of one qubit."""
-    mat, _ = _density(rho, 1)
-    return _bloch_arr(mat)
-
-
 def _pauli_terms(op: np.ndarray) -> list[tuple[int, float]]:
-    """Terms ``(index, sign)`` of Re Tr[op rho] over the float64 view of a complex 4x4 ``rho``.
+    """Terms ``(index, sign)`` of Re Tr[op rho] over the float64 view of a complex d x d ``rho``.
 
     Every entry of ``op`` is 0, +-1 or +-i, so the real part of each
     product op[r, c] rho[c, r] is +-Re or +-Im of rho[c, r]: float entry
-    2 (4c + r), or the one after it.  Terms come in the row-major order of
-    ``op``, the order in which ``np.einsum`` adds the products.
+    2 (d c + r), or the one after it.  Terms come in the row-major order of
+    ``op``, the order of ``np.einsum`` with ``op`` first; ``sorted`` gives
+    rho's row-major order, that of ``np.einsum`` with rho first.
     """
-    terms = []
-    for r, c in zip(*np.nonzero(op)):
-        p = op[r, c]
-        terms.append((2 * (4 * c + r) + int(p.imag != 0), p.real - p.imag))
-    return terms
+    r, c = np.nonzero(op)
+    p = op[r, c]
+    return list(zip((2 * (len(op) * c + r) + (p.imag != 0)).tolist(), (p.real - p.imag).tolist()))
 
 
 def _marginal_terms(sigma: np.ndarray, slot: int) -> list[tuple[int, float]]:
@@ -427,7 +415,7 @@ def _marginal_terms(sigma: np.ndarray, slot: int) -> list[tuple[int, float]]:
 
 
 def _plan(coefficients: list[list[tuple[int, float]]]) -> tuple[np.ndarray, np.ndarray]:
-    """Float-view indices (4, m) and signs (4, m, 1): term t of coefficient c at [t, c]."""
+    """Float-view indices (t, m) and signs (t, m, 1): term t of coefficient c at [t, c]."""
     table = np.array(coefficients).T
     return table[0].astype(np.intp), table[1][..., None]
 
@@ -440,34 +428,48 @@ _ABT_PLAN = _plan(
     + [_pauli_terms(op) for op in _PAULI_PAIRS.reshape(9, 4, 4)]
 )
 _T_PLAN = (_ABT_PLAN[0][:, 6:], _ABT_PLAN[1][:, 6:])
+_BLOCH_PLAN = _plan([_pauli_terms(sigma) for sigma in PAULIS])
 
 
 def _signed_terms(mat: np.ndarray, plan: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The signed terms (4, m, N) that ``plan`` picks from each matrix of the (..., 4, 4) stack ``mat``."""
-    flat = np.ascontiguousarray(mat, dtype=complex).view(np.float64).reshape(-1, 32)
+    """The signed terms (t, m, N) that ``plan`` picks from each matrix of the (..., d, d) stack ``mat``."""
+    flat = np.ascontiguousarray(mat, dtype=complex).view(np.float64).reshape(-1, 2 * mat.shape[-1] ** 2)
     index, sign = plan
     return flat.T[index] * sign
 
 
 def _sum_terms(terms: np.ndarray, shape: tuple) -> np.ndarray:
-    """(((0 + t0) + t1) + t2) + t3 over axis 0 of ``terms``, reshaped to ``shape``.
+    """((0 + t0) + t1) + ... over axis 0 of ``terms``, reshaped to ``shape``.
 
-    The result is the ``.real`` view of a zeroed complex buffer.  A sum
-    begun at 0.0 turns -0.0 into 0.0, as einsum does, and the view's
-    16-byte trailing stride is that of einsum's ``.real`` output: a stacked
-    matmul picks its BLAS or non-BLAS loop, and a sum over several axes its
-    order, by memory layout.
+    Python ``sum`` adds in order for any batch (``np.add.reduce`` adds 8 or
+    more pairwise for a batch of one) into a contiguous buffer, copied into
+    the ``.real`` view of a zeroed complex buffer.  A sum begun at 0.0 turns
+    -0.0 into 0.0, as einsum does, and the view's 16-byte trailing stride is
+    that of einsum's ``.real`` output: a stacked matmul picks its BLAS or
+    non-BLAS loop, and a sum over several axes its order, by memory layout.
     """
     out = np.zeros(terms.shape[:0:-1], dtype=complex).real
-    np.add.reduce(terms, axis=0, out=out.T, initial=0.0)
+    out.T[...] = sum(terms, np.zeros(terms.shape[1:]))
     return out.reshape(shape)
+
+
+def _bloch_arr(rho2: np.ndarray) -> np.ndarray:
+    """Bloch vector of the trailing (2, 2) axes of ``rho2``; leading axes are a batch."""
+    return _sum_terms(_signed_terms(rho2, _BLOCH_PLAN), rho2.shape[:-2] + (3,))
+
+
+def bloch_vector(rho: StateLike) -> np.ndarray:
+    """Bloch vector (Tr[rho sigma_x], Tr[rho sigma_y], Tr[rho sigma_z]) of one qubit."""
+    mat, _ = _density(rho, 1)
+    return _bloch_arr(mat)
 
 
 def _abT_arr(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, T) of the trailing (4, 4) axes of ``mat``; leading axes are a batch.
 
-    Bit for bit the einsum forms ``_bloch_arr(_partial_trace_arr(mat, [q], 2))``
-    and ``einsum("jkab,...ba->...jk", _PAULI_PAIRS, mat).real``: the same
+    Bit for bit ``einsum("jab,...ba->...j", PAULIS, rho_q).real`` of the
+    marginals ``rho_q = _partial_trace_arr(mat, [q], 2)`` and
+    ``einsum("jkab,...ba->...jk", _PAULI_PAIRS, mat).real``: the same
     signed terms, added in the same order.  T adds its four terms as
     (((0 + t0) + t1) + t2) + t3.  a and b add two marginal entries of two
     terms each; einsum does it as (0 + ((0 + t0) + t1)) + ((0 + t2) + t3),
@@ -512,7 +514,7 @@ def pauli_coefficient(rho: StateLike, labels: Sequence[int]) -> float:
     op = PAULIS_WITH_ID[labels[0]]
     for l in labels[1:]:
         op = np.kron(op, PAULIS_WITH_ID[l])
-    return float(np.einsum("ab,ba->", mat, op).real)
+    return float(_sum_terms(_signed_terms(mat, _plan([sorted(_pauli_terms(op))])), ()))
 
 
 def _purity_arr(mat: np.ndarray):

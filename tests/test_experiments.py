@@ -408,6 +408,15 @@ class TestBatchedChecks:
             count = min(check.samples, 3)
             np.testing.assert_array_equal(pickle.loads(pickle.dumps(check.fn))(7, 0, count), check.fn(7, 0, count))
 
+    def test_no_random_sample_check_depends_on_the_block_size(self):
+        # A sample drawn alone gets the bits it gets inside a block, so chunks may end anywhere.
+        for check in _SUITE + (_EXPLORATORY,):
+            if check.scaled:
+                alone = np.concatenate([check.fn(7, i, i + 1) for i in range(32)])
+                assert check.fn(7, 0, 32).tobytes() == alone.tobytes(), check.name
+        mats = states._densities(states._haar_arr(np.random.default_rng(7).standard_normal((32, 32))))
+        assert [monogamy.l_bcd(m).hex() for m in mats] == [v.hex() for v in monogamy._l_bcd_arr(mats).tolist()]
+
     def test_worker_count_does_not_change_report(self):
         single = run_property_suite(samples=40, master_seed=7, workers=1)
         assert run_property_suite(samples=40, master_seed=7, workers=3).to_dict() == single.to_dict()

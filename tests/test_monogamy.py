@@ -87,7 +87,15 @@ class TestVolumeMonogamyReport:
         assert np.sum(np.float_power(volumes, 2.0 / 3.0)) != rep.two_thirds_lhs
         assert rep.sqrt_lhs == sum(math.sqrt(v) for v in rep.volumes)
         assert rep.two_thirds_lhs == sum(v ** (2.0 / 3.0) for v in rep.volumes)
-        assert rep.mean_volume == np.mean(volumes)
+        assert np.mean(volumes) != rep.mean_volume
+        assert rep.mean_volume == sum(rep.volumes) / len(rep.volumes)
+
+    def test_ten_qubit_mean_equals_the_batched_mean(self):
+        # np.mean adds one state's 9 pairs pairwise but a batch's in order; the report must not care.
+        kets = np.stack([random_pure_state(10, seed=seed).data for seed in range(8, 24)])
+        batched = monogamy._relation_sums(monogamy._hub_volumes(kets, 10, 0, states._ket_trace_arr))
+        for ket, mean in zip(kets, batched["mean_volume"]):
+            assert volume_monogamy_report(ket).mean_volume.hex() == float(mean).hex()
 
     def test_two_qubit_state_rejected(self):
         with pytest.raises(StateValidationError):

@@ -145,7 +145,7 @@ def _random_kraus_arr(draws: np.ndarray) -> np.ndarray:
 
     The four 2x2 row blocks of the first two columns of a Haar 8x8 unitary.
     """
-    isometry = _haar_unitary_arr(draws, 8)[..., :, :2]
+    isometry = _haar_unitary_arr(draws, 8, columns=2)
     return isometry.reshape(isometry.shape[:-2] + (4, 2, 2))
 
 

@@ -5,6 +5,9 @@ produce byte-identical output files.  JSON has no representation for
 non-finite values; they are emitted as null (CSV keeps "inf"/"-inf").
 Tables are formatted column by column: one column formatter per format
 decides how each column converts (see ``_json_column``, ``_csv_column``).
+A float64 array column whose cells mostly repeat is formatted once per
+distinct bit pattern (see ``_float_column``): the same bits always print the
+same text, so the bytes are those of the cell-by-cell conversion.
 """
 
 from __future__ import annotations
@@ -63,6 +66,27 @@ def _column_values(column: Sequence) -> tuple[list, type | None]:
     return values, kinds.pop() if len(kinds) == 1 else None
 
 
+def _float_column(column: np.ndarray) -> tuple[str, list]:
+    """A float64 column's spec and values: its floats for the template, or, when at
+    most half its bit patterns are distinct, finished cells converted once per pattern.
+
+    Bits, not values, are compared, so -0.0 and each NaN payload keep a cell of their own.
+    """
+    bits = column.view(np.uint64)
+    ordered = np.sort(bits)
+    first = np.ones(len(bits), dtype=bool)  # first of its run in sorted order
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    if 2 * len(distinct) > len(bits):
+        return _FLOAT, column.tolist()
+    cells = np.array([_FLOAT % value for value in distinct.view(np.float64).tolist()], dtype=object)
+    return "%s", cells[np.searchsorted(distinct, bits)].tolist()
+
+
+def _is_float64(column: Sequence) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == np.float64
+
+
 # A column formatter returns the % conversion of the column's cells and the
 # values it converts: the floats themselves for a float column, which a row
 # template then formats in one C-level call per row, or else finished cells.
@@ -70,6 +94,8 @@ def _column_values(column: Sequence) -> tuple[list, type | None]:
 
 def _json_column(column: Sequence) -> tuple[str, list]:
     """JSON column formatter: finite floats convert in the template, any other cell by ``_json_scalar``."""
+    if _is_float64(column) and np.isfinite(column).all():
+        return _float_column(column)
     values, kind = _column_values(column)
     if kind is float and all(map(math.isfinite, values)):
         return _FLOAT, values
@@ -78,16 +104,27 @@ def _json_column(column: Sequence) -> tuple[str, list]:
 
 def _csv_column(column: Sequence) -> tuple[str, list]:
     """CSV column formatter: floats convert in the template, any other cell by ``_csv_cell``."""
+    if _is_float64(column):
+        return _float_column(column)
     values, kind = _column_values(column)
     if kind is float:
         return _FLOAT, values
     return "%s", list(map(_csv_cell, values))
 
 
-def _rows(formatter, columns: Sequence[Sequence], template) -> list[str]:
-    """One line per row: ``template(specs)`` is the row's % template, filled from ``columns``."""
+def _rows(formatter, fields: Sequence[str], columns: Sequence[Sequence], template) -> list[str]:
+    """One line per row: ``template(specs)`` is the row's % template, filled from ``columns``.
+
+    No columns is a table of no rows; otherwise there must be one column per
+    field, all of one length.
+    """
     if not columns:
         return []
+    if len(columns) != len(fields):
+        raise ValueError(f"table needs one column per field: {len(fields)} fields, {len(columns)} columns")
+    lengths = sorted(set(map(len, columns)))
+    if len(lengths) > 1:
+        raise ValueError(f"table columns have unequal lengths {lengths}")
     specs, values = zip(*map(formatter, columns))
     return list(map(template(specs).__mod__, zip(*values)))
 
@@ -147,13 +184,13 @@ def columns_to_json(fields: Sequence[str], columns: Sequence[Sequence]) -> str:
     def template(specs):
         return "  {\n" + ",\n".join(f"    {key}: {spec}" for key, spec in zip(keys, specs)) + "\n  }"
 
-    rows = _rows(_json_column, columns, template)
+    rows = _rows(_json_column, fields, columns, template)
     return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
 def columns_to_csv(fields: Sequence[str], columns: Sequence[Sequence]) -> str:
     """Header plus one line per row of the equal-length ``columns``, one per field."""
-    lines = [",".join(map(_csv_cell, fields)), *_rows(_csv_column, columns, ",".join)]
+    lines = [",".join(map(_csv_cell, fields)), *_rows(_csv_column, fields, columns, ",".join)]
     return "\n".join(lines) + "\n"
 
 

@@ -606,11 +606,15 @@ def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return _haar_arr(rng.standard_normal(2 * dim))
 
 
-def _haar_unitary_arr(draws: np.ndarray, dim: int) -> np.ndarray:
-    """Haar unitaries (..., dim, dim) from normals (..., 2 dim^2), real parts first."""
+def _haar_unitary_arr(draws: np.ndarray, dim: int, columns: int | None = None) -> np.ndarray:
+    """Haar unitaries (..., dim, dim) from normals (..., 2 dim^2), real parts first.
+
+    With ``columns``, only their first ``columns`` columns (..., dim, columns):
+    Householder QR makes those from the Ginibre matrix's first columns alone.
+    """
     shape = draws.shape[:-1] + (dim, dim)
     half = dim * dim
-    ginibre = draws[..., :half].reshape(shape) + 1j * draws[..., half:].reshape(shape)
+    ginibre = draws[..., :half].reshape(shape)[..., :columns] + 1j * draws[..., half:].reshape(shape)[..., :columns]
     q, r = np.linalg.qr(ginibre)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

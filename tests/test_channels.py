@@ -324,6 +324,16 @@ class TestStackedKernels:
             np.testing.assert_array_equal(kraus[i], np.array(channel.operators))
             np.testing.assert_array_equal(sups[i], channel.superoperator)
 
+    def test_random_kraus_matches_full_qr(self, rng):
+        # The 8x2 block's QR must give the first two columns of the full 8x8
+        # QR, phase-fixed by the full R's diagonal, byte for byte.
+        draws = rng.standard_normal((2000, 128))
+        ginibre = draws[:, :64].reshape(-1, 8, 8) + 1j * draws[:, 64:].reshape(-1, 8, 8)
+        q, r = np.linalg.qr(ginibre)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        expected = (q * (d / np.abs(d))[:, None, :])[:, :, :2].reshape(-1, 4, 2, 2)
+        assert channels._random_kraus_arr(draws).tobytes() == expected.tobytes()
+
     def test_completeness_is_tested_per_channel(self, rng):
         kraus = channels._random_kraus_arr(rng.standard_normal((6, 128)))
         kraus[4, 0] *= 1.001

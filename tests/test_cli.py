@@ -398,7 +398,9 @@ class TestGoldenOutput:
         digests = dict(line.split()[::-1] for line in (GOLDEN / "figures.sha256").read_text().splitlines())
         calls = {
             "fig1-grid50.csv": ["fig1", "--grid", "50", "--format", "csv"],
+            "fig1-grid50.json": ["fig1", "--grid", "50", "--format", "json"],
             "fig2-grid100.json": ["fig2", "--grid", "100"],
+            "fig2-grid100.csv": ["fig2", "--grid", "100", "--format", "csv"],
         }
         assert set(digests) == set(calls)
         for name, argv in calls.items():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsteer import experiments, serialize
 from qsteer.serialize import columns_to_csv, columns_to_json, dumps, format_float, load_state_file, rows_to_csv
 from qsteer.states import StateValidationError
 
@@ -190,6 +192,134 @@ def test_format_float_matches_reference_on_random_bit_patterns():
     bits = np.random.default_rng(5).integers(0, 2**64, size=20_000, dtype=np.uint64)
     values = bits.view(np.float64).tolist()
     assert list(map(format_float, values)) == list(map(_ref_format_float, values))
+
+
+# --- float64 columns that mostly repeat are formatted once per distinct bit pattern ---
+
+# -0.0 and 0.0, NaNs with different payloads and signs, +-inf, subnormals and 1e22.
+POOL_BITS = [
+    0x8000000000000000,
+    0x0000000000000000,
+    0x7FF8000000000000,
+    0x7FF8000000000001,
+    0xFFF8000000000000,
+    0x7FF0000000000001,
+    0x7FF0000000000000,
+    0xFFF0000000000000,
+    0x0000000000000001,
+    0x000FFFFFFFFFFFFF,
+    0x44B52D02C7E14AF6,  # 1e22
+    0x3FB999999999999A,  # 0.1
+]
+FINITE_POOL = [0, 1, 8, 9, 10, 11]
+
+
+def _pool_column(indices) -> np.ndarray:
+    return np.array([POOL_BITS[i] for i in indices], dtype=np.uint64).view(np.float64)
+
+
+def _cached(column) -> bool:
+    return serialize._float_column(column)[0] == "%s"
+
+
+def _assert_matches_references(fields, columns):
+    rows = _rows_of(fields, [np.asarray(column).tolist() for column in columns])
+    assert columns_to_csv(fields, columns) == _ref_rows_to_csv(rows)
+    assert columns_to_json(fields, columns) == _ref_dumps(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, len(POOL_BITS) - 1), min_size=2 * len(POOL_BITS), max_size=60),
+    st.lists(st.sampled_from(FINITE_POOL), min_size=2 * len(POOL_BITS), max_size=60),
+)
+def test_repeating_float_columns_match_reference(pool_indices, finite_indices):
+    # JSON takes the cache only for an all-finite column.
+    length = min(len(pool_indices), len(finite_indices))
+    columns = [_pool_column(pool_indices[:length]), _pool_column(finite_indices[:length])]
+    # Every column has at most half as many distinct patterns as cells, so each takes the cache.
+    assert all(map(_cached, columns))
+    _assert_matches_references(["a", "b"], columns)
+
+
+def test_cache_keeps_each_bit_pattern_apart():
+    column = _pool_column([0, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5])
+    assert serialize._float_column(column) == ("%s", ["-0", "0", "-0", "0"] + ["nan"] * 8)
+    _assert_matches_references(["v"], [column])
+
+
+@pytest.mark.parametrize("index", range(len(POOL_BITS)))
+def test_length_one_columns_match_reference(index):
+    _assert_matches_references(["v", "w"], [_pool_column([index]), np.array([2.5])])
+
+
+def test_strided_views_match_reference():
+    # analyze passes the columns of a (pairs, 3) array, *center.T.
+    center = np.repeat(np.random.default_rng(3).standard_normal((5, 3)), 4, axis=0)
+    columns = [*center.T, center[::-1, 1]]
+    assert all(map(_cached, columns))
+    _assert_matches_references(["x", "y", "z", "reversed"], columns)
+    _assert_matches_references(["even_x", "even_z"], [center[::2, 0], center[::2, 2]])
+
+
+def test_other_columns_keep_the_template_path(monkeypatch):
+    def refuse(column):
+        raise AssertionError("only float64 arrays are deduplicated")
+
+    monkeypatch.setattr(serialize, "_float_column", refuse)
+    repeats = [0.1, -0.0, 0.1, 0.0] * 5
+    columns = [
+        np.array(repeats, dtype=np.float32),
+        np.array([3, -1] * 10),
+        np.array([True, False] * 10),
+        repeats,
+        [1, 0.5] * 10,
+    ]
+    _assert_matches_references(["f32", "int", "bool", "list", "mixed"], columns)
+    assert dumps(repeats) == _ref_dumps(repeats)
+
+
+@pytest.mark.parametrize("distinct, cached", [(5, True), (6, False)])
+def test_half_rule(distinct, cached):
+    column = np.arange(10.0) % distinct
+    assert _cached(column) is cached
+    _assert_matches_references(["v"], [column])
+
+
+def test_non_finite_json_column_with_repeats_matches_reference():
+    column = np.array([1.0, math.inf, 1.0, math.nan, 1.0, -math.inf, 1.0, 1.0])
+    _assert_matches_references(["v"], [column])
+    assert columns_to_json(["v"], [column]).count("null") == 3
+
+
+@pytest.mark.parametrize(
+    "row_type, columns",
+    [
+        (experiments.GhzSweepRow, lambda: experiments._ghz_columns(50)),
+        (experiments.NoisyWSweepRow, lambda: experiments._noisy_w_columns(None, None)),
+    ],
+)
+def test_full_sweep_tables_match_reference(row_type, columns):
+    _assert_matches_references([field.name for field in dataclasses.fields(row_type)], columns())
+
+
+# --- a table is one equal-length column per field ---
+
+
+@pytest.mark.parametrize("to_text", [columns_to_csv, columns_to_json])
+@pytest.mark.parametrize(
+    "fields, columns, message",
+    [
+        (["a", "b"], [[1.0, 2.0], [3.0]], r"unequal lengths \[1, 2\]"),
+        (["a", "b"], [np.zeros(3), np.zeros(2)], r"unequal lengths \[2, 3\]"),
+        (["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0]], "3 fields, 2 columns"),
+        (["a"], [[1.0, 2.0], [3.0, 4.0]], "1 fields, 2 columns"),
+        ([], [[1.0]], "0 fields, 1 columns"),
+    ],
+)
+def test_mis_shaped_tables_are_rejected(to_text, fields, columns, message):
+    with pytest.raises(ValueError, match=message):
+        to_text(fields, columns)
 
 
 # --- CSV quoting (RFC 4180): string cells are quoted only when they must be ---

@@ -125,6 +125,40 @@ def _normals(rng: np.random.Generator, row: np.ndarray) -> None:
     rng.standard_normal(out=row)
 
 
+class _Stacks:
+    """The drawn state stacks that one block's reduces read, each built once and shared read-only.
+
+    A stack is keyed by its builder, qubit count and normals offset, and is
+    built by its first reader: ``builder(rows[:count, offset:], n_qubits,
+    source)`` over that reader's ``count`` rows, where ``source(builder,
+    n_qubits)`` reads another stack at the same count and offset, so a state
+    stack is made from the cached kets.  A later reader of fewer rows gets a
+    leading slice of the very array the builder returned, never a copy: the
+    builders are row-independent, but matmul rounds by operand layout.  Past
+    a segment end the block's rows hold only that segment's width, so the
+    first reader of a stack should be the one of most rows (``_shared_sampled``
+    reduces the largest count first); a reader of more rows rebuilds it.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+        self._built: dict[tuple[Callable, int, int], np.ndarray] = {}
+
+    def reader(self, count: int) -> Callable[..., np.ndarray]:
+        """``stack(builder, n_qubits, offset=0)`` of a reduce of the block's first ``count`` rows."""
+        return partial(self._stack, count)
+
+    def _stack(self, count: int, builder: Callable, n_qubits: int, offset: int = 0) -> np.ndarray:
+        key = (builder, n_qubits, offset)
+        stack = self._built.get(key)
+        if stack is None or len(stack) < count:
+            stack = builder(self._rows[:count, offset:], n_qubits, partial(self._stack, count, offset=offset))
+            # Shared by every reduce of the block, so none may write into it.
+            stack.flags.writeable = False
+            self._built[key] = stack
+        return stack[:count]
+
+
 def _shared_sampled(
     master_seed: int, start: int, stop: int, checks: Sequence[tuple[int, int, Callable, Callable]]
 ) -> tuple[list[np.ndarray], list[Exception | None]]:
@@ -132,18 +166,23 @@ def _shared_sampled(
 
     Check k covers samples [0, count_k).  ``draw_k(rng, row)`` fills the
     first ``width_k`` floats of sample i's row from its stream;
-    ``reduce_k(block)`` maps a C-contiguous block of at most _BLOCK rows to
-    their values.  Checks with the same draw share one pass: each sample's
-    stream is re-keyed and drawn once, into a row as wide as the widest of
-    them that covers it (one ``standard_normal(k)`` call is bit for bit the
-    smaller calls it replaces).  A reduce that raises gives its check the
-    exception of its first failing block and no later blocks; the other
-    checks go on.  The block array is reused, so a reduce must not keep it.
+    ``reduce_k(block, stack)`` maps a C-contiguous block of at most _BLOCK
+    rows to their values, reading the block's state stacks through
+    ``stack`` (``_Stacks``).  Checks with the same draw share one pass: each
+    sample's stream is re-keyed and drawn once, into a row as wide as the
+    widest of them that covers it (one ``standard_normal(k)`` call is bit
+    for bit the smaller calls it replaces), and the block's reduces run
+    largest count first, so each stack is built once, over the rows of its
+    largest reader.  A reduce that raises gives its check the exception of
+    its first failing block and no later blocks; the other checks go on.
+    The block array is reused, so a reduce must not keep it.
     """
     values = [np.empty(max(0, min(count, stop) - start)) for count, *_ in checks]
     errors: list[Exception | None] = [None] * len(checks)
     for draw in dict.fromkeys(check[3] for check in checks):
-        group = [k for k, check in enumerate(checks) if check[3] is draw and check[0] > start]
+        group = sorted(
+            (k for k, check in enumerate(checks) if check[3] is draw and check[0] > start), key=lambda k: -checks[k][0]
+        )
         ends = sorted({checks[k][0] for k in group})
         if not ends:
             continue
@@ -162,13 +201,15 @@ def _shared_sampled(
                     for i, rng in islice(streams, n):
                         draw(rng, seg_rows[i - lo])
                     seg_lo += n
+            stacks = _Stacks(rows)
             for k in group:
                 count, width, reduce, _ = checks[k]
                 n = min(count, hi) - lo
                 if n <= 0 or errors[k] is not None:
                     continue
+                block = np.ascontiguousarray(rows[:n, :width])
                 try:
-                    values[k][lo - start : lo - start + n] = reduce(np.ascontiguousarray(rows[:n, :width]))
+                    values[k][lo - start : lo - start + n] = reduce(block, stacks.reader(n))
                 except Exception as exc:  # noqa: BLE001 - one check's error must not stop the others
                     errors[k] = exc
     return values, errors
@@ -222,10 +263,11 @@ class ConjectureResult:
         }
 
 
-def _pure4_block_lhs(draws: np.ndarray) -> np.ndarray:
+def _pure4_block_lhs(draws: np.ndarray, stack: Callable) -> np.ndarray:
     """Hub correlation sums of the kets whose real and imaginary parts are the rows of ``draws``."""
     # _haar_arr normalizes each ket exactly as random_pure_state does.
-    return monogamy._correlation_sum_arr(states._haar_arr(draws), 4, [(0, 1), (0, 2), (0, 3)], states._ket_trace_arr)
+    kets = stack(_pure_kets, 4)
+    return monogamy._correlation_sum_arr(kets, 4, [(0, 1), (0, 2), (0, 3)], states._ket_trace_arr)
 
 
 _pure4_correlation_lhs = _drawn(32, _pure4_block_lhs)
@@ -341,13 +383,14 @@ def _noisy_w_columns(p_grid: Sequence[float] | None, epsilons: Sequence[float] |
             raise ValueError(f"{name} must not be empty")
     closed = channels._noisy_w_volume_arr(p, eps[:, None])
     kets = monogamy._w_family_arr(p)
+    noises = [[channels.isotropic_channel(float(strength)).superoperator] * 3 for strength in eps]
     numeric = np.empty(closed.shape)
-    for e, strength in enumerate(eps):
-        noise = [channels.isotropic_channel(float(strength)).superoperator] * 3
-        for block in _blocks(p.size):
-            noisy = channels._apply_local_arr(noise, states._densities(kets[block]), 3)
-            pair = _partial_trace_arr(noisy, [0, 1], 3)
-            numeric[e, block] = _volumes(pair)
+    for block in _blocks(p.size):
+        # One density stack per block of p, under each strength's shared channel; then one trace
+        # and one volume call over the (epsilon, p) block.
+        mats = states._densities(kets[block])
+        noisy = np.stack([channels._apply_local_arr(noise, mats, 3) for noise in noises])
+        numeric[:, block] = _volumes(_partial_trace_arr(noisy, [0, 1], 3))
     return (
         np.tile(p, eps.size), np.repeat(eps, p.size), closed.ravel(), numeric.ravel(),
         np.abs(closed - numeric).ravel(), monogamy._relation_sums([numeric, numeric])["sqrt_lhs"].ravel(),
@@ -389,7 +432,8 @@ _POINTS_PER_STATE = 100
 # A row holds the normals of every Haar ket and unitary (real parts, then
 # imaginary parts); one standard_normal(k) call is bit for bit the smaller
 # calls it replaces, so the suite draws one row per sample for all the checks
-# whose draw is _normals (_shared_sampled).
+# whose draw is _normals (_shared_sampled), and their reduces read the kets,
+# states and hub volumes of those rows from one cache per block (_Stacks).
 
 
 def _pure_width(n_qubits: int) -> int:
@@ -402,57 +446,72 @@ def _mixed_width(n_qubits: int) -> int:
     return 2 ** (2 * n_qubits + 1)
 
 
-def _pure_kets(draws: np.ndarray, n_qubits: int) -> np.ndarray:
+# The stack builders of _Stacks: ``builder(draws, n_qubits, source)``, where
+# ``source(builder, n_qubits)`` reads another stack of the same rows.
+
+
+def _pure_kets(draws: np.ndarray, n_qubits: int, source: Callable) -> np.ndarray:
     return states._haar_arr(draws[:, : _pure_width(n_qubits)])
 
 
-def _pure_states(draws: np.ndarray, n_qubits: int) -> np.ndarray:
-    return states._densities(_pure_kets(draws, n_qubits))
+def _pure_states(draws: np.ndarray, n_qubits: int, source: Callable) -> np.ndarray:
+    return states._densities(source(_pure_kets, n_qubits))
 
 
-def _mixed_kets(draws: np.ndarray, n_qubits: int) -> np.ndarray:
+def _mixed_kets(draws: np.ndarray, n_qubits: int, source: Callable) -> np.ndarray:
     """Haar kets of n system and n ancilla qubits: as (N, 2**n, 2**n), factors A of the induced states A A^dagger."""
     return states._haar_arr(draws[:, : _mixed_width(n_qubits)])
 
 
-def _mixed_states(draws: np.ndarray, n_qubits: int) -> np.ndarray:
-    return states._induced_arr(_mixed_kets(draws, n_qubits), n_qubits)
+def _mixed_states(draws: np.ndarray, n_qubits: int, source: Callable) -> np.ndarray:
+    return states._induced_arr(source(_mixed_kets, n_qubits), n_qubits)
+
+
+def _pure_hub_volumes(draws: np.ndarray, n_qubits: int, source: Callable) -> np.ndarray:
+    """Hub-0 volumes (N, n - 1) of the pure states, traced from their kets."""
+    kets = source(_pure_kets, n_qubits)
+    return np.stack(monogamy._hub_volumes(kets, n_qubits, 0, states._ket_trace_arr), axis=-1)
+
+
+def _mixed_hub_volumes(draws: np.ndarray, n_qubits: int, source: Callable) -> np.ndarray:
+    """Hub-0 volumes (N, n - 1) of the induced mixed states."""
+    return np.stack(monogamy._hub_volumes(source(_mixed_states, n_qubits), n_qubits, 0), axis=-1)
 
 
 def _volumes(mat: np.ndarray) -> np.ndarray:
     return ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mat, 0))
 
 
-def _reconstruction_margins(draws: np.ndarray) -> np.ndarray:
-    mat = _mixed_states(draws, 2)
+def _reconstruction_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    mat = stack(_mixed_states, 2)
     rebuilt = states._reconstruct_arr(*states._pauli_arr(mat))
     return _RECON_TOL - np.max(np.abs(rebuilt - mat), axis=(1, 2))
 
 
-def _ptrace_composition_margins(draws: np.ndarray) -> np.ndarray:
-    mat = _mixed_states(draws, 3)
+def _ptrace_composition_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    mat = stack(_mixed_states, 3)
     direct = _partial_trace_arr(mat, [0], 3)
     stepwise = _partial_trace_arr(_partial_trace_arr(mat, [0, 1], 3), [0], 2)
     return _PTRACE_TOL - np.max(np.abs(direct - stepwise), axis=(1, 2))
 
 
-def _purity_symmetry_margins(draws: np.ndarray) -> np.ndarray:
-    mat = _pure_states(draws, 3)
+def _purity_symmetry_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    mat = stack(_pure_states, 3)
     p_ab = states._purity_arr(_partial_trace_arr(mat, [0, 1], 3))
     p_c = states._purity_arr(_partial_trace_arr(mat, [2], 3))
     return _PURITY_SYM_TOL - np.abs(p_ab - p_c)
 
 
-def _state_validity_margins(draws: np.ndarray) -> np.ndarray:
+def _state_validity_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
     # The stacked validator of QuantumState.from_amplitudes and from_matrix, on the states that
     # random_pure_state(3) and then random_mixed_state(3) build from the same 16 + 128 normals.
-    states._validate_arr(_pure_kets(draws, 3), states.DEFAULT_TOL)
-    states._validate_arr(_mixed_states(draws[:, _pure_width(3) :], 3), states.DEFAULT_TOL)
+    states._validate_arr(stack(_pure_kets, 3), states.DEFAULT_TOL)
+    states._validate_arr(stack(_mixed_states, 3, _pure_width(3)), states.DEFAULT_TOL)
     return np.ones(len(draws))
 
 
-def _volume_canonical_margins(draws: np.ndarray) -> np.ndarray:
-    mat = _mixed_states(draws, 2)
+def _volume_canonical_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    mat = stack(_mixed_states, 2)
     t_canon = states._spin_corr_arr(ellipsoid._canonical_arr(mat, 2, 0))
     return _TOL - np.abs(_volumes(mat) - np.abs(np.linalg.det(t_canon)))
 
@@ -461,21 +520,21 @@ def _volume_canonical_margins(draws: np.ndarray) -> np.ndarray:
 _STEERED_WIDTH = _mixed_width(2) + 3 * _POINTS_PER_STATE
 
 
-def _points_and_abT(draws: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _points_and_abT(draws: np.ndarray, stack: Callable) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Steered Bloch vectors (N, 100, 3) of each row's state, and its (a, b, T)."""
-    abT = states._pauli_arr(_mixed_states(draws, 2))
+    abT = states._pauli_arr(stack(_mixed_states, 2))
     raw = draws[:, _mixed_width(2) :].reshape(len(draws), _POINTS_PER_STATE, 3)
     e = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
     return ellipsoid._steered_arr(*abT, e), abT
 
 
-def _bloch_containment_margins(draws: np.ndarray) -> np.ndarray:
-    points, _ = _points_and_abT(draws)
+def _bloch_containment_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    points, _ = _points_and_abT(draws, stack)
     return 1.0 + _BLOCH_BALL_TOL - np.max(np.linalg.norm(points, axis=-1), axis=-1)
 
 
-def _membership_margins(draws: np.ndarray) -> np.ndarray:
-    points, (a, b, T) = _points_and_abT(draws)
+def _membership_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    points, (a, b, T) = _points_and_abT(draws, stack)
     # Every row, not a fancy-indexed copy of T: matmul sums in another order
     # when the strides of T change.
     live, center, q = ellipsoid._center_orientation(a, b, T, ellipsoid._gamma(a))
@@ -492,12 +551,12 @@ def _membership_margins(draws: np.ndarray) -> np.ndarray:
 _SEPARABLE_WIDTH = states._separable_width(states.MAX_SEPARABLE_TERMS)
 
 
-def _separable_margins(draws: np.ndarray) -> np.ndarray:
+def _separable_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
     return _SEPARABLE_BOUND + _TOL - _volumes(states._separable_arr(draws))
 
 
-def _volume_interval_margins(draws: np.ndarray) -> np.ndarray:
-    mat = _mixed_states(draws, 2)
+def _volume_interval_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    mat = stack(_mixed_states, 2)
     v = _volumes(mat)
     margin = np.minimum(v + _TOL, 1.0 + _TOL - v)
     unit = np.flatnonzero(v >= 1.0 - _TOL)
@@ -508,13 +567,12 @@ def _volume_interval_margins(draws: np.ndarray) -> np.ndarray:
     return margin
 
 
-def _monogamy_sum_margins(draws: np.ndarray, *, n_qubits: int, pure: bool, lhs: str, bound: float) -> np.ndarray:
+def _monogamy_sum_margins(
+    draws: np.ndarray, stack: Callable, *, n_qubits: int, pure: bool, lhs: str, bound: float
+) -> np.ndarray:
     """``bound`` + _TOL minus the ``MonogamyReport`` field ``lhs`` of each row's hub-0 volumes."""
-    if pure:
-        volumes = monogamy._hub_volumes(_pure_kets(draws, n_qubits), n_qubits, 0, states._ket_trace_arr)
-    else:
-        volumes = monogamy._hub_volumes(_mixed_states(draws, n_qubits), n_qubits, 0)
-    return bound + _TOL - monogamy._relation_sums(volumes)[lhs]
+    volumes = stack(_pure_hub_volumes if pure else _mixed_hub_volumes, n_qubits)
+    return bound + _TOL - monogamy._relation_sums(volumes.T)[lhs]
 
 
 def _relation(n_qubits: int, pure: bool, lhs: str, bound: float) -> partial:
@@ -523,14 +581,14 @@ def _relation(n_qubits: int, pure: bool, lhs: str, bound: float) -> partial:
     return _drawn(width, partial(_monogamy_sum_margins, n_qubits=n_qubits, pure=pure, lhs=lhs, bound=bound))
 
 
-def _correlation_sum_margins(draws: np.ndarray, *, pure: bool) -> np.ndarray:
-    mat = _pure_states(draws, 3) if pure else _mixed_states(draws, 3)
+def _correlation_sum_margins(draws: np.ndarray, stack: Callable, *, pure: bool) -> np.ndarray:
+    mat = stack(_pure_states if pure else _mixed_states, 3)
     total = monogamy._correlation_sum_arr(mat, 3, list(combinations(range(3), 2)))
     return _TOL - np.abs(total - 3.0) if pure else 3.0 + _TOL - total
 
 
-def _purity_identity_margins(draws: np.ndarray, *, n_qubits: int) -> np.ndarray:
-    mat = _pure_states(draws, n_qubits)
+def _purity_identity_margins(draws: np.ndarray, stack: Callable, *, n_qubits: int) -> np.ndarray:
+    mat = stack(_pure_states, n_qubits)
     monogamy._check_pure_arr(mat)
     if n_qubits == 3:
         residuals = monogamy._purity_residuals_3q_arr(mat)
@@ -539,35 +597,34 @@ def _purity_identity_margins(draws: np.ndarray, *, n_qubits: int) -> np.ndarray:
     return _TOL - np.max(np.abs(residuals), axis=-1)
 
 
-def _canonical_equality_margins(draws: np.ndarray) -> np.ndarray:
-    mat = ellipsoid._canonical_arr(_pure_states(draws, 3), 3, 0)
+def _canonical_equality_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    mat = ellipsoid._canonical_arr(stack(_pure_states, 3), 3, 0)
     v_b, v_c = monogamy._hub_volumes(mat, 3, 0)
     b2, c2 = monogamy._bloch_norms_sq(mat, 3, (1, 2))
     return _TOL - np.maximum(np.abs(v_b - c2), np.abs(v_c - b2))
 
 
-def _polygon_margins(draws: np.ndarray) -> np.ndarray:
-    mat = _pure_states(draws, 3)
+def _polygon_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    mat = stack(_pure_states, 3)
     monogamy._check_pure_arr(mat)
     return monogamy._polygon_arr(mat) + _TOL
 
 
-def _concurrence_volume_margins(draws: np.ndarray) -> np.ndarray:
-    kets = _mixed_kets(draws, 2)
-    return monogamy._concurrence_volume_arr(states._induced_arr(kets, 2), kets.reshape(-1, 4, 4)) + _TOL
+def _concurrence_volume_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    return monogamy._concurrence_volume_arr(stack(_mixed_states, 2), stack(_mixed_kets, 2).reshape(-1, 4, 4)) + _TOL
 
 
-def _ckw_margins(draws: np.ndarray) -> np.ndarray:
-    return monogamy._ckw_arr(_mixed_kets(draws, 3).reshape(-1, 8, 8), 0) + _TOL
+def _ckw_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    return monogamy._ckw_arr(stack(_mixed_kets, 3).reshape(-1, 8, 8), 0) + _TOL
 
 
-def _tangle_volume_margins(draws: np.ndarray) -> np.ndarray:
-    kets = _pure_kets(draws, 3)
-    mat = states._densities(kets)
+def _tangle_volume_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    kets, mat = stack(_pure_kets, 3), stack(_pure_states, 3)
     monogamy._check_pure_arr(mat)
     tangle = monogamy._three_tangle_arr(kets)
     (a2,) = monogamy._bloch_norms_sq(mat, 3, (0,))
-    lhs = monogamy._relation_sums(monogamy._hub_volumes(mat, 3, 0))["sqrt_lhs"]
+    # The pure3_sqrt_volume_monogamy row's volumes: traced from the kets, with the densities' bits.
+    lhs = monogamy._relation_sums(stack(_pure_hub_volumes, 3).T)["sqrt_lhs"]
     return tangle - (1.0 - a2) * (1.0 - lhs) + _TOL
 
 
@@ -606,7 +663,7 @@ def _wclass_kets(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, (local @ monogamy._max_volume_arr(theta)[:, :, None])[:, :, 0]
 
 
-def _wclass_margins(draws: np.ndarray) -> np.ndarray:
+def _wclass_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
     theta, vec = _wclass_kets(draws)
     mat = states._densities(vec)
     lhs = monogamy._relation_sums(monogamy._hub_volumes(mat, 3, 0))["sqrt_lhs"]
@@ -622,14 +679,14 @@ def _noisy(mat: np.ndarray, draws: np.ndarray, n_qubits: int) -> np.ndarray:
     return channels._apply_local_arr([sups[:, q] for q in range(n_qubits)], mat, n_qubits)
 
 
-def _channel_monotonicity_margins(draws: np.ndarray) -> np.ndarray:
-    mat = _mixed_states(draws, 2)
+def _channel_monotonicity_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    mat = stack(_mixed_states, 2)
     noisy = _noisy(mat, draws[:, _mixed_width(2) :], 2)
     return _volumes(mat) - _volumes(noisy) + _TOL
 
 
-def _noisy_pure3_margins(draws: np.ndarray) -> np.ndarray:
-    noisy = _noisy(_pure_states(draws, 3), draws[:, _pure_width(3) :], 3)
+def _noisy_pure3_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    noisy = _noisy(stack(_pure_states, 3), draws[:, _pure_width(3) :], 3)
     return 1.0 + _TOL - monogamy._relation_sums(monogamy._hub_volumes(noisy, 3, 0))["sqrt_lhs"]
 
 

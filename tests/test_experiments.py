@@ -500,7 +500,7 @@ class TestSharedNormals:
     def test_failing_reduce_reports_only_its_own_check(self, monkeypatch, name):
         expected = run_property_suite(samples=60, master_seed=3, explore_mixed_4q=True).results
 
-        def boom(draws):
+        def boom(draws, stack):
             raise RuntimeError("reduce failed")
 
         monkeypatch.setitem(CHECKS[name].fn.keywords, "reduce", boom)
@@ -517,11 +517,11 @@ class TestSharedNormals:
         name = "pure3_correlation_identity"
         reduce, calls = CHECKS[name].fn.keywords["reduce"], []
 
-        def late_boom(draws):
+        def late_boom(draws, stack):
             calls.append(len(draws))
             if len(calls) > 1:
                 raise ValueError(f"call {len(calls)}")
-            return reduce(draws)
+            return reduce(draws, stack)
 
         monkeypatch.setitem(CHECKS[name].fn.keywords, "reduce", late_boom)
         result = next(r for r in run_property_suite(samples=570, master_seed=3).results if r.name == name)
@@ -530,7 +530,7 @@ class TestSharedNormals:
         assert calls == [256, 256]
 
     def test_a_check_alone_raises_the_error_of_its_reduce(self, monkeypatch):
-        def degenerate(draws):
+        def degenerate(draws, stack):
             raise ellipsoid.ZeroProbabilityError("no such outcome")
 
         fn = CHECKS["separable_volume_bound"].fn
@@ -565,6 +565,90 @@ class TestSharedNormals:
             rng.standard_normal(out=row[:width])
             assert row[:width].tobytes() == wide[:width].tobytes()
             assert np.isnan(row[width:]).all()
+
+
+class TestBlockStacks:
+    """A block's reduces read one cache of drawn state stacks: each is built once and shared read-only."""
+
+    def test_each_stack_is_built_once_per_block(self, monkeypatch):
+        # At samples=50 every check fits in one block: 25 ket builds for 6 distinct stacks before the cache.
+        expected = run_property_suite(samples=50, master_seed=3).to_dict()
+        builds = []
+
+        def counted(builder):
+            def build(draws, n_qubits, *source):
+                builds.append((builder.__name__, n_qubits))
+                return builder(draws, n_qubits, *source)
+
+            return build
+
+        for name in ("_pure_kets", "_mixed_kets"):
+            monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
+        assert run_property_suite(samples=50, master_seed=3).to_dict() == expected
+        # The mixed 3-qubit kets twice: sampled_state_validity reads them after its 16 pure-ket normals.
+        assert sorted(builds) == [
+            ("_mixed_kets", 2), ("_mixed_kets", 3), ("_mixed_kets", 3), ("_mixed_kets", 5),
+            ("_pure_kets", 3), ("_pure_kets", 4),
+        ]
+
+    @pytest.mark.parametrize(
+        "name, builder, n_qubits",
+        [
+            # Each writer is the first reader of its stack in the block, so a writable stack would reach later readers.
+            ("state_reconstruction_round_trip", "_mixed_states", 2),
+            ("partial_trace_composition", "_mixed_kets", 3),
+            ("pure3_purity_bipartition_symmetry", "_pure_states", 3),
+            ("mixed5_twothirds_volume_sum", "_mixed_hub_volumes", 5),
+        ],
+    )
+    def test_a_reduce_that_writes_into_a_stack_fails_alone(self, monkeypatch, name, builder, n_qubits):
+        counts = [_scaled_count(check, 60) for check in SHARED_CHECKS]
+        expected = _shared_outcomes(SHARED_CHECKS, counts, 3, 1)
+
+        def scribble(draws, stack):
+            stack(getattr(experiments, builder), n_qubits)[0] = 0.0
+            return np.ones(len(draws))
+
+        monkeypatch.setitem(CHECKS[name].fn.keywords, "reduce", scribble)
+        outcomes = _shared_outcomes(SHARED_CHECKS, counts, 3, 1)
+        for k, check in enumerate(SHARED_CHECKS):
+            margins, error = outcomes[k]
+            if check.name == name:
+                assert error.startswith("ValueError:") and "read-only" in error
+            else:
+                assert error == "" and margins.tobytes() == expected[k][0].tobytes(), check.name
+
+    def test_a_smaller_reader_gets_a_slice_of_the_same_stack(self):
+        rows = np.random.default_rng(7).standard_normal((40, 128))
+        stacks = experiments._Stacks(rows)
+        whole = stacks.reader(40)(experiments._mixed_states, 3)
+        part = stacks.reader(9)(experiments._mixed_states, 3)
+        assert part.base is whole.base and not part.flags.writeable
+        alone = experiments._Stacks(rows[:9].copy()).reader(9)(experiments._mixed_states, 3)
+        assert part.tobytes() == alone.tobytes()
+        # A reader of more rows than the stack holds rebuilds it over its own rows.
+        stacks = experiments._Stacks(rows)
+        assert stacks.reader(9)(experiments._mixed_states, 3).tobytes() == alone.tobytes()
+        assert stacks.reader(40)(experiments._mixed_states, 3).tobytes() == whole.tobytes()
+
+    def test_the_largest_reader_builds_each_stack(self, monkeypatch):
+        # Listed first, the 5-sample check would build the kets over 5 rows; the 50-sample one would rebuild them.
+        calls = []
+        pure_kets = experiments._pure_kets
+
+        def counted(draws, n_qubits, source):
+            calls.append(len(draws))
+            return pure_kets(draws, n_qubits, source)
+
+        monkeypatch.setattr(experiments, "_pure_kets", counted)
+
+        def lhs(draws, stack):
+            return stack(experiments._pure_states, 3)[:, 0, 0].real
+
+        checks = ((5, 16, lhs, experiments._normals), (50, 16, lhs, experiments._normals))
+        (small, large), errors = _shared_sampled(7, 0, 50, checks)
+        assert errors == [None, None] and calls == [50]
+        assert small.tobytes() == large[:5].tobytes()
 
 
 class TestProcessPool:
@@ -679,7 +763,7 @@ class TestConjecture:
         for other in (1, 2, 3):
             T = states._spin_corr_arr(_partial_trace_arr(mats, [0, other], 4))
             want += np.sum(T * T, axis=(1, 2))
-        assert experiments._pure4_block_lhs(rows).tobytes() == want.tobytes()
+        assert experiments._pure4_block_lhs(rows, experiments._Stacks(rows).reader(300)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "kwargs, name",
@@ -759,7 +843,37 @@ class TestGhzSweep:
         assert peak < 1.5 * sum(column.nbytes for column in columns)
 
 
+def _noisy_w_numeric_per_epsilon(p_grid, epsilons) -> np.ndarray:
+    """The numeric volumes of ``_noisy_w_columns`` as it computed them one strength at a time."""
+    p = np.asarray(_open_grid(100, 1.0) if p_grid is None else p_grid, dtype=float).reshape(-1)
+    eps = np.asarray(experiments._DEFAULT_EPSILONS if epsilons is None else epsilons, dtype=float).reshape(-1)
+    closed = channels._noisy_w_volume_arr(p, eps[:, None])
+    kets = monogamy._w_family_arr(p)
+    numeric = np.empty(closed.shape)
+    for e, strength in enumerate(eps):
+        noise = [channels.isotropic_channel(float(strength)).superoperator] * 3
+        for block in experiments._blocks(p.size):
+            noisy = channels._apply_local_arr(noise, states._densities(kets[block]), 3)
+            pair = _partial_trace_arr(noisy, [0, 1], 3)
+            numeric[e, block] = experiments._volumes(pair)
+    return numeric.ravel()
+
+
 class TestNoisyWSweep:
+    @pytest.mark.parametrize(
+        "p_grid, epsilons",
+        [
+            (None, None),
+            (_open_grid(20, 1.0), (0.0, 0.001, 0.005, 0.01, 0.1)),
+            (None, (0.0, 1.0)),
+            ([0.3], None),
+            (_open_grid(300, 1.0), (0.0, 0.2)),
+        ],
+    )
+    def test_stacked_strengths_match_one_strength_at_a_time(self, p_grid, epsilons):
+        got = experiments._noisy_w_columns(p_grid, epsilons)[3]
+        assert got.tobytes() == _noisy_w_numeric_per_epsilon(p_grid, epsilons).tobytes()
+
     def test_noiseless_curve_saturates(self):
         rows = sweep_noisy_w(p_grid=np.linspace(0, 1, 12)[1:-1], epsilons=[0.0])
         for row in rows:
@@ -867,7 +981,7 @@ class TestPropertySuite:
             fn.keywords["draw"](rng, rows[i])
         validated = []
         monkeypatch.setattr(states, "_validate_arr", lambda data, tol: validated.append(np.array(data)))
-        fn.keywords["reduce"](rows)
+        fn.keywords["reduce"](rows, experiments._Stacks(rows).reader(500))
         kets, mats = validated
         for i, rng in sample_streams(master_seed, 0, 500):
             assert kets[i].tobytes() == states.random_pure_state(3, seed=rng).data.tobytes()

@@ -19,7 +19,7 @@ import numpy as np
 from . import experiments, serialize
 from .ellipsoid import SteeringEllipsoid, _ellipsoid_arr
 from .monogamy import MonogamyReport
-from .states import StateValidationError, _ket_trace_arr, _partial_trace_arr
+from .states import StateValidationError, _reduced_arr
 
 __all__ = ["build_parser", "main"]
 
@@ -87,14 +87,12 @@ def _cmd_analyze(args) -> int:
     n = state.n_qubits
     if n < 2:
         raise StateValidationError("analyze needs at least 2 qubits")
-    # Each hub's (hub, X) pairs form one stack; a pure state's come from its ket.
-    # A two-qubit state is its own pair, steered from either qubit.
-    trace = _ket_trace_arr if state.is_pure else _partial_trace_arr
+    # One stack of the (0, X) pairs; a two-qubit state is its own pair, steered from either qubit.
+    pairs = _reduced_arr(state.data, n, [(0, x) for x in range(1, n)], state.is_pure)
     blocks = []
     for hub in (0, 1) if n == 2 else (0,):
         steered = [x for x in range(n) if x != hub]
-        pairs = np.stack([trace(state.data, [0, 1] if n == 2 else [hub, x], n) for x in steered])
-        blocks.append((np.full(len(steered), hub), np.array(steered), *_ellipsoid_arr(pairs, hub if n == 2 else 0)))
+        blocks.append((np.full(len(steered), hub), np.array(steered), *_ellipsoid_arr(pairs, hub)))
     hubs, steered, center, q, semiaxes, volume, live = map(np.concatenate, zip(*blocks))
     report = MonogamyReport._from_volumes(0, volume, n) if n >= 3 else None
     if args.format == "csv":

@@ -128,6 +128,11 @@ def _volume_from_abT(a: np.ndarray, b: np.ndarray, T: np.ndarray, gamma: np.ndar
     return np.where(pure, 0.0, np.abs(det) / np.float_power(np.where(pure, 1.0, gamma), 2))
 
 
+def _volume_arr(mat: np.ndarray, steering_qubit: int = 0):
+    """:func:`normalized_volume` of two-qubit matrices; leading axes are a batch."""
+    return _volume_from_abT(*_steering_abT(mat, steering_qubit))
+
+
 def _center_orientation(a: np.ndarray, b: np.ndarray, T: np.ndarray, gamma: np.ndarray):
     """``(live, center, Q)`` of the ellipsoids of (a, b, T); leading axes are a batch.
 
@@ -212,7 +217,7 @@ def normalized_volume(rho: StateLike, steering_qubit: int = 0) -> float:
     canonical form whenever the latter exists.
     """
     mat, _ = _density(rho, 2)
-    return float(_volume_from_abT(*_steering_abT(mat, steering_qubit)))
+    return float(_volume_arr(mat, steering_qubit))
 
 
 def _steered_arr(a: np.ndarray, b: np.ndarray, T: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -166,16 +166,17 @@ def _shared_sampled(
 
     Check k covers samples [0, count_k).  ``draw_k(rng, row)`` fills the
     first ``width_k`` floats of sample i's row from its stream;
-    ``reduce_k(block, stack)`` maps a C-contiguous block of at most _BLOCK
-    rows to their values, reading the block's state stacks through
-    ``stack`` (``_Stacks``).  Checks with the same draw share one pass: each
-    sample's stream is re-keyed and drawn once, into a row as wide as the
-    widest of them that covers it (one ``standard_normal(k)`` call is bit
-    for bit the smaller calls it replaces), and the block's reduces run
-    largest count first, so each stack is built once, over the rows of its
-    largest reader.  A reduce that raises gives its check the exception of
-    its first failing block and no later blocks; the other checks go on.
-    The block array is reused, so a reduce must not keep it.
+    ``reduce_k(block, stack)`` maps a block of at most _BLOCK rows, a view
+    of their first ``width_k`` floats, to their values, reading the block's
+    state stacks through ``stack`` (``_Stacks``).  Checks with the same draw
+    share one pass: each sample's stream is re-keyed and drawn once, into a
+    row as wide as the widest of them that covers it (one
+    ``standard_normal(k)`` call is bit for bit the smaller calls it
+    replaces), and the block's reduces run largest count first, so each
+    stack is built once, over the rows of its largest reader.  A reduce that
+    raises gives its check the exception of its first failing block and no
+    later blocks; the other checks go on.  The row array is reused, so a
+    reduce must neither keep nor write its block.
     """
     values = [np.empty(max(0, min(count, stop) - start)) for count, *_ in checks]
     errors: list[Exception | None] = [None] * len(checks)
@@ -207,9 +208,8 @@ def _shared_sampled(
                 n = min(count, hi) - lo
                 if n <= 0 or errors[k] is not None:
                     continue
-                block = np.ascontiguousarray(rows[:n, :width])
                 try:
-                    values[k][lo - start : lo - start + n] = reduce(block, stacks.reader(n))
+                    values[k][lo - start : lo - start + n] = reduce(rows[:n, :width], stacks.reader(n))
                 except Exception as exc:  # noqa: BLE001 - one check's error must not stop the others
                     errors[k] = exc
     return values, errors
@@ -267,7 +267,7 @@ def _pure4_block_lhs(draws: np.ndarray, stack: Callable) -> np.ndarray:
     """Hub correlation sums of the kets whose real and imaginary parts are the rows of ``draws``."""
     # _haar_arr normalizes each ket exactly as random_pure_state does.
     kets = stack(_pure_kets, 4)
-    return monogamy._correlation_sum_arr(kets, 4, [(0, 1), (0, 2), (0, 3)], states._ket_trace_arr)
+    return monogamy._correlation_sum_arr(kets, 4, [(0, 1), (0, 2), (0, 3)], pure=True)
 
 
 _pure4_correlation_lhs = _drawn(32, _pure4_block_lhs)
@@ -354,7 +354,7 @@ def _ghz_columns(grid_steps: int) -> tuple[np.ndarray, ...]:
     # Each block builds its own kets, so no column of kets spans the grid.
     for block in _blocks(alpha.size):
         kets, x_pred[block], y_pred[block] = monogamy._ghz_family_arr(alpha[block], beta[block])
-        v_b[block], v_c[block] = monogamy._hub_volumes(kets, 3, 0, states._ket_trace_arr)
+        v_b[block], v_c[block] = monogamy._hub_volumes(kets, 3, 0, pure=True)
     return (
         alpha, beta, v_b, v_c, x_pred, y_pred,
         np.abs(v_b - x_pred), np.abs(v_c - y_pred), monogamy._relation_sums([v_b, v_c])["sqrt_lhs"],
@@ -390,7 +390,7 @@ def _noisy_w_columns(p_grid: Sequence[float] | None, epsilons: Sequence[float] |
         # and one volume call over the (epsilon, p) block.
         mats = states._densities(kets[block])
         noisy = np.stack([channels._apply_local_arr(noise, mats, 3) for noise in noises])
-        numeric[:, block] = _volumes(_partial_trace_arr(noisy, [0, 1], 3))
+        numeric[:, block] = ellipsoid._volume_arr(_partial_trace_arr(noisy, [0, 1], 3))
     return (
         np.tile(p, eps.size), np.repeat(eps, p.size), closed.ravel(), numeric.ravel(),
         np.abs(closed - numeric).ravel(), monogamy._relation_sums([numeric, numeric])["sqrt_lhs"].ravel(),
@@ -469,17 +469,12 @@ def _mixed_states(draws: np.ndarray, n_qubits: int, source: Callable) -> np.ndar
 
 def _pure_hub_volumes(draws: np.ndarray, n_qubits: int, source: Callable) -> np.ndarray:
     """Hub-0 volumes (N, n - 1) of the pure states, traced from their kets."""
-    kets = source(_pure_kets, n_qubits)
-    return np.stack(monogamy._hub_volumes(kets, n_qubits, 0, states._ket_trace_arr), axis=-1)
+    return monogamy._hub_volumes(source(_pure_kets, n_qubits), n_qubits, 0, pure=True).T
 
 
 def _mixed_hub_volumes(draws: np.ndarray, n_qubits: int, source: Callable) -> np.ndarray:
     """Hub-0 volumes (N, n - 1) of the induced mixed states."""
-    return np.stack(monogamy._hub_volumes(source(_mixed_states, n_qubits), n_qubits, 0), axis=-1)
-
-
-def _volumes(mat: np.ndarray) -> np.ndarray:
-    return ellipsoid._volume_from_abT(*ellipsoid._steering_abT(mat, 0))
+    return monogamy._hub_volumes(source(_mixed_states, n_qubits), n_qubits, 0).T
 
 
 def _reconstruction_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
@@ -513,7 +508,7 @@ def _state_validity_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
 def _volume_canonical_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
     mat = stack(_mixed_states, 2)
     t_canon = states._spin_corr_arr(ellipsoid._canonical_arr(mat, 2, 0))
-    return _TOL - np.abs(_volumes(mat) - np.abs(np.linalg.det(t_canon)))
+    return _TOL - np.abs(ellipsoid._volume_arr(mat) - np.abs(np.linalg.det(t_canon)))
 
 
 # A mixed two-qubit state, then the normals of its steering directions.
@@ -552,12 +547,12 @@ _SEPARABLE_WIDTH = states._separable_width(states.MAX_SEPARABLE_TERMS)
 
 
 def _separable_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
-    return _SEPARABLE_BOUND + _TOL - _volumes(states._separable_arr(draws))
+    return _SEPARABLE_BOUND + _TOL - ellipsoid._volume_arr(states._separable_arr(draws))
 
 
 def _volume_interval_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
     mat = stack(_mixed_states, 2)
-    v = _volumes(mat)
+    v = ellipsoid._volume_arr(mat)
     margin = np.minimum(v + _TOL, 1.0 + _TOL - v)
     unit = np.flatnonzero(v >= 1.0 - _TOL)
     if unit.size:
@@ -682,7 +677,7 @@ def _noisy(mat: np.ndarray, draws: np.ndarray, n_qubits: int) -> np.ndarray:
 def _channel_monotonicity_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
     mat = stack(_mixed_states, 2)
     noisy = _noisy(mat, draws[:, _mixed_width(2) :], 2)
-    return _volumes(mat) - _volumes(noisy) + _TOL
+    return ellipsoid._volume_arr(mat) - ellipsoid._volume_arr(noisy) + _TOL
 
 
 def _noisy_pure3_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:

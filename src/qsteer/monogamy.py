@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ellipsoid import _steering_abT, _volume_from_abT
+from .ellipsoid import _steering_abT, _volume_arr, _volume_from_abT
 from .states import (
     DEFAULT_TOL,
     PAULIS,
@@ -29,7 +29,6 @@ from .states import (
     _density,
     _induced_arr,
     _integer,
-    _ket_trace_arr,
     _kron_arr,
     _partial_trace_arr,
     _pauli_terms,
@@ -37,6 +36,7 @@ from .states import (
     _purity_arr,
     _qubit,
     _real,
+    _reduced_arr,
     _signed_terms,
     _spin_corr_arr,
     _state,
@@ -134,17 +134,9 @@ class SloccClass(enum.Enum):
     GHZ_CLASS = "GHZClass"
 
 
-def _hub_volumes(mat: np.ndarray, n: int, hub: int, trace=None) -> list[np.ndarray]:
-    """Volumes v_{X|hub}, X ascending, of the n-qubit states ``mat``; leading axes are a batch.
-
-    ``trace(mat, keep, n)`` reduces ``mat`` to each (hub, X) pair: by default
-    ``_partial_trace_arr`` of density matrices; ``states._ket_trace_arr`` of
-    kets gives the same bits without forming |psi><psi|.  The default is
-    looked up at call time, so that ``benchmarks/tracer.py``, which rebinds
-    module names, still sees it.
-    """
-    trace = trace or _partial_trace_arr
-    return [_volume_from_abT(*_steering_abT(trace(mat, [hub, other], n), 0)) for other in range(n) if other != hub]
+def _hub_volumes(data: np.ndarray, n: int, hub: int, pure: bool = False) -> np.ndarray:
+    """Volumes v_{X|hub}, X ascending, as (n - 1, ...) for n-qubit ``data``; ``pure`` as in ``states._reduced_arr``."""
+    return _volume_arr(_reduced_arr(data, n, [(hub, other) for other in range(n) if other != hub], pure))
 
 
 def volume_monogamy_report(rho: StateLike, hub: int = 0) -> MonogamyReport:
@@ -154,17 +146,12 @@ def volume_monogamy_report(rho: StateLike, hub: int = 0) -> MonogamyReport:
     if n < 3:
         raise StateValidationError(f"monogamy report needs at least 3 qubits, got {n}")
     hub = _qubit("hub", hub, n)
-    # A pure state's pairs come from its ket, with the bits of its density's.
-    trace = _ket_trace_arr if state.is_pure else _partial_trace_arr
-    return MonogamyReport._from_volumes(hub, _hub_volumes(state.data, n, hub, trace), n)
+    return MonogamyReport._from_volumes(hub, _hub_volumes(state.data, n, hub, state.is_pure), n)
 
 
-def _corr_strength(mat: np.ndarray, n: int, pair: Sequence[int], trace=None):
-    """Tr[T^t T] of the reduced two-qubit state on ``pair``; leading axes of ``mat`` are a batch.
-
-    ``trace`` is as in ``_hub_volumes``: ``states._ket_trace_arr`` takes kets.
-    """
-    T = _spin_corr_arr((trace or _partial_trace_arr)(mat, list(pair), n))
+def _corr_strengths(data: np.ndarray, n: int, pairs: Sequence[Sequence[int]], pure: bool = False) -> np.ndarray:
+    """Tr[T^t T] of the reduced state on each of ``pairs``, as (len(pairs), ...); ``pure`` as in ``_reduced_arr``."""
+    T = _spin_corr_arr(_reduced_arr(data, n, pairs, pure))
     return np.sum(T * T, axis=(-2, -1))
 
 
@@ -173,18 +160,27 @@ def pairwise_correlation_sum(rho: StateLike, pairs: Sequence[tuple[int, int]] | 
     mat, n = _density(rho)
     if pairs is None:
         pairs = list(combinations(range(n), 2))
-    pairs = [(_qubit("pairs entry", i, n), _qubit("pairs entry", j, n)) for i, j in pairs]
+    pairs = [_qubit_pair(entry, n) for entry in pairs]
     if not pairs:
         raise StateValidationError("pairs list must not be empty")
-    for i, j in pairs:
-        if i == j:
-            raise StateValidationError(f"pairs entry ({i}, {j}) names one qubit twice")
     return float(_correlation_sum_arr(mat, n, pairs))
 
 
-def _correlation_sum_arr(mat: np.ndarray, n: int, pairs: Sequence[tuple[int, int]], trace=None):
-    """Sum of Tr[T^t T] over ``pairs``; leading axes of ``mat`` are a batch, ``trace`` as in ``_corr_strength``."""
-    return sum(_corr_strength(mat, n, pair, trace) for pair in pairs)
+def _qubit_pair(entry, n: int) -> tuple[int, int]:
+    """A ``pairs`` entry as two distinct qubit indices of an ``n``-qubit state."""
+    try:
+        i, j = entry
+    except (TypeError, ValueError):
+        raise StateValidationError(f"pairs entry {entry!r} is not a pair of qubit indices") from None
+    i, j = _qubit("pairs entry", i, n), _qubit("pairs entry", j, n)
+    if i == j:
+        raise StateValidationError(f"pairs entry ({i}, {j}) names one qubit twice")
+    return i, j
+
+
+def _correlation_sum_arr(data: np.ndarray, n: int, pairs: Sequence[tuple[int, int]], pure: bool = False):
+    """Sum of Tr[T^t T] over ``pairs``, added in order; ``data`` and ``pure`` as in ``states._reduced_arr``."""
+    return sum(_corr_strengths(data, n, pairs, pure))
 
 
 def _pure_density(state: StateLike, n_qubits: int) -> np.ndarray:
@@ -203,11 +199,8 @@ def _check_pure_arr(mat: np.ndarray) -> None:
 
 def _bloch_norms_sq(mat: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
     """|r_q|^2 of the Bloch vector of each q in ``qubits``, shape (len(qubits), ...); then the batch of ``mat``."""
-    out = np.empty((len(qubits),) + mat.shape[:-2])
-    for k, q in enumerate(qubits):
-        a = _bloch_arr(_partial_trace_arr(mat, [q], n))
-        out[k] = (a[..., None, :] @ a[..., :, None])[..., 0, 0]
-    return out
+    a = _bloch_arr(_reduced_arr(mat, n, [[q] for q in qubits]))
+    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
 def purity_identity_residuals_3q(psi: StateLike) -> np.ndarray:
@@ -223,9 +216,7 @@ def purity_identity_residuals_3q(psi: StateLike) -> np.ndarray:
 def _purity_residuals_3q_arr(mat: np.ndarray) -> np.ndarray:
     """:func:`purity_identity_residuals_3q` as (..., 3); leading axes of ``mat`` are a batch."""
     a2, b2, c2 = _bloch_norms_sq(mat, 3, range(3))
-    t_ab = _corr_strength(mat, 3, (0, 1))
-    t_ac = _corr_strength(mat, 3, (0, 2))
-    t_bc = _corr_strength(mat, 3, (1, 2))
+    t_ab, t_ac, t_bc = _corr_strengths(mat, 3, [(0, 1), (0, 2), (1, 2)])
     return np.stack(
         [
             t_ab + a2 + b2 - 1.0 - 2.0 * c2,
@@ -273,7 +264,8 @@ def purity_identity_residuals_4q(psi: StateLike) -> np.ndarray:
 def _purity_residuals_4q_arr(mat: np.ndarray) -> np.ndarray:
     """:func:`purity_identity_residuals_4q` as (..., 4); leading axes of ``mat`` are a batch."""
     a2, b2, c2, d2 = _bloch_norms_sq(mat, 4, range(4))
-    t = {pair: _corr_strength(mat, 4, pair) for pair in combinations(range(4), 2)}
+    pairs = list(combinations(range(4), 2))
+    t = dict(zip(pairs, _corr_strengths(mat, 4, pairs)))
     return np.stack(
         [
             (a2 + b2 + t[(0, 1)]) - (c2 + d2 + t[(2, 3)]),
@@ -447,18 +439,13 @@ def _slocc_codes(kets: np.ndarray) -> np.ndarray:
     RANK_TOL exactly when its determinant p (t - p) is below RANK_TOL (t -
     RANK_TOL), since p <= t / 2; so no eigensolver is needed.
     """
-    marginals = [_ket_trace_arr(kets, [q], 3) for q in range(3)]
-    pure_marginals = np.stack(
-        [
-            (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
-            < RANK_TOL * ((m[..., 0, 0] + m[..., 1, 1]).real - RANK_TOL)
-            for m in marginals
-        ],
-        axis=-1,
-    )
-    count = np.sum(pure_marginals, axis=-1)
+    m = _reduced_arr(kets, 3, [[0], [1], [2]], pure=True)
+    det = (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
+    # Whether each qubit's marginal is pure, qubits on axis 0.
+    pure_marginals = det < RANK_TOL * ((m[..., 0, 0] + m[..., 1, 1]).real - RANK_TOL)
+    count = np.sum(pure_marginals, axis=0)
     # A single pure marginal names the qubit that factors out: A, then B, then C.
-    bipartite = 1 + np.argmax(pure_marginals, axis=-1)
+    bipartite = 1 + np.argmax(pure_marginals, axis=0)
     entangled = np.where(_three_tangle_arr(kets) <= TANGLE_TOL, 4, 5)
     # Two pure marginals force the third for a pure state, so >= 2 means
     # fully product up to numerical noise.

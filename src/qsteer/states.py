@@ -365,6 +365,17 @@ def _ket_trace_arr(kets: np.ndarray, keep: Sequence[int], n_qubits: int) -> np.n
     return out
 
 
+def _reduced_arr(data: np.ndarray, n_qubits: int, subsets: Sequence[Sequence[int]], pure: bool = False) -> np.ndarray:
+    """Reduced states on each qubit list of ``subsets``, stacked on a new leading axis; then the batch of ``data``.
+
+    ``data`` holds kets (..., 2**n) if ``pure``, else densities (..., 2**n, 2**n): 2**n kets have the
+    shape of one density.  Both traces are looked up at call time, so that ``benchmarks/tracer.py``,
+    which rebinds module names, sees every density trace.
+    """
+    trace = _ket_trace_arr if pure else _partial_trace_arr
+    return np.stack([trace(data, keep, n_qubits) for keep in subsets])
+
+
 def partial_trace(rho: StateLike, keep: Iterable[int]) -> QuantumState:
     """Reduced state on the qubits in ``keep``, in the order given.
 

@@ -855,7 +855,7 @@ def _noisy_w_numeric_per_epsilon(p_grid, epsilons) -> np.ndarray:
         for block in experiments._blocks(p.size):
             noisy = channels._apply_local_arr(noise, states._densities(kets[block]), 3)
             pair = _partial_trace_arr(noisy, [0, 1], 3)
-            numeric[e, block] = experiments._volumes(pair)
+            numeric[e, block] = ellipsoid._volume_arr(pair)
     return numeric.ravel()
 
 

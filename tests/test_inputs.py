@@ -134,6 +134,16 @@ def test_pair_of_one_qubit_rejected():
 
 
 @pytest.mark.parametrize(
+    "entry, text",
+    [((0, 1, 2), r"\(0, 1, 2\)"), ((0,), r"\(0,\)"), (0, "0")],
+    ids=["three indices", "one index", "an int"],
+)
+def test_pairs_entry_that_is_not_a_pair_rejected(entry, text):
+    with pytest.raises(StateValidationError, match=f"^pairs entry {text} is not a pair of qubit indices$"):
+        pairwise_correlation_sum(_mixed(3), [(0, 1), entry])
+
+
+@pytest.mark.parametrize(
     "call, name",
     [(lambda rho: partial_trace(rho, []), "keep"), (lambda rho: pairwise_correlation_sum(rho, []), "pairs")],
     ids=["partial_trace", "pairwise_correlation_sum"],

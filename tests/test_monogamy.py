@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qsteer import experiments, monogamy, states
+from qsteer import ellipsoid, experiments, monogamy, states
 from qsteer.ellipsoid import canonical_form, normalized_volume
 from qsteer.monogamy import (
     SloccClass,
@@ -93,7 +94,7 @@ class TestVolumeMonogamyReport:
     def test_ten_qubit_mean_equals_the_batched_mean(self):
         # np.mean adds one state's 9 pairs pairwise but a batch's in order; the report must not care.
         kets = np.stack([random_pure_state(10, seed=seed).data for seed in range(8, 24)])
-        batched = monogamy._relation_sums(monogamy._hub_volumes(kets, 10, 0, states._ket_trace_arr))
+        batched = monogamy._relation_sums(monogamy._hub_volumes(kets, 10, 0, pure=True))
         for ket, mean in zip(kets, batched["mean_volume"]):
             assert volume_monogamy_report(ket).mean_volume.hex() == float(mean).hex()
 
@@ -474,6 +475,65 @@ def _factors(rng, n, count=40):
     return states._induced_arr(kets, n), kets.reshape(count, 2**n, 2**n)
 
 
+# --- references: the per-subset loops that the stacked helpers replaced, verbatim ---
+
+
+def _ref_hub_volumes(mat: np.ndarray, n: int, hub: int, trace=None) -> list[np.ndarray]:
+    trace = trace or states._partial_trace_arr
+    return [
+        ellipsoid._volume_from_abT(*ellipsoid._steering_abT(trace(mat, [hub, other], n), 0))
+        for other in range(n)
+        if other != hub
+    ]
+
+
+def _ref_corr_strength(mat: np.ndarray, n: int, pair, trace=None):
+    T = states._spin_corr_arr((trace or states._partial_trace_arr)(mat, list(pair), n))
+    return np.sum(T * T, axis=(-2, -1))
+
+
+def _ref_bloch_norms_sq(mat: np.ndarray, n: int, qubits) -> np.ndarray:
+    out = np.empty((len(qubits),) + mat.shape[:-2])
+    for k, q in enumerate(qubits):
+        a = states._bloch_arr(states._partial_trace_arr(mat, [q], n))
+        out[k] = (a[..., None, :] @ a[..., :, None])[..., 0, 0]
+    return out
+
+
+class TestStackedSubsets:
+    """Each helper that reduces to a stack of qubit subsets equals its per-subset loop bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_hub_volumes(self, rng, n):
+        kets = _kets(rng, n)
+        for hub in range(n):
+            for mats in (states._densities(kets), _stack(rng, n, pure=False)):
+                got = monogamy._hub_volumes(mats, n, hub)
+                assert got.shape == (n - 1, len(mats))
+                assert got.tobytes() == np.stack(_ref_hub_volumes(mats, n, hub)).tobytes()
+            got = monogamy._hub_volumes(kets, n, hub, pure=True)
+            assert got.tobytes() == np.stack(_ref_hub_volumes(kets, n, hub, states._ket_trace_arr)).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_corr_strengths(self, rng, n):
+        kets = _kets(rng, n)
+        pairs = list(itertools.permutations(range(n), 2))
+        for mats in (states._densities(kets), _stack(rng, n, pure=False)):
+            want = [_ref_corr_strength(mats, n, pair) for pair in pairs]
+            assert monogamy._corr_strengths(mats, n, pairs).tobytes() == np.stack(want).tobytes()
+            assert monogamy._correlation_sum_arr(mats, n, pairs).tobytes() == sum(want).tobytes()
+        want = [_ref_corr_strength(kets, n, pair, states._ket_trace_arr) for pair in pairs]
+        assert monogamy._corr_strengths(kets, n, pairs, pure=True).tobytes() == np.stack(want).tobytes()
+        assert monogamy._correlation_sum_arr(kets, n, pairs, pure=True).tobytes() == sum(want).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_bloch_norms_sq(self, rng, n):
+        for mats in (_stack(rng, n, pure=True), _stack(rng, n, pure=False)):
+            for qubits in (range(n), (n - 1, 0), (1,)):
+                got = monogamy._bloch_norms_sq(mats, n, qubits)
+                assert got.tobytes() == _ref_bloch_norms_sq(mats, n, qubits).tobytes()
+
+
 # States per agreement test: the suite's default scale.
 _AGREEMENT_STATES = 10_000
 
@@ -621,7 +681,7 @@ class TestStackedKernels:
         # A GHZ ket holds exact zeros, where a sum that starts from zero can turn -0.0 into 0.0.
         kets = np.concatenate([states._haar_arr(rng.standard_normal((20, 2 ** (n + 1)))), [ghz_state(n).data]])
         for hub in range(n):
-            got = monogamy._hub_volumes(kets, n, hub, states._ket_trace_arr)
+            got = monogamy._hub_volumes(kets, n, hub, pure=True)
             want = monogamy._hub_volumes(states._densities(kets), n, hub)
             assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 

@@ -453,6 +453,26 @@ class TestKetTrace:
                 assert got.tobytes() == states._partial_trace_arr(states._densities(kets), list(keep), n).tobytes()
 
 
+class TestReducedStack:
+    """_reduced_arr of kets equals _reduced_arr of their densities bit for bit."""
+
+    # At (2**n,) a ket stack has the shape of one density matrix, so only ``pure`` tells them apart.
+    @pytest.mark.parametrize("batch", [(), (1,), (5,), (3, 4), "2**n"], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_ket_stack_matches_density_stack(self, rng, n, batch):
+        batch = (2**n,) if batch == "2**n" else batch
+        kets = states._haar_arr(rng.standard_normal(batch + (2 ** (n + 1),)))
+        mats = states._densities(kets)
+        for size in range(1, min(n, 2) + 1):
+            subsets = list(itertools.permutations(range(n), size))
+            got = states._reduced_arr(kets, n, subsets, pure=True)
+            want = states._reduced_arr(mats, n, subsets)
+            assert got.shape == want.shape == (len(subsets),) + batch + (2**size, 2**size)
+            assert got.tobytes() == want.tobytes()
+            for keep, reduced in zip(subsets, want):
+                assert reduced.tobytes() == states._partial_trace_arr(mats, keep, n).tobytes(), keep
+
+
 # --- references: the single-matrix forms that the batch kernels replaced, verbatim ---
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -210,9 +211,14 @@ def _validate_arr(data: np.ndarray, tol: float) -> None:
 def _complex_pairs(name: str, pairs) -> np.ndarray:
     """Complex vector of a JSON list of [re, im] number pairs; anything else raises StateValidationError."""
     try:
-        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise StateValidationError(f"{name} must be a list of [re, im] number pairs: {exc}") from exc
+    # complex() reads a JSON true or false as 1 or 0.
+    for k, (re, im) in enumerate(pairs):
+        if isinstance(re, bool) or isinstance(im, bool):
+            raise StateValidationError(f"{name} entry {k} holds a boolean, not a number")
+    return flat
 
 
 @dataclass(frozen=True)
@@ -276,9 +282,11 @@ class QuantumState:
 
     @classmethod
     def from_dict(cls, payload: dict, tol: float = DEFAULT_TOL) -> "QuantumState":
+        if not isinstance(payload, dict):
+            raise StateValidationError(f"state payload must be a JSON object, got {type(payload).__name__}")
         try:
             n, kind, pairs = payload["n_qubits"], payload["kind"], payload["data"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise StateValidationError(f"state payload missing field: {exc}") from exc
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise StateValidationError(f"n_qubits must be an integer >= 1, got {n!r}")
@@ -343,37 +351,49 @@ def _partial_trace_arr(mat: np.ndarray, keep: Sequence[int], n_qubits: int) -> n
     return reduced.reshape(batch + (d, d))
 
 
-def _ket_trace_arr(kets: np.ndarray, keep: Sequence[int], n_qubits: int) -> np.ndarray:
-    """Reduced density on ``keep`` of the pure kets (..., 2**n); leading axes are a batch.
+@cache
+def _ket_gather(n_qubits: int, subsets: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Basis index of each (subset, kept, traced) configuration, shape (S, d, T).
 
-    Bit for bit ``_partial_trace_arr(_densities(kets), keep, n_qubits)``
-    without forming |psi><psi|: the same products, added over the traced
-    configurations in the same C order, starting from zero.
+    Kept configurations run big-endian over the subset in its given order,
+    traced ones big-endian over the other qubits in ascending order.
     """
-    batch = kets.shape[:-1]
-    traced = [q for q in range(n_qubits) if q not in keep]
-    axes = [*range(len(batch)), *(len(batch) + q for q in (*keep, *traced))]
-    d = 2 ** len(keep)
-    amps = kets.reshape(batch + (2,) * n_qubits).transpose(axes).reshape(batch + (d, -1))
-    conj = amps.conj()
-    if not traced:
-        # einsum only permutes axes then, so no sum starts from zero to turn -0.0 into 0.0.
-        return amps[..., :, None, 0] * conj[..., None, :, 0]
-    out = np.zeros(batch + (d, d), dtype=complex)
-    for t in range(amps.shape[-1]):
-        out += amps[..., :, None, t] * conj[..., None, :, t]
-    return out
+    basis = np.arange(2**n_qubits).reshape((2,) * n_qubits)
+    rows = []
+    for keep in subsets:
+        traced = [q for q in range(n_qubits) if q not in keep]
+        rows.append(basis.transpose(*keep, *traced).reshape(2 ** len(keep), -1))
+    idx = np.stack(rows)
+    idx.setflags(write=False)  # one cached array serves every caller
+    return idx
 
 
 def _reduced_arr(data: np.ndarray, n_qubits: int, subsets: Sequence[Sequence[int]], pure: bool = False) -> np.ndarray:
     """Reduced states on each qubit list of ``subsets``, stacked on a new leading axis; then the batch of ``data``.
 
     ``data`` holds kets (..., 2**n) if ``pure``, else densities (..., 2**n, 2**n): 2**n kets have the
-    shape of one density.  Both traces are looked up at call time, so that ``benchmarks/tracer.py``,
-    which rebinds module names, sees every density trace.
+    shape of one density.  The density trace is looked up at call time, so that ``benchmarks/tracer.py``,
+    which rebinds module names, sees every call.
+
+    Kets are traced without forming |psi><psi|, bit for bit ``_partial_trace_arr(_densities(kets), ...)``:
+    one gather puts the amplitudes of every subset batch-last as (S, d, T, B), one broadcast product
+    makes every term (S, d, d, T, B), and the T traced configurations are added in C order starting
+    from zero, as einsum adds them.  With nothing traced einsum only permutes axes, so no sum starts
+    from zero to turn -0.0 into 0.0, and the product is the result.
     """
-    trace = _ket_trace_arr if pure else _partial_trace_arr
-    return np.stack([trace(data, keep, n_qubits) for keep in subsets])
+    if not pure:
+        return np.stack([_partial_trace_arr(data, keep, n_qubits) for keep in subsets])
+    batch = data.shape[:-1]
+    idx = _ket_gather(n_qubits, tuple(tuple(keep) for keep in subsets))
+    n_subsets, d, n_traced = idx.shape
+    amps = data.reshape(-1, 2**n_qubits).T[idx]
+    terms = amps[:, :, None] * amps.conj()[:, None]
+    out = terms[:, :, :, 0]
+    if n_traced > 1:
+        out = np.zeros(out.shape, dtype=complex)
+        for t in range(n_traced):
+            out += terms[:, :, :, t]
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)).reshape((n_subsets,) + batch + (d, d))
 
 
 def partial_trace(rho: StateLike, keep: Iterable[int]) -> QuantumState:

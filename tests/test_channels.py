@@ -58,11 +58,12 @@ class TestKrausChannel:
             5,
             [[["1", "0"], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
             [[1.0, [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
+            [[[True, 0.0], [0.0, 0.0], [0.0, 0.0], [True, 0.0]]],
         ],
-        ids=["not a list", "string entry", "bare number"],
+        ids=["not a list", "string entry", "bare number", "boolean entry"],
     )
     def test_malformed_payload_raises_value_error(self, kraus):
-        # Each of these escaped as a TypeError.
+        # The first three escaped as a TypeError; the boolean one loaded as the identity.
         with pytest.raises(ValueError):
             KrausChannel.from_dict({"kraus": kraus})
 

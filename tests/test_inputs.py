@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import json
 import math
 import types
 
@@ -37,6 +38,7 @@ from qsteer import (
     three_tangle,
     volume_monogamy_report,
 )
+from qsteer.cli import main
 from qsteer.states import bloch_vector
 
 
@@ -240,6 +242,33 @@ def test_other_tolerances_go_through_quantum_state():
         normalized_volume(rho)
     state = qsteer.QuantumState.from_matrix(rho, tol=1e-6)
     assert normalized_volume(state) == normalized_volume(qsteer.QuantumState(2, rho))
+
+
+# --- state files: every malformed payload is named, and analyze exits 2 ------------
+
+_BAD_PAYLOADS = {
+    # complex() reads true and false as 1 and 0, so this loaded as |00>.
+    "boolean amplitude": (
+        {"n_qubits": 2, "kind": "pure", "data": [[True, 0], [0, 0], [0, 0], [False, 0]]},
+        "state data entry 0 holds a boolean, not a number",
+    ),
+    "boolean imaginary part": (
+        {"n_qubits": 1, "kind": "pure", "data": [[1.0, 0.0], [0.0, False]]},
+        "state data entry 1 holds a boolean, not a number",
+    ),
+    "not an object": ([1, 2], "state payload must be a JSON object, got list"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BAD_PAYLOADS))
+def test_malformed_state_payload_is_named(tmp_path, capsys, kind):
+    payload, message = _BAD_PAYLOADS[kind]
+    with pytest.raises(StateValidationError, match=f"^{message}$"):
+        qsteer.QuantumState.from_dict(payload)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # --- the public API, recorded from the package before the shared input checks ----

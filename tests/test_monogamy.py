@@ -39,7 +39,7 @@ from qsteer.states import (
     random_pure_state,
 )
 
-from conftest import random_single_qubit_density
+from conftest import _ref_ket_trace, random_single_qubit_density
 
 COUNTEREXAMPLE_SQRT_LHS = 2.0 * math.sqrt(8.0 / 27.0)  # = 1.08866...
 
@@ -512,7 +512,7 @@ class TestStackedSubsets:
                 assert got.shape == (n - 1, len(mats))
                 assert got.tobytes() == np.stack(_ref_hub_volumes(mats, n, hub)).tobytes()
             got = monogamy._hub_volumes(kets, n, hub, pure=True)
-            assert got.tobytes() == np.stack(_ref_hub_volumes(kets, n, hub, states._ket_trace_arr)).tobytes()
+            assert got.tobytes() == np.stack(_ref_hub_volumes(kets, n, hub, _ref_ket_trace)).tobytes()
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_corr_strengths(self, rng, n):
@@ -522,7 +522,7 @@ class TestStackedSubsets:
             want = [_ref_corr_strength(mats, n, pair) for pair in pairs]
             assert monogamy._corr_strengths(mats, n, pairs).tobytes() == np.stack(want).tobytes()
             assert monogamy._correlation_sum_arr(mats, n, pairs).tobytes() == sum(want).tobytes()
-        want = [_ref_corr_strength(kets, n, pair, states._ket_trace_arr) for pair in pairs]
+        want = [_ref_corr_strength(kets, n, pair, _ref_ket_trace) for pair in pairs]
         assert monogamy._corr_strengths(kets, n, pairs, pure=True).tobytes() == np.stack(want).tobytes()
         assert monogamy._correlation_sum_arr(kets, n, pairs, pure=True).tobytes() == sum(want).tobytes()
 

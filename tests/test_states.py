@@ -38,7 +38,7 @@ from qsteer.states import (
     spin_correlation_matrix,
 )
 
-from conftest import random_single_qubit_density
+from conftest import _ref_ket_trace, random_single_qubit_density
 
 # Exact 4x4 entries of (2/3)|psi-><psi-| + (1/3) 1/4, used as the oracle for
 # several reductions below.
@@ -427,7 +427,7 @@ class TestBatchedKernels:
 
 
 class TestKetTrace:
-    """_ket_trace_arr equals the partial trace of the built densities bit for bit."""
+    """The ket trace of ``_reduced_arr`` equals the partial trace of the built densities bit for bit."""
 
     @pytest.mark.parametrize("batch", [(), (1,), (7,), (256,), (3, 5)], ids=str)
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -436,7 +436,7 @@ class TestKetTrace:
         mats = states._densities(kets)
         for size in range(1, n + 1):
             for keep in itertools.permutations(range(n), size):
-                got = states._ket_trace_arr(kets, list(keep), n)
+                got = states._reduced_arr(kets, n, [keep], pure=True)[0]
                 want = states._partial_trace_arr(mats, list(keep), n)
                 assert got.shape == want.shape == batch + (2**size, 2**size)
                 # tobytes() tells -0.0 from 0.0, which array equality does not.
@@ -449,8 +449,29 @@ class TestKetTrace:
         kets = parts[0] + 1j * parts[1]
         for size in range(1, n + 1):
             for keep in itertools.permutations(range(n), size):
-                got = states._ket_trace_arr(kets, list(keep), n)
+                got = states._reduced_arr(kets, n, [keep], pure=True)[0]
                 assert got.tobytes() == states._partial_trace_arr(states._densities(kets), list(keep), n).tobytes()
+
+    @pytest.mark.parametrize("batch", [(), (1,), (7,), (256,), (3, 5)], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_every_subset_stack_matches_reference_and_density_trace(self, rng, n, batch):
+        haar = states._haar_arr(rng.standard_normal(batch + (2 ** (n + 1),)))
+        # Exact zeros of either sign, as in GHZ- and W-type kets.
+        parts = [rng.choice([0.0, -0.0, 1.0, -0.5], size=batch + (2**n,)) for _ in range(2)]
+        for kets in (haar, parts[0] + 1j * parts[1]):
+            mats = states._densities(kets)
+            for size in range(1, n + 1):
+                # Every ordered subset up to 4 qubits; above that, each subset ascending and descending.
+                if n <= 4:
+                    subsets = list(itertools.permutations(range(n), size))
+                else:
+                    subsets = [c[::step] for c in itertools.combinations(range(n), size) for step in (1, -1)]
+                got = states._reduced_arr(kets, n, subsets, pure=True)
+                assert got.shape == (len(subsets),) + batch + (2**size, 2**size)
+                assert got.flags.c_contiguous
+                for keep, reduced in zip(subsets, got):
+                    assert reduced.tobytes() == _ref_ket_trace(kets, list(keep), n).tobytes(), keep
+                    assert reduced.tobytes() == states._partial_trace_arr(mats, list(keep), n).tobytes(), keep
 
 
 class TestReducedStack:

@@ -9,15 +9,19 @@ own stack cache (so the check builds every state stack it reads).  Rows are
 sorted by reduce cost; the full-scale column is the reduce at the check's
 10^4-scale sample count.  The shared pass is ``_shared_sampled`` over all
 the checks at two suite scales, per block of at most 256 samples: 50 (the
-benchmark's ``suite`` round, one block) and ``--rows``.  Grid checks are
-timed per call.  Times are medians of ``--repeats`` runs in this process,
-with one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set.
+benchmark's ``suite`` round, one block) and ``--rows``.  The layer rows time
+each kernel of the per-sample path on one stack of 256 states drawn at
+``--seed``, per state, with the minor page faults (``ru_minflt``) per call
+after one warm-up call.  Grid checks are timed per call.  Times are medians
+of ``--repeats`` runs in this process, with one BLAS thread unless
+``OPENBLAS_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import resource
 import statistics
 import time
 
@@ -25,8 +29,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads Open
 
 import numpy as np  # noqa: E402
 
-from qsteer import experiments  # noqa: E402
+from qsteer import channels, ellipsoid, experiments, monogamy, states  # noqa: E402
 from qsteer.states import sample_streams  # noqa: E402
+
+#: States per layer call: one block of the shared pass and of the conjecture.
+LAYER_STATES = 256
+#: Calls per timed layer run.
+LAYER_CALLS = 20
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -56,6 +65,40 @@ def _shared_parts(samples: int) -> tuple[tuple, int]:
     keys = ("width", "reduce", "draw")
     parts = tuple((n, *(check.fn.keywords[key] for key in keys)) for check, n in zip(checks, counts))
     return parts, max(counts)
+
+
+def _layers(seed: int) -> list[tuple[str, object]]:
+    """(name, call) of each per-sample kernel on one stack of ``LAYER_STATES`` states drawn at ``seed``."""
+    normals = np.empty((LAYER_STATES, 32))
+
+    def rekey_draw() -> None:
+        for i, rng in sample_streams(seed, 0, LAYER_STATES):
+            rng.standard_normal(out=normals[i])
+
+    rekey_draw()
+    kets4 = states._haar_arr(normals)
+    # Three system and three ancilla qubits: induced mixed 3-qubit states.
+    kets6 = states._haar_arr(np.random.default_rng(seed).standard_normal((LAYER_STATES, 128)))
+    mixed3 = states._induced_arr(kets6, 3)
+    pairs = states._reduced_arr(mixed3, 3, [(0, 1)])[0]
+    abT = ellipsoid._steering_abT(pairs, 0)
+    sups = [channels.isotropic_channel(0.1).superoperator] * 3
+    return [
+        ("re-key and draw 32 normals", rekey_draw),
+        ("_haar_arr, 4 qubits", lambda: states._haar_arr(normals)),
+        ("_induced_arr, 3 of 6 qubits", lambda: states._induced_arr(kets6, 3)),
+        ("_reduced_arr pure, 4-qubit hub pairs", lambda: states._reduced_arr(kets4, 4, [(0, 1), (0, 2), (0, 3)], True)),
+        ("_reduced_arr, 3-qubit pair (0, 1)", lambda: states._reduced_arr(mixed3, 3, [(0, 1)])),
+        ("_abT_arr", lambda: states._abT_arr(pairs)),
+        ("_volume_from_abT", lambda: ellipsoid._volume_from_abT(*abT)),
+        ("_wootters_lambdas, 4 x 4 factors", lambda: monogamy._wootters_lambdas(kets4.reshape(-1, 4, 4))),
+        ("_apply_local_arr, 3 qubits", lambda: channels._apply_local_arr(sups, mixed3, 3)),
+    ]
+
+
+def _calls(fn) -> None:
+    for _ in range(LAYER_CALLS):
+        fn()
 
 
 def main(argv=None) -> None:
@@ -88,6 +131,15 @@ def main(argv=None) -> None:
         blocks = len(experiments._blocks(n_samples))
         total_s = _median_s(lambda: experiments._shared_sampled(args.seed, 0, n_samples, parts), args.repeats)
         print(f"  samples={samples}: {blocks} block(s), {total_s / blocks * 1e3:.2f} ms per block")
+
+    print(f"\nLayers, {LAYER_STATES} states at seed {args.seed}:")
+    for name, fn in _layers(args.seed):
+        fn()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_s = _median_s(lambda: _calls(fn), args.repeats)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        per_state = run_s / LAYER_CALLS / LAYER_STATES * 1e6
+        print(f"  {name}: {per_state:.3f} µs/state, {faults / (LAYER_CALLS * args.repeats):.1f} minflt/call")
 
     print("\nGrid checks, ms per call:")
     for check in experiments._SUITE:

@@ -205,6 +205,15 @@ def _noisy_w_volume_arr(p, epsilon) -> np.ndarray:
     # float_power calls the C pow, which Python's float ** also uses.
     shrink = 1.0 - epsilon
     denom = 1.0 - np.float_power(shrink, 2) * np.float_power(1.0 - 2.0 * p * p, 2)
+    # Below about 5e-9 for p and 1e-16 for epsilon, 1 - 2 p^2 and 1 - epsilon round to 1: the form
+    # would give inf or NaN.
+    zero = denom == 0.0
+    if np.any(zero):
+        p_bad, eps_bad = (float(np.broadcast_to(x, zero.shape)[zero].flat[0]) for x in (p, epsilon))
+        raise ValueError(
+            f"the closed-form noisy W volume is undefined in float64 at p = {p_bad!r}, epsilon = {eps_bad!r}: "
+            "its denominator 1 - (1 - epsilon)^2 (1 - 2 p^2)^2 rounds to 0"
+        )
     return (
         4.0 * np.float_power(p, 4) * np.float_power(1.0 - p * p, 2) * np.float_power(shrink, 6)
         / np.float_power(denom, 2)

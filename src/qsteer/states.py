@@ -353,7 +353,7 @@ def _partial_trace_arr(mat: np.ndarray, keep: Sequence[int], n_qubits: int) -> n
 
 @cache
 def _ket_gather(n_qubits: int, subsets: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Basis index of each (subset, kept, traced) configuration, shape (S, d, T).
+    """Basis index of each (traced, subset, kept) configuration, shape (T, S, d).
 
     Kept configurations run big-endian over the subset in its given order,
     traced ones big-endian over the other qubits in ascending order.
@@ -362,8 +362,8 @@ def _ket_gather(n_qubits: int, subsets: tuple[tuple[int, ...], ...]) -> np.ndarr
     rows = []
     for keep in subsets:
         traced = [q for q in range(n_qubits) if q not in keep]
-        rows.append(basis.transpose(*keep, *traced).reshape(2 ** len(keep), -1))
-    idx = np.stack(rows)
+        rows.append(basis.transpose(*traced, *keep).reshape(-1, 2 ** len(keep)))
+    idx = np.stack(rows, axis=1)
     idx.setflags(write=False)  # one cached array serves every caller
     return idx
 
@@ -376,24 +376,26 @@ def _reduced_arr(data: np.ndarray, n_qubits: int, subsets: Sequence[Sequence[int
     which rebinds module names, sees every call.
 
     Kets are traced without forming |psi><psi|, bit for bit ``_partial_trace_arr(_densities(kets), ...)``:
-    one gather puts the amplitudes of every subset batch-last as (S, d, T, B), one broadcast product
-    makes every term (S, d, d, T, B), and the T traced configurations are added in C order starting
+    one gather puts the amplitudes of every subset batch-last as (T, S, d, B), one broadcast product
+    makes every term (T, S, d, d, B), and the T traced configurations are added in C order starting
     from zero, as einsum adds them.  With nothing traced einsum only permutes axes, so no sum starts
-    from zero to turn -0.0 into 0.0, and the product is the result.
+    from zero to turn -0.0 into 0.0, and the product is the result.  The result stays batch-last in
+    memory: the (S,) + batch + (d, d) array is a view of the (S, d, d, B) buffer, which the Pauli
+    gather of :func:`_signed_terms` reads in place.
     """
     if not pure:
         return np.stack([_partial_trace_arr(data, keep, n_qubits) for keep in subsets])
     batch = data.shape[:-1]
     idx = _ket_gather(n_qubits, tuple(tuple(keep) for keep in subsets))
-    n_subsets, d, n_traced = idx.shape
+    n_traced, n_subsets, d = idx.shape
     amps = data.reshape(-1, 2**n_qubits).T[idx]
-    terms = amps[:, :, None] * amps.conj()[:, None]
-    out = terms[:, :, :, 0]
+    terms = amps[:, :, :, None] * amps.conj()[:, :, None]
+    out = terms[0]
     if n_traced > 1:
         out = np.zeros(out.shape, dtype=complex)
-        for t in range(n_traced):
-            out += terms[:, :, :, t]
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)).reshape((n_subsets,) + batch + (d, d))
+        for term in terms:
+            out += term
+    return out.transpose(0, 3, 1, 2).reshape((n_subsets,) + batch + (d, d))
 
 
 def partial_trace(rho: StateLike, keep: Iterable[int]) -> QuantumState:
@@ -445,10 +447,15 @@ def _marginal_terms(sigma: np.ndarray, slot: int) -> list[tuple[int, float]]:
     return terms
 
 
-def _plan(coefficients: list[list[tuple[int, float]]]) -> tuple[np.ndarray, np.ndarray]:
-    """Float-view indices (t, m) and signs (t, m, 1): term t of coefficient c at [t, c]."""
+def _plan(coefficients: list[list[tuple[int, float]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Matrix entries (t, m), their parts (t, m), 0 real and 1 imaginary, and signs (t, m, 1).
+
+    Term t of coefficient c is at [t, c]; a float-view index k of :func:`_pauli_terms`
+    is part k & 1 of row-major entry k >> 1.
+    """
     table = np.array(coefficients).T
-    return table[0].astype(np.intp), table[1][..., None]
+    index = np.ascontiguousarray(table[0], dtype=np.intp)
+    return index >> 1, index & 1, table[1][..., None]
 
 
 # Gather plans of (a, b, T): columns 0-2 are a, 3-5 are b and 6-14 are T
@@ -458,15 +465,28 @@ _ABT_PLAN = _plan(
     + [_marginal_terms(sigma, 1) for sigma in PAULIS]
     + [_pauli_terms(op) for op in _PAULI_PAIRS.reshape(9, 4, 4)]
 )
-_T_PLAN = (_ABT_PLAN[0][:, 6:], _ABT_PLAN[1][:, 6:])
+_T_PLAN = tuple(column[:, 6:] for column in _ABT_PLAN)
 _BLOCH_PLAN = _plan([_pauli_terms(sigma) for sigma in PAULIS])
 
+#: A complex128 entry as its (re, im) float64 pair; of equal size, so it views any complex layout.
+_PAIR = np.dtype((np.float64, 2))
 
-def _signed_terms(mat: np.ndarray, plan: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The signed terms (t, m, N) that ``plan`` picks from each matrix of the (..., d, d) stack ``mat``."""
-    flat = np.ascontiguousarray(mat, dtype=complex).view(np.float64).reshape(-1, 2 * mat.shape[-1] ** 2)
-    index, sign = plan
-    return flat.T[index] * sign
+
+def _signed_terms(mat: np.ndarray, plan: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """The signed terms (t, m, N) that ``plan`` picks from each matrix of the (..., d, d) stack ``mat``.
+
+    The stack is read where it lies, in any memory layout: its float pairs
+    moved to (d * d, 2) + batch are one view of a C-contiguous density stack
+    and of the batch-last ket trace of :func:`_reduced_arr` alike.
+    """
+    batch = mat.shape[:-2]
+    pairs = np.asarray(mat, dtype=complex).view(_PAIR)
+    lead = len(batch)
+    entries = pairs.transpose(lead, lead + 1, lead + 2, *range(lead)).reshape((mat.shape[-1] ** 2, 2) + batch)
+    entry, part, sign = plan
+    terms = entries[entry, part].reshape(entry.shape + (-1,))
+    terms *= sign
+    return terms
 
 
 def _sum_terms(terms: np.ndarray, shape: tuple) -> np.ndarray:

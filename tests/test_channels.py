@@ -264,6 +264,19 @@ class TestNoisyWVolume:
         with pytest.raises(ValueError, match="epsilon must"):
             noisy_w_volume(0.5, math.nan)
 
+    @pytest.mark.parametrize("p", [1e-9, 5e-9, 1e-320])
+    def test_denominator_that_rounds_to_zero_raises(self, p):
+        # At epsilon = 0, 1 - 2 p^2 rounds to 1: unchecked, the form gives inf (1e-9) or NaN (1e-320).
+        with pytest.raises(ValueError, match=rf"p = {p!r}, epsilon = 0.0: its denominator"):
+            noisy_w_volume(p, 0.0)
+        # The same p under any noise, and a small p the form still resolves, keep their values.
+        assert noisy_w_volume(p, 0.01) >= 0.0
+        assert noisy_w_volume(1e-5, 0.0) == pytest.approx(0.25, abs=1e-6)
+
+    def test_array_form_names_the_first_undefined_entry(self):
+        with pytest.raises(ValueError, match=r"p = 1e-09, epsilon = 0.0:"):
+            channels._noisy_w_volume_arr(np.array([0.5, 1e-9, 2e-9]), np.array([[0.1], [0.0]]))
+
     @pytest.mark.parametrize("p, eps", [(np.array([0.2, 0.3]), 0.1), (0.5, np.array([0.1])), (np.array(0.5), [0.1])])
     def test_scalars_only(self, p, eps):
         with pytest.raises(TypeError, match="must be a real scalar"):

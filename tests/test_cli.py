@@ -238,6 +238,17 @@ class TestSweepCommands:
         assert main(["fig2", "--p", "nan"]) == 2
         assert "p must" in capsys.readouterr().err
 
+    def test_fig2_p_where_closed_form_divides_by_zero_exits_2(self, capsys):
+        # Exit 2 with nothing printed, never a row whose volume_closed_form and residual are null.
+        assert main(["fig2", "--p", "1e-9", "--epsilons", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p = 1e-09, epsilon = 0.0" in captured.err
+        assert main(["fig2", "--p", "1e-5", "--epsilons", "0"]) == 0
+        row = json.loads(capsys.readouterr().out)[0]
+        assert row["volume_closed_form"] == pytest.approx(0.25, abs=1e-6)
+        assert row["residual"] < 1e-7
+
     def test_fig2_bad_epsilons(self, capsys):
         assert main(["fig2", "--epsilons", "0,zero"]) == 2
         assert "epsilons" in capsys.readouterr().err

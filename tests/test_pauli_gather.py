@@ -191,3 +191,106 @@ def test_pauli_coefficient_matches_einsum(n):
         for labels in rng.integers(0, 4, (20, n)).tolist():
             got, want = states.pauli_coefficient(state, labels), _ref_pauli_coefficient(mat, labels)
             assert got.hex() == want.hex(), labels
+
+
+# --- the ket trace read in place: the batch-first route it replaced is the reference ---
+
+
+def _ref_signed_terms(mat: np.ndarray, plan) -> np.ndarray:
+    """The former gather, verbatim but for its plan: a C-contiguous float view read by ``flat.T[index]``."""
+    entry, part, sign = plan
+    index = entry << 1 | part  # the former plan's float-view index
+    flat = np.ascontiguousarray(mat, dtype=complex).view(np.float64).reshape(-1, 2 * mat.shape[-1] ** 2)
+    return flat.T[index] * sign
+
+
+def _ref_abT_arr(mat: np.ndarray):
+    """The former ``states._abT_arr``, verbatim but for the reference gather."""
+    batch = mat.shape[:-2]
+    terms = _ref_signed_terms(mat, states._ABT_PLAN)
+    terms[2, :6] += terms[3, :6]
+    terms[3, :6] = 0.0
+    out = states._sum_terms(terms, batch + (15,))
+    return out[..., :3], out[..., 3:6], out[..., 6:].reshape(batch + (3, 3))
+
+
+def _ref_ket_reads(kets: np.ndarray, n: int, subsets):
+    """T, (a, b, T) and Bloch vectors of the ket trace as the former route read them: from a batch-first copy."""
+    pairs = np.ascontiguousarray(states._reduced_arr(kets, n, subsets, pure=True))
+    single = np.ascontiguousarray(states._reduced_arr(kets, n, [[q] for q in range(n)], pure=True))
+    T = states._sum_terms(_ref_signed_terms(pairs, states._T_PLAN), pairs.shape[:-2] + (3, 3))
+    bloch = states._sum_terms(_ref_signed_terms(single, states._BLOCH_PLAN), single.shape[:-2] + (3,))
+    return (T, *_ref_abT_arr(pairs), bloch)
+
+
+def _ket_reads(kets: np.ndarray, n: int, subsets):
+    pairs = states._reduced_arr(kets, n, subsets, pure=True)
+    single = states._reduced_arr(kets, n, [[q] for q in range(n)], pure=True)
+    return (states._spin_corr_arr(pairs), *states._abT_arr(pairs), states._bloch_arr(single))
+
+
+def _ket_stacks(shape: tuple, n: int, seed: int):
+    """Haar kets, and kets of exact zeros of either sign (as in GHZ and W kets), each of ``shape``."""
+    rng = np.random.default_rng(seed)
+    haar = states._haar_arr(rng.standard_normal(shape + (2 ** (n + 1),)))
+    parts = [rng.choice([0.0, -0.0, 1.0, -0.5], size=shape + (2**n,)) for _ in range(2)]
+    return {"haar": haar, "signed zeros": parts[0] + 1j * parts[1]}
+
+
+def _pair_subsets(n: int):
+    """Hub pairs, plus the reordered pair (2, 0); at n = 2 a pair traces nothing, in either order."""
+    if n == 2:
+        return [(0, 1), (1, 0)]
+    return [(0, x) for x in range(1, n)] + [(2, 0)]
+
+
+@pytest.mark.parametrize("shape", [*SHAPES, (0,)], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_ket_trace_pauli_reads_match_batch_first_route(shape, n):
+    for kind, kets in _ket_stacks(shape, n, seed=n).items():
+        got, want = _ket_reads(kets, n, _pair_subsets(n)), _ref_ket_reads(kets, n, _pair_subsets(n))
+        for g, w in zip(got, want, strict=True):
+            _assert_same(g, w)
+            # _sum_terms fixes the output layout, which later matmuls and sums round by.
+            assert g.strides == w.strides, kind
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pure_hub_reads_match_density_forms(shape, n):
+    for kets in _ket_stacks(shape, n, seed=10 + n).values():
+        mats = states._densities(kets)
+        pairs = _pair_subsets(n)
+        got, want = monogamy._corr_strengths(kets, n, pairs, pure=True), monogamy._corr_strengths(mats, n, pairs)
+        _assert_same(got, want)
+        for hub in range(n):
+            got, want = monogamy._hub_volumes(kets, n, hub, pure=True), monogamy._hub_volumes(mats, n, hub)
+            _assert_same(np.asarray(got), np.asarray(want))
+
+
+def test_slocc_codes_match_batch_first_marginals():
+    # Product, biseparable and W kets hold exact zeros; their marginals sit on the rank thresholds.
+    rng = np.random.default_rng(3)
+    qubit = [states._haar_arr(rng.standard_normal((50, 4))) for _ in range(3)]
+    product = np.einsum("na,nb,nc->nabc", *qubit).reshape(50, 8)
+    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    kets = np.concatenate(
+        [
+            product,
+            np.kron(bell, qubit[0]),
+            np.kron(qubit[1], bell),
+            np.broadcast_to(monogamy.w_state().data, (5, 8)),
+            *_ket_stacks((50,), 3, seed=4).values(),
+        ]
+    )
+    # The marginals that _slocc_codes reads, laid out as before: a batch-first copy.
+    m = np.ascontiguousarray(states._reduced_arr(kets, 3, [[0], [1], [2]], pure=True))
+    det = (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
+    pure_marginals = det < monogamy.RANK_TOL * ((m[..., 0, 0] + m[..., 1, 1]).real - monogamy.RANK_TOL)
+    count = np.sum(pure_marginals, axis=0)
+    bipartite = 1 + np.argmax(pure_marginals, axis=0)
+    entangled = np.where(monogamy._three_tangle_arr(kets) <= monogamy.TANGLE_TOL, 4, 5)
+    want = np.where(count >= 2, 0, np.where(count == 1, bipartite, entangled))
+    got = monogamy._slocc_codes(kets)
+    _assert_same(got, want)
+    assert set(got.tolist()) >= {0, 1, 3, 4}

@@ -468,7 +468,8 @@ class TestKetTrace:
                     subsets = [c[::step] for c in itertools.combinations(range(n), size) for step in (1, -1)]
                 got = states._reduced_arr(kets, n, subsets, pure=True)
                 assert got.shape == (len(subsets),) + batch + (2**size, 2**size)
-                assert got.flags.c_contiguous
+                # A view of the batch-last (S, d, d) + batch buffer that the Pauli gather reads in place.
+                assert np.moveaxis(got, (-2, -1), (1, 2)).flags.c_contiguous
                 for keep, reduced in zip(subsets, got):
                     assert reduced.tobytes() == _ref_ket_trace(kets, list(keep), n).tobytes(), keep
                     assert reduced.tobytes() == states._partial_trace_arr(mats, list(keep), n).tobytes(), keep

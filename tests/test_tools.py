@@ -16,6 +16,8 @@ LAYERS = [
     "_haar_arr, 4 qubits",
     "_induced_arr, 3 of 6 qubits",
     "_reduced_arr pure, 4-qubit hub pairs",
+    "ket trace + T, 4-qubit hub pairs",
+    "ket trace + (a, b, T), 3-qubit hub pairs",
     "_reduced_arr, 3-qubit pair (0, 1)",
     "_abT_arr",
     "_volume_from_abT",
@@ -32,6 +34,16 @@ def test_check_costs_prints_every_check():
     lines = proc.stdout.splitlines()
     table = [line.split("`")[1] for line in lines if line.startswith("| `")]
     assert sorted(table) == sorted(check.name for check in experiments._SUITE if check.scaled)
+    start = lines.index("Shared pass (_shared_sampled over every random-sample check):") + 1
+    shared = lines[start : lines.index("", start)]
+    assert [line.split(":")[0] for line in shared] == ["  samples=50", "  samples=8"]
+    per_block = r"  .+: 1 block\(s\), \d+\.\d\d ms, \d+\.\d minflt per block"
+    assert all(re.fullmatch(per_block, line) for line in shared), shared
+    rounds = [line for line in lines if line.startswith("Conjecture round")]
+    assert len(rounds) == 1
+    assert re.fullmatch(
+        r"Conjecture round \(run_conjecture_test\(2500\)\): \d+\.\d\d ms, \d+\.\d minflt per round", rounds[0]
+    )
     start = lines.index("Layers, 256 states at seed 7:") + 1
     layers = lines[start : lines.index("", start)]
     assert [line.split(":")[0].strip() for line in layers] == LAYERS

@@ -9,12 +9,17 @@ own stack cache (so the check builds every state stack it reads).  Rows are
 sorted by reduce cost; the full-scale column is the reduce at the check's
 10^4-scale sample count.  The shared pass is ``_shared_sampled`` over all
 the checks at two suite scales, per block of at most 256 samples: 50 (the
-benchmark's ``suite`` round, one block) and ``--rows``.  The layer rows time
-each kernel of the per-sample path on one stack of 256 states drawn at
-``--seed``, per state, with the minor page faults (``ru_minflt``) per call
-after one warm-up call.  Grid checks are timed per call.  Times are medians
-of ``--repeats`` runs in this process, with one BLAS thread unless
-``OPENBLAS_NUM_THREADS`` is set.
+benchmark's ``suite`` round, one block) and ``--rows``.  The conjecture row
+is one ``run_conjecture_test(2500)`` round, the benchmark's ``conjecture``
+round, at ``--seed``.  The layer rows time each kernel of the per-sample
+path on one stack of 256 states drawn at ``--seed``, per state.  The shared
+pass, the conjecture round and the layers also give their minor page faults
+(``ru_minflt``) in steady state: counted over the timed runs, after one
+warm-up run.  The shared pass and the conjecture round run first, as in a
+fresh ``qsteer suite`` or ``conjecture`` process: how often a block faults
+depends on what the process allocated before it.  Grid checks are timed
+per call.  Times are medians of ``--repeats`` runs in this process, with
+one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
@@ -47,6 +52,14 @@ def _median_s(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
+def _steady(fn, repeats: int) -> tuple[float, float]:
+    """Median seconds of ``repeats`` runs of ``fn`` after one warm-up run, and minor page faults per run."""
+    fn()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_s = _median_s(fn, repeats)
+    return run_s, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / repeats
+
+
 def _draw(rows: np.ndarray, draw, seed: int) -> None:
     for i, rng in sample_streams(seed, 0, len(rows)):
         draw(rng, rows[i])
@@ -77,6 +90,8 @@ def _layers(seed: int) -> list[tuple[str, object]]:
 
     rekey_draw()
     kets4 = states._haar_arr(normals)
+    kets3 = states._haar_arr(normals[:, :16])
+    hub4, hub3 = [(0, 1), (0, 2), (0, 3)], [(0, 1), (0, 2)]
     # Three system and three ancilla qubits: induced mixed 3-qubit states.
     kets6 = states._haar_arr(np.random.default_rng(seed).standard_normal((LAYER_STATES, 128)))
     mixed3 = states._induced_arr(kets6, 3)
@@ -87,7 +102,9 @@ def _layers(seed: int) -> list[tuple[str, object]]:
         ("re-key and draw 32 normals", rekey_draw),
         ("_haar_arr, 4 qubits", lambda: states._haar_arr(normals)),
         ("_induced_arr, 3 of 6 qubits", lambda: states._induced_arr(kets6, 3)),
-        ("_reduced_arr pure, 4-qubit hub pairs", lambda: states._reduced_arr(kets4, 4, [(0, 1), (0, 2), (0, 3)], True)),
+        ("_reduced_arr pure, 4-qubit hub pairs", lambda: states._reduced_arr(kets4, 4, hub4, True)),
+        ("ket trace + T, 4-qubit hub pairs", lambda: states._spin_corr_arr(states._reduced_arr(kets4, 4, hub4, True))),
+        ("ket trace + (a, b, T), 3-qubit hub pairs", lambda: states._abT_arr(states._reduced_arr(kets3, 3, hub3, True))),
         ("_reduced_arr, 3-qubit pair (0, 1)", lambda: states._reduced_arr(mixed3, 3, [(0, 1)])),
         ("_abT_arr", lambda: states._abT_arr(pairs)),
         ("_volume_from_abT", lambda: ellipsoid._volume_from_abT(*abT)),
@@ -108,6 +125,17 @@ def main(argv=None) -> None:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
 
+    print("Shared pass (_shared_sampled over every random-sample check):")
+    for samples in (50, args.rows):
+        parts, n_samples = _shared_parts(samples)
+        blocks = len(experiments._blocks(n_samples))
+        total_s, faults = _steady(lambda: experiments._shared_sampled(args.seed, 0, n_samples, parts), args.repeats)
+        per_block = f"{total_s / blocks * 1e3:.2f} ms, {faults / blocks:.1f} minflt per block"
+        print(f"  samples={samples}: {blocks} block(s), {per_block}")
+
+    round_s, faults = _steady(lambda: experiments.run_conjecture_test(2500, master_seed=args.seed), args.repeats)
+    print(f"\nConjecture round (run_conjecture_test(2500)): {round_s * 1e3:.2f} ms, {faults:.1f} minflt per round")
+
     table = []
     for check in experiments._SUITE:
         if not check.scaled:
@@ -118,28 +146,18 @@ def main(argv=None) -> None:
         reduce_s = _median_s(lambda: _reduce(rows, reduce), args.repeats)
         per_sample = reduce_s / args.rows
         table.append((check.name, draw_s / args.rows * 1e6, per_sample * 1e6, per_sample * check.samples))
-    print(f"Each check alone on {args.rows} rows at seed {args.seed}:")
+    print(f"\nEach check alone on {args.rows} rows at seed {args.seed}:")
     print("| check | draw µs/sample | reduce µs/sample | full-scale reduce s |")
     print("|---|---|---|---|")
     for name, draw_us, reduce_us, full_s in sorted(table, key=lambda row: -row[3]):
         print(f"| `{name}` | {draw_us:.1f} | {reduce_us:.1f} | {full_s:.3f} |")
     print(f"Reduces alone at full scale: {sum(row[3] for row in table):.2f} s")
 
-    print("\nShared pass (_shared_sampled over every random-sample check):")
-    for samples in (50, args.rows):
-        parts, n_samples = _shared_parts(samples)
-        blocks = len(experiments._blocks(n_samples))
-        total_s = _median_s(lambda: experiments._shared_sampled(args.seed, 0, n_samples, parts), args.repeats)
-        print(f"  samples={samples}: {blocks} block(s), {total_s / blocks * 1e3:.2f} ms per block")
-
     print(f"\nLayers, {LAYER_STATES} states at seed {args.seed}:")
     for name, fn in _layers(args.seed):
-        fn()
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        run_s = _median_s(lambda: _calls(fn), args.repeats)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        run_s, faults = _steady(lambda: _calls(fn), args.repeats)
         per_state = run_s / LAYER_CALLS / LAYER_STATES * 1e6
-        print(f"  {name}: {per_state:.3f} µs/state, {faults / (LAYER_CALLS * args.repeats):.1f} minflt/call")
+        print(f"  {name}: {per_state:.3f} µs/state, {faults / LAYER_CALLS:.1f} minflt/call")
 
     print("\nGrid checks, ms per call:")
     for check in experiments._SUITE:

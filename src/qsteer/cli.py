@@ -3,7 +3,7 @@
 Subcommands: ``analyze`` a state file, regenerate the ``fig1``/``fig2``
 sweep data, run the ``conjecture`` search, run the invariant ``suite``, or
 print the ``counterexample`` regression numbers.  Exit codes: 0 success, 1
-suite/invariant failure, 2 usage or validation error.
+suite/invariant failure, 2 usage, validation or allocation error.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (StateValidationError, ValueError) as exc:
+    except (StateValidationError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

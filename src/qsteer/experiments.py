@@ -12,14 +12,14 @@ import atexit
 import math
 from dataclasses import asdict, dataclass
 from functools import cache, partial
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import channels, ellipsoid, monogamy, states
 from .channels import _KRAUS_WIDTH
-from .states import _draw_separable, _partial_trace_arr, sample_streams
+from .states import _draw_separable, _partial_trace_arr
 
 __all__ = [
     "DEFAULT_SEED",
@@ -121,8 +121,22 @@ def _chunked_values(fn: Callable, n_samples: int, master_seed: int, workers: int
     return np.concatenate(_chunks(fn, n_samples, master_seed, workers))
 
 
-def _normals(rng: np.random.Generator, row: np.ndarray) -> None:
-    rng.standard_normal(out=row)
+# A draw fills a row as ``draw(rng, out=row)``; this one is numpy's own C method, so no Python frame runs per row.
+_normals = np.random.Generator.standard_normal
+
+
+def _row_drawer(master_seed: int, start: int, stop: int, draw: Callable) -> Callable[[int, list], None]:
+    """``fill(lo, rows)``: ``draw`` each of ``rows`` from the stream of its sample, ``lo`` onwards, in [start, stop)."""
+    rng, key, rekey = states._rekeyed(master_seed, start, stop)
+    draw_into = partial(draw, rng)
+
+    def fill(lo: int, rows: list) -> None:
+        for i, row in zip(range(lo, lo + len(rows)), rows):
+            key[0] = i
+            rekey()
+            draw_into(out=row)
+
+    return fill
 
 
 class _Stacks:
@@ -164,7 +178,7 @@ def _shared_sampled(
 ) -> tuple[list[np.ndarray], list[Exception | None]]:
     """Values over [start, stop) and first exceptions of random-sample checks ``(count, width, reduce, draw)``.
 
-    Check k covers samples [0, count_k).  ``draw_k(rng, row)`` fills the
+    Check k covers samples [0, count_k).  ``draw_k(rng, out=row)`` fills the
     first ``width_k`` floats of sample i's row from its stream;
     ``reduce_k(block, stack)`` maps a block of at most _BLOCK rows, a view
     of their first ``width_k`` floats, to their values, reading the block's
@@ -191,16 +205,16 @@ def _shared_sampled(
         widths = [(end, max(checks[k][1] for k in group if checks[k][0] >= end)) for end in ends]
         group_stop = min(stop, ends[-1])
         rows = np.empty((min(_BLOCK, group_stop - start), widths[0][1]))
-        streams = sample_streams(master_seed, start, group_stop)
+        # Each width's row views, made once: every block reuses ``rows``.
+        views = {width: list(rows[:, :width]) for _, width in widths}
+        fill = _row_drawer(master_seed, start, group_stop, draw)
         for lo in range(start, group_stop, _BLOCK):
             hi = min(lo + _BLOCK, group_stop)
             seg_lo = lo
             for end, width in widths:
                 n = min(end, hi) - seg_lo
                 if n > 0:
-                    seg_rows = rows[:, :width]
-                    for i, rng in islice(streams, n):
-                        draw(rng, seg_rows[i - lo])
+                    fill(seg_lo, views[width][seg_lo - lo : seg_lo - lo + n])
                     seg_lo += n
             stacks = _Stacks(rows)
             for k in group:
@@ -644,10 +658,10 @@ def _max_volume_codes(theta) -> np.ndarray:
     )
 
 
-def _draw_wclass(rng, row: np.ndarray) -> None:
+def _draw_wclass(rng, out: np.ndarray) -> None:
     """random(), which times pi/2 is bit for bit uniform(0, pi/2), then the normals of three Haar 2x2 unitaries."""
-    row[0] = rng.random()
-    rng.standard_normal(out=row[1:])
+    out[0] = rng.random()
+    rng.standard_normal(out=out[1:])
 
 
 def _wclass_kets(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

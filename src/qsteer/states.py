@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache
-from typing import Iterable, Iterator, Sequence, Union
+from functools import cache, partial
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -97,33 +97,31 @@ def sample_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(_seed_word(master_seed) << 64) | index))
 
 
-def sample_streams(master_seed: int, start: int, stop: int) -> Iterator[tuple[int, np.random.Generator]]:
-    """Yield ``(i, rng)`` for i in [start, stop), each rng bit-identical to ``sample_rng(master_seed, i)``.
+def _rekeyed(master_seed: int, start: int, stop: int) -> tuple[np.random.Generator, list[int], Callable[[], None]]:
+    """One reused generator for samples [start, stop) of ``master_seed``, its key and its re-key.
 
-    One Philox generator is re-keyed for each index through its ``state``
-    setter, so ``rng`` is valid only until the next iteration.  The state
-    dict is built once from plain Python ints (counter 0, an empty buffer,
-    key ``[i, w]``) and only ``key[0]`` changes per index: the setter
-    converts Python ints about three times faster than uint64 array entries.
-    Indices must lie in [0, 2**32).
+    After ``key[0] = i``, ``rekey()`` makes the generator bit for bit ``sample_rng(master_seed, i)``: it sets
+    the Philox ``state`` to one dict of plain Python ints (counter 0, an empty buffer, key ``[i, w]``), which
+    the setter converts about 2.5 times faster than uint64 array entries.  Indices must lie in [0, 2**32).
     """
     start, stop = _integer("start", start), _integer("stop", stop)
     if start < 0 or stop > 2**32:
         raise ValueError(f"sample indices [{start}, {stop}) must lie in [0, 2**32)")
-    key = [0, _seed_word(master_seed)]
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    bit_gen = np.random.Philox(0)
-    rng = np.random.Generator(bit_gen)
+    key, bit_gen = [0, _seed_word(master_seed)], np.random.Philox(0)
+    state = {"counter": [0, 0, 0, 0], "key": key}
+    fresh = dict(bit_generator="Philox", state=state, buffer=[0, 0, 0, 0], buffer_pos=4, has_uint32=0, uinteger=0)
+    return np.random.Generator(bit_gen), key, partial(setattr, bit_gen, "state", fresh)
+
+
+def sample_streams(master_seed: int, start: int, stop: int) -> Iterator[tuple[int, np.random.Generator]]:
+    """Yield ``(i, rng)`` for i in [start, stop), rng bit for bit ``sample_rng(master_seed, i)`` until the next.
+
+    One generator is re-keyed for each index (``_rekeyed``).  Indices must lie in [0, 2**32).
+    """
+    rng, key, rekey = _rekeyed(master_seed, start, stop)
     for i in range(start, stop):
         key[0] = i
-        bit_gen.state = fresh
+        rekey()
         yield i, rng
 
 
@@ -716,19 +714,19 @@ def _separable_width(max_terms: int) -> int:
     return 1 + 9 * max_terms
 
 
-def _draw_separable(rng: np.random.Generator, row: np.ndarray) -> None:
-    """Fill ``row`` with the draws of :func:`random_separable_two_qubit`, in its order, zero-padded.
+def _draw_separable(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` with the draws of :func:`random_separable_two_qubit`, in its order, zero-padded.
 
-    The term count is uniform on 1 up to the row's capacity, ``(len(row) - 1) // 9``.
+    The term count is uniform on 1 up to the row's capacity, ``(len(out) - 1) // 9``.
     The weight slots hold the exponentials that ``dirichlet(ones(terms))`` draws
     (numpy's gamma(1) is the exponential); :func:`_separable_arr` normalizes them.
     """
-    most = (len(row) - 1) // 9
+    most = (len(out) - 1) // 9
     terms = int(rng.integers(1, most + 1))
-    row.fill(0.0)
-    row[0] = terms
-    rng.standard_exponential(out=row[1 : 1 + terms])
-    rng.standard_normal(out=row[1 + most : 1 + most + 8 * terms])
+    out.fill(0.0)
+    out[0] = terms
+    rng.standard_exponential(out=out[1 : 1 + terms])
+    rng.standard_normal(out=out[1 + most : 1 + most + 8 * terms])
 
 
 def _separable_arr(rows: np.ndarray) -> np.ndarray:

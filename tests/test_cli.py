@@ -249,6 +249,14 @@ class TestSweepCommands:
         assert row["volume_closed_form"] == pytest.approx(0.25, abs=1e-6)
         assert row["residual"] < 1e-7
 
+    @pytest.mark.parametrize("command", ["fig1", "fig2"])
+    def test_grid_too_large_to_allocate_exits_2(self, capsys, command):
+        # Exit 1 is kept for a failed suite.  numpy refuses the first 711 PiB grid column at once.
+        assert main([command, "--grid", "100000000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate") and "Traceback" not in captured.err
+
     def test_fig2_bad_epsilons(self, capsys):
         assert main(["fig2", "--epsilons", "0,zero"]) == 2
         assert "epsilons" in capsys.readouterr().err

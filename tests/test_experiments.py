@@ -6,7 +6,7 @@ import sys
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -375,6 +375,28 @@ def _exit_worker(master_seed: int, start: int, stop: int) -> np.ndarray:
     os._exit(1)
 
 
+def _own_draw(draw: Callable, master_seed: int, index: int, width: int) -> np.ndarray:
+    """Sample ``index``'s row at ``width`` from a fresh ``sample_rng``: its normals, or its check's own draw."""
+    rng, row = states.sample_rng(master_seed, index), np.empty(width)
+    if draw is experiments._normals:
+        rng.standard_normal(out=row)
+    else:
+        assert draw in (states._draw_separable, experiments._draw_wclass)
+        draw(rng, row)
+    return row
+
+
+@cache
+def _normals_index(master_seed: int, count: int, width: int) -> dict[bytes, int]:
+    return {_own_draw(experiments._normals, master_seed, i, width).tobytes(): i for i in range(count)}
+
+
+def _own_row_index(master_seed: int, count: int, draws: np.ndarray, stack: Callable) -> np.ndarray:
+    """A reduce that also runs in worker processes: the sample in [0, count) whose own normals each row is, or -1."""
+    index = _normals_index(master_seed, count, draws.shape[1])
+    return np.array([index.get(row.tobytes(), -1) for row in draws], dtype=float)
+
+
 class TestBatchedChecks:
     def test_every_random_sample_check_has_a_reference(self):
         grids = {"noisy_w_closed_form", "ghz_family_mapping", "counterexample_regression"}
@@ -493,6 +515,38 @@ class TestSharedNormals:
         for check, count, got in zip(SHARED_CHECKS, counts, values):
             want = check.fn(12345, 300, count) if count > 300 else np.empty(0)
             assert got.tobytes() == want.tobytes(), check.name
+
+    @pytest.mark.parametrize("start", [300, 40])
+    def test_each_row_is_its_samples_own_draw(self, start):
+        # From mid-block, past or across the 57 end and over the 256 block boundary to the 570 end.
+        counts = [_scaled_count(check, SHARED_SCALE) for check in SHARED_CHECKS]
+        recorded = [[] for _ in SHARED_CHECKS]
+
+        def recording(k):
+            def reduce(draws, stack):
+                recorded[k].append(draws.copy())
+                return np.zeros(len(draws))
+
+            return reduce
+
+        keywords = [check.fn.keywords for check in SHARED_CHECKS]
+        parts = tuple((n, kw["width"], recording(k), kw["draw"]) for k, (n, kw) in enumerate(zip(counts, keywords)))
+        assert _shared_sampled(12345, start, SHARED_SCALE, parts)[1] == [None] * len(parts)
+        for (count, width, _, draw), blocks, check in zip(parts, recorded, SHARED_CHECKS):
+            rows = np.concatenate(blocks) if blocks else np.empty((0, width))
+            assert rows.shape == (max(0, count - start), width), check.name
+            for i, row in enumerate(rows, start):
+                assert row.tobytes() == _own_draw(draw, 12345, i, width).tobytes(), (check.name, i)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_conjecture_row_is_its_samples_own_normals(self, monkeypatch, workers):
+        # The patched reduce reaches the workers with the check; the spy sees every value it returns.
+        values, chunked = [], experiments._chunked_values
+        monkeypatch.setattr(experiments, "_chunked_values", lambda *args: values.append(chunked(*args)) or values[-1])
+        monkeypatch.setitem(_pure4_correlation_lhs.keywords, "reduce", partial(_own_row_index, 31, 600))
+        assert run_conjecture_test(600, master_seed=31, workers=workers).samples == 600
+        (got,) = values
+        assert got.tobytes() == np.arange(600.0).tobytes()
 
     @pytest.mark.parametrize(
         "name", ["polygon_inequality", "mixed5_mean_volume", "wclass_saturation", "separable_volume_bound"]
@@ -978,7 +1032,7 @@ class TestPropertySuite:
         fn = CHECKS["sampled_state_validity"].fn
         rows = np.empty((500, fn.keywords["width"]))
         for i, rng in sample_streams(master_seed, 0, 500):
-            fn.keywords["draw"](rng, rows[i])
+            fn.keywords["draw"](rng, out=rows[i])
         validated = []
         monkeypatch.setattr(states, "_validate_arr", lambda data, tol: validated.append(np.array(data)))
         fn.keywords["reduce"](rows, experiments._Stacks(rows).reader(500))

@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # One row per kernel of the per-sample path, in print order.
 LAYERS = [
+    "re-key only",
     "re-key and draw 32 normals",
     "_haar_arr, 4 qubits",
     "_induced_arr, 3 of 6 qubits",

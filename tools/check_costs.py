@@ -3,17 +3,20 @@
     PYTHONPATH=src python tools/check_costs.py [--rows 2000] [--seed 7] [--repeats 5]
 
 Each random-sample check runs alone on ``--rows`` samples: its draw column
-times re-keying each sample's stream and drawing its row, its reduce column
-times the reduce on the pre-drawn rows, block by block, each block with its
-own stack cache (so the check builds every state stack it reads).  Rows are
+times the shared pass's own per-sample loop (``_row_drawer``: re-key each
+sample's stream and draw its row), its reduce column times the reduce on
+the pre-drawn rows, block by block, each block with its own stack cache
+(so the check builds every state stack it reads).  Rows are
 sorted by reduce cost; the full-scale column is the reduce at the check's
 10^4-scale sample count.  The shared pass is ``_shared_sampled`` over all
 the checks at two suite scales, per block of at most 256 samples: 50 (the
 benchmark's ``suite`` round, one block) and ``--rows``.  The conjecture row
 is one ``run_conjecture_test(2500)`` round, the benchmark's ``conjecture``
 round, at ``--seed``.  The layer rows time each kernel of the per-sample
-path on one stack of 256 states drawn at ``--seed``, per state.  The shared
-pass, the conjecture round and the layers also give their minor page faults
+path on one stack of 256 states drawn at ``--seed``, per state; the draw
+rows run the pass's loop over one block, and "re-key only" is its stream
+setup alone, the floor under each row's draw.  The shared pass, the
+conjecture round and the layers also give their minor page faults
 (``ru_minflt``) in steady state: counted over the timed runs, after one
 warm-up run.  The shared pass and the conjecture round run first, as in a
 fresh ``qsteer suite`` or ``conjecture`` process: how often a block faults
@@ -35,7 +38,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads Open
 import numpy as np  # noqa: E402
 
 from qsteer import channels, ellipsoid, experiments, monogamy, states  # noqa: E402
-from qsteer.states import sample_streams  # noqa: E402
 
 #: States per layer call: one block of the shared pass and of the conjecture.
 LAYER_STATES = 256
@@ -61,8 +63,8 @@ def _steady(fn, repeats: int) -> tuple[float, float]:
 
 
 def _draw(rows: np.ndarray, draw, seed: int) -> None:
-    for i, rng in sample_streams(seed, 0, len(rows)):
-        draw(rng, rows[i])
+    """The shared pass's per-sample loop: re-key each sample's stream and draw its row."""
+    experiments._row_drawer(seed, 0, len(rows), draw)(0, list(rows))
 
 
 def _reduce(rows: np.ndarray, reduce) -> None:
@@ -83,12 +85,16 @@ def _shared_parts(samples: int) -> tuple[tuple, int]:
 def _layers(seed: int) -> list[tuple[str, object]]:
     """(name, call) of each per-sample kernel on one stack of ``LAYER_STATES`` states drawn at ``seed``."""
     normals = np.empty((LAYER_STATES, 32))
+    views = list(normals)
+    fill = experiments._row_drawer(seed, 0, LAYER_STATES, experiments._normals)
+    _, key, rekey = states._rekeyed(seed, 0, LAYER_STATES)
 
-    def rekey_draw() -> None:
-        for i, rng in sample_streams(seed, 0, LAYER_STATES):
-            rng.standard_normal(out=normals[i])
+    def rekey_only() -> None:
+        for i in range(LAYER_STATES):
+            key[0] = i
+            rekey()
 
-    rekey_draw()
+    fill(0, views)
     kets4 = states._haar_arr(normals)
     kets3 = states._haar_arr(normals[:, :16])
     hub4, hub3 = [(0, 1), (0, 2), (0, 3)], [(0, 1), (0, 2)]
@@ -99,7 +105,8 @@ def _layers(seed: int) -> list[tuple[str, object]]:
     abT = ellipsoid._steering_abT(pairs, 0)
     sups = [channels.isotropic_channel(0.1).superoperator] * 3
     return [
-        ("re-key and draw 32 normals", rekey_draw),
+        ("re-key only", rekey_only),
+        ("re-key and draw 32 normals", lambda: fill(0, views)),
         ("_haar_arr, 4 qubits", lambda: states._haar_arr(normals)),
         ("_induced_arr, 3 of 6 qubits", lambda: states._induced_arr(kets6, 3)),
         ("_reduced_arr pure, 4-qubit hub pairs", lambda: states._reduced_arr(kets4, 4, hub4, True)),

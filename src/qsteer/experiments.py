@@ -362,8 +362,10 @@ def _ghz_columns(grid_steps: int) -> tuple[np.ndarray, ...]:
     grid_steps = states._integer("grid_steps", grid_steps)
     if grid_steps < 2:
         raise ValueError("grid_steps must be >= 2")
+    alpha = np.empty(grid_steps * grid_steps)  # first, so that a grid too large is refused before any work
     angles = _open_grid(grid_steps, math.pi / 2.0)
-    alpha, beta = np.repeat(angles, grid_steps), np.tile(angles, grid_steps)
+    alpha.reshape(grid_steps, grid_steps)[...] = angles[:, None]
+    beta = np.tile(angles, grid_steps)
     x_pred, y_pred, v_b, v_c = (np.empty(alpha.size) for _ in range(4))
     # Each block builds its own kets, so no column of kets spans the grid.
     for block in _blocks(alpha.size):

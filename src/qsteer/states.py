@@ -339,18 +339,12 @@ def _densities(kets: np.ndarray) -> np.ndarray:
 
 
 def _partial_trace_arr(mat: np.ndarray, keep: Sequence[int], n_qubits: int) -> np.ndarray:
-    """Reduce the trailing (2**n, 2**n) axes of ``mat``; leading axes are a batch."""
-    batch = mat.shape[:-2]
-    tensor = mat.reshape(batch + (2,) * (2 * n_qubits))
-    # Tying a qubit's column axis to its row axis traces that qubit out.
-    col = [n_qubits + q if q in keep else q for q in range(n_qubits)]
-    reduced = np.einsum(tensor, [..., *range(n_qubits), *col], [..., *keep, *[n_qubits + q for q in keep]])
-    d = 2 ** len(keep)
-    return reduced.reshape(batch + (d, d))
+    """Reduce the trailing (2**n, 2**n) axes of ``mat`` onto ``keep``; leading axes are a batch."""
+    return _reduced_arr(mat, n_qubits, [keep])[0]
 
 
 @cache
-def _ket_gather(n_qubits: int, subsets: tuple[tuple[int, ...], ...]) -> np.ndarray:
+def _trace_gather(n_qubits: int, subsets: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Basis index of each (traced, subset, kept) configuration, shape (T, S, d).
 
     Kept configurations run big-endian over the subset in its given order,
@@ -367,27 +361,25 @@ def _ket_gather(n_qubits: int, subsets: tuple[tuple[int, ...], ...]) -> np.ndarr
 
 
 def _reduced_arr(data: np.ndarray, n_qubits: int, subsets: Sequence[Sequence[int]], pure: bool = False) -> np.ndarray:
-    """Reduced states on each qubit list of ``subsets``, stacked on a new leading axis; then the batch of ``data``.
+    """Reduced states on each equal-size qubit list of ``subsets``, on a new leading axis; then the batch of ``data``.
 
     ``data`` holds kets (..., 2**n) if ``pure``, else densities (..., 2**n, 2**n): 2**n kets have the
-    shape of one density.  The density trace is looked up at call time, so that ``benchmarks/tracer.py``,
-    which rebinds module names, sees every call.
-
-    Kets are traced without forming |psi><psi|, bit for bit ``_partial_trace_arr(_densities(kets), ...)``:
-    one gather puts the amplitudes of every subset batch-last as (T, S, d, B), one broadcast product
-    makes every term (T, S, d, d, B), and the T traced configurations are added in C order starting
-    from zero, as einsum adds them.  With nothing traced einsum only permutes axes, so no sum starts
-    from zero to turn -0.0 into 0.0, and the product is the result.  The result stays batch-last in
-    memory: the (S,) + batch + (d, d) array is a view of the (S, d, d, B) buffer, which the Pauli
-    gather of :func:`_signed_terms` reads in place.
+    shape of one density.  One gather of :func:`_trace_gather` indices makes every term batch-last as
+    (T, S, d, d, B): density entries, or products of gathered amplitudes, so a ket is traced without
+    forming |psi><psi|.  The T traced configurations are added in C order starting from zero, which
+    turns -0.0 into 0.0; with nothing traced the term is the result.  These are the bits of the einsum
+    trace of the densities.  The result stays batch-last in memory: the (S,) + batch + (d, d) array is
+    a view of the (S, d, d, B) buffer, which the Pauli gather of :func:`_signed_terms` reads in place.
     """
-    if not pure:
-        return np.stack([_partial_trace_arr(data, keep, n_qubits) for keep in subsets])
-    batch = data.shape[:-1]
-    idx = _ket_gather(n_qubits, tuple(tuple(keep) for keep in subsets))
+    idx = _trace_gather(n_qubits, tuple(tuple(keep) for keep in subsets))
     n_traced, n_subsets, d = idx.shape
-    amps = data.reshape(-1, 2**n_qubits).T[idx]
-    terms = amps[:, :, :, None] * amps.conj()[:, :, None]
+    if pure:
+        batch = data.shape[:-1]
+        amps = data.reshape(-1, 2**n_qubits).T[idx]
+        terms = amps[:, :, :, None] * amps.conj()[:, :, None]
+    else:
+        batch = data.shape[:-2]
+        terms = data.reshape((-1,) + data.shape[-2:]).transpose(1, 2, 0)[idx[..., :, None], idx[..., None, :]]
     out = terms[0]
     if n_traced > 1:
         out = np.zeros(out.shape, dtype=complex)
@@ -568,6 +560,7 @@ def pauli_coefficient(rho: StateLike, labels: Sequence[int]) -> float:
 
 def _purity_arr(mat: np.ndarray):
     """Tr[rho^2] of the trailing (d, d) axes of ``mat``; leading axes are a batch."""
+    mat = np.ascontiguousarray(mat)  # einsum rounds by operand layout; read every layout as a C-order copy
     return np.einsum("...ij,...ji->...", mat, mat).real
 
 

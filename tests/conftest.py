@@ -14,10 +14,21 @@ def random_single_qubit_density(rng):
     return mat / np.trace(mat)
 
 
+def _ref_partial_trace_arr(mat: np.ndarray, keep, n_qubits: int) -> np.ndarray:
+    """The einsum density trace that ``states._reduced_arr`` replaced, verbatim (as ``_partial_trace_arr``)."""
+    batch = mat.shape[:-2]
+    tensor = mat.reshape(batch + (2,) * (2 * n_qubits))
+    # Tying a qubit's column axis to its row axis traces that qubit out.
+    col = [n_qubits + q if q in keep else q for q in range(n_qubits)]
+    reduced = np.einsum(tensor, [..., *range(n_qubits), *col], [..., *keep, *[n_qubits + q for q in keep]])
+    d = 2 ** len(keep)
+    return reduced.reshape(batch + (d, d))
+
+
 def _ref_ket_trace(kets: np.ndarray, keep, n_qubits: int) -> np.ndarray:
     """The one-subset ket trace that ``states._reduced_arr`` replaced, verbatim (as ``_ket_trace_arr``).
 
-    Bit for bit ``_partial_trace_arr(_densities(kets), keep, n_qubits)``
+    Bit for bit ``_ref_partial_trace_arr(states._densities(kets), keep, n_qubits)``
     without forming |psi><psi|: the same products, added over the traced
     configurations in the same C order, starting from zero.
     """

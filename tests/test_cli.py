@@ -249,13 +249,23 @@ class TestSweepCommands:
         assert row["volume_closed_form"] == pytest.approx(0.25, abs=1e-6)
         assert row["residual"] < 1e-7
 
-    @pytest.mark.parametrize("command", ["fig1", "fig2"])
-    def test_grid_too_large_to_allocate_exits_2(self, capsys, command):
-        # Exit 1 is kept for a failed suite.  numpy refuses the first 711 PiB grid column at once.
-        assert main([command, "--grid", "100000000000000000"]) == 2
+    @pytest.mark.parametrize(
+        "command, grid, error",
+        [
+            # numpy refuses the first grid-sized column at once: fig1's 10**16-point grid, fig2's 711 PiB p column.
+            ("fig1", "100000000", "error: Unable to allocate 71.1 PiB"),
+            ("fig2", "100000000000000000", "error: Unable to allocate 711. PiB"),
+            # A 10**34-point fig1 grid has more entries than numpy can index.
+            ("fig1", "100000000000000000", "error: Maximum allowed dimension exceeded"),
+        ],
+        ids=["fig1", "fig2", "fig1-unindexable"],
+    )
+    def test_grid_too_large_to_allocate_exits_2(self, capsys, command, grid, error):
+        # Exit 1 is kept for a failed suite.
+        assert main([command, "--grid", grid]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: Unable to allocate") and "Traceback" not in captured.err
+        assert captured.err.startswith(error) and "Traceback" not in captured.err
 
     def test_fig2_bad_epsilons(self, capsys):
         assert main(["fig2", "--epsilons", "0,zero"]) == 2

@@ -896,6 +896,14 @@ class TestGhzSweep:
             tracemalloc.stop()
         assert peak < 1.5 * sum(column.nbytes for column in columns)
 
+    def test_grid_that_cannot_be_allocated_is_refused_before_the_angles(self, monkeypatch):
+        # A 10**16-point grid (80 PB) exceeds any address space; its angle column alone would be 800 MB.
+        calls = []
+        monkeypatch.setattr(experiments, "_open_grid", lambda *args: calls.append(args))
+        with pytest.raises(MemoryError):
+            experiments._ghz_columns(10**8)
+        assert calls == []
+
 
 def _noisy_w_numeric_per_epsilon(p_grid, epsilons) -> np.ndarray:
     """The numeric volumes of ``_noisy_w_columns`` as it computed them one strength at a time."""

@@ -39,7 +39,7 @@ from qsteer.states import (
     random_pure_state,
 )
 
-from conftest import _ref_ket_trace, random_single_qubit_density
+from conftest import _ref_ket_trace, _ref_partial_trace_arr, random_single_qubit_density
 
 COUNTEREXAMPLE_SQRT_LHS = 2.0 * math.sqrt(8.0 / 27.0)  # = 1.08866...
 
@@ -479,7 +479,7 @@ def _factors(rng, n, count=40):
 
 
 def _ref_hub_volumes(mat: np.ndarray, n: int, hub: int, trace=None) -> list[np.ndarray]:
-    trace = trace or states._partial_trace_arr
+    trace = trace or _ref_partial_trace_arr
     return [
         ellipsoid._volume_from_abT(*ellipsoid._steering_abT(trace(mat, [hub, other], n), 0))
         for other in range(n)
@@ -488,14 +488,14 @@ def _ref_hub_volumes(mat: np.ndarray, n: int, hub: int, trace=None) -> list[np.n
 
 
 def _ref_corr_strength(mat: np.ndarray, n: int, pair, trace=None):
-    T = states._spin_corr_arr((trace or states._partial_trace_arr)(mat, list(pair), n))
+    T = states._spin_corr_arr((trace or _ref_partial_trace_arr)(mat, list(pair), n))
     return np.sum(T * T, axis=(-2, -1))
 
 
 def _ref_bloch_norms_sq(mat: np.ndarray, n: int, qubits) -> np.ndarray:
     out = np.empty((len(qubits),) + mat.shape[:-2])
     for k, q in enumerate(qubits):
-        a = states._bloch_arr(states._partial_trace_arr(mat, [q], n))
+        a = states._bloch_arr(_ref_partial_trace_arr(mat, [q], n))
         out[k] = (a[..., None, :] @ a[..., :, None])[..., 0, 0]
     return out
 

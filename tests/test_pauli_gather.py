@@ -12,6 +12,8 @@ import pytest
 from qsteer import ellipsoid, monogamy, states
 from qsteer.states import PAULIS, PAULIS_WITH_ID, _PAULI_PAIRS
 
+from conftest import _ref_partial_trace_arr
+
 SHAPES = [(), (1,), (5,), (256,), (3, 5)]
 
 
@@ -44,8 +46,8 @@ def _ref_pauli_coefficient(mat: np.ndarray, labels) -> float:
 
 def _ref_steering_abT(mat: np.ndarray, steering_qubit: int):
     """The einsum (a, b, T), plus the 1 - |a|^2 of ``ellipsoid._gamma`` that ``_steering_abT`` returns with them."""
-    a = _ref_bloch_arr(states._partial_trace_arr(mat, [steering_qubit], 2))
-    b = _ref_bloch_arr(states._partial_trace_arr(mat, [1 - steering_qubit], 2))
+    a = _ref_bloch_arr(_ref_partial_trace_arr(mat, [steering_qubit], 2))
+    b = _ref_bloch_arr(_ref_partial_trace_arr(mat, [1 - steering_qubit], 2))
     T = _ref_spin_corr_arr(mat)
     if steering_qubit == 1:
         T = np.swapaxes(T, -1, -2)
@@ -67,8 +69,13 @@ def _matrices(shape: tuple, seed: int, scale: int = 0, d: int = 4) -> np.ndarray
     return mat
 
 
+# einsum's output strides follow its input, which is never batch-last, so this
+# layout's strides are pinned to those of the contiguous case: _sum_terms makes both.
+BATCH_LAST = "batch-last trace"
+
+
 def _layouts(shape: tuple, seed: int, scale: int = 0):
-    """The same kind of stack: contiguous, transposed, sliced, and as a partial trace's output."""
+    """The same kind of stack: contiguous (first), transposed, sliced, and as an einsum or a gather trace's output."""
     yield "contiguous", _matrices(shape, seed, scale)
     yield "transposed", np.swapaxes(_matrices(shape, seed, scale), -1, -2)
     yield "sliced", _matrices(shape + (2,), seed, scale)[..., 1, :, :]
@@ -76,7 +83,8 @@ def _layouts(shape: tuple, seed: int, scale: int = 0):
     wide = np.zeros(shape + (8, 8), dtype=complex)
     wide[..., ::2, ::2] = _matrices(shape, seed, scale)
     wide[..., 1::2, 1::2] = _matrices(shape, seed + 1, scale)
-    yield "partial trace", states._partial_trace_arr(wide, [0, 1], 3)
+    yield "partial trace", _ref_partial_trace_arr(wide, [0, 1], 3)
+    yield BATCH_LAST, states._partial_trace_arr(wide, [0, 1], 3)
 
 
 def _assert_same(got, want):
@@ -91,7 +99,9 @@ def test_spin_correlation_matches_einsum(shape):
         for layout, mat in _layouts(shape, seed):
             got, want = states._spin_corr_arr(mat), _ref_spin_corr_arr(mat)
             _assert_same(got, want)
-            assert got.strides[-2:] == want.strides[-2:], layout
+            if layout == "contiguous":
+                contiguous = want
+            assert got.strides[-2:] == (contiguous if layout == BATCH_LAST else want).strides[-2:], layout
 
 
 @pytest.mark.parametrize("steering_qubit", [0, 1])
@@ -103,8 +113,11 @@ def test_steering_abT_matches_einsum(shape, steering_qubit):
             want = _ref_steering_abT(mat, steering_qubit)
             for g, w in zip(got, want):
                 _assert_same(g, w)
-            assert [g.strides[-1] for g in got[:3]] == [w.strides[-1] for w in want[:3]], layout
-            assert got[2].strides[-2:] == want[2].strides[-2:], layout
+            if layout == "contiguous":
+                contiguous = want
+            pin = contiguous if layout == BATCH_LAST else want
+            assert [g.strides[-1] for g in got[:3]] == [w.strides[-1] for w in pin[:3]], layout
+            assert got[2].strides[-2:] == pin[2].strides[-2:], layout
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)

@@ -38,7 +38,7 @@ from qsteer.states import (
     spin_correlation_matrix,
 )
 
-from conftest import _ref_ket_trace, random_single_qubit_density
+from conftest import _ref_ket_trace, _ref_partial_trace_arr, random_single_qubit_density
 
 # Exact 4x4 entries of (2/3)|psi-><psi-| + (1/3) 1/4, used as the oracle for
 # several reductions below.
@@ -418,6 +418,20 @@ class TestBatchedKernels:
         for idx in np.ndindex(3, 2):
             np.testing.assert_array_equal(stacked[idx], states._bloch_arr(mats[idx]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_purity_of_every_layout_is_that_of_its_contiguous_copy(self, rng, n):
+        # einsum rounds by operand layout: read in place, a Fortran or batch-last stack changes the last bits.
+        mats = np.stack([random_mixed_state(n, seed=rng).matrix for _ in range(12)]).reshape(3, 4, 2**n, 2**n)
+        want = states._purity_arr(mats)
+        layouts = {
+            "fortran": np.asfortranarray(mats),
+            "batch-transposed": np.ascontiguousarray(np.swapaxes(mats, 0, 1)).swapaxes(0, 1),
+            "batch-last": np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, (0, 1), (-2, -1))), (-2, -1), (0, 1)),
+        }
+        for layout, stack in layouts.items():
+            assert not stack.flags.c_contiguous, layout
+            assert states._purity_arr(stack).tobytes() == want.tobytes(), layout
+
     def test_spin_correlation_stack_matches_each_matrix(self, rng):
         mats = np.stack([random_mixed_state(2, seed=rng).matrix for _ in range(20)])
         stacked = states._spin_corr_arr(mats)
@@ -426,18 +440,32 @@ class TestBatchedKernels:
             np.testing.assert_array_equal(T, states._spin_corr_arr(mat))
 
 
-class TestKetTrace:
-    """The ket trace of ``_reduced_arr`` equals the partial trace of the built densities bit for bit."""
+# (1024,) batches only up to 4 qubits, where a sweep of every ordered subset stays quick.
+_BATCHES = [(), (1,), (7,), (256,), (1024,), (3, 5)]
 
-    @pytest.mark.parametrize("batch", [(), (1,), (7,), (256,), (3, 5)], ids=str)
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+
+def _sweep(ns):
+    return [(n, batch) for n in ns for batch in _BATCHES if batch != (1024,) or n <= 4]
+
+
+def _subsets(n, size):
+    """Every ordered subset of ``size`` qubits up to 4 qubits; above that, each subset ascending and descending."""
+    if n <= 4:
+        return list(itertools.permutations(range(n), size))
+    return [c[::step] for c in itertools.combinations(range(n), size) for step in (1, -1)]
+
+
+class TestKetTrace:
+    """The ket trace of ``_reduced_arr`` equals the einsum trace of the built densities bit for bit."""
+
+    @pytest.mark.parametrize("n, batch", _sweep([2, 3, 4, 5]), ids=str)
     def test_every_keep_permutation_matches_density_trace(self, rng, n, batch):
         kets = states._haar_arr(rng.standard_normal(batch + (2 ** (n + 1),)))
         mats = states._densities(kets)
         for size in range(1, n + 1):
             for keep in itertools.permutations(range(n), size):
                 got = states._reduced_arr(kets, n, [keep], pure=True)[0]
-                want = states._partial_trace_arr(mats, list(keep), n)
+                want = _ref_partial_trace_arr(mats, list(keep), n)
                 assert got.shape == want.shape == batch + (2**size, 2**size)
                 # tobytes() tells -0.0 from 0.0, which array equality does not.
                 assert got.tobytes() == want.tobytes(), keep
@@ -450,10 +478,9 @@ class TestKetTrace:
         for size in range(1, n + 1):
             for keep in itertools.permutations(range(n), size):
                 got = states._reduced_arr(kets, n, [keep], pure=True)[0]
-                assert got.tobytes() == states._partial_trace_arr(states._densities(kets), list(keep), n).tobytes()
+                assert got.tobytes() == _ref_partial_trace_arr(states._densities(kets), list(keep), n).tobytes()
 
-    @pytest.mark.parametrize("batch", [(), (1,), (7,), (256,), (3, 5)], ids=str)
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n, batch", _sweep([1, 2, 3, 4, 5, 6]), ids=str)
     def test_every_subset_stack_matches_reference_and_density_trace(self, rng, n, batch):
         haar = states._haar_arr(rng.standard_normal(batch + (2 ** (n + 1),)))
         # Exact zeros of either sign, as in GHZ- and W-type kets.
@@ -461,25 +488,21 @@ class TestKetTrace:
         for kets in (haar, parts[0] + 1j * parts[1]):
             mats = states._densities(kets)
             for size in range(1, n + 1):
-                # Every ordered subset up to 4 qubits; above that, each subset ascending and descending.
-                if n <= 4:
-                    subsets = list(itertools.permutations(range(n), size))
-                else:
-                    subsets = [c[::step] for c in itertools.combinations(range(n), size) for step in (1, -1)]
+                subsets = _subsets(n, size)
                 got = states._reduced_arr(kets, n, subsets, pure=True)
                 assert got.shape == (len(subsets),) + batch + (2**size, 2**size)
                 # A view of the batch-last (S, d, d) + batch buffer that the Pauli gather reads in place.
                 assert np.moveaxis(got, (-2, -1), (1, 2)).flags.c_contiguous
                 for keep, reduced in zip(subsets, got):
                     assert reduced.tobytes() == _ref_ket_trace(kets, list(keep), n).tobytes(), keep
-                    assert reduced.tobytes() == states._partial_trace_arr(mats, list(keep), n).tobytes(), keep
+                    assert reduced.tobytes() == _ref_partial_trace_arr(mats, list(keep), n).tobytes(), keep
 
 
 class TestReducedStack:
-    """_reduced_arr of kets equals _reduced_arr of their densities bit for bit."""
+    """_reduced_arr of kets equals _reduced_arr of their densities, and both the einsum trace, bit for bit."""
 
     # At (2**n,) a ket stack has the shape of one density matrix, so only ``pure`` tells them apart.
-    @pytest.mark.parametrize("batch", [(), (1,), (5,), (3, 4), "2**n"], ids=str)
+    @pytest.mark.parametrize("batch", [(), (1,), (5,), (1024,), (3, 4), "2**n"], ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_ket_stack_matches_density_stack(self, rng, n, batch):
         batch = (2**n,) if batch == "2**n" else batch
@@ -492,7 +515,38 @@ class TestReducedStack:
             assert got.shape == want.shape == (len(subsets),) + batch + (2**size, 2**size)
             assert got.tobytes() == want.tobytes()
             for keep, reduced in zip(subsets, want):
-                assert reduced.tobytes() == states._partial_trace_arr(mats, keep, n).tobytes(), keep
+                assert reduced.tobytes() == _ref_partial_trace_arr(mats, keep, n).tobytes(), keep
+
+    # Batches of 256 or more only up to 3 qubits, where seven layouts of every ordered subset stay quick.
+    @pytest.mark.parametrize(
+        "n, batch", [(n, batch) for n, batch in _sweep([1, 2, 3, 4, 5, 6]) if n <= 3 or np.prod(batch) < 256], ids=str
+    )
+    def test_density_stack_matches_einsum_trace_in_every_layout(self, rng, n, batch):
+        mats = states._densities(states._haar_arr(rng.standard_normal(batch + (2 ** (n + 1),))))
+        # Exact zeros of either sign, as in GHZ- and W-type densities, in every entry.
+        parts = [rng.choice([0.0, -0.0, 1.0, -0.5], size=mats.shape) for _ in range(2)]
+        wide = np.zeros(mats.shape[:-1] + (2 * 2**n,), dtype=complex)
+        wide[..., ::2] = mats
+        read_only = mats.copy()
+        read_only.setflags(write=False)
+        stacks = {
+            "contiguous": mats,
+            "signed zeros": parts[0] + 1j * parts[1],
+            "sliced": wide[..., ::2],
+            "conj-transposed": np.swapaxes(mats, -1, -2).conj(),
+            "fortran": np.asfortranarray(mats),
+            "batch-last": np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1))), (0, 1), (-2, -1)),
+            "read-only": read_only,
+        }
+        for size in range(1, n + 1):
+            subsets = _subsets(n, size)
+            for layout, stack in stacks.items():
+                got = states._reduced_arr(stack, n, subsets)
+                for keep, reduced in zip(subsets, got):
+                    want = _ref_partial_trace_arr(stack, list(keep), n)
+                    assert reduced.shape == want.shape, (layout, keep)
+                    # tobytes() tells -0.0 from 0.0, which array equality does not.
+                    assert reduced.tobytes() == want.tobytes(), (layout, keep)
 
 
 # --- references: the single-matrix forms that the batch kernels replaced, verbatim ---

@@ -19,6 +19,7 @@ LAYERS = [
     "_reduced_arr pure, 4-qubit hub pairs",
     "ket trace + T, 4-qubit hub pairs",
     "ket trace + (a, b, T), 3-qubit hub pairs",
+    "_reduced_arr, 4-qubit hub pairs of densities",
     "_reduced_arr, 3-qubit pair (0, 1)",
     "_abT_arr",
     "_volume_from_abT",

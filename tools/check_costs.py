@@ -97,6 +97,7 @@ def _layers(seed: int) -> list[tuple[str, object]]:
     fill(0, views)
     kets4 = states._haar_arr(normals)
     kets3 = states._haar_arr(normals[:, :16])
+    dens4 = states._densities(kets4)
     hub4, hub3 = [(0, 1), (0, 2), (0, 3)], [(0, 1), (0, 2)]
     # Three system and three ancilla qubits: induced mixed 3-qubit states.
     kets6 = states._haar_arr(np.random.default_rng(seed).standard_normal((LAYER_STATES, 128)))
@@ -112,6 +113,7 @@ def _layers(seed: int) -> list[tuple[str, object]]:
         ("_reduced_arr pure, 4-qubit hub pairs", lambda: states._reduced_arr(kets4, 4, hub4, True)),
         ("ket trace + T, 4-qubit hub pairs", lambda: states._spin_corr_arr(states._reduced_arr(kets4, 4, hub4, True))),
         ("ket trace + (a, b, T), 3-qubit hub pairs", lambda: states._abT_arr(states._reduced_arr(kets3, 3, hub3, True))),
+        ("_reduced_arr, 4-qubit hub pairs of densities", lambda: states._reduced_arr(dens4, 4, hub4)),
         ("_reduced_arr, 3-qubit pair (0, 1)", lambda: states._reduced_arr(mixed3, 3, [(0, 1)])),
         ("_abT_arr", lambda: states._abT_arr(pairs)),
         ("_volume_from_abT", lambda: ellipsoid._volume_from_abT(*abT)),

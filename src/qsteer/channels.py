@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from .ellipsoid import normalized_volume
 from .states import (
     DEFAULT_TOL,
-    PAULIS,
+    PAULIS_WITH_ID,
     QuantumState,
     SeedLike,
     StateLike,
@@ -123,10 +122,15 @@ def isotropic_channel(epsilon: float) -> KrausChannel:
     """
     epsilon = _real("epsilon", epsilon)
     _check_range("epsilon", epsilon, 0.0 <= epsilon <= 1.0, "[0, 1]")
-    ops = [math.sqrt(1.0 - 0.75 * epsilon) * np.eye(2, dtype=complex)]
-    if epsilon > 0.0:
-        ops.extend(math.sqrt(epsilon / 4.0) * PAULIS[j] for j in range(3))
-    return KrausChannel(tuple(ops))
+    ops = _isotropic_kraus_arr(np.array(epsilon))
+    return KrausChannel(tuple(ops if epsilon > 0.0 else ops[:1]))  # at eps = 0, the identity alone
+
+
+def _isotropic_kraus_arr(epsilon: np.ndarray) -> np.ndarray:
+    """Kraus stacks (..., 4, 2, 2) of :func:`isotropic_channel` at strengths ``epsilon`` in [0, 1]; at
+    eps = 0 its zero Pauli operators add +0.0 to sums that are never -0.0, leaving the identity's."""
+    weights = np.sqrt(np.stack([1.0 - 0.75 * epsilon, *[epsilon / 4.0] * 3], axis=-1))
+    return weights[..., None, None] * PAULIS_WITH_ID
 
 
 def random_channel(seed: SeedLike = None) -> KrausChannel:

@@ -399,7 +399,7 @@ def _noisy_w_columns(p_grid: Sequence[float] | None, epsilons: Sequence[float] |
             raise ValueError(f"{name} must not be empty")
     closed = channels._noisy_w_volume_arr(p, eps[:, None])
     kets = monogamy._w_family_arr(p)
-    noises = [[channels.isotropic_channel(float(strength)).superoperator] * 3 for strength in eps]
+    noises = [[noise] * 3 for noise in channels._superoperator_arr(channels._isotropic_kraus_arr(eps))]
     numeric = np.empty(closed.shape)
     for block in _blocks(p.size):
         # One density stack per block of p, under each strength's shared channel; then one trace

@@ -2,11 +2,10 @@
 
 All floats are printed with 12 significant digits so that identical inputs
 produce byte-identical output files.  JSON has no representation for
-non-finite values; they are emitted as null (CSV keeps "inf"/"-inf").
-Tables are formatted column by column: one column formatter per format
-decides how each column converts (see ``_json_column``, ``_csv_column``).
-A float64 array column whose cells mostly repeat is formatted once per
-distinct bit pattern (see ``_float_column``): the same bits always print the
+non-finite values; they are emitted as null (CSV keeps "inf"/"-inf").  A
+table decides once how its floats convert (``_table``): each distinct bit
+pattern converts once when at most half of its float64 cells are distinct,
+else floats convert in a % row template.  The same bits always print the
 same text, so the bytes are those of the cell-by-cell conversion.
 """
 
@@ -15,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import repeat
 from typing import Any, Sequence
 
 import numpy as np
@@ -59,74 +59,62 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def _column_values(column: Sequence) -> tuple[list, type | None]:
-    """The Python scalars of a column and their common type (None if they differ or there are none)."""
-    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    kinds = set(map(type, values))
-    return values, kinds.pop() if len(kinds) == 1 else None
-
-
-def _float_column(column: np.ndarray) -> tuple[str, list]:
-    """A float64 column's spec and values: its floats for the template, or, when at
-    most half its bit patterns are distinct, finished cells converted once per pattern.
+def _pattern_cells(arrays: list[np.ndarray], json: bool) -> list[list[str]] | None:
+    """The cells of equal-length float64 arrays, each distinct bit pattern converted once
+    (null if non-finite, for ``json``), or None when over half of the cells are distinct.
 
     Bits, not values, are compared, so -0.0 and each NaN payload keep a cell of their own.
     """
-    bits = column.view(np.uint64)
+    bits = np.concatenate([array.view(np.uint64) for array in arrays])
     ordered = np.sort(bits)
     first = np.ones(len(bits), dtype=bool)  # first of its run in sorted order
     first[1:] = ordered[1:] != ordered[:-1]
     distinct = ordered[first]
     if 2 * len(distinct) > len(bits):
-        return _FLOAT, column.tolist()
-    cells = np.array([_FLOAT % value for value in distinct.view(np.float64).tolist()], dtype=object)
-    return "%s", cells[np.searchsorted(distinct, bits)].tolist()
+        return None
+    values = distinct.view(np.float64)
+    text = np.array((",".join([_FLOAT] * len(values)) % tuple(values.tolist())).split(","), dtype=object)
+    if json:
+        text[~np.isfinite(values)] = "null"
+    # Each cell's index in ``distinct``; an argsort is faster than a searchsorted for it.
+    pattern = np.empty(len(bits), dtype=np.intp)
+    pattern[np.argsort(bits)] = np.cumsum(first) - 1
+    return text[pattern.reshape(len(arrays), -1)].tolist()
 
 
-def _is_float64(column: Sequence) -> bool:
-    return isinstance(column, np.ndarray) and column.dtype == np.float64
+def _table(fields: Sequence[str], columns: Sequence[Sequence], cell, json: bool) -> tuple[tuple, tuple]:
+    """The % conversion of each column of a table and the values it converts.
 
-
-# A column formatter returns the % conversion of the column's cells and the
-# values it converts: the floats themselves for a float column, which a row
-# template then formats in one C-level call per row, or else finished cells.
-
-
-def _json_column(column: Sequence) -> tuple[str, list]:
-    """JSON column formatter: finite floats convert in the template, any other cell by ``_json_scalar``."""
-    if _is_float64(column) and np.isfinite(column).all():
-        return _float_column(column)
-    values, kind = _column_values(column)
-    if kind is float and all(map(math.isfinite, values)):
-        return _FLOAT, values
-    return "%s", list(map(_json_scalar, values))
-
-
-def _csv_column(column: Sequence) -> tuple[str, list]:
-    """CSV column formatter: floats convert in the template, any other cell by ``_csv_cell``."""
-    if _is_float64(column):
-        return _float_column(column)
-    values, kind = _column_values(column)
-    if kind is float:
-        return _FLOAT, values
-    return "%s", list(map(_csv_cell, values))
-
-
-def _rows(formatter, fields: Sequence[str], columns: Sequence[Sequence], template) -> list[str]:
-    """One line per row: ``template(specs)`` is the row's % template, filled from ``columns``.
-
-    No columns is a table of no rows; otherwise there must be one column per
-    field, all of one length.
+    There must be one column per field, all of one length.  The table decides
+    once: if ``_pattern_cells`` finishes its float64 arrays, every column is
+    finished cells ("%s"), any other by ``cell``.  Otherwise a float column
+    (all finite, for ``json``) converts in the row template, "%.12g" over its
+    floats, one C-level call per row, and any other column cell by cell.
     """
-    if not columns:
-        return []
-    if len(columns) != len(fields):
+    if columns and len(columns) != len(fields):
         raise ValueError(f"table needs one column per field: {len(fields)} fields, {len(columns)} columns")
     lengths = sorted(set(map(len, columns)))
     if len(lengths) > 1:
         raise ValueError(f"table columns have unequal lengths {lengths}")
-    specs, values = zip(*map(formatter, columns))
-    return list(map(template(specs).__mod__, zip(*values)))
+    is_float64 = [isinstance(column, np.ndarray) and column.dtype == np.float64 for column in columns]
+    arrays = [column for column, array in zip(columns, is_float64) if array]
+    shared = _pattern_cells(arrays, json) if arrays and lengths[0] else None
+    finished = iter(shared or ())
+    specs, values = [], []
+    for column, array in zip(columns, is_float64):
+        if shared and array:
+            specs.append("%s")
+            values.append(next(finished))
+            continue
+        scalars = column.tolist() if isinstance(column, np.ndarray) else list(column)
+        templated = shared is None and (array or set(map(type, scalars)) == {float})
+        if templated and (not json or np.isfinite(column if array else scalars).all()):
+            specs.append(_FLOAT)
+            values.append(scalars)
+        else:
+            specs.append("%s")
+            values.append(list(map(cell, scalars)))
+    return tuple(specs), tuple(values)
 
 
 def _emit(obj: Any, out: list, indent: int) -> None:
@@ -150,8 +138,7 @@ def _emit(obj: Any, out: list, indent: int) -> None:
         # Flat numeric lists stay on one line; anything nested gets one
         # element per line.
         if all(isinstance(x, (int, float, bool)) or x is None for x in obj):
-            spec, cells = _json_column(obj)
-            out.append(("[" + ", ".join([spec] * len(cells)) + "]") % tuple(cells))
+            out.append("[" + ", ".join(map(_json_scalar, obj)) + "]")
             return
         pad = "  " * indent
         out.append("[\n")
@@ -178,20 +165,26 @@ def columns_to_json(fields: Sequence[str], columns: Sequence[Sequence]) -> str:
     ``columns`` are equal-length sequences (numpy arrays or lists), one per
     field; the text is byte for byte that of ``dumps`` on the rows.
     """
-    # A literal % in a field name must not act as a conversion.
-    keys = [_encode_str(str(name)).replace("%", "%%") for name in fields]
-
-    def template(specs):
-        return "  {\n" + ",\n".join(f"    {key}: {spec}" for key, spec in zip(keys, specs)) + "\n  }"
-
-    rows = _rows(_json_column, fields, columns, template)
+    # The text before each column's cell, "  {\n    key: " or ",\n    key: ", and after the last.
+    seps = [("," if i else "  {") + f"\n    {_encode_str(str(name))}: " for i, name in enumerate(fields)] + ["\n  }"]
+    specs, values = _table(fields, columns, _json_scalar, True)
+    if values and set(specs) <= {"%s"}:
+        # Rows of finished cells join with the separators: a "%s" template is three times slower.
+        parts = [part for sep, cells in zip(seps, values) for part in (repeat(sep), cells)]
+        rows = list(map("".join, zip(*parts, repeat(seps[-1]))))
+    else:
+        # A literal % in a field name must not act as a conversion.
+        template = "".join(sep.replace("%", "%%") + spec for sep, spec in zip(seps, specs)) + seps[-1]
+        rows = list(map(template.__mod__, zip(*values)))
     return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
 def columns_to_csv(fields: Sequence[str], columns: Sequence[Sequence]) -> str:
     """Header plus one line per row of the equal-length ``columns``, one per field."""
-    lines = [",".join(map(_csv_cell, fields)), *_rows(_csv_column, fields, columns, ",".join)]
-    return "\n".join(lines) + "\n"
+    specs, values = _table(fields, columns, _csv_cell, False)
+    # Rows of finished cells join as they are: "%s,%s" % cells is the same text, made more slowly.
+    row = ",".join if set(specs) <= {"%s"} else ",".join(specs).__mod__
+    return "\n".join([",".join(map(_csv_cell, fields)), *map(row, zip(*values))]) + "\n"
 
 
 def rows_to_csv(rows: Sequence[dict]) -> str:

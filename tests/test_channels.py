@@ -105,6 +105,20 @@ class TestIsotropicChannel:
         with pytest.raises(ValueError):
             isotropic_channel(eps)
 
+    def test_stacked_superoperators_match_each_channel(self):
+        # fig2 builds all its strengths as one Kraus stack; each must be the bits of the
+        # textbook channel, which at eps = 0 is the identity operator alone.
+        eps = np.array([0.0, 1e-300, 0.001, 0.005, 0.01, 0.1, 0.3333, 0.5, 1.0])
+        stack = channels._superoperator_arr(channels._isotropic_kraus_arr(eps))
+        for e, sup in zip(eps.tolist(), stack):
+            ops = [math.sqrt(1.0 - 0.75 * e) * np.eye(2, dtype=complex)]
+            ops += [math.sqrt(e / 4.0) * pauli for pauli in states.PAULIS] if e > 0.0 else []
+            textbook = KrausChannel(tuple(ops))
+            channel = isotropic_channel(e)
+            assert sup.tobytes() == textbook.superoperator.tobytes() == channel.superoperator.tobytes()
+            assert len(channel.operators) == len(ops)
+            assert channel.to_dict() == textbook.to_dict()
+
     @pytest.mark.parametrize("eps", [np.array([0.1]), np.array([0.1, 0.2]), [0.1]])
     def test_scalar_only(self, eps):
         with pytest.raises(TypeError, match="epsilon must be a real scalar"):

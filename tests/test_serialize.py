@@ -194,9 +194,9 @@ def test_format_float_matches_reference_on_random_bit_patterns():
     assert list(map(format_float, values)) == list(map(_ref_format_float, values))
 
 
-# --- float64 columns that mostly repeat are formatted once per distinct bit pattern ---
+# --- a table whose float64 cells mostly repeat converts once per distinct bit pattern ---
 
-# -0.0 and 0.0, NaNs with different payloads and signs, +-inf, subnormals and 1e22.
+# -0.0 and 0.0, NaNs with different payloads and signs, +-inf, subnormals and 1e23.
 POOL_BITS = [
     0x8000000000000000,
     0x0000000000000000,
@@ -208,7 +208,7 @@ POOL_BITS = [
     0xFFF0000000000000,
     0x0000000000000001,
     0x000FFFFFFFFFFFFF,
-    0x44B52D02C7E14AF6,  # 1e22
+    0x44B52D02C7E14AF6,  # 1e23
     0x3FB999999999999A,  # 0.1
 ]
 FINITE_POOL = [0, 1, 8, 9, 10, 11]
@@ -218,8 +218,10 @@ def _pool_column(indices) -> np.ndarray:
     return np.array([POOL_BITS[i] for i in indices], dtype=np.uint64).view(np.float64)
 
 
-def _cached(column) -> bool:
-    return serialize._float_column(column)[0] == "%s"
+def _takes_patterns(columns) -> bool:
+    """Whether a table converts its float64 array cells once per distinct bit pattern."""
+    arrays = [column for column in columns if isinstance(column, np.ndarray) and column.dtype == np.float64]
+    return serialize._pattern_cells(arrays, False) is not None
 
 
 def _assert_matches_references(fields, columns):
@@ -234,18 +236,28 @@ def _assert_matches_references(fields, columns):
     st.lists(st.sampled_from(FINITE_POOL), min_size=2 * len(POOL_BITS), max_size=60),
 )
 def test_repeating_float_columns_match_reference(pool_indices, finite_indices):
-    # JSON takes the cache only for an all-finite column.
     length = min(len(pool_indices), len(finite_indices))
     columns = [_pool_column(pool_indices[:length]), _pool_column(finite_indices[:length])]
-    # Every column has at most half as many distinct patterns as cells, so each takes the cache.
-    assert all(map(_cached, columns))
+    # The table holds at most 12 distinct patterns in at least 48 cells.
+    assert _takes_patterns(columns)
     _assert_matches_references(["a", "b"], columns)
 
 
 def test_cache_keeps_each_bit_pattern_apart():
     column = _pool_column([0, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5])
-    assert serialize._float_column(column) == ("%s", ["-0", "0", "-0", "0"] + ["nan"] * 8)
+    assert serialize._pattern_cells([column], False) == [["-0", "0", "-0", "0"] + ["nan"] * 8]
+    assert serialize._pattern_cells([column], True) == [["-0", "0", "-0", "0"] + ["null"] * 8]
     _assert_matches_references(["v"], [column])
+
+
+def test_columns_sharing_bit_patterns_share_their_text():
+    a = _pool_column([11, 10, 0, 1, 11, 10])
+    cells = serialize._pattern_cells([a, a[::-1].copy(), a[:3].repeat(2)], False)
+    assert cells[0] == ["0.1", "1e+23", "-0", "0", "0.1", "1e+23"]
+    assert cells[1] == cells[0][::-1] and cells[2] == ["0.1", "0.1", "1e+23", "1e+23", "-0", "-0"]
+    # One conversion per pattern: every cell of a pattern is the same text object.
+    assert len({id(cell) for column in cells for cell in column}) == 4
+    _assert_matches_references(["a", "reversed", "repeated"], [a, a[::-1].copy(), a[:3].repeat(2)])
 
 
 @pytest.mark.parametrize("index", range(len(POOL_BITS)))
@@ -257,16 +269,19 @@ def test_strided_views_match_reference():
     # analyze passes the columns of a (pairs, 3) array, *center.T.
     center = np.repeat(np.random.default_rng(3).standard_normal((5, 3)), 4, axis=0)
     columns = [*center.T, center[::-1, 1]]
-    assert all(map(_cached, columns))
+    assert _takes_patterns(columns)
     _assert_matches_references(["x", "y", "z", "reversed"], columns)
+    assert _takes_patterns([center[::2, 0], center[::2, 2]])
     _assert_matches_references(["even_x", "even_z"], [center[::2, 0], center[::2, 2]])
+    assert not _takes_patterns([center[::4, 0], center[::4, 2]])
+    _assert_matches_references(["x", "z"], [center[::4, 0], center[::4, 2]])
 
 
 def test_other_columns_keep_the_template_path(monkeypatch):
-    def refuse(column):
+    def refuse(arrays, json):
         raise AssertionError("only float64 arrays are deduplicated")
 
-    monkeypatch.setattr(serialize, "_float_column", refuse)
+    monkeypatch.setattr(serialize, "_pattern_cells", refuse)
     repeats = [0.1, -0.0, 0.1, 0.0] * 5
     columns = [
         np.array(repeats, dtype=np.float32),
@@ -279,11 +294,60 @@ def test_other_columns_keep_the_template_path(monkeypatch):
     assert dumps(repeats) == _ref_dumps(repeats)
 
 
-@pytest.mark.parametrize("distinct, cached", [(5, True), (6, False)])
-def test_half_rule(distinct, cached):
-    column = np.arange(10.0) % distinct
-    assert _cached(column) is cached
-    _assert_matches_references(["v"], [column])
+def test_other_columns_do_not_count_toward_the_half_rule():
+    # 2 distinct float64 cells in 20 take the patterns side; the float32 and list
+    # columns, all distinct, neither count nor stop it, and are formatted cell by cell.
+    distinct = np.random.default_rng(4).standard_normal(20)
+    columns = [np.arange(20.0) % 2, distinct.astype(np.float32), distinct.tolist(), np.arange(20)]
+    assert _takes_patterns(columns)
+    _assert_matches_references(["repeats", "f32", "list", "int"], columns)
+
+
+@pytest.mark.parametrize(
+    "columns, patterns",
+    [
+        ([np.arange(10.0) % 5, 5.0 + np.arange(10.0) % 5], True),  # 10 distinct of 20 cells: exactly half
+        ([np.arange(10.0) % 6, np.arange(9.0, -1.0, -1.0) % 6], True),  # 6 of 10 in each column, 6 of 20 in all
+        ([np.zeros(10), 1.0 + np.arange(10.0) % 9], True),  # 1 + 9 of 20
+        ([np.zeros(10), 1.0 + np.arange(10.0)], False),  # 1 + 10 of 20: the repeating column alone would dedupe
+        ([np.arange(10.0) % 6], False),  # 6 of 10
+    ],
+)
+def test_half_rule(columns, patterns):
+    # The table decides from the distinct patterns of all its float64 cells, not column by column.
+    assert _takes_patterns(columns) is patterns
+    _assert_matches_references([f"c{k}" for k in range(len(columns))], columns)
+
+
+@st.composite
+def _mixed_tables(draw):
+    """Columns of POOL_BITS float64 cells, strided views of a (rows, 3) array, float32, int, bool and lists."""
+    rows = draw(st.integers(1, 24))
+    pool = st.lists(st.integers(0, len(POOL_BITS) - 1), min_size=rows, max_size=rows)
+    wide = _pool_column(draw(st.lists(st.integers(0, len(POOL_BITS) - 1), min_size=3 * rows, max_size=3 * rows)))
+    kinds = st.sampled_from(["float64", "strided", "float32", "int", "bool", "list"])
+    columns = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if kind == "float64":
+            columns.append(_pool_column(draw(pool)))
+        elif kind == "strided":
+            columns.append(wide.reshape(rows, 3)[:, draw(st.integers(0, 2))])
+        elif kind == "float32":
+            with np.errstate(invalid="ignore"):  # a signalling NaN raises the invalid flag as it narrows
+                columns.append(_pool_column(draw(pool)).astype(np.float32))
+        elif kind == "int":
+            columns.append(np.array(draw(st.lists(st.integers(-3, 3), min_size=rows, max_size=rows))))
+        elif kind == "bool":
+            columns.append(np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows))))
+        else:
+            columns.append(_pool_column(draw(pool)).tolist())
+    return columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_tables())
+def test_mixed_tables_match_reference_on_either_side(columns):
+    _assert_matches_references([f"c{k}" for k in range(len(columns))], columns)
 
 
 def test_non_finite_json_column_with_repeats_matches_reference():

@@ -1,4 +1,4 @@
-"""Per-check cost of the invariant suite: draw and reduce µs/sample, and the shared pass per block.
+"""Per-check cost of the invariant suite (draw and reduce µs/sample, shared pass per block) and of the table writers.
 
     PYTHONPATH=src python tools/check_costs.py [--rows 2000] [--seed 7] [--repeats 5]
 
@@ -21,28 +21,40 @@ conjecture round and the layers also give their minor page faults
 warm-up run.  The shared pass and the conjecture round run first, as in a
 fresh ``qsteer suite`` or ``conjecture`` process: how often a block faults
 depends on what the process allocated before it.  Grid checks are timed
-per call.  Times are medians of ``--repeats`` runs in this process, with
-one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set.
+per call.  The table rows time ``serialize.columns_to_csv`` or
+``columns_to_json`` on the tables the CLI writes (fig1, fig2, and
+``analyze --format csv`` of a mixed 5-qubit state drawn at ``--seed``) and
+on a table of distinct floats, per cell; each names the side its table
+takes: "patterns" when at most half of its float64 cells are distinct, so
+each distinct bit pattern converts once, else "template".  Times are
+medians of ``--repeats`` runs in this process, with one BLAS thread unless
+``OPENBLAS_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import resource
 import statistics
+import tempfile
 import time
+from unittest import mock
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads OpenBLAS
 
 import numpy as np  # noqa: E402
 
-from qsteer import channels, ellipsoid, experiments, monogamy, states  # noqa: E402
+from qsteer import channels, cli, ellipsoid, experiments, monogamy, serialize, states  # noqa: E402
 
 #: States per layer call: one block of the shared pass and of the conjecture.
 LAYER_STATES = 256
 #: Calls per timed layer run.
 LAYER_CALLS = 20
+#: Calls per timed table run.
+TABLE_CALLS = 5
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -122,9 +134,43 @@ def _layers(seed: int) -> list[tuple[str, object]]:
     ]
 
 
-def _calls(fn) -> None:
-    for _ in range(LAYER_CALLS):
+def _calls(fn, calls: int = LAYER_CALLS) -> None:
+    for _ in range(calls):
         fn()
+
+
+def _analyze_table(seed: int) -> tuple[list, list]:
+    """The fields and columns ``qsteer analyze --format csv`` writes for a mixed 5-qubit state drawn at ``seed``."""
+    tables = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(states.random_mixed_state(5, seed=seed).to_dict(), fh)
+        with mock.patch.object(serialize, "columns_to_csv", lambda *table: tables.append(table) or ""):
+            cli.main(["analyze", "--input", path, "--format", "csv", "--output", os.devnull])
+    return tables[0]
+
+
+def _tables(seed: int) -> list[tuple[str, object, list, list]]:
+    """(name, writer, fields, columns) of each timed table."""
+    fig1 = [f.name for f in dataclasses.fields(experiments.GhzSweepRow)], experiments._ghz_columns(50)
+    fig2_columns = experiments._noisy_w_columns(experiments._open_grid(100, 1.0), None)
+    fig2 = [f.name for f in dataclasses.fields(experiments.NoisyWSweepRow)], fig2_columns
+    distinct = [f"c{k}" for k in range(6)], list(np.random.default_rng(seed).random((6, 5000)))
+    return [
+        ("fig1 --grid 50, CSV", serialize.columns_to_csv, *fig1),
+        ("fig1 --grid 50, JSON", serialize.columns_to_json, *fig1),
+        ("fig2 --grid 100, JSON", serialize.columns_to_json, *fig2),
+        ("fig2 --grid 100, CSV", serialize.columns_to_csv, *fig2),
+        ("analyze, mixed 5 qubits, CSV", serialize.columns_to_csv, *_analyze_table(seed)),
+        ("5000 x 6 distinct, CSV", serialize.columns_to_csv, *distinct),
+        ("5000 x 6 distinct, JSON", serialize.columns_to_json, *distinct),
+    ]
+
+
+def _side(columns, json: bool) -> str:
+    arrays = [column for column in columns if isinstance(column, np.ndarray) and column.dtype == np.float64]
+    return "template" if serialize._pattern_cells(arrays, json) is None else "patterns"
 
 
 def main(argv=None) -> None:
@@ -167,6 +213,13 @@ def main(argv=None) -> None:
         run_s, faults = _steady(lambda: _calls(fn), args.repeats)
         per_state = run_s / LAYER_CALLS / LAYER_STATES * 1e6
         print(f"  {name}: {per_state:.3f} µs/state, {faults / LAYER_CALLS:.1f} minflt/call")
+
+    print(f"\nTables at seed {args.seed}, per cell:")
+    for name, writer, fields, columns in _tables(args.seed):
+        run_s, _ = _steady(lambda: _calls(lambda: writer(fields, columns), TABLE_CALLS), args.repeats)
+        cells = len(columns) * len(columns[0])
+        side = _side(columns, writer is serialize.columns_to_json)
+        print(f"  {name}: {run_s / TABLE_CALLS / cells * 1e6:.4f} µs/cell, {side}, {cells} cells")
 
     print("\nGrid checks, ms per call:")
     for check in experiments._SUITE:

@@ -92,9 +92,9 @@ class SteeringEllipsoid:
 
     def to_dict(self) -> dict:
         return {
-            "center": [float(x) for x in self.center],
-            "Q": [[float(x) for x in row] for row in self.orientation],
-            "semiaxes": [float(x) for x in self.semiaxes],
+            "center": np.asarray(self.center, dtype=float).tolist(),
+            "Q": np.asarray(self.orientation, dtype=float).tolist(),
+            "semiaxes": np.asarray(self.semiaxes, dtype=float).tolist(),
             "volume": float(self.normalized_volume),
             "degenerate": bool(self.degenerate),
         }

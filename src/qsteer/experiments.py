@@ -47,8 +47,10 @@ _NEAR_MISS_GAP = 1e-3
 _DEFAULT_EPSILONS = (0.0, 0.001, 0.005, 0.01)
 
 # Samples or grid points the batched kernels (conjecture search, invariant
-# suite, figure sweeps) reduce together.  256 already amortizes the per-call overhead; larger blocks only
-# raise peak memory (one block of 2,500 samples added about 5 MB).
+# suite, figure sweeps) reduce together.  256 amortizes most of the per-call
+# overhead, not all of it: fig1's columns (_ghz_columns(50)) took 6.16 ms at
+# 256, 5.71 at 512 and 9.87 at 2,500 (one block), with peaks of 0.8, 1.5 and
+# 6.4 MB (tracemalloc; medians of 40 interleaved runs on one AVX-512 core).
 _BLOCK = 256
 
 
@@ -366,15 +368,18 @@ def _ghz_columns(grid_steps: int) -> tuple[np.ndarray, ...]:
     angles = _open_grid(grid_steps, math.pi / 2.0)
     alpha.reshape(grid_steps, grid_steps)[...] = angles[:, None]
     beta = np.tile(angles, grid_steps)
-    x_pred, y_pred, v_b, v_c = (np.empty(alpha.size) for _ in range(4))
-    # Each block builds its own kets, so no column of kets spans the grid.
+    # Every factor and prediction is a function of one or two of the grid_steps angles.
+    sin_t, cos_t, cos_2t = monogamy._ghz_factors("grid angle", angles)
+    x_pred, y_pred = (p.ravel() for p in monogamy._ghz_predictions(cos_2t[:, None], cos_2t))
+    volumes = np.empty((2, alpha.size))
+    # Each block gathers its factors and builds its own kets, so no column of kets spans the grid.
     for block in _blocks(alpha.size):
-        kets, x_pred[block], y_pred[block] = monogamy._ghz_family_arr(alpha[block], beta[block])
-        v_b[block], v_c[block] = monogamy._hub_volumes(kets, 3, 0, pure=True)
-    return (
-        alpha, beta, v_b, v_c, x_pred, y_pred,
-        np.abs(v_b - x_pred), np.abs(v_c - y_pred), monogamy._relation_sums([v_b, v_c])["sqrt_lhs"],
-    )
+        i_alpha, i_beta = np.divmod(np.arange(block.start, block.stop), grid_steps)
+        kets = monogamy._ghz_kets(sin_t[i_alpha], cos_t[i_alpha], sin_t[i_beta], cos_t[i_beta])
+        volumes[:, block] = monogamy._hub_volumes(kets, 3, 0, pure=True)
+    v_b, v_c = volumes
+    residuals = np.abs(v_b - x_pred), np.abs(v_c - y_pred)
+    return alpha, beta, v_b, v_c, x_pred, y_pred, *residuals, monogamy._sqrt_lhs(volumes)
 
 
 def sweep_noisy_w(
@@ -409,7 +414,7 @@ def _noisy_w_columns(p_grid: Sequence[float] | None, epsilons: Sequence[float] |
         numeric[:, block] = ellipsoid._volume_arr(_partial_trace_arr(noisy, [0, 1], 3))
     return (
         np.tile(p, eps.size), np.repeat(eps, p.size), closed.ravel(), numeric.ravel(),
-        np.abs(closed - numeric).ravel(), monogamy._relation_sums([numeric, numeric])["sqrt_lhs"].ravel(),
+        np.abs(closed - numeric).ravel(), monogamy._sqrt_lhs([numeric, numeric]).ravel(),
     )
 
 
@@ -583,7 +588,7 @@ def _monogamy_sum_margins(
 ) -> np.ndarray:
     """``bound`` + _TOL minus the ``MonogamyReport`` field ``lhs`` of each row's hub-0 volumes."""
     volumes = stack(_pure_hub_volumes if pure else _mixed_hub_volumes, n_qubits)
-    return bound + _TOL - monogamy._relation_sums(volumes.T)[lhs]
+    return bound + _TOL - monogamy._RELATION_SUMS[lhs](volumes.T)
 
 
 def _relation(n_qubits: int, pure: bool, lhs: str, bound: float) -> partial:
@@ -635,7 +640,7 @@ def _tangle_volume_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
     tangle = monogamy._three_tangle_arr(kets)
     (a2,) = monogamy._bloch_norms_sq(mat, 3, (0,))
     # The pure3_sqrt_volume_monogamy row's volumes: traced from the kets, with the densities' bits.
-    lhs = monogamy._relation_sums(stack(_pure_hub_volumes, 3).T)["sqrt_lhs"]
+    lhs = monogamy._sqrt_lhs(stack(_pure_hub_volumes, 3).T)
     return tangle - (1.0 - a2) * (1.0 - lhs) + _TOL
 
 
@@ -677,7 +682,7 @@ def _wclass_kets(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _wclass_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
     theta, vec = _wclass_kets(draws)
     mat = states._densities(vec)
-    lhs = monogamy._relation_sums(monogamy._hub_volumes(mat, 3, 0))["sqrt_lhs"]
+    lhs = monogamy._sqrt_lhs(monogamy._hub_volumes(mat, 3, 0))
     margin = _SATURATION_TOL - np.abs(lhs - 1.0)
     monogamy._check_pure_arr(mat)
     return np.where(monogamy._slocc_codes(vec) == _max_volume_codes(theta), margin, -1.0)
@@ -698,7 +703,7 @@ def _channel_monotonicity_margins(draws: np.ndarray, stack: Callable) -> np.ndar
 
 def _noisy_pure3_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
     noisy = _noisy(stack(_pure_states, 3), draws[:, _pure_width(3) :], 3)
-    return 1.0 + _TOL - monogamy._relation_sums(monogamy._hub_volumes(noisy, 3, 0))["sqrt_lhs"]
+    return 1.0 + _TOL - monogamy._sqrt_lhs(monogamy._hub_volumes(noisy, 3, 0))
 
 
 def _inv_noisy_w_closed_form(master_seed: int, start: int, stop: int) -> np.ndarray:

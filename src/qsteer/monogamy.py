@@ -101,26 +101,36 @@ class MonogamyReport:
         }
 
     @classmethod
-    def _from_volumes(cls, hub: int, volumes, n: int) -> "MonogamyReport":
+    def _from_volumes(cls, hub: int, volumes: np.ndarray, n: int) -> "MonogamyReport":
         """The report of the volumes v_{X|hub}, X ascending, of an ``n``-qubit state."""
-        sums = {name: float(value) for name, value in _relation_sums(volumes).items()}
-        return cls(hub=hub, volumes=tuple(float(v) for v in volumes), n_bound=(n - 1) / 2.0, **sums)
+        sums = {name: float(total(volumes)) for name, total in _RELATION_SUMS.items()}
+        return cls(hub=hub, volumes=tuple(volumes.tolist()), n_bound=(n - 1) / 2.0, **sums)
 
 
-def _relation_sums(volumes: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
-    """The report fields ``sqrt_lhs``, ``two_thirds_lhs`` and ``mean_volume`` of per-pair volumes.
+# The relation sums of per-pair volumes, pairs first and any further axes a
+# batch.  Each adds the pairs in order, with Python ``sum``, so one state gets
+# the bits it gets in a batch: ``np.sum`` and ``np.mean`` add one state's 8 or
+# more pairs pairwise, which rounds differently.
 
-    ``volumes`` holds one array per pair, whose axes are a batch.  All three
-    add the pairs in order, with Python ``sum``, so one state gets the bits
-    it gets in a batch: ``np.sum`` and ``np.mean`` add one state's 8 or more
-    pairs pairwise, which rounds differently.
-    """
-    return {
-        "sqrt_lhs": sum(np.sqrt(v) for v in volumes),
-        # float_power calls the C pow, as Python's float ** does.
-        "two_thirds_lhs": sum(np.float_power(v, 2.0 / 3.0) for v in volumes),
-        "mean_volume": sum(volumes) / len(volumes),
-    }
+
+def _sqrt_lhs(volumes) -> np.ndarray:
+    """The report field ``sqrt_lhs``: the sum of sqrt(v) over the pairs."""
+    return sum(np.sqrt(volumes))
+
+
+def _two_thirds_lhs(volumes) -> np.ndarray:
+    """The report field ``two_thirds_lhs``: the sum of v**(2/3) over the pairs."""
+    # float_power calls the C pow, as Python's float ** does.
+    return sum(np.float_power(volumes, 2.0 / 3.0))
+
+
+def _mean_volume(volumes) -> np.ndarray:
+    """The report field ``mean_volume``: the in-order sum of v over the pairs, over the pair count."""
+    return sum(volumes) / len(volumes)
+
+
+#: Each relation sum by the ``MonogamyReport`` field it fills.
+_RELATION_SUMS = {"sqrt_lhs": _sqrt_lhs, "two_thirds_lhs": _two_thirds_lhs, "mean_volume": _mean_volume}
 
 
 class SloccClass(enum.Enum):
@@ -496,20 +506,28 @@ def w_family(p: float) -> QuantumState:
     return QuantumState(3, _w_family_arr(_real("p", p)))
 
 
-def _ghz_family_arr(alpha, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kets (shape + (8,)) and predicted v_{B|A}, v_{C|A} of :func:`ghz_family` over broadcast angle arrays."""
-    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
-    _check_range("alpha", alpha, (0.0 < alpha) & (alpha < math.pi / 2.0), "(0, pi/2)")
-    _check_range("beta", beta, (0.0 < beta) & (beta < math.pi / 2.0), "(0, pi/2)")
+def _ghz_factors(name: str, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-angle factors of :func:`ghz_family`: sin(t)/sqrt(2), cos(t)/sqrt(2) and cos(2t), t in (0, pi/2)."""
+    theta = np.asarray(theta, dtype=float)
+    _check_range(name, theta, (0.0 < theta) & (theta < math.pi / 2.0), "(0, pi/2)")
     s = 1.0 / math.sqrt(2.0)
-    kets = np.zeros(alpha.shape + (8,), dtype=complex)
-    kets[..., 4] = np.sin(alpha) * s
-    kets[..., 2] = np.sin(beta) * s
-    kets[..., 1] = np.cos(beta) * s
-    kets[..., 7] = np.cos(alpha) * s
-    ca, cb = np.cos(2.0 * alpha), np.cos(2.0 * beta)
+    return np.sin(theta) * s, np.cos(theta) * s, np.cos(2.0 * theta)
+
+
+def _ghz_kets(sin_a, cos_a, sin_b, cos_b) -> np.ndarray:
+    """Kets (shape + (8,)) of :func:`ghz_family` from the factors sin/sqrt(2), cos/sqrt(2) of alpha and beta."""
+    kets = np.zeros(np.broadcast_shapes(np.shape(sin_a), np.shape(sin_b)) + (8,), dtype=complex)
+    kets[..., 4] = sin_a
+    kets[..., 2] = sin_b
+    kets[..., 1] = cos_b
+    kets[..., 7] = cos_a
+    return kets
+
+
+def _ghz_predictions(cos_2a, cos_2b) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted v_{B|A}, v_{C|A} of :func:`ghz_family` from cos(2 alpha) and cos(2 beta), broadcast."""
     # float_power calls the C pow, as Python's float ** does.
-    return kets, np.float_power(ca + cb, 2) / 4.0, np.float_power(ca - cb, 2) / 4.0
+    return np.float_power(cos_2a + cos_2b, 2) / 4.0, np.float_power(cos_2a - cos_2b, 2) / 4.0
 
 
 def ghz_family(alpha: float, beta: float) -> tuple[QuantumState, tuple[float, float]]:
@@ -520,8 +538,11 @@ def ghz_family(alpha: float, beta: float) -> tuple[QuantumState, tuple[float, fl
     predicted pair (v_{B|A}, v_{C|A}) = ((cos 2a + cos 2b)^2 / 4,
     (cos 2a - cos 2b)^2 / 4).
     """
-    kets, x, y = _ghz_family_arr(_real("alpha", alpha), _real("beta", beta))
-    return QuantumState(3, kets), (float(x), float(y))
+    alpha, beta = _real("alpha", alpha), _real("beta", beta)
+    sin_a, cos_a, cos_2a = _ghz_factors("alpha", alpha)
+    sin_b, cos_b, cos_2b = _ghz_factors("beta", beta)
+    x, y = _ghz_predictions(cos_2a, cos_2b)
+    return QuantumState(3, _ghz_kets(sin_a, cos_a, sin_b, cos_b)), (float(x), float(y))
 
 
 def max_volume_state(theta: float) -> QuantumState:

@@ -66,7 +66,8 @@ def _pattern_cells(arrays: list[np.ndarray], json: bool) -> list[list[str]] | No
     Bits, not values, are compared, so -0.0 and each NaN payload keep a cell of their own.
     """
     bits = np.concatenate([array.view(np.uint64) for array in arrays])
-    ordered = np.sort(bits)
+    order = np.argsort(bits)
+    ordered = bits[order]
     first = np.ones(len(bits), dtype=bool)  # first of its run in sorted order
     first[1:] = ordered[1:] != ordered[:-1]
     distinct = ordered[first]
@@ -78,7 +79,7 @@ def _pattern_cells(arrays: list[np.ndarray], json: bool) -> list[list[str]] | No
         text[~np.isfinite(values)] = "null"
     # Each cell's index in ``distinct``; an argsort is faster than a searchsorted for it.
     pattern = np.empty(len(bits), dtype=np.intp)
-    pattern[np.argsort(bits)] = np.cumsum(first) - 1
+    pattern[order] = np.cumsum(first) - 1
     return text[pattern.reshape(len(arrays), -1)].tolist()
 
 

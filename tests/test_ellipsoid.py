@@ -171,11 +171,36 @@ class TestSteeringEllipsoid:
         ell = steering_ellipsoid(random_mixed_state(2, seed=rng).matrix)
         assert ell.semiaxes[0] >= ell.semiaxes[1] >= ell.semiaxes[2]
 
-    def test_to_dict_schema(self):
-        payload = steering_ellipsoid(werner_state()).to_dict()
+    @pytest.mark.parametrize("kind", ["werner", "point", "negated point", "integer point"])
+    def test_to_dict_schema(self, kind):
+        if kind == "werner":
+            ell = steering_ellipsoid(werner_state())
+        elif kind == "integer point":
+            # Built by hand from integer arrays, which the dict still writes as floats.
+            ell = ellipsoid.SteeringEllipsoid(np.array([0, 0, 1]), np.zeros((3, 3), int), np.zeros(3, int), 0.0, True)
+        else:
+            # |1>|0>: qubit 0's marginal is pure, so the ellipsoid is the point (0, 0, 1).
+            ell = steering_ellipsoid(np.diag([0.0, 0.0, 1.0, 0.0]))
+            assert ell.degenerate
+        if kind == "negated point":
+            # Every zero of the point ellipsoid becomes -0.0.
+            arrays = (-ell.center, -ell.orientation, -ell.semiaxes)
+            ell = ellipsoid.SteeringEllipsoid(*arrays, -ell.normalized_volume, ell.degenerate)
+        payload = ell.to_dict()
         assert set(payload) == {"center", "Q", "semiaxes", "volume", "degenerate"}
         assert len(payload["center"]) == 3
         assert len(payload["Q"]) == 3 and all(len(row) == 3 for row in payload["Q"])
+        expected = {
+            "center": [float(x) for x in ell.center],
+            "Q": [[float(x) for x in row] for row in ell.orientation],
+            "semiaxes": [float(x) for x in ell.semiaxes],
+            "volume": float(ell.normalized_volume),
+            "degenerate": bool(ell.degenerate),
+        }
+        # repr tells -0.0 from 0.0 and a Python float from a numpy scalar.
+        assert repr(payload) == repr(expected)
+        scalars = [*payload["center"], *sum(payload["Q"], []), *payload["semiaxes"], payload["volume"]]
+        assert all(type(x) is float for x in scalars) and type(payload["degenerate"]) is bool
 
 
 class TestNormalizedVolume:

@@ -867,8 +867,11 @@ class TestGhzSweep:
         with pytest.raises(TypeError, match="^grid_steps must be an integer"):
             sweep_ghz_region(grid_steps)
 
-    def test_rows_equal_per_point_loop_bitwise(self):
-        angles = np.arange(1, 8) / 8 * (math.pi / 2.0)
+    # Grid 7 is one block; at 23**2 and 77**2 points blocks end inside an alpha row, so a swapped
+    # or shifted alpha/beta gather shows here.
+    @pytest.mark.parametrize("grid_steps", [2, 7, 23, 77])
+    def test_rows_equal_per_point_loop_bitwise(self, grid_steps):
+        angles = np.arange(1, grid_steps + 1) / (grid_steps + 1) * (math.pi / 2.0)
         expected = []
         for alpha in angles:
             for beta in angles:
@@ -881,8 +884,10 @@ class TestGhzSweep:
                         abs(v_b - x_pred), abs(v_c - y_pred), report.sqrt_lhs,
                     )
                 )
-        rows = sweep_ghz_region(grid_steps=7)
-        assert rows == expected
+        rows = sweep_ghz_region(grid_steps=grid_steps)
+        assert [[v.hex() for v in vars(row).values()] for row in rows] == [
+            [v.hex() for v in vars(row).values()] for row in expected
+        ]
         assert all(type(value) is float for row in rows for value in vars(row).values())
 
     def test_peak_memory_is_near_the_output(self):

@@ -94,8 +94,8 @@ class TestVolumeMonogamyReport:
     def test_ten_qubit_mean_equals_the_batched_mean(self):
         # np.mean adds one state's 9 pairs pairwise but a batch's in order; the report must not care.
         kets = np.stack([random_pure_state(10, seed=seed).data for seed in range(8, 24)])
-        batched = monogamy._relation_sums(monogamy._hub_volumes(kets, 10, 0, pure=True))
-        for ket, mean in zip(kets, batched["mean_volume"]):
+        batched = monogamy._mean_volume(monogamy._hub_volumes(kets, 10, 0, pure=True))
+        for ket, mean in zip(kets, batched):
             assert volume_monogamy_report(ket).mean_volume.hex() == float(mean).hex()
 
     def test_two_qubit_state_rejected(self):
@@ -591,7 +591,9 @@ class TestWoottersKernel:
     def test_ghz_family_tangle_closed_form(self):
         # Only sin(a) cos(a) sin(b) cos(b) / 4 survives in Cayley's hyperdeterminant.
         alpha, beta = np.meshgrid(np.linspace(0.05, 1.5, 15), np.linspace(0.05, 1.5, 15))
-        kets, _, _ = monogamy._ghz_family_arr(alpha, beta)
+        sin_a, cos_a, _ = monogamy._ghz_factors("alpha", alpha)
+        sin_b, cos_b, _ = monogamy._ghz_factors("beta", beta)
+        kets = monogamy._ghz_kets(sin_a, cos_a, sin_b, cos_b)
         expected = np.sin(2.0 * alpha) * np.sin(2.0 * beta)
         np.testing.assert_allclose(monogamy._three_tangle_arr(kets), expected, rtol=0, atol=1e-15)
         state, _ = ghz_family(0.4, 1.1)

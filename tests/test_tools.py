@@ -39,6 +39,9 @@ TABLES = [
     ("5000 x 6 distinct, JSON", "template", 30000),
 ]
 
+# Timed per call after the grid checks.
+CLI_KERNELS = ["fig1 columns, _ghz_columns(50)", "analyze, mixed 5-qubit golden state"]
+
 
 def test_check_costs_prints_every_check():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(experiments.__file__)))
@@ -67,5 +70,7 @@ def test_check_costs_prints_every_check():
     tables = [re.fullmatch(per_cell, line) for line in lines[start : lines.index("", start)]]
     assert all(tables), lines[start:]
     assert [(match[1], match[2], int(match[3])) for match in tables] == TABLES
-    grid = lines[lines.index("Grid checks, ms per call:") + 1 :]
-    assert [line.split(":")[0].strip() for line in grid] == [c.name for c in experiments._SUITE if not c.scaled]
+    grid = lines[lines.index("Grid checks and CLI kernels, ms per call:") + 1 :]
+    names = [c.name for c in experiments._SUITE if not c.scaled] + CLI_KERNELS
+    assert [line.split(":")[0].strip() for line in grid] == names
+    assert all(re.fullmatch(r"  .+: \d+\.\d\d", line) for line in grid), grid

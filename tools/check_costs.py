@@ -26,7 +26,9 @@ per call.  The table rows time ``serialize.columns_to_csv`` or
 ``analyze --format csv`` of a mixed 5-qubit state drawn at ``--seed``) and
 on a table of distinct floats, per cell; each names the side its table
 takes: "patterns" when at most half of its float64 cells are distinct, so
-each distinct bit pattern converts once, else "template".  Times are
+each distinct bit pattern converts once, else "template".  The last rows
+time fig1's columns (``_ghz_columns(50)``) and ``qsteer analyze`` of
+``tests/golden/state_mixed5.json`` (JSON to the null device) per call.  Times are
 medians of ``--repeats`` runs in this process, with one BLAS thread unless
 ``OPENBLAS_NUM_THREADS`` is set.
 """
@@ -41,6 +43,8 @@ import resource
 import statistics
 import tempfile
 import time
+from functools import partial
+from pathlib import Path
 from unittest import mock
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads OpenBLAS
@@ -55,6 +59,8 @@ LAYER_STATES = 256
 LAYER_CALLS = 20
 #: Calls per timed table run.
 TABLE_CALLS = 5
+#: The golden state files of the test suite.
+GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -168,6 +174,15 @@ def _tables(seed: int) -> list[tuple[str, object, list, list]]:
     ]
 
 
+def _cli_kernels() -> list[tuple[str, object]]:
+    """(name, call) of fig1's columns and of ``qsteer analyze`` (JSON) of the mixed 5-qubit golden state."""
+    analyze = ["analyze", "--input", str(GOLDEN / "state_mixed5.json"), "--output", os.devnull]
+    return [
+        ("fig1 columns, _ghz_columns(50)", partial(experiments._ghz_columns, 50)),
+        ("analyze, mixed 5-qubit golden state", partial(cli.main, analyze)),
+    ]
+
+
 def _side(columns, json: bool) -> str:
     arrays = [column for column in columns if isinstance(column, np.ndarray) and column.dtype == np.float64]
     return "template" if serialize._pattern_cells(arrays, json) is None else "patterns"
@@ -221,11 +236,11 @@ def main(argv=None) -> None:
         side = _side(columns, writer is serialize.columns_to_json)
         print(f"  {name}: {run_s / TABLE_CALLS / cells * 1e6:.4f} µs/cell, {side}, {cells} cells")
 
-    print("\nGrid checks, ms per call:")
-    for check in experiments._SUITE:
-        if not check.scaled:
-            call_s = _median_s(lambda: check.fn(args.seed, 0, check.samples), args.repeats)
-            print(f"  {check.name}: {call_s * 1e3:.2f}")
+    print("\nGrid checks and CLI kernels, ms per call:")
+    grids = [check for check in experiments._SUITE if not check.scaled]
+    calls = [(check.name, partial(check.fn, args.seed, 0, check.samples)) for check in grids]
+    for name, fn in calls + _cli_kernels():
+        print(f"  {name}: {_median_s(fn, args.repeats) * 1e3:.2f}")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ class KrausChannel:
     superoperator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
+        ops = tuple(np.array(k, dtype=complex) for k in self.operators)
         object.__setattr__(self, "operators", ops)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -160,7 +161,7 @@ def apply_local(channels, rho):
     :class:`QuantumState`, or a (..., 2**n, 2**n) array stack of density
     matrices, which gives the array stack of outputs.  Every matrix of a
     stack is validated as :meth:`QuantumState.from_matrix` validates one.
-    Each channel acts as one contraction of its superoperator with its
+    Each channel acts as one matrix product of its superoperator with its
     qubit's row and column axes.
     """
     if isinstance(rho, np.ndarray) and rho.ndim > 2:
@@ -180,24 +181,20 @@ def apply_local(channels, rho):
 def _apply_local_arr(sups, mat: np.ndarray, n: int) -> np.ndarray:
     """Apply superoperator q of ``sups`` to qubit q of each (..., 2**n, 2**n) matrix of ``mat``.
 
-    A (2, 2, 2, 2) superoperator acts on the whole stack; one of shape
-    (N, 2, 2, 2, 2) holds one superoperator per matrix of an (N, 2**n, 2**n)
-    stack.
+    Superoperators (lead..., 2, 2, 2, 2) broadcast their leading axes against the stack's first axes:
+    none act on the whole stack, (N,) on each matrix of an (N, 2**n, 2**n) stack, and (E,) on a
+    (1, N, 2**n, 2**n) stack give E noisy copies of it.  The output takes the broadcast leading shape.
     """
     batch = mat.ndim - 2
     out = mat.reshape(mat.shape[:-2] + (2,) * (2 * n))
     for q, sup in enumerate(sups):
-        slots = (batch + q, batch + n + q)
-        if sup.ndim == 4:
-            # tensordot puts the channel's output axes first; move them back
-            # to qubit q's row and column slots.
-            out = np.moveaxis(np.tensordot(sup, out, axes=([2, 3], slots)), (0, 1), slots)
-        else:
-            # Per matrix, the same 4 x 4 by 4 x rest product that tensordot forms.
-            moved = np.moveaxis(out, slots, (1, 2))
-            prod = sup.reshape(-1, 4, 4) @ moved.reshape(moved.shape[0], 4, -1)
-            out = np.moveaxis(prod.reshape(moved.shape), (1, 2), slots)
-    out = out.reshape(mat.shape)
+        lead, slots = sup.ndim - 4, (batch + q, batch + n + q)
+        # Qubit q's row and column axes follow the leading ones; every later axis is a column of one product.
+        moved = np.moveaxis(out, slots, (lead, lead + 1))
+        cols = moved.reshape(moved.shape[:lead] + (4, math.prod(moved.shape[lead + 2 :])))
+        prod = sup.reshape(sup.shape[:lead] + (4, 4)) @ cols
+        out = np.moveaxis(prod.reshape(prod.shape[:lead] + moved.shape[lead:]), (lead, lead + 1), slots)
+    out = out.reshape(out.shape[:batch] + mat.shape[-2:])
     return (out + np.swapaxes(out, -1, -2).conj()) / 2.0
 
 

@@ -21,6 +21,7 @@ from .states import (
     _abT_arr,
     _bloch_arr,
     _density,
+    _freeze_fields,
     _kron_arr,
     _partial_trace_arr,
     _qubit,
@@ -62,14 +63,13 @@ class PovmElement:
     e: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.e, dtype=float).reshape(3)
-        object.__setattr__(self, "e", e)
-        e.setflags(write=False)
+        object.__setattr__(self, "e", np.reshape(self.e, 3))
+        _freeze_fields(self, "e")
         # Written so that NaN, which fails every comparison, fails both checks.
         if not self.e0 >= 0:
             raise ValueError(f"e0 must be nonnegative, got {self.e0}")
-        if not np.linalg.norm(e) <= 1 + DEFAULT_TOL:
-            raise ValueError(f"|e| = {np.linalg.norm(e)} exceeds 1")
+        if not np.linalg.norm(self.e) <= 1 + DEFAULT_TOL:
+            raise ValueError(f"|e| = {np.linalg.norm(self.e)} exceeds 1")
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,13 @@ class SteeringEllipsoid:
     degenerate: bool
 
     def __post_init__(self):
-        for arr in (self.center, self.orientation, self.semiaxes):
-            arr.setflags(write=False)
+        _freeze_fields(self, "center", "orientation", "semiaxes")
 
     def to_dict(self) -> dict:
         return {
-            "center": np.asarray(self.center, dtype=float).tolist(),
-            "Q": np.asarray(self.orientation, dtype=float).tolist(),
-            "semiaxes": np.asarray(self.semiaxes, dtype=float).tolist(),
+            "center": self.center.tolist(),
+            "Q": self.orientation.tolist(),
+            "semiaxes": self.semiaxes.tolist(),
             "volume": float(self.normalized_volume),
             "degenerate": bool(self.degenerate),
         }

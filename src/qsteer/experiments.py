@@ -404,13 +404,11 @@ def _noisy_w_columns(p_grid: Sequence[float] | None, epsilons: Sequence[float] |
             raise ValueError(f"{name} must not be empty")
     closed = channels._noisy_w_volume_arr(p, eps[:, None])
     kets = monogamy._w_family_arr(p)
-    noises = [[noise] * 3 for noise in channels._superoperator_arr(channels._isotropic_kraus_arr(eps))]
+    sups = channels._superoperator_arr(channels._isotropic_kraus_arr(eps))
     numeric = np.empty(closed.shape)
     for block in _blocks(p.size):
-        # One density stack per block of p, under each strength's shared channel; then one trace
-        # and one volume call over the (epsilon, p) block.
-        mats = states._densities(kets[block])
-        noisy = np.stack([channels._apply_local_arr(noise, mats, 3) for noise in noises])
+        # Each block's densities under every strength at once: one trace and one volume call per (epsilon, p) block.
+        noisy = channels._apply_local_arr([sups] * 3, states._densities(kets[block])[None], 3)
         numeric[:, block] = ellipsoid._volume_arr(_partial_trace_arr(noisy, [0, 1], 3))
     return (
         np.tile(p, eps.size), np.repeat(eps, p.size), closed.ravel(), numeric.ravel(),
@@ -690,8 +688,7 @@ def _wclass_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
 
 def _noisy(mat: np.ndarray, draws: np.ndarray, n_qubits: int) -> np.ndarray:
     """``mat`` after one random channel per qubit, drawn from ``draws`` (N, n_qubits * _KRAUS_WIDTH)."""
-    kraus = channels._random_kraus_arr(draws.reshape(len(draws), n_qubits, _KRAUS_WIDTH))
-    sups = channels._superoperator_arr(kraus)
+    sups = channels._superoperator_arr(channels._random_kraus_arr(draws.reshape(len(draws), n_qubits, _KRAUS_WIDTH)))
     return channels._apply_local_arr([sups[:, q] for q in range(n_qubits)], mat, n_qubits)
 
 

@@ -142,6 +142,13 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
+def _freeze_fields(obj, *names: str) -> None:
+    """Set each named field of frozen dataclass ``obj`` to a read-only float64 copy; the caller's array stays writable."""
+    for name in names:
+        object.__setattr__(obj, name, np.array(getattr(obj, name), dtype=float))
+        getattr(obj, name).setflags(write=False)
+
+
 def _qubit(name: str, value, n_qubits: int) -> int:
     """``value`` as a qubit index of an ``n_qubits``-qubit state; a float raises a TypeError."""
     q = _integer(name, value)
@@ -583,8 +590,7 @@ class PauliDecomposition:
     T: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.a, self.b, self.T):
-            arr.setflags(write=False)
+        _freeze_fields(self, "a", "b", "T")
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the 4x4 density matrix from (a, b, T)."""

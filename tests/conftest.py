@@ -45,3 +45,27 @@ def _ref_ket_trace(kets: np.ndarray, keep, n_qubits: int) -> np.ndarray:
     for t in range(amps.shape[-1]):
         out += amps[..., :, None, t] * conj[..., None, :, t]
     return out
+
+
+def _ref_apply_local_arr(sups, mat: np.ndarray, n: int) -> np.ndarray:
+    """The two-branch kernel that ``channels._apply_local_arr`` replaced, verbatim.
+
+    A (2, 2, 2, 2) superoperator acts on the whole stack; one of shape
+    (N, 2, 2, 2, 2) holds one superoperator per matrix of an (N, 2**n, 2**n)
+    stack.
+    """
+    batch = mat.ndim - 2
+    out = mat.reshape(mat.shape[:-2] + (2,) * (2 * n))
+    for q, sup in enumerate(sups):
+        slots = (batch + q, batch + n + q)
+        if sup.ndim == 4:
+            # tensordot puts the channel's output axes first; move them back
+            # to qubit q's row and column slots.
+            out = np.moveaxis(np.tensordot(sup, out, axes=([2, 3], slots)), (0, 1), slots)
+        else:
+            # Per matrix, the same 4 x 4 by 4 x rest product that tensordot forms.
+            moved = np.moveaxis(out, slots, (1, 2))
+            prod = sup.reshape(-1, 4, 4) @ moved.reshape(moved.shape[0], 4, -1)
+            out = np.moveaxis(prod.reshape(moved.shape), (1, 2), slots)
+    out = out.reshape(mat.shape)
+    return (out + np.swapaxes(out, -1, -2).conj()) / 2.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsteer import channels, states
+from qsteer import channels, ellipsoid, states
 from qsteer.channels import (
     KrausChannel,
     apply_local,
@@ -24,6 +24,8 @@ from qsteer.states import (
     spin_correlation_matrix,
 )
 
+from conftest import _ref_apply_local_arr
+
 
 class TestKrausChannel:
     def test_completeness_enforced(self):
@@ -37,6 +39,13 @@ class TestKrausChannel:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             KrausChannel(())
+
+    def test_operators_are_read_only_copies(self):
+        k = np.eye(2, dtype=complex)
+        channel = KrausChannel((k,))
+        assert k.flags.writeable and not channel.operators[0].flags.writeable
+        k[0, 0] = 0.0
+        assert channel.operators[0][0, 0] == 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_operators_rejected(self, bad):
@@ -385,3 +394,58 @@ class TestStackedKernels:
         for k, mat in enumerate(mats):
             per_state = [KrausChannel(tuple(kraus[k, q])) for q in range(n)]
             np.testing.assert_array_equal(out[k], apply_local(per_state, mat).data)
+
+
+def _stacks(rng, n, count):
+    """``count`` induced n-qubit densities and one random superoperator per density and qubit."""
+    mats = states._induced_arr(states._haar_arr(rng.standard_normal((count, 2 ** (2 * n + 1)))), n)
+    sups = channels._superoperator_arr(channels._random_kraus_arr(rng.standard_normal((count, n, 128))))
+    return mats, sups
+
+
+class TestOneStackedProduct:
+    """``_apply_local_arr`` matches the two-branch kernel it replaced bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["single matrix", "(2, 5) stack", "one per matrix", "strengths"])
+    def test_matches_two_branch_reference(self, rng, n, case):
+        mats, sups = _stacks(rng, n, 10)
+        shared = [sups[0, q] for q in range(n)]
+        if case == "single matrix":
+            got, want = channels._apply_local_arr(shared, mats[0], n), _ref_apply_local_arr(shared, mats[0], n)
+        elif case == "(2, 5) stack":
+            stack = mats.reshape(2, 5, 2**n, 2**n)
+            got, want = channels._apply_local_arr(shared, stack, n), _ref_apply_local_arr(shared, stack, n)
+        elif case == "one per matrix":
+            per = [sups[:, q] for q in range(n)]
+            got, want = channels._apply_local_arr(per, mats, n), _ref_apply_local_arr(per, mats, n)
+        else:
+            # Every strength's channel on every matrix in one call, against one call per strength.
+            noise = channels._superoperator_arr(channels._isotropic_kraus_arr(np.array([0.0, 0.001, 0.1, 1.0])))
+            got = channels._apply_local_arr([noise] * n, mats[None], n)
+            want = np.stack([_ref_apply_local_arr([sup] * n, mats, n) for sup in noise])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _bloch_matrix(kraus: np.ndarray) -> np.ndarray:
+    """M[..., j, k] = tr(sigma_j Phi(sigma_k)) / 2 of the channels with Kraus stacks (..., k, 2, 2)."""
+    images = np.einsum("...aij,kjl,...aml->...kim", kraus, states.PAULIS, kraus.conj())
+    return np.einsum("jmi,...kim->...jk", states.PAULIS, images).real / 2.0
+
+
+class TestVolumeScalesByBlochDeterminant:
+    """V((1 (x) Phi) rho) = |det M_Phi| V(rho): Phi maps Bob's steered ellipsoid by the affine map M r + t."""
+
+    def test_random_channel_on_steered_qubit(self, rng):
+        mats, _ = _stacks(rng, 2, 500)
+        kraus = channels._random_kraus_arr(rng.standard_normal((500, 128)))
+        sups = [identity_channel().superoperator, channels._superoperator_arr(kraus)]
+        after = ellipsoid._volume_arr(channels._apply_local_arr(sups, mats, 2))
+        scale = np.abs(np.linalg.det(_bloch_matrix(kraus)))
+        assert np.max(np.abs(after - scale * ellipsoid._volume_arr(mats))) <= 1e-12
+
+    def test_isotropic_determinant(self):
+        eps = np.linspace(0.0, 1.0, 101)
+        det = np.linalg.det(_bloch_matrix(channels._isotropic_kraus_arr(eps)))
+        assert np.max(np.abs(np.abs(det) - (1.0 - eps) ** 3)) <= 1e-12

@@ -202,6 +202,23 @@ class TestSteeringEllipsoid:
         scalars = [*payload["center"], *sum(payload["Q"], []), *payload["semiaxes"], payload["volume"]]
         assert all(type(x) is float for x in scalars) and type(payload["degenerate"]) is bool
 
+    def test_fields_are_read_only_copies(self):
+        center, q, semiaxes = np.array([0.0, 0.0, 1.0]), np.zeros((3, 3)), np.zeros(3)
+        ell = ellipsoid.SteeringEllipsoid(center, q, semiaxes, 0.0, True)
+        # The caller's arrays stay writable; the object's own fields do not.
+        assert all(arr.flags.writeable for arr in (center, q, semiaxes))
+        for arr in (ell.center, ell.orientation, ell.semiaxes):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        center[2] = -1.0
+        assert ell.center.tolist() == [0.0, 0.0, 1.0]
+
+    def test_list_center_is_accepted(self):
+        ell = ellipsoid.SteeringEllipsoid([0, 0, 1], np.zeros((3, 3)), np.zeros(3), 0.0, True)
+        assert ell.center.dtype == np.float64 and not ell.center.flags.writeable
+        assert ell.to_dict()["center"] == [0.0, 0.0, 1.0]
+
 
 class TestNormalizedVolume:
     def test_bell_state(self):
@@ -352,6 +369,14 @@ class TestPovmElement:
     def test_rejects_nan(self, e0, e):
         with pytest.raises(ValueError):
             PovmElement(e0, e)
+
+    def test_direction_is_a_read_only_copy(self):
+        # A view of the caller's array would let a later write skip the |e| <= 1 check.
+        e = np.array([0.0, 0.0, 0.5])
+        element = PovmElement(0.5, e)
+        e[2] = 7.0
+        assert element.e.tolist() == [0.0, 0.0, 0.5] and not element.e.flags.writeable
+        assert PovmElement(0.5, [0, 0, 1]).e.dtype == np.float64
 
 
 def _mixed_stack(rng, n, count=40):

@@ -22,6 +22,7 @@ from qsteer.monogamy import (
 )
 from qsteer import states
 from qsteer.states import (
+    PauliDecomposition,
     QuantumState,
     StateValidationError,
     bloch_vector,
@@ -771,6 +772,19 @@ def _ref_separable(rng, max_terms):
         vec = np.kron(kets[0], kets[1])
         mat += weights[t] * np.outer(vec, vec.conj())
     return mat
+
+
+def test_pauli_decomposition_fields_are_read_only_copies():
+    a, b, T = np.zeros(3), np.array([0.0, 0.0, 0.5]), np.eye(3) / 3
+    decomp = PauliDecomposition(a, b, T)
+    # The caller's arrays stay writable; the object's own fields do not.
+    assert all(arr.flags.writeable for arr in (a, b, T))
+    for arr in (decomp.a, decomp.b, decomp.T):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    listed = PauliDecomposition([0, 0, 0], [0.0, 0.0, 0.5], T.tolist())
+    assert listed.reconstruct().tobytes() == decomp.reconstruct().tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,6 +25,7 @@ LAYERS = [
     "_volume_from_abT",
     "_wootters_lambdas, 4 x 4 factors",
     "_apply_local_arr, 3 qubits",
+    "_apply_local_arr, 3 qubits, one channel per state",
 ]
 
 # One row per timed table: its name, the side it takes and its cell count.  fig1 and fig2 repeat

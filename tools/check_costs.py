@@ -15,7 +15,9 @@ is one ``run_conjecture_test(2500)`` round, the benchmark's ``conjecture``
 round, at ``--seed``.  The layer rows time each kernel of the per-sample
 path on one stack of 256 states drawn at ``--seed``, per state; the draw
 rows run the pass's loop over one block, and "re-key only" is its stream
-setup alone, the floor under each row's draw.  The shared pass, the
+setup alone, the floor under each row's draw; the two ``_apply_local_arr``
+rows apply one isotropic channel shared by the stack, or one random channel
+per state and qubit (the suite's channel checks).  The shared pass, the
 conjecture round and the layers also give their minor page faults
 (``ru_minflt``) in steady state: counted over the timed runs, after one
 warm-up run.  The shared pass and the conjecture round run first, as in a
@@ -123,6 +125,8 @@ def _layers(seed: int) -> list[tuple[str, object]]:
     pairs = states._reduced_arr(mixed3, 3, [(0, 1)])[0]
     abT = ellipsoid._steering_abT(pairs, 0)
     sups = [channels.isotropic_channel(0.1).superoperator] * 3
+    kraus = channels._random_kraus_arr(np.random.default_rng(seed).standard_normal((LAYER_STATES, 3, 128)))
+    per_state = list(np.moveaxis(channels._superoperator_arr(kraus), 1, 0))
     return [
         ("re-key only", rekey_only),
         ("re-key and draw 32 normals", lambda: fill(0, views)),
@@ -137,6 +141,7 @@ def _layers(seed: int) -> list[tuple[str, object]]:
         ("_volume_from_abT", lambda: ellipsoid._volume_from_abT(*abT)),
         ("_wootters_lambdas, 4 x 4 factors", lambda: monogamy._wootters_lambdas(kets4.reshape(-1, 4, 4))),
         ("_apply_local_arr, 3 qubits", lambda: channels._apply_local_arr(sups, mixed3, 3)),
+        ("_apply_local_arr, 3 qubits, one channel per state", lambda: channels._apply_local_arr(per_state, mixed3, 3)),
     ]
 
 

@@ -173,7 +173,7 @@ def _cmd_suite(args) -> int:
         status = "PASS" if res.passed else ("NOTE" if res.exploratory else "FAIL")
         print(
             f"{status} {res.name}: {res.failures}/{res.samples} failures, "
-            f"worst margin {serialize.format_float(res.worst_margin)}"
+            f"worst margin {serialize.format_float(res.worst_margin)} at index {res.worst_index}"
             + (f" ({res.error})" if res.error else ""),
             file=sys.stderr,
         )

@@ -1,9 +1,9 @@
 """Batch drivers: conjecture searches, figure-data sweeps, and the invariant suite.
 
-Every Monte-Carlo run derives the RNG stream of sample ``i`` from
-``(master_seed, i)``, so results are bit-reproducible and independent of
-the worker count.  Workers are processes; chunk functions are module-level
-functions or partials of them, so they pickle.
+Every Monte-Carlo run draws sample ``i``'s row from ``(master_seed, i)``
+alone (``states.sample_rows``), so results are bit-reproducible and
+independent of the worker count.  Workers are processes; chunk functions
+are module-level functions or partials of them, so they pickle.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channels, ellipsoid, monogamy, states
 from .channels import _KRAUS_WIDTH
-from .states import _draw_separable, _partial_trace_arr
+from .states import _NORMALS, _SEPARABLE_DRAW, _SEPARABLE_WIDTH, _partial_trace_arr
 
 __all__ = [
     "DEFAULT_SEED",
@@ -46,12 +46,12 @@ _NEAR_MISS_GAP = 1e-3
 
 _DEFAULT_EPSILONS = (0.0, 0.001, 0.005, 0.01)
 
-# Samples or grid points the batched kernels (conjecture search, invariant
-# suite, figure sweeps) reduce together.  256 amortizes most of the per-call
+# The grid sweeps (figures, tables) evaluate their points in blocks of
+# states._SAMPLE_BLOCK, the samples whose draw rows the conjecture search and
+# the invariant suite reduce together.  256 amortizes most of the per-call
 # overhead, not all of it: fig1's columns (_ghz_columns(50)) took 6.16 ms at
 # 256, 5.71 at 512 and 9.87 at 2,500 (one block), with peaks of 0.8, 1.5 and
 # 6.4 MB (tracemalloc; medians of 40 interleaved runs on one AVX-512 core).
-_BLOCK = 256
 
 
 def _open_grid(count: int, upper: float) -> np.ndarray:
@@ -63,7 +63,7 @@ def _check_run(samples: int, master_seed: int, workers: int) -> None:
     samples = states._integer("sample count", samples)
     master_seed = states._integer("master seed", master_seed)
     workers = states._integer("workers", workers)
-    # Sample i draws from stream (master_seed, i), whose index is one uint32 word.
+    # Sample i's block i // 256 is a 24-bit field of the keys of its draw rows (states._drawn_blocks).
     if not 0 <= samples <= 2**32:
         raise ValueError(f"sample count must lie in [0, 2**32], got {samples}")
     # Checked up front: the suite reports each check's errors instead of raising them.
@@ -116,29 +116,11 @@ def _chunked_values(fn: Callable, n_samples: int, master_seed: int, workers: int
     """Evaluate ``fn(master_seed, start, stop)`` over [0, n_samples), possibly in parallel.
 
     The concatenated result is ordered by sample index and identical for
-    every worker count, because each sample seeds its own stream.
+    every worker count, because each sample's row depends on its index alone.
     """
     if n_samples <= 0:
         return np.empty(0)
     return np.concatenate(_chunks(fn, n_samples, master_seed, workers))
-
-
-# A draw fills a row as ``draw(rng, out=row)``; this one is numpy's own C method, so no Python frame runs per row.
-_normals = np.random.Generator.standard_normal
-
-
-def _row_drawer(master_seed: int, start: int, stop: int, draw: Callable) -> Callable[[int, list], None]:
-    """``fill(lo, rows)``: ``draw`` each of ``rows`` from the stream of its sample, ``lo`` onwards, in [start, stop)."""
-    rng, key, rekey = states._rekeyed(master_seed, start, stop)
-    draw_into = partial(draw, rng)
-
-    def fill(lo: int, rows: list) -> None:
-        for i, row in zip(range(lo, lo + len(rows)), rows):
-            key[0] = i
-            rekey()
-            draw_into(out=row)
-
-    return fill
 
 
 class _Stacks:
@@ -150,8 +132,8 @@ class _Stacks:
     n_qubits)`` reads another stack at the same count and offset, so a state
     stack is made from the cached kets.  A later reader of fewer rows gets a
     leading slice of the very array the builder returned, never a copy: the
-    builders are row-independent, but matmul rounds by operand layout.  Past
-    a segment end the block's rows hold only that segment's width, so the
+    builders are row-independent, but matmul rounds by operand layout.  A
+    tile's columns hold stale floats past the rows it is drawn for, so the
     first reader of a stack should be the one of most rows (``_shared_sampled``
     reduces the largest count first); a reader of more rows rebuilds it.
     """
@@ -176,52 +158,30 @@ class _Stacks:
 
 
 def _shared_sampled(
-    master_seed: int, start: int, stop: int, checks: Sequence[tuple[int, int, Callable, Callable]]
+    master_seed: int, start: int, stop: int, checks: Sequence[tuple[int, int, Callable, states._Draw]]
 ) -> tuple[list[np.ndarray], list[Exception | None]]:
     """Values over [start, stop) and first exceptions of random-sample checks ``(count, width, reduce, draw)``.
 
-    Check k covers samples [0, count_k).  ``draw_k(rng, out=row)`` fills the
-    first ``width_k`` floats of sample i's row from its stream;
-    ``reduce_k(block, stack)`` maps a block of at most _BLOCK rows, a view
-    of their first ``width_k`` floats, to their values, reading the block's
-    state stacks through ``stack`` (``_Stacks``).  Checks with the same draw
-    share one pass: each sample's stream is re-keyed and drawn once, into a
-    row as wide as the widest of them that covers it (one
-    ``standard_normal(k)`` call is bit for bit the smaller calls it
-    replaces), and the block's reduces run largest count first, so each
-    stack is built once, over the rows of its largest reader.  A reduce that
-    raises gives its check the exception of its first failing block and no
-    later blocks; the other checks go on.  The row array is reused, so a
-    reduce must neither keep nor write its block.
+    Check k reads the first ``width_k`` floats of the ``draw_k`` rows of samples [0, count_k)
+    (``states.sample_rows``); ``reduce_k(block, stack)`` maps a view of at most 256 of them to
+    their values, reading the block's state stacks through ``stack`` (``_Stacks``).  Checks with
+    the same draw share one pass (``states._drawn_blocks``), and a block's reduces run largest
+    count first, so each stack is built once, over the rows of its largest reader.  A reduce
+    that raises gives its check the exception of its first failing block and no later blocks;
+    the other checks go on.  The row array is reused: a reduce must neither keep nor write it.
     """
     values = [np.empty(max(0, min(count, stop) - start)) for count, *_ in checks]
     errors: list[Exception | None] = [None] * len(checks)
     for draw in dict.fromkeys(check[3] for check in checks):
         group = sorted(
-            (k for k, check in enumerate(checks) if check[3] is draw and check[0] > start), key=lambda k: -checks[k][0]
+            (k for k, check in enumerate(checks) if check[3] == draw and check[0] > start), key=lambda k: -checks[k][0]
         )
-        ends = sorted({checks[k][0] for k in group})
-        if not ends:
-            continue
-        # Segments (end, width) by ascending end: the widest check covering each.
-        widths = [(end, max(checks[k][1] for k in group if checks[k][0] >= end)) for end in ends]
-        group_stop = min(stop, ends[-1])
-        rows = np.empty((min(_BLOCK, group_stop - start), widths[0][1]))
-        # Each width's row views, made once: every block reuses ``rows``.
-        views = {width: list(rows[:, :width]) for _, width in widths}
-        fill = _row_drawer(master_seed, start, group_stop, draw)
-        for lo in range(start, group_stop, _BLOCK):
-            hi = min(lo + _BLOCK, group_stop)
-            seg_lo = lo
-            for end, width in widths:
-                n = min(end, hi) - seg_lo
-                if n > 0:
-                    fill(seg_lo, views[width][seg_lo - lo : seg_lo - lo + n])
-                    seg_lo += n
+        reads = [checks[k][:2] for k in group]
+        for lo, rows in (states._drawn_blocks(master_seed, start, stop, draw, reads) if group else ()):
             stacks = _Stacks(rows)
             for k in group:
                 count, width, reduce, _ = checks[k]
-                n = min(count, hi) - lo
+                n = min(count, lo + len(rows)) - lo
                 if n <= 0 or errors[k] is not None:
                     continue
                 try:
@@ -232,7 +192,7 @@ def _shared_sampled(
 
 
 def _sampled(
-    master_seed: int, start: int, stop: int, width: int, reduce: Callable, draw: Callable = _normals
+    master_seed: int, start: int, stop: int, width: int, reduce: Callable, draw: states._Draw = _NORMALS
 ) -> np.ndarray:
     """One value per sample in [start, stop): ``_shared_sampled`` of the one check, which raises its error."""
     (values,), (error,) = _shared_sampled(master_seed, start, stop, ((stop, width, reduce, draw),))
@@ -241,7 +201,7 @@ def _sampled(
     return values
 
 
-def _drawn(width: int, reduce: Callable, draw: Callable = _normals) -> partial:
+def _drawn(width: int, reduce: Callable, draw: states._Draw = _NORMALS) -> partial:
     """``fn(master_seed, start, stop)`` of a random-sample check: ``_sampled`` with its parts bound."""
     return partial(_sampled, width=width, reduce=reduce, draw=draw)
 
@@ -257,10 +217,11 @@ def _error_text(exc: Exception) -> str:
 class ConjectureResult:
     """Outcome of a random search for violations of the pairwise-correlation bound.
 
-    ``worst_state_seed`` is the sample index whose stream (master_seed,
-    index) regenerates the state with the largest left-hand side; -1 for an
-    empty run.  Near misses (lhs within 1e-3 of the bound) are kept for
-    inspection even though they are not violations.
+    ``worst_state_seed`` is the index i of the largest left-hand side, -1 for
+    an empty run; ``pairwise_correlation_sum`` over the hub pairs of the ket
+    ``states._haar_arr(states.sample_rows(master_seed, i, i + 1, 32)[0])``
+    gives ``max_lhs`` bit for bit.  Near misses (lhs within 1e-3 of the
+    bound) are kept for inspection even though they are not violations.
     """
 
     samples: int
@@ -341,8 +302,8 @@ class NoisyWSweepRow:
 
 
 def _blocks(count: int):
-    """Slices that cover range(count) in blocks of at most _BLOCK."""
-    return [slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
+    """Slices that cover range(count) in blocks of at most states._SAMPLE_BLOCK."""
+    return [slice(lo, min(lo + states._SAMPLE_BLOCK, count)) for lo in range(0, count, states._SAMPLE_BLOCK)]
 
 
 def _rows(row_type: type, columns: Sequence[np.ndarray]) -> list:
@@ -445,14 +406,12 @@ _SATURATION_TOL = 1e-8
 _SEPARABLE_BOUND = 1.0 / 27.0
 _POINTS_PER_STATE = 100
 
-# Each random-sample check is a draw, which takes from sample i's stream the
+# Each random-sample check is a draw row (states.sample_rows), holding the
 # numbers the public samplers take, in their order, and a reduce, which does
-# all the arithmetic on a block of drawn rows with stacked kernels.
-# A row holds the normals of every Haar ket and unitary (real parts, then
-# imaginary parts); one standard_normal(k) call is bit for bit the smaller
-# calls it replaces, so the suite draws one row per sample for all the checks
-# whose draw is _normals (_shared_sampled), and their reduces read the kets,
-# states and hub volumes of those rows from one cache per block (_Stacks).
+# all the arithmetic on a block of rows with stacked kernels.  A _NORMALS row
+# holds the normals of every Haar ket and unitary (real parts, then imaginary
+# parts); the checks that read one share it (_shared_sampled), and their
+# reduces read its kets, states and hub volumes from one cache per block.
 
 
 def _pure_width(n_qubits: int) -> int:
@@ -562,9 +521,6 @@ def _membership_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
     return out
 
 
-_SEPARABLE_WIDTH = states._separable_width(states.MAX_SEPARABLE_TERMS)
-
-
 def _separable_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
     return _SEPARABLE_BOUND + _TOL - ellipsoid._volume_arr(states._separable_arr(draws))
 
@@ -663,10 +619,8 @@ def _max_volume_codes(theta) -> np.ndarray:
     )
 
 
-def _draw_wclass(rng, out: np.ndarray) -> None:
-    """random(), which times pi/2 is bit for bit uniform(0, pi/2), then the normals of three Haar 2x2 unitaries."""
-    out[0] = rng.random()
-    rng.standard_normal(out=out[1:])
+# random(), which times pi/2 is bit for bit uniform(0, pi/2), then the normals of three Haar 2x2 unitaries.
+_WCLASS_DRAW = states._Draw(1, ((np.random.Generator.random, 1), (states._standard_normal, 24)))
 
 
 def _wclass_kets(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -747,7 +701,7 @@ _SUITE: tuple[_InvariantCheck, ...] = (
     _InvariantCheck("volume_matches_canonical_form", _drawn(_mixed_width(2), _volume_canonical_margins), 10_000),
     _InvariantCheck("steered_points_inside_bloch_ball", _drawn(_STEERED_WIDTH, _bloch_containment_margins), 1_000),
     _InvariantCheck("steered_points_inside_ellipsoid", _drawn(_STEERED_WIDTH, _membership_margins), 1_000),
-    _InvariantCheck("separable_volume_bound", _drawn(_SEPARABLE_WIDTH, _separable_margins, _draw_separable), 10_000),
+    _InvariantCheck("separable_volume_bound", _drawn(_SEPARABLE_WIDTH, _separable_margins, _SEPARABLE_DRAW), 10_000),
     _InvariantCheck("volume_in_unit_interval", _drawn(_mixed_width(2), _volume_interval_margins), 10_000),
     _InvariantCheck("pure3_sqrt_volume_monogamy", _relation(3, True, "sqrt_lhs", 1.0), 10_000),
     _InvariantCheck("mixed3_twothirds_volume_monogamy", _relation(3, False, "two_thirds_lhs", 1.0), 10_000),
@@ -771,7 +725,7 @@ _SUITE: tuple[_InvariantCheck, ...] = (
     _InvariantCheck("concurrence_volume_bound", _drawn(_mixed_width(2), _concurrence_volume_margins), 10_000),
     _InvariantCheck("ckw_inequality", _drawn(_mixed_width(3), _ckw_margins), 10_000),
     _InvariantCheck("tangle_volume_bound", _drawn(_pure_width(3), _tangle_volume_margins), 10_000),
-    _InvariantCheck("wclass_saturation", _drawn(1 + 3 * 8, _wclass_margins, _draw_wclass), 10_000),
+    _InvariantCheck("wclass_saturation", _drawn(1 + 3 * 8, _wclass_margins, _WCLASS_DRAW), 10_000),
     _InvariantCheck(
         "channel_volume_monotonicity", _drawn(_mixed_width(2) + 2 * _KRAUS_WIDTH, _channel_monotonicity_margins),
         10_000,
@@ -792,7 +746,7 @@ _EXPLORATORY = _InvariantCheck(
 
 @dataclass(frozen=True)
 class InvariantResult:
-    """Per-invariant outcome: failure count and the worst (most negative) margin."""
+    """Per-invariant outcome: failures, the worst (most negative) margin, its index (-1: none) outside ``to_dict``."""
 
     name: str
     samples: int
@@ -800,13 +754,14 @@ class InvariantResult:
     worst_margin: float
     exploratory: bool = False
     error: str = ""
+    worst_index: int = -1
 
     @property
     def passed(self) -> bool:
         return self.failures == 0 and not self.error
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {key: value for key, value in asdict(self).items() if key != "worst_index"}
 
 
 @dataclass(frozen=True)
@@ -882,10 +837,10 @@ def run_property_suite(
                 margins, error = _chunked_values(check.fn, count, master_seed, 1), ""
             except Exception as exc:  # noqa: BLE001 - suite must report, not crash
                 error = _error_text(exc)
-        if error:
-            failures, worst = count, float("-inf")
-        else:
+        failures, worst, index = count, float("-inf"), -1
+        if not error:
             count, failures = int(margins.size), int(np.count_nonzero(margins < 0))
-            worst = float(np.min(margins)) if margins.size else float("inf")
-        results.append(InvariantResult(check.name, count, failures, worst, check.exploratory, error))
+            index = int(np.argmin(margins)) if margins.size else -1
+            worst = float(margins[index]) if margins.size else float("inf")
+        results.append(InvariantResult(check.name, count, failures, worst, check.exploratory, error, index))
     return SuiteReport(tuple(results))

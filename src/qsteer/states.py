@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from functools import cache
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +24,7 @@ __all__ = [
     "PauliDecomposition",
     "as_rng",
     "sample_rng",
-    "sample_streams",
+    "sample_rows",
     "ket_to_density",
     "partial_trace",
     "bloch_vector",
@@ -84,12 +84,10 @@ def _seed_word(master_seed: int) -> int:
 
 
 def sample_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one sample, derived from (master_seed, index).
+    """A Philox stream of its own for ``(master_seed, index)``; the Monte-Carlo drivers read :func:`sample_rows`.
 
-    The stream is Philox with the 128-bit key ``(w << 64) | index``, where
-    ``w`` hashes ``master_seed``; ``index`` must lie in [0, 2**64).  Streams
-    depend only on the pair, never on chunking, so parallel sweeps are
-    reproducible for any worker count.
+    Its 128-bit key is ``(w << 64) | index``, where ``w`` hashes
+    ``master_seed``; ``index`` must lie in [0, 2**64).
     """
     index = _integer("sample index", index)
     if not 0 <= index < 2**64:
@@ -97,32 +95,82 @@ def sample_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(_seed_word(master_seed) << 64) | index))
 
 
-def _rekeyed(master_seed: int, start: int, stop: int) -> tuple[np.random.Generator, list[int], Callable[[], None]]:
-    """One reused generator for samples [start, stop) of ``master_seed``, its key and its re-key.
+#: Samples per block of every draw row (:func:`sample_rows`); it and the 32-normal tile fix every seeded stream.
+_SAMPLE_BLOCK = 256
+_standard_normal = np.random.Generator.standard_normal
 
-    After ``key[0] = i``, ``rekey()`` makes the generator bit for bit ``sample_rng(master_seed, i)``: it sets
-    the Philox ``state`` to one dict of plain Python ints (counter 0, an empty buffer, key ``[i, w]``), which
-    the setter converts about 2.5 times faster than uint64 array entries.  Indices must lie in [0, 2**32).
+
+class _Draw(NamedTuple):
+    """A row layout: ``tiles`` ``(fill, columns)``, then 32-normal tiles; ``tag`` is a field of every key of the draw.
+
+    ``fill(rng, out=tile)`` fills a C-contiguous (rows, columns) tile in one generator call.
     """
-    start, stop = _integer("start", start), _integer("stop", stop)
-    if start < 0 or stop > 2**32:
-        raise ValueError(f"sample indices [{start}, {stop}) must lie in [0, 2**32)")
+
+    tag: int
+    tiles: tuple = ()
+
+    def layout(self, width: int) -> list[tuple[int, Callable, int]]:
+        """``(first column, fill, columns)`` of each tile a row read up to ``width`` floats needs: at most 2**24."""
+        if len(self.tiles) + -(-(width - sum(columns for _, columns in self.tiles)) // 32) > 2**24:
+            raise ValueError(f"width {width} needs more than the 2**24 tiles of a key's tile field")
+        tiles, first, lead = [], 0, iter(self.tiles)
+        while first < width:
+            tiles.append((first, *next(lead, (_standard_normal, 32))))
+            first += tiles[-1][2]
+        return tiles
+
+
+_NORMALS = _Draw(0)  # Haar kets, unitaries and Kraus operators: normals only.
+
+
+def _drawn_blocks(master_seed: int, start: int, stop: int, draw: _Draw, reads: Sequence[tuple[int, int]]):
+    """Yield ``(lo, rows)`` per block of samples [start, stop): the reused draw rows of samples [lo, lo + len(rows)).
+
+    ``reads`` are ``(count, width)`` pairs: samples [0, count) read their first ``width`` floats, so a tile is
+    drawn for a block's rows up to the largest count that reads it, a prefix of the block.  Tile t of block b is
+    one row-major ``fill`` from the block's start (a chunk that starts mid-block draws from there) from the Philox
+    stream keyed ``[b | t << 24 | tag << 48, w]``, ``w`` the seed word; the 24-bit block field holds indices
+    < 2**32.  One generator is re-keyed per tile: the ``state`` setter converts one dict of plain Python ints
+    (counter 0, an empty buffer) 2.5 times faster than uint64 arrays.  ``fill`` needs a contiguous tile: a row
+    of one tile is filled in place, a wider one through a scratch tile copied into it.
+    """
+    tiles = draw.layout(max(width for _, width in reads))
+    ends = [max(count for count, width in reads if width > first) for first, _, _ in tiles]
+    stop = min(stop, max(count for count, _ in reads))
     key, bit_gen = [0, _seed_word(master_seed)], np.random.Philox(0)
     state = {"counter": [0, 0, 0, 0], "key": key}
     fresh = dict(bit_generator="Philox", state=state, buffer=[0, 0, 0, 0], buffer_pos=4, has_uint32=0, uinteger=0)
-    return np.random.Generator(bit_gen), key, partial(setattr, bit_gen, "state", fresh)
+    rng, first_block = np.random.Generator(bit_gen), start // _SAMPLE_BLOCK
+    rows = np.empty((min(_SAMPLE_BLOCK, max(0, stop - first_block * _SAMPLE_BLOCK)), sum(t[2] for t in tiles)))
+    scratch = {columns: np.empty((len(rows), columns)) for _, _, columns in tiles if columns < rows.shape[1]}
+    for block in range(first_block, -(-stop // _SAMPLE_BLOCK)):
+        base = block * _SAMPLE_BLOCK
+        lo, hi = max(start, base), min(stop, base + _SAMPLE_BLOCK)
+        for t, ((first, fill, columns), end) in enumerate(zip(tiles, ends)):
+            n = min(end, hi) - base
+            if n > lo - base:
+                key[0] = (draw.tag << 48) | (t << 24) | block
+                bit_gen.state = fresh
+                fill(rng, out=scratch[columns][:n] if columns in scratch else rows[:n])
+                if columns in scratch:
+                    rows[:n, first : first + columns] = scratch[columns][:n]
+        yield lo, rows[lo - base : hi - base]
 
 
-def sample_streams(master_seed: int, start: int, stop: int) -> Iterator[tuple[int, np.random.Generator]]:
-    """Yield ``(i, rng)`` for i in [start, stop), rng bit for bit ``sample_rng(master_seed, i)`` until the next.
+def sample_rows(master_seed: int, start: int, stop: int, width: int, draw: _Draw = _NORMALS) -> np.ndarray:
+    """The draw rows (stop - start, width) of samples [start, stop) of ``master_seed``: what their checks read.
 
-    One generator is re-keyed for each index (``_rekeyed``).  Indices must lie in [0, 2**32).
+    Sample i's tile-t floats (32 normals of ``_NORMALS``) are row ``i % 256``
+    of one draw from the stream keyed by the seed, t and block ``i // 256``
+    (:func:`_drawn_blocks`).  So a row depends on (master_seed, i) alone and
+    its first floats not on ``width``: sample i's Haar n-qubit ket is
+    ``_haar_arr`` of the first 2**(n + 1) floats of its row.
     """
-    rng, key, rekey = _rekeyed(master_seed, start, stop)
-    for i in range(start, stop):
-        key[0] = i
-        rekey()
-        yield i, rng
+    start, stop, width = _integer("start", start), _integer("stop", stop), _integer("width", width)
+    if not (0 <= start <= stop <= 2**32 and 1 <= width):
+        raise ValueError(f"need 0 <= start <= stop <= 2**32 and 1 <= width, got [{start}, {stop}), {width}")
+    blocks = _drawn_blocks(master_seed, start, stop, draw, [(stop, width)])
+    return np.concatenate([rows[:, :width].copy() for _, rows in blocks] or [np.empty((0, width))])
 
 
 def _check_range(name: str, values: np.ndarray, inside: np.ndarray, interval: str) -> None:
@@ -142,10 +190,10 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
-def _freeze_fields(obj, *names: str) -> None:
-    """Set each named field of frozen dataclass ``obj`` to a read-only float64 copy; the caller's array stays writable."""
+def _freeze_fields(obj, *names: str, dtype=float) -> None:
+    """Set each named field of frozen dataclass ``obj`` to a read-only ``dtype`` copy, leaving the caller's array."""
     for name in names:
-        object.__setattr__(obj, name, np.array(getattr(obj, name), dtype=float))
+        object.__setattr__(obj, name, np.array(getattr(obj, name), dtype=dtype))
         getattr(obj, name).setflags(write=False)
 
 
@@ -239,7 +287,7 @@ class QuantumState:
     data: np.ndarray
 
     def __post_init__(self):
-        self.data.setflags(write=False)
+        _freeze_fields(self, "data", dtype=complex)
 
     @property
     def is_pure(self) -> bool:
@@ -259,7 +307,7 @@ class QuantumState:
     @classmethod
     def from_amplitudes(cls, amplitudes, tol: float = DEFAULT_TOL) -> "QuantumState":
         _check_tol(tol)
-        vec = np.asarray(amplitudes, dtype=complex).copy()
+        vec = np.asarray(amplitudes, dtype=complex)
         if vec.ndim != 1:
             raise StateValidationError(f"expected a 1-d amplitude vector, got shape {vec.shape}")
         n = _check_n_qubits(vec.size)
@@ -269,7 +317,7 @@ class QuantumState:
     @classmethod
     def from_matrix(cls, matrix, tol: float = DEFAULT_TOL) -> "QuantumState":
         _check_tol(tol)
-        mat = np.asarray(matrix, dtype=complex).copy()
+        mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise StateValidationError(f"expected a square matrix, got shape {mat.shape}")
         n = _check_n_qubits(mat.shape[0])
@@ -708,32 +756,25 @@ def random_mixed_state(n_qubits: int, ancilla_qubits: int | None = None, seed: S
     return QuantumState(n_qubits, _induced_arr(vec, n_qubits))
 
 
-def _separable_width(max_terms: int) -> int:
-    """Floats in a separable row: the term count, ``max_terms`` exponentials, then 8 normals (two kets) per term."""
-    return 1 + 9 * max_terms
+def _term_counts(rng: np.random.Generator, out: np.ndarray) -> None:
+    out[:, 0] = rng.integers(1, MAX_SEPARABLE_TERMS + 1, size=len(out))
 
 
-def _draw_separable(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out`` with the draws of :func:`random_separable_two_qubit`, in its order, zero-padded.
-
-    The term count is uniform on 1 up to the row's capacity, ``(len(out) - 1) // 9``.
-    The weight slots hold the exponentials that ``dirichlet(ones(terms))`` draws
-    (numpy's gamma(1) is the exponential); :func:`_separable_arr` normalizes them.
-    """
-    most = (len(out) - 1) // 9
-    terms = int(rng.integers(1, most + 1))
-    out.fill(0.0)
-    out[0] = terms
-    rng.standard_exponential(out=out[1 : 1 + terms])
-    rng.standard_normal(out=out[1 + most : 1 + most + 8 * terms])
+#: random_separable_two_qubit's rows at MAX_SEPARABLE_TERMS (dirichlet(ones) draws gamma(1), numpy's exponential).
+_SEPARABLE_DRAW = _Draw(2, ((_term_counts, 1), (np.random.Generator.standard_exponential, MAX_SEPARABLE_TERMS)))
+_SEPARABLE_WIDTH = 1 + 9 * MAX_SEPARABLE_TERMS  # the term count, the exponentials, then 8 normals per term
 
 
 def _separable_arr(rows: np.ndarray) -> np.ndarray:
-    """Mixtures (N, 4, 4) of separable rows (N, 1 + 9 T), added in term order up to the most terms a row holds."""
+    """Mixtures (N, 4, 4) of separable rows (N, 1 + 9 T), added in term order up to the most terms a row holds.
+
+    A row holds the term count, T exponentials, then 8 normals (two kets) per term.
+    """
     most = (rows.shape[-1] - 1) // 9
     terms, draws = rows[:, 0], rows[:, 1 + most :].reshape(len(rows), most, 2, 4)
-    # As numpy's dirichlet: each exponential times 1 / their sum from 0 in term order; the zero padding adds nothing.
-    weights = rows[:, 1 : 1 + most] * (1.0 / sum(rows[:, 1 + t] for t in range(most)))[:, None]
+    # As numpy's dirichlet: each exponential times 1 / their sum from 0 in term order; those past a row's count are 0.
+    exps = np.where(np.arange(most) < terms[:, None], rows[:, 1 : 1 + most], 0.0)
+    weights = exps * (1.0 / sum(exps[:, t] for t in range(most)))[:, None]
     mat = np.zeros((len(rows), 4, 4), dtype=complex)
     for t in range(int(terms.max(initial=0))):
         live = terms > t
@@ -748,6 +789,8 @@ def random_separable_two_qubit(seed: SeedLike = None, max_terms: int = MAX_SEPAR
     max_terms = _integer("max_terms", max_terms)
     if max_terms < 1:
         raise StateValidationError(f"max_terms must be >= 1, got {max_terms}")
-    row = np.empty(_separable_width(max_terms))
-    _draw_separable(as_rng(seed), row)
+    rng, row = as_rng(seed), np.zeros(1 + 9 * max_terms)
+    row[0] = terms = int(rng.integers(1, max_terms + 1))
+    rng.standard_exponential(out=row[1 : 1 + terms])
+    rng.standard_normal(out=row[1 + max_terms : 1 + max_terms + 8 * terms])
     return QuantumState(2, _separable_arr(row[None])[0])

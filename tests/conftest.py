@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from qsteer import states
 
 
 @pytest.fixture
@@ -12,6 +16,55 @@ def random_single_qubit_density(rng):
     ginibre = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     mat = ginibre @ ginibre.conj().T
     return mat / np.trace(mat)
+
+
+class RowGenerator(np.random.Generator):
+    """A Generator that replays one draw row to the public samplers, one state at a time.
+
+    Each method the samplers call takes the next floats of the row's tiles
+    of its own kind, in column order: normals, ``random`` (which ``uniform``
+    scales as numpy does), exponentials and separable term counts.
+    """
+
+    def __init__(self, row: np.ndarray, draw):
+        super().__init__(np.random.Philox(0))
+        self._queues = {}
+        for first, fill, columns in draw.layout(len(row)):
+            self._queues.setdefault(fill, []).extend(row[first : first + columns].tolist())
+
+    def _take(self, fill, size=None, out=None):
+        count = out.size if out is not None else math.prod(np.atleast_1d(1 if size is None else size))
+        queue = self._queues[fill]
+        values = np.array(queue[:count])
+        assert values.size == count, "the row holds fewer floats of this kind"
+        del queue[:count]
+        if out is not None:
+            out[...] = values.reshape(out.shape)
+            return out
+        return float(values[0]) if size is None else values.reshape(size)
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        return self._take(states._standard_normal, size, out)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self._take(np.random.Generator.random, size, out)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + (high - low) * self.random(size)
+
+    def standard_exponential(self, size=None, dtype=np.float64, method="zig", out=None):
+        return self._take(np.random.Generator.standard_exponential, size, out)
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        assert (low, high, size) == (1, states.MAX_SEPARABLE_TERMS + 1, None), "only the separable term count"
+        return int(self._take(states._term_counts))
+
+
+def row_streams(master_seed: int, start: int, stop: int, draw=states._NORMALS, width: int = 2048):
+    """Yield ``(i, rng)`` for samples [start, stop): rng replays sample i's ``draw`` row, ``width`` floats wide."""
+    rows = states.sample_rows(master_seed, start, stop, width, draw)
+    for i, row in enumerate(rows, start):
+        yield i, RowGenerator(row, draw)
 
 
 def _ref_partial_trace_arr(mat: np.ndarray, keep, n_qubits: int) -> np.ndarray:

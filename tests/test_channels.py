@@ -353,11 +353,11 @@ class TestStackedKernels:
     """Each stacked kernel equals its per-channel or per-state form bit for bit."""
 
     def test_random_kraus_and_superoperators(self):
-        draws = np.array([rng.standard_normal(128) for _, rng in states.sample_streams(5, 0, 30)])
+        draws = np.array([states.sample_rng(5, i).standard_normal(128) for i in range(30)])
         kraus = channels._random_kraus_arr(draws)
         sups = channels._superoperator_arr(kraus)
-        for i, rng in states.sample_streams(5, 0, 30):
-            channel = random_channel(seed=rng)
+        for i in range(30):
+            channel = random_channel(seed=states.sample_rng(5, i))
             np.testing.assert_array_equal(kraus[i], np.array(channel.operators))
             np.testing.assert_array_equal(sups[i], channel.superoperator)
 

@@ -289,6 +289,18 @@ class TestSuiteCommand:
         assert main(["suite", "--samples", "30", "--format", "csv", "--output", str(out)]) == 0
         assert out.read_text().startswith("name,samples,failures,worst_margin")
 
+    def test_stderr_names_each_worst_index(self, tmp_path, capsys):
+        # The index is printed, never written: the data output keeps the golden files' bytes.
+        out = tmp_path / "suite.json"
+        assert main(["suite", "--samples", "30", "--seed", "4", "--output", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        results = {r.name: r for r in experiments.run_property_suite(samples=30, master_seed=4).results}
+        assert len(lines) == len(results)
+        for line in lines:
+            name = line.split()[1].rstrip(":")
+            assert line.endswith(f" at index {results[name].worst_index}"), line
+        assert "worst_index" not in out.read_text()
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -390,7 +402,7 @@ GOLDEN_CALLS = [
 ]
 
 
-# Conjecture searches, byte for byte as the density-matrix hub reduce wrote them.
+# Conjecture searches, byte for byte as written when the draw rows became 32-column tiles per 256-sample block.
 CONJECTURE_GOLDEN = [
     ("conjecture_seed12345_20000.json", ["conjecture", "--samples", "20000", "--seed", "12345"]),
     ("conjecture_seed7_20000.json", ["conjecture", "--samples", "20000", "--seed", "7"]),
@@ -411,13 +423,13 @@ class TestGoldenOutput:
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
     def test_suite_bytes_match_golden_file(self, tmp_path):
-        # Every invariant's margins at a small scale, as the einsum (a, b, T) kernels wrote them.
+        # Every invariant's margins at a small scale, as written when the draw rows became tiles.
         out = tmp_path / "suite.json"
         assert main(["suite", "--samples", "200", "--seed", "7", "--workers", "1", "--output", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "suite_seed7_200.json").read_bytes()
 
     def test_explored_suite_bytes_match_golden_file(self, tmp_path):
-        # The suite as each check wrote it alone, before the checks shared each sample's normals.
+        # The explored suite as written when the draw rows became tiles; each check gives these values alone too.
         out = tmp_path / "suite.json"
         argv = ["suite", "--samples", "1000", "--seed", "7", "--explore-mixed-4q", "--workers", "1"]
         assert main([*argv, "--output", str(out)]) == 0

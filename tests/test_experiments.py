@@ -42,9 +42,15 @@ from qsteer.experiments import (
     sweep_noisy_w,
 )
 from qsteer.monogamy import volume_monogamy_report
-from qsteer.states import QuantumState, _partial_trace_arr, sample_streams
+from qsteer.states import _NORMALS, QuantumState, _partial_trace_arr
+
+from conftest import row_streams
 
 # --- per-sample references: each suite check, one state at a time through the public functions ---
+
+# Each reference replays sample i's draw row (states.sample_rows) to the public samplers (conftest.RowGenerator).
+_SEPARABLE_WIDTH = states._SEPARABLE_WIDTH
+_WCLASS_WIDTH = 1 + 3 * 8
 
 
 def _mixed_matrix(rng, n_qubits: int) -> np.ndarray:
@@ -57,7 +63,7 @@ def _pure_matrix(rng, n_qubits: int) -> np.ndarray:
 
 def _ref_reconstruction(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = _mixed_matrix(rng, 2)
         rebuilt = states.pauli_decomposition(mat).reconstruct()
         out[i - start] = _RECON_TOL - float(np.max(np.abs(rebuilt - mat)))
@@ -66,7 +72,7 @@ def _ref_reconstruction(master_seed: int, start: int, stop: int) -> np.ndarray:
 
 def _ref_ptrace_composition(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = _mixed_matrix(rng, 3)
         direct = _partial_trace_arr(mat, [0], 3)
         stepwise = _partial_trace_arr(_partial_trace_arr(mat, [0, 1], 3), [0], 2)
@@ -76,7 +82,7 @@ def _ref_ptrace_composition(master_seed: int, start: int, stop: int) -> np.ndarr
 
 def _ref_purity_symmetry(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = _pure_matrix(rng, 3)
         p_ab = states.purity(_partial_trace_arr(mat, [0, 1], 3))
         p_c = states.purity(_partial_trace_arr(mat, [2], 3))
@@ -86,7 +92,7 @@ def _ref_purity_symmetry(master_seed: int, start: int, stop: int) -> np.ndarray:
 
 def _ref_state_validity(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         pure = states.random_pure_state(3, seed=rng)
         QuantumState.from_amplitudes(pure.data)
         mixed = states.random_mixed_state(3, seed=rng)
@@ -97,7 +103,7 @@ def _ref_state_validity(master_seed: int, start: int, stop: int) -> np.ndarray:
 
 def _ref_volume_canonical(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = _mixed_matrix(rng, 2)
         v = ellipsoid.normalized_volume(mat)
         t_canon = states._spin_corr_arr(ellipsoid.canonical_form(mat).data)
@@ -116,7 +122,7 @@ def _steered_points(mat: np.ndarray, rng) -> tuple[np.ndarray, "states.PauliDeco
 
 def _ref_bloch_containment(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         points, _ = _steered_points(_mixed_matrix(rng, 2), rng)
         out[i - start] = 1.0 + _BLOCH_BALL_TOL - float(np.max(np.linalg.norm(points, axis=1)))
     return out
@@ -124,7 +130,7 @@ def _ref_bloch_containment(master_seed: int, start: int, stop: int) -> np.ndarra
 
 def _ref_membership(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = _mixed_matrix(rng, 2)
         points, _ = _steered_points(mat, rng)
         ell = ellipsoid.steering_ellipsoid(mat)
@@ -139,7 +145,7 @@ def _ref_membership(master_seed: int, start: int, stop: int) -> np.ndarray:
 
 def _ref_separable_bound(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop, states._SEPARABLE_DRAW, _SEPARABLE_WIDTH):
         mat = states.random_separable_two_qubit(seed=rng).matrix
         out[i - start] = _SEPARABLE_BOUND + _TOL - ellipsoid.normalized_volume(mat)
     return out
@@ -147,7 +153,7 @@ def _ref_separable_bound(master_seed: int, start: int, stop: int) -> np.ndarray:
 
 def _ref_volume_interval(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = _mixed_matrix(rng, 2)
         v = ellipsoid.normalized_volume(mat)
         margin = min(v + _TOL, 1.0 + _TOL - v)
@@ -166,7 +172,7 @@ def _two_thirds_power(v: float) -> float:
 def _ref_monogamy_sum(master_seed: int, start: int, stop: int, *, n_qubits: int,
                       pure: bool, power: Callable[[float], float], bound: float) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = _pure_matrix(rng, n_qubits) if pure else _mixed_matrix(rng, n_qubits)
         lhs = sum(power(float(v)) for v in monogamy._hub_volumes(mat, n_qubits, 0))
         out[i - start] = bound + _TOL - lhs
@@ -175,7 +181,7 @@ def _ref_monogamy_sum(master_seed: int, start: int, stop: int, *, n_qubits: int,
 
 def _ref_mixed5_mean_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = _mixed_matrix(rng, 5)
         out[i - start] = 0.5 + _TOL - float(np.mean(monogamy._hub_volumes(mat, 5, 0)))
     return out
@@ -183,7 +189,7 @@ def _ref_mixed5_mean_volume(master_seed: int, start: int, stop: int) -> np.ndarr
 
 def _ref_correlation_sum(master_seed: int, start: int, stop: int, *, pure: bool) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = _pure_matrix(rng, 3) if pure else _mixed_matrix(rng, 3)
         total = monogamy.pairwise_correlation_sum(mat)
         out[i - start] = _TOL - abs(total - 3.0) if pure else 3.0 + _TOL - total
@@ -195,7 +201,7 @@ def _ref_purity_identities(master_seed: int, start: int, stop: int, *, n_qubits:
         monogamy.purity_identity_residuals_3q if n_qubits == 3 else monogamy.purity_identity_residuals_4q
     )
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = _pure_matrix(rng, n_qubits)
         out[i - start] = _TOL - float(np.max(np.abs(residual_fn(mat))))
     return out
@@ -203,7 +209,7 @@ def _ref_purity_identities(master_seed: int, start: int, stop: int, *, n_qubits:
 
 def _ref_canonical_equalities(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = ellipsoid.canonical_form(_pure_matrix(rng, 3)).data
         v_b, v_c = monogamy._hub_volumes(mat, 3, 0)
         b = states._bloch_arr(_partial_trace_arr(mat, [1], 3))
@@ -214,7 +220,7 @@ def _ref_canonical_equalities(master_seed: int, start: int, stop: int) -> np.nda
 
 def _ref_polygon(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = _pure_matrix(rng, 3)
         out[i - start] = monogamy.polygon_residual(mat) + _TOL
     return out
@@ -234,7 +240,7 @@ def _mixed_factor(rng, n_qubits: int) -> np.ndarray:
 
 def _ref_concurrence_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         factor = _mixed_factor(rng, 2)
         mat = states._induced_arr(factor.reshape(-1), 2)
         out[i - start] = monogamy._concurrence_volume_arr(mat, factor) + _TOL
@@ -243,14 +249,14 @@ def _ref_concurrence_volume(master_seed: int, start: int, stop: int) -> np.ndarr
 
 def _ref_ckw(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         out[i - start] = monogamy._ckw_arr(_mixed_factor(rng, 3)) + _TOL
     return out
 
 
 def _ref_tangle_volume(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         psi = states.random_pure_state(3, seed=rng)
         mat = psi.matrix
         tangle = monogamy._three_tangle_arr(psi.data)
@@ -277,7 +283,7 @@ def _ref_max_volume_class(theta: float) -> monogamy.SloccClass:
 
 def _ref_wclass_saturation(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop, experiments._WCLASS_DRAW, _WCLASS_WIDTH):
         theta = rng.uniform(0.0, math.pi / 2.0)
         vec = monogamy.max_volume_state(theta).data
         local = states._haar_unitary(2, rng)
@@ -294,7 +300,7 @@ def _ref_wclass_saturation(master_seed: int, start: int, stop: int) -> np.ndarra
 
 def _ref_channel_monotonicity(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = _mixed_matrix(rng, 2)
         pair = [channels.random_channel(seed=rng) for _ in range(2)]
         v_before, v_after, _ = channels.monotonicity_check(mat, pair)
@@ -304,7 +310,7 @@ def _ref_channel_monotonicity(master_seed: int, start: int, stop: int) -> np.nda
 
 def _ref_noisy_pure3_monogamy(master_seed: int, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    for i, rng in sample_streams(master_seed, start, stop):
+    for i, rng in row_streams(master_seed, start, stop):
         mat = _pure_matrix(rng, 3)
         noisy = channels.apply_local([channels.random_channel(seed=rng) for _ in range(3)], mat)
         lhs = sum(math.sqrt(v) for v in monogamy._hub_volumes(noisy.data, 3, 0))
@@ -375,20 +381,14 @@ def _exit_worker(master_seed: int, start: int, stop: int) -> np.ndarray:
     os._exit(1)
 
 
-def _own_draw(draw: Callable, master_seed: int, index: int, width: int) -> np.ndarray:
-    """Sample ``index``'s row at ``width`` from a fresh ``sample_rng``: its normals, or its check's own draw."""
-    rng, row = states.sample_rng(master_seed, index), np.empty(width)
-    if draw is experiments._normals:
-        rng.standard_normal(out=row)
-    else:
-        assert draw in (states._draw_separable, experiments._draw_wclass)
-        draw(rng, row)
-    return row
+def _own_draw(draw, master_seed: int, index: int, width: int) -> np.ndarray:
+    """Sample ``index``'s ``draw`` row at ``width``, drawn alone."""
+    return states.sample_rows(master_seed, index, index + 1, width, draw)[0]
 
 
 @cache
 def _normals_index(master_seed: int, count: int, width: int) -> dict[bytes, int]:
-    return {_own_draw(experiments._normals, master_seed, i, width).tobytes(): i for i in range(count)}
+    return {_own_draw(_NORMALS, master_seed, i, width).tobytes(): i for i in range(count)}
 
 
 def _own_row_index(master_seed: int, count: int, draws: np.ndarray, stack: Callable) -> np.ndarray:
@@ -449,6 +449,14 @@ SHARED_SCALE = 570
 SHARED_CHECKS = tuple(check for check in _SUITE + (_EXPLORATORY,) if check.scaled)
 
 
+def _shared_parts(scale: int) -> tuple:
+    """The ``_shared_sampled`` checks ``(count, width, reduce, draw)`` of SHARED_CHECKS at suite scale ``scale``."""
+    return tuple(
+        (_scaled_count(check, scale), *(check.fn.keywords[key] for key in ("width", "reduce", "draw")))
+        for check in SHARED_CHECKS
+    )
+
+
 # The rows that bound a MonogamyReport field of hub-0 volumes, with their keywords.
 RELATION_ROWS = {
     name: check.fn.keywords["reduce"].keywords
@@ -466,9 +474,11 @@ class TestRelationRows:
             "mixed5_twothirds_volume_sum", "pure3_sqrt_volume_monogamy", "pure4_twothirds_volume_monogamy",
         ]
 
-    @pytest.mark.parametrize("seed, index", [(12345, 1198), (7, 1091)])
+    # The first sample of each seed where the two sums differ.
+    @pytest.mark.parametrize("seed, index", [(12345, 249), (7, 658)])
     def test_sqrt_row_where_pow_rounds_differently(self, seed, index):
-        report = volume_monogamy_report(states.random_pure_state(3, seed=states.sample_rng(seed, index)))
+        ((_, rng),) = row_streams(seed, index, index + 1, width=16)
+        report = volume_monogamy_report(states.random_pure_state(3, seed=rng))
         assert sum(v**0.5 for v in report.volumes) != report.sqrt_lhs
         margin = CHECKS["pure3_sqrt_volume_monogamy"].fn(seed, index, index + 1)[0]
         assert margin.hex() == (1.0 + 1e-9 - report.sqrt_lhs).hex()
@@ -478,7 +488,7 @@ class TestRelationRows:
         row = RELATION_ROWS[name]
         sampler = states.random_pure_state if row["pure"] else states.random_mixed_state
         margins = CHECKS[name].fn(12345, 0, 4)
-        for i, rng in sample_streams(12345, 0, 4):
+        for i, rng in row_streams(12345, 0, 4):
             report = volume_monogamy_report(sampler(row["n_qubits"], seed=rng))
             assert margins[i].hex() == (row["bound"] + _TOL - getattr(report, row["lhs"])).hex()
 
@@ -492,27 +502,76 @@ class TestSharedNormals:
         # Own draws (separable mixtures, W-class saturation) included; grid checks not.
         assert sorted(outcomes) == [k for k, check in enumerate(checks) if check.scaled]
 
+    @pytest.mark.parametrize("explore", [True, False])
     @pytest.mark.parametrize("seed, workers", [(7, 1), (12345, 1), (5, 1), (7, 2)])
-    def test_shared_margins_match_each_check_alone(self, seed, workers):
-        counts = [_scaled_count(check, SHARED_SCALE) for check in SHARED_CHECKS]
+    def test_shared_margins_match_each_check_alone(self, seed, workers, explore):
+        checks = SHARED_CHECKS if explore else SHARED_CHECKS[:-1]
+        counts = [_scaled_count(check, SHARED_SCALE) for check in checks]
         assert sorted(set(counts)) == [57, 570]
-        outcomes = _shared_outcomes(SHARED_CHECKS, counts, seed, workers)
-        assert sorted(outcomes) == list(range(len(SHARED_CHECKS)))
-        for k, (check, count) in enumerate(zip(SHARED_CHECKS, counts)):
+        outcomes = _shared_outcomes(checks, counts, seed, workers)
+        assert sorted(outcomes) == list(range(len(checks)))
+        for k, (check, count) in enumerate(zip(checks, counts)):
             margins, error = outcomes[k]
             assert error == ""
             assert margins.tobytes() == check.fn(seed, 0, count).tobytes(), check.name
 
+    @pytest.mark.parametrize("explore", [False, True])
+    def test_suite_results_are_equal_at_one_and_two_workers(self, explore):
+        # Two workers cut 600 samples into eight chunks, each but the first starting mid-block.
+        single = run_property_suite(samples=600, master_seed=7, workers=1, explore_mixed_4q=explore)
+        assert run_property_suite(samples=600, master_seed=7, workers=2, explore_mixed_4q=explore) == single
+
+    @pytest.mark.parametrize("lo, hi", [(40, 300), (300, 570), (257, 511), (1, 2)])
+    def test_a_range_is_a_slice_of_the_whole_pass(self, lo, hi):
+        parts = _shared_parts(SHARED_SCALE)
+        whole, _ = _shared_sampled(12345, 0, SHARED_SCALE, parts)
+        values, errors = _shared_sampled(12345, lo, hi, parts)
+        assert errors == [None] * len(parts)
+        for check, got, want in zip(SHARED_CHECKS, values, whole):
+            assert got.tobytes() == want[lo:hi].tobytes(), check.name
+
+    def test_first_samples_do_not_depend_on_the_sample_count(self):
+        small = _shared_outcomes(SHARED_CHECKS, [_scaled_count(check, 50) for check in SHARED_CHECKS], 7, 1)
+        large = _shared_outcomes(SHARED_CHECKS, [_scaled_count(check, 1000) for check in SHARED_CHECKS], 7, 1)
+        for k, check in enumerate(SHARED_CHECKS):
+            margins = small[k][0]
+            assert margins.tobytes() == large[k][0][: len(margins)].tobytes(), check.name
+        assert _pure4_correlation_lhs(7, 0, 50).tobytes() == _pure4_correlation_lhs(7, 0, 1000)[:50].tobytes()
+
+    def test_no_two_tiles_of_a_pass_share_a_key(self, monkeypatch):
+        keys, philox = [], np.random.Philox
+
+        class RecordingPhilox(philox):
+            """Records the key of every state it is set to: one per tile and block of the pass."""
+
+            @property
+            def state(self):
+                return philox.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                keys.append(tuple(value["state"]["key"]))
+                # The setter checks the state's generator name against the class name.
+                philox.state.__set__(self, dict(value, bit_generator=type(self).__name__))
+
+        monkeypatch.setattr(np.random, "Philox", RecordingPhilox)
+        counts = [_scaled_count(check, SHARED_SCALE) for check in SHARED_CHECKS]
+        outcomes = _shared_outcomes(SHARED_CHECKS, counts, 7, 1)
+        assert [error for _, error in outcomes.values()] == [""] * len(SHARED_CHECKS)
+        assert len(keys) == len(set(keys))
+        assert {word for _, word in keys} == {states._seed_word(7)}
+        # Three draws (normals, W class, separable), three blocks, and the 2048-float rows' 64 tiles.
+        fields = {(low >> 48, (low >> 24) & 0xFFFFFF, low & 0xFFFFFF) for low, _ in keys}
+        assert {tag for tag, _, _ in fields} == {0, 1, 2}
+        assert {block for _, _, block in fields} == {0, 1, 2}
+        assert max(tile for _, tile, _ in fields) == 63
+
     def test_shared_pass_over_a_later_range(self):
         # A chunk that starts past the 10^3-checks' end gives them no samples.
-        counts = [_scaled_count(check, SHARED_SCALE) for check in SHARED_CHECKS]
-        parts = tuple(
-            (n, *(check.fn.keywords[key] for key in ("width", "reduce", "draw")))
-            for check, n in zip(SHARED_CHECKS, counts)
-        )
+        parts = _shared_parts(SHARED_SCALE)
         values, errors = _shared_sampled(12345, 300, 570, parts)
         assert errors == [None] * len(parts)
-        for check, count, got in zip(SHARED_CHECKS, counts, values):
+        for check, (count, *_), got in zip(SHARED_CHECKS, parts, values):
             want = check.fn(12345, 300, count) if count > 300 else np.empty(0)
             assert got.tobytes() == want.tobytes(), check.name
 
@@ -532,11 +591,20 @@ class TestSharedNormals:
         keywords = [check.fn.keywords for check in SHARED_CHECKS]
         parts = tuple((n, kw["width"], recording(k), kw["draw"]) for k, (n, kw) in enumerate(zip(counts, keywords)))
         assert _shared_sampled(12345, start, SHARED_SCALE, parts)[1] == [None] * len(parts)
-        for (count, width, _, draw), blocks, check in zip(parts, recorded, SHARED_CHECKS):
-            rows = np.concatenate(blocks) if blocks else np.empty((0, width))
-            assert rows.shape == (max(0, count - start), width), check.name
-            for i, row in enumerate(rows, start):
-                assert row.tobytes() == _own_draw(draw, 12345, i, width).tobytes(), (check.name, i)
+        rows = [np.concatenate(blocks) if blocks else np.empty((0, part[1])) for part, blocks in zip(parts, recorded)]
+        for (count, width, _, draw), got, check in zip(parts, rows, SHARED_CHECKS):
+            assert got.shape == (max(0, count - start), width), check.name
+            if count > start:
+                assert got.tobytes() == states.sample_rows(12345, start, count, width, draw).tobytes(), check.name
+        # Each sample's row drawn alone, at the widest check of each draw that reads it.  The narrower checks'
+        # rows were compared with their whole range above, and a narrow row is a prefix of a wide one
+        # (test_a_narrow_draw_is_a_prefix_of_a_wider_one).
+        for draw in {part[3] for part in parts}:
+            for i in range(start, SHARED_SCALE):
+                readers = [k for k, part in enumerate(parts) if part[3] == draw and part[0] > i]
+                k = max(readers, key=lambda k: parts[k][1])
+                want = _own_draw(draw, 12345, i, parts[k][1])
+                assert rows[k][i - start].tobytes() == want.tobytes(), (SHARED_CHECKS[k].name, i)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_conjecture_row_is_its_samples_own_normals(self, monkeypatch, workers):
@@ -609,16 +677,10 @@ class TestSharedNormals:
 
     @pytest.mark.parametrize("index", [0, 255, 256, 2**32 - 1])
     def test_a_narrow_draw_is_a_prefix_of_a_wider_one(self, index):
-        # The shared row of a sample serves every narrower check: standard_normal(out=row[:w])
-        # is the first w numbers of any wider draw from the same stream.
-        ((_, rng),) = sample_streams(12345, index, index + 1)
-        wide = rng.standard_normal(4096)
+        # The shared row of a sample serves every narrower check: its tiles do not depend on the width.
+        wide = states.sample_rows(12345, index, index + 1, 4096)[0]
         for width in (16, 32, 128, 288, 332, 400, 512, 2048):
-            ((_, rng),) = sample_streams(12345, index, index + 1)
-            row = np.full(2048, np.nan)
-            rng.standard_normal(out=row[:width])
-            assert row[:width].tobytes() == wide[:width].tobytes()
-            assert np.isnan(row[width:]).all()
+            assert states.sample_rows(12345, index, index + 1, width)[0].tobytes() == wide[:width].tobytes()
 
 
 class TestBlockStacks:
@@ -699,7 +761,7 @@ class TestBlockStacks:
         def lhs(draws, stack):
             return stack(experiments._pure_states, 3)[:, 0, 0].real
 
-        checks = ((5, 16, lhs, experiments._normals), (50, 16, lhs, experiments._normals))
+        checks = ((5, 16, lhs, _NORMALS), (50, 16, lhs, _NORMALS))
         (small, large), errors = _shared_sampled(7, 0, 50, checks)
         assert errors == [None, None] and calls == [50]
         assert small.tobytes() == large[:5].tobytes()
@@ -765,17 +827,16 @@ class TestConjecture:
         # The kernel normalizes kets as random_pure_state does, so the public
         # per-state path gives max_lhs bit for bit.
         result = run_conjecture_test(2000, master_seed=seed)
-        psi = states.random_pure_state(4, seed=states.sample_rng(seed, result.worst_state_seed))
+        ((_, rng),) = row_streams(seed, result.worst_state_seed, result.worst_state_seed + 1, width=32)
+        psi = states.random_pure_state(4, seed=rng)
         assert monogamy.pairwise_correlation_sum(psi, [(0, 1), (0, 2), (0, 3)]) == result.max_lhs
 
     def test_every_sample_replays_bit_for_bit(self):
         # np.linalg.norm(axis=1) normalization put about one sample in six off in the last bits.
         lhs = _pure4_correlation_lhs(21, 0, 400)
         ref = [
-            monogamy.pairwise_correlation_sum(
-                states.random_pure_state(4, seed=states.sample_rng(21, i)), [(0, 1), (0, 2), (0, 3)]
-            )
-            for i in range(400)
+            monogamy.pairwise_correlation_sum(states.random_pure_state(4, seed=rng), [(0, 1), (0, 2), (0, 3)])
+            for _, rng in row_streams(21, 0, 400, width=32)
         ]
         np.testing.assert_array_equal(lhs, ref)
 
@@ -789,8 +850,8 @@ class TestConjecture:
 
     def test_lhs_matches_public_reference(self):
         lhs = _pure4_correlation_lhs(11, 250, 262)
-        for k, i in enumerate(range(250, 262)):
-            psi = states.random_pure_state(4, seed=states.sample_rng(11, i))
+        for k, (_, rng) in enumerate(row_streams(11, 250, 262, width=32)):
+            psi = states.random_pure_state(4, seed=rng)
             ref = sum(
                 float(np.sum(states.spin_correlation_matrix(states.partial_trace(psi, [0, other])) ** 2))
                 for other in (1, 2, 3)
@@ -809,9 +870,7 @@ class TestConjecture:
     @pytest.mark.parametrize("seed", [12345, 7])
     def test_block_lhs_matches_density_formula(self, seed):
         # The hub reduce before it traced kets directly: build each density, then trace it.
-        rows = np.empty((300, 32))
-        for i, rng in sample_streams(seed, 0, 300):
-            rng.standard_normal(out=rows[i])
+        rows = states.sample_rows(seed, 0, 300, 32)
         mats = states._densities(states._haar_arr(rows))
         want = 0.0
         for other in (1, 2, 3):
@@ -1043,16 +1102,43 @@ class TestPropertySuite:
         # sampled_state_validity draws one row of normals per sample; its reduce must build, bit for bit,
         # the states random_pure_state(3) and then random_mixed_state(3) draw from the same stream.
         fn = CHECKS["sampled_state_validity"].fn
-        rows = np.empty((500, fn.keywords["width"]))
-        for i, rng in sample_streams(master_seed, 0, 500):
-            fn.keywords["draw"](rng, out=rows[i])
+        rows = states.sample_rows(master_seed, 0, 500, fn.keywords["width"], fn.keywords["draw"])
         validated = []
         monkeypatch.setattr(states, "_validate_arr", lambda data, tol: validated.append(np.array(data)))
         fn.keywords["reduce"](rows, experiments._Stacks(rows).reader(500))
         kets, mats = validated
-        for i, rng in sample_streams(master_seed, 0, 500):
+        for i, rng in row_streams(master_seed, 0, 500, width=fn.keywords["width"]):
             assert kets[i].tobytes() == states.random_pure_state(3, seed=rng).data.tobytes()
             assert mats[i].tobytes() == states.random_mixed_state(3, seed=rng).matrix.tobytes()
+
+
+class TestReplay:
+    """A run's worst sample is rebuilt from its draw row alone (states.sample_rows) and gives its value bit for bit."""
+
+    def test_worst_suite_sample_replays_bit_for_bit(self):
+        result = next(
+            r for r in run_property_suite(samples=1000, master_seed=7).results if r.name == "pure3_sqrt_volume_monogamy"
+        )
+        i = result.worst_index
+        ket = states._haar_arr(states.sample_rows(7, i, i + 1, experiments._pure_width(3))[0])
+        report = volume_monogamy_report(QuantumState(3, ket))
+        assert (1.0 + _TOL - report.sqrt_lhs).hex() == result.worst_margin.hex()
+
+    @pytest.mark.parametrize("seed", [7, 12345])
+    def test_worst_conjecture_state_replays_bit_for_bit(self, seed):
+        result = run_conjecture_test(3000, master_seed=seed)
+        i = result.worst_state_seed
+        ket = states._haar_arr(states.sample_rows(seed, i, i + 1, 32)[0])
+        assert monogamy.pairwise_correlation_sum(QuantumState(4, ket), [(0, 1), (0, 2), (0, 3)]) == result.max_lhs
+
+    def test_worst_index_is_that_of_the_worst_margin(self):
+        for result in run_property_suite(samples=60, master_seed=5, explore_mixed_4q=True).results:
+            margins = CHECKS[result.name].fn(5, 0, result.samples)
+            assert result.worst_index == int(np.argmin(margins)), result.name
+            assert margins[result.worst_index] == result.worst_margin
+            assert "worst_index" not in result.to_dict()
+        empty = run_property_suite(samples=0, master_seed=1).results
+        assert {r.worst_index for r in empty if r.samples == 0} == {-1}
 
 
 class TestWClassSaturation:
@@ -1063,12 +1149,14 @@ class TestWClassSaturation:
         assert expected is _ref_max_volume_class(theta)
 
     def test_end_of_range_sample_saturates(self):
-        # Sample 27 of master seed 677336445 draws theta = pi/2 - 5.0e-7, where
-        # qubit 1 factors out; the state is bipartite yet saturates the bound.
-        theta = states.sample_rng(677336445, 27).uniform(0.0, math.pi / 2.0)
+        # The first theta within 1e-5 of pi/2 in samples 0-49 of master seeds from 677332090 upward:
+        # sample 42 of seed 677332260 draws theta = pi/2 - 3.2e-6, where qubit 1 factors out; the
+        # state is bipartite yet saturates the bound.
+        ((_, rng),) = row_streams(677332260, 42, 43, experiments._WCLASS_DRAW, _WCLASS_WIDTH)
+        theta = rng.uniform(0.0, math.pi / 2.0)
         assert math.pi / 2 - theta < 1e-5
         assert monogamy._SLOCC_CLASSES[int(_max_volume_codes(theta))] is monogamy.SloccClass.BIPARTITE_AC_B
-        assert CHECKS["wclass_saturation"].fn(677336445, 27, 28)[0] >= 0.0
+        assert CHECKS["wclass_saturation"].fn(677332260, 42, 43)[0] >= 0.0
 
 
 # The worst tangle_volume_bound samples of the two golden runs that print one
@@ -1077,14 +1165,14 @@ class TestWClassSaturation:
 # entries at 50 digits with mpmath (offline; mpmath is not a dependency).
 TANGLE_WORST_SAMPLES = [
     (
-        12345, 10_000, 5814,
-        "0.0022478146434492226038151848098187072999884203600404",
-        "0.0022288259951877541208319547399374232888912002905776",
+        12345, 10_000, 8853,
+        "0.0015697363894168225348027419195539310540954625310013",
+        "0.0015347905557012868704315720109981443080634079307196",
     ),
     (
-        7, 1_000, 522,
-        "0.006028138643577763845260152626345020441562246117337",
-        "0.0059749718987761581423607058496893519326361802257915",
+        7, 1_000, 573,
+        "0.0041451943805789368476931363577192636136907095729425",
+        "0.0041174055776987570430474404586555129886888702371581",
     ),
 ]
 
@@ -1094,7 +1182,7 @@ class TestTangleWorstSamples:
     def test_worst_sample_matches_fifty_digit_value(self, seed, count, index, tangle, margin):
         fn = CHECKS["tangle_volume_bound"].fn
         assert int(np.argmin(fn(seed, 0, count))) == index
-        ket = states._haar_arr(states.sample_rng(seed, index).standard_normal(experiments._pure_width(3)))
+        ket = states._haar_arr(states.sample_rows(seed, index, index + 1, experiments._pure_width(3))[0])
         # The eigensolver formula was off by 4.7e-14 and 3.8e-13 here.
         assert abs(float(monogamy._three_tangle_arr(ket)) - float(tangle)) <= 1e-16
         value = fn(seed, index, index + 1)[0]

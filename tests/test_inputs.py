@@ -291,7 +291,7 @@ _PUBLIC_NAMES = [
 # inspect.signature of every exported function and dataclass.
 _SIGNATURES = {
     "ConjectureResult": "(samples: 'int', violations: 'int', max_lhs: 'float', worst_state_seed: 'int', near_misses: 'tuple[tuple[int, float], ...]' = ()) -> None",
-    "InvariantResult": "(name: 'str', samples: 'int', failures: 'int', worst_margin: 'float', exploratory: 'bool' = False, error: 'str' = '') -> None",
+    "InvariantResult": "(name: 'str', samples: 'int', failures: 'int', worst_margin: 'float', exploratory: 'bool' = False, error: 'str' = '', worst_index: 'int' = -1) -> None",
     "KrausChannel": "(operators: 'tuple[np.ndarray, ...]') -> None",
     "MonogamyReport": "(hub: 'int', volumes: 'tuple[float, ...]', sqrt_lhs: 'float', two_thirds_lhs: 'float', n_bound: 'float', mean_volume: 'float') -> None",
     "PauliDecomposition": "(a: 'np.ndarray', b: 'np.ndarray', T: 'np.ndarray') -> None",

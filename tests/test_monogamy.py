@@ -601,9 +601,7 @@ class TestWoottersKernel:
 
     def test_w_class_tangle_headroom_over_the_suite_states(self):
         # The 10^4 rotated max-volume states of the default-seed wclass_saturation check.
-        draws = np.empty((_AGREEMENT_STATES, 25))
-        for i, rng in states.sample_streams(experiments.DEFAULT_SEED, 0, _AGREEMENT_STATES):
-            experiments._draw_wclass(rng, draws[i])
+        draws = states.sample_rows(experiments.DEFAULT_SEED, 0, _AGREEMENT_STATES, 25, experiments._WCLASS_DRAW)
         theta, kets = experiments._wclass_kets(draws)
         w_class = experiments._max_volume_codes(theta) == monogamy._SLOCC_CLASSES.index(SloccClass.W_CLASS)
         assert np.count_nonzero(w_class) > 9_000

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsteer.ellipsoid import canonical_form, normalized_volume, steering_ellipsoid
+from qsteer.experiments import _WCLASS_DRAW
 from qsteer.monogamy import (
     ckw_residual,
     concurrence,
@@ -35,7 +36,7 @@ from qsteer.states import (
     random_pure_state,
     random_separable_two_qubit,
     sample_rng,
-    sample_streams,
+    sample_rows,
     spin_correlation_matrix,
 )
 
@@ -302,13 +303,9 @@ class TestRandomStates:
         )
 
 
-def _stream_draws(rng):
-    return (
-        rng.standard_normal(7),
-        rng.uniform(0.0, 2.0, 5),
-        rng.integers(1, 5, 6),
-        rng.dirichlet(np.ones(3)),
-    )
+def _rng_pairs(master_seed: int, count: int):
+    """Two equal fresh streams per index: ``sample_rng(master_seed, i)`` twice."""
+    return [(sample_rng(master_seed, i), sample_rng(master_seed, i)) for i in range(count)]
 
 
 class TestNumpyDrawIdentities:
@@ -317,7 +314,7 @@ class TestNumpyDrawIdentities:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_dirichlet_of_ones_is_normalized_exponentials(self, k):
         # numpy's gamma(1) is the exponential; dirichlet sums from 0.0 in order, then multiplies by 1 / sum.
-        for (_, a), (_, b) in zip(sample_streams(3, 0, 2000), sample_streams(3, 0, 2000)):
+        for a, b in _rng_pairs(3, 2000):
             e = b.standard_exponential(k)
             total = 0.0
             for x in e:
@@ -325,63 +322,108 @@ class TestNumpyDrawIdentities:
             assert a.dirichlet(np.ones(k)).tobytes() == (e * (1.0 / total)).tobytes()
 
     def test_uniform_to_half_pi_is_scaled_random(self):
-        for (_, a), (_, b) in zip(sample_streams(3, 0, 2000), sample_streams(3, 0, 2000)):
+        for a, b in _rng_pairs(3, 2000):
             assert a.uniform(0.0, np.pi / 2.0).hex() == ((np.pi / 2.0) * b.random()).hex()
 
 
-class TestSampleStreams:
+def _tile_stream(master_seed: int, tag: int, tile: int, block: int) -> np.random.Generator:
+    """The stream of one tile of one block, built from the documented key layout."""
+    word = int(np.random.SeedSequence(master_seed).generate_state(1, np.uint64)[0])
+    return np.random.Generator(np.random.Philox(key=(word << 64) | (tag << 48) | (tile << 24) | block))
+
+
+class TestSampleRows:
     # Seed 5's seed word is >= 2**63, so the re-keyed state dict holds a key word past int64.
-    @pytest.mark.parametrize("master_seed", [0, 1, 5, 12345, 2**32 - 1, 2**32, 2**64 + 3])
-    def test_matches_sample_rng(self, master_seed):
-        # 0..258 crosses the block boundary at 256; the last index is the largest allowed.
-        ranges = [(0, 258), (2**32 - 1, 2**32)]
-        checked = set()
-        for start, stop in ranges:
-            for i, rng in sample_streams(master_seed, start, stop):
-                if i in (0, 1, 255, 256, 257, 2**32 - 1):
-                    for got, want in zip(_stream_draws(rng), _stream_draws(sample_rng(master_seed, i))):
-                        np.testing.assert_array_equal(got, want)
-                    checked.add(i)
-        assert checked == {0, 1, 255, 256, 257, 2**32 - 1}
+    @pytest.mark.parametrize("master_seed", [0, 5, 12345, 2**64 + 3])
+    @pytest.mark.parametrize("start, stop", [(0, 300), (250, 520), (2**32 - 3, 2**32)])
+    def test_key_layout(self, master_seed, start, stop):
+        # Pins the stream of every seeded ensemble: changing it must be deliberate.  Tile t of
+        # sample i is row i % 256 of a draw from the start of block i // 256.
+        rows = sample_rows(master_seed, start, stop, 70)
+        for block in range(start // 256, -(-stop // 256)):
+            lo, hi = max(start, 256 * block), min(stop, 256 * block + 256)
+            for tile in range(3):
+                want = _tile_stream(master_seed, 0, tile, block).standard_normal((hi - 256 * block, 32))
+                got = rows[lo - start : hi - start, 32 * tile : 32 * tile + 32]
+                assert got.tobytes() == want[lo - 256 * block :, : got.shape[1]].tobytes()
+
+    def test_own_draws_follow_their_tiles(self):
+        # W class: a uniform, then 24 normals; separable: the term count, 4 exponentials, then 32 normals.
+        wclass = sample_rows(9, 0, 300, 25, _WCLASS_DRAW)
+        separable = sample_rows(9, 0, 300, 37, states._SEPARABLE_DRAW)
+        for block, rows in ((0, slice(0, 256)), (1, slice(256, 300))):
+            n = rows.stop - rows.start
+            assert wclass[rows, 0].tobytes() == _tile_stream(9, 1, 0, block).random(n).tobytes()
+            assert wclass[rows, 1:].tobytes() == _tile_stream(9, 1, 1, block).standard_normal((n, 24)).tobytes()
+            counts = _tile_stream(9, 2, 0, block).integers(1, 5, size=n)
+            assert separable[rows, 0].tobytes() == counts.astype(float).tobytes()
+            exps = _tile_stream(9, 2, 1, block).standard_exponential((n, 4))
+            assert separable[rows, 1:5].tobytes() == exps.tobytes()
+            normals = _tile_stream(9, 2, 2, block).standard_normal((n, 32))
+            assert separable[rows, 5:].tobytes() == normals.tobytes()
+        assert set(separable[:, 0]) == {1.0, 2.0, 3.0, 4.0}
+
+    def test_a_row_depends_on_its_sample_alone(self):
+        whole = sample_rows(7, 0, 1000, 300)
+        for start, stop, width in [(0, 50, 300), (255, 257, 40), (300, 1000, 16), (513, 514, 300), (999, 1000, 1)]:
+            assert sample_rows(7, start, stop, width).tobytes() == whole[start:stop, :width].tobytes()
 
     def test_seed_word_of_5_is_past_int64(self):
         assert states._seed_word(5) >= 2**63
 
-    def test_buffered_uint32_does_not_reach_next_sample(self):
-        # An odd count of uint32 draws leaves half of a 64-bit word buffered in the generator.
-        for i, rng in sample_streams(5, 0, 6):
-            for got, want in zip(_stream_draws(rng), _stream_draws(sample_rng(5, i))):
-                np.testing.assert_array_equal(got, want)
-            rng.integers(0, 2**32 - 1, size=3, dtype=np.uint32)
-            assert rng.bit_generator.state["has_uint32"] == 1
-
-    @pytest.mark.parametrize("master_seed, index", [(0, 0), (12345, 258), (2**64 + 3, 2**64 - 1)])
-    def test_key_layout(self, master_seed, index):
-        # Pins the stream of every seeded ensemble: changing it must be deliberate.
-        word = int(np.random.SeedSequence(master_seed).generate_state(1, np.uint64)[0])
-        want = np.random.Generator(np.random.Philox(key=(word << 64) | index))
-        for got, ref in zip(_stream_draws(sample_rng(master_seed, index)), _stream_draws(want)):
-            np.testing.assert_array_equal(got, ref)
-
-    @pytest.mark.parametrize("index", [-1, 2**64])
-    def test_index_outside_key_word_rejected(self, index):
-        with pytest.raises(ValueError):
-            sample_rng(3, index)
-
-    def test_yields_every_index_in_order(self):
-        assert [i for i, _ in sample_streams(3, 250, 520)] == list(range(250, 520))
-        assert list(sample_streams(3, 5, 5)) == []
+    def test_empty_range(self):
+        assert sample_rows(3, 5, 5, 16).shape == (0, 16)
+        assert sample_rows(3, 2**32, 2**32, 16).shape == (0, 16)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             sample_rng(-1, 0)
         with pytest.raises(ValueError):
-            list(sample_streams(-1, 0, 3))
+            sample_rows(-1, 0, 3, 16)
 
-    @pytest.mark.parametrize("start, stop", [(-1, 2), (2**32 - 1, 2**32 + 1), (2**32, 2**32 + 1)])
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (2**32 - 1, 2**32 + 1), (2**32, 2**32 + 1), (5, 4)])
     def test_indices_outside_uint32_rejected(self, start, stop):
         with pytest.raises(ValueError):
-            list(sample_streams(7, start, stop))
+            sample_rows(7, start, stop, 16)
+
+    @pytest.mark.parametrize("width", [0, -1, 2**29 + 1])
+    def test_width_outside_the_tile_field_rejected(self, width):
+        with pytest.raises(ValueError, match="width"):
+            sample_rows(7, 0, 1, width)
+
+    @pytest.mark.parametrize("draw", [_WCLASS_DRAW, states._SEPARABLE_DRAW])
+    def test_lead_tiles_count_against_the_tile_field(self, draw):
+        # A key's tile field holds 2**24 tiles: the lead tiles, then 32-normal tiles up to ``widest``.
+        widest = sum(columns for _, columns in draw.tiles) + 32 * (2**24 - len(draw.tiles))
+        with pytest.raises(ValueError, match="width"):
+            draw.layout(widest + 1)
+        with pytest.raises(ValueError, match="width"):
+            sample_rows(7, 0, 1, widest + 1, draw)
+
+    @pytest.mark.parametrize(
+        "master_seed, start, stop, width, name",
+        [(5, 0.9, 2, 16, "start"), (5, 0, 2.9, 16, "stop"), (5.0, 0, 2, 16, "master seed"), (5, 0, 2, 16.0, "width")],
+    )
+    def test_sample_rows_rejects_non_integers(self, master_seed, start, stop, width, name):
+        with pytest.raises(TypeError, match=name):
+            sample_rows(master_seed, start, stop, width)
+
+    def test_numpy_integers_accepted(self):
+        got = sample_rows(np.uint64(5), np.int32(2), np.int64(4), np.int16(16))
+        assert got.tobytes() == sample_rows(5, 2, 4, 16).tobytes()
+
+
+class TestSampleRng:
+    @pytest.mark.parametrize("master_seed, index", [(0, 0), (12345, 258), (2**64 + 3, 2**64 - 1)])
+    def test_key_layout(self, master_seed, index):
+        word = int(np.random.SeedSequence(master_seed).generate_state(1, np.uint64)[0])
+        want = np.random.Generator(np.random.Philox(key=(word << 64) | index))
+        assert sample_rng(master_seed, index).standard_normal(7).tobytes() == want.standard_normal(7).tobytes()
+
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    def test_index_outside_key_word_rejected(self, index):
+        with pytest.raises(ValueError):
+            sample_rng(3, index)
 
     @pytest.mark.parametrize("master_seed, index, name", [(5, 1.5, "sample index"), (1.5, 0, "master seed")])
     def test_sample_rng_rejects_non_integers(self, master_seed, index, name):
@@ -389,18 +431,9 @@ class TestSampleStreams:
         with pytest.raises(TypeError, match=name):
             sample_rng(master_seed, index)
 
-    @pytest.mark.parametrize(
-        "master_seed, start, stop, name", [(5, 0.9, 2.9, "start"), (5, 0, 2.9, "stop"), (5.0, 0, 2, "master seed")]
-    )
-    def test_sample_streams_rejects_non_integers(self, master_seed, start, stop, name):
-        with pytest.raises(TypeError, match=name):
-            list(sample_streams(master_seed, start, stop))
-
     def test_numpy_integers_accepted(self):
-        for got, want in zip(_stream_draws(sample_rng(np.int64(5), np.uint32(3))), _stream_draws(sample_rng(5, 3))):
-            np.testing.assert_array_equal(got, want)
-        streams = sample_streams(np.uint64(5), np.int32(2), np.int64(4))
-        assert [i for i, _ in streams] == [2, 3]
+        got = sample_rng(np.int64(5), np.uint32(3)).standard_normal(7)
+        assert got.tobytes() == sample_rng(5, 3).standard_normal(7).tobytes()
 
 
 class TestBatchedKernels:
@@ -750,15 +783,23 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("max_terms", range(1, 7))
     def test_separable_rows_match_reference_sampler(self, max_terms):
-        # Stacked rows, one per stream, as the suite draws and reduces them.
-        rows = np.empty((200, states._separable_width(max_terms)))
-        for i, rng in sample_streams(11, 0, 200):
-            states._draw_separable(rng, rows[i])
-        mats = states._separable_arr(rows)
-        for i, rng in sample_streams(11, 0, 200):
+        # One row per stream, as random_separable_two_qubit draws it, then stacked as the suite reduces them.
+        mats = []
+        for i in range(200):
+            rng = sample_rng(11, i)
             want = _ref_separable(rng, max_terms)
-            np.testing.assert_array_equal(mats[i], want)
             np.testing.assert_array_equal(random_separable_two_qubit(seed=sample_rng(11, i), max_terms=max_terms).matrix, want)
+            mats.append(want)
+        rows = np.zeros((200, 1 + 9 * max_terms))
+        for i, row in enumerate(rows):
+            rng = sample_rng(11, i)
+            row[0] = terms = int(rng.integers(1, max_terms + 1))
+            rng.standard_exponential(out=row[1 : 1 + terms])
+            # Floats past the term count, as the suite's tiles draw them, add nothing.
+            row[1 + terms : 1 + max_terms] = 7.0
+            row[1 + max_terms :] = 3.0
+            rng.standard_normal(out=row[1 + max_terms : 1 + max_terms + 8 * terms])
+        np.testing.assert_array_equal(states._separable_arr(rows), np.array(mats))
 
 
 def _ref_separable(rng, max_terms):
@@ -893,6 +934,20 @@ class TestStackedValidator:
                 states._validate_arr(mats, states.DEFAULT_TOL)
             with pytest.raises(StateValidationError, match="non-finite"):
                 QuantumState.from_amplitudes([np.inf, np.inf, 0.0, 0.0])
+
+
+def test_quantum_state_keeps_a_read_only_complex_copy():
+    # The caller's array stays writable and unshared, on the bare and the validated constructors alike.
+    m, ket = np.eye(4) / 4, np.array([1.0, 0.0], dtype=complex)
+    built = [(QuantumState(2, m), m), (QuantumState.from_matrix(m), m), (QuantumState.from_amplitudes(ket), ket)]
+    for state, given in built:
+        assert given.flags.writeable and not np.shares_memory(state.data, given)
+        assert state.data.dtype == np.complex128 and not state.data.flags.writeable
+        with pytest.raises(ValueError):
+            state.data[0] = 1.0
+    listed = QuantumState(1, [[1, 0], [0, 0]])
+    assert listed.data.dtype == np.complex128 and listed.matrix.tobytes() == np.diag([1.0, 0.0]).astype(complex).tobytes()
+    assert purity(listed) == 1.0
 
 
 class TestQuantumStateValidation:

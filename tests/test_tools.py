@@ -12,8 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # One row per kernel of the per-sample path, in print order.
 LAYERS = [
-    "re-key only",
-    "re-key and draw 32 normals",
+    "tile draw, 32 floats per sample",
+    "tile draw, 288 floats per sample",
     "_haar_arr, 4 qubits",
     "_induced_arr, 3 of 6 qubits",
     "_reduced_arr pure, 4-qubit hub pairs",

@@ -3,19 +3,21 @@
     PYTHONPATH=src python tools/check_costs.py [--rows 2000] [--seed 7] [--repeats 5]
 
 Each random-sample check runs alone on ``--rows`` samples: its draw column
-times the shared pass's own per-sample loop (``_row_drawer``: re-key each
-sample's stream and draw its row), its reduce column times the reduce on
-the pre-drawn rows, block by block, each block with its own stack cache
-(so the check builds every state stack it reads).  Rows are
+times the shared pass's own draw of its rows (``states._drawn_blocks``: one
+re-key and one generator call per tile of each 256-sample block), its
+reduce column times the reduce on the pre-drawn rows, block by block, each
+block with its own stack cache (so the check builds every state stack it
+reads).  Rows are
 sorted by reduce cost; the full-scale column is the reduce at the check's
 10^4-scale sample count.  The shared pass is ``_shared_sampled`` over all
 the checks at two suite scales, per block of at most 256 samples: 50 (the
 benchmark's ``suite`` round, one block) and ``--rows``.  The conjecture row
 is one ``run_conjecture_test(2500)`` round, the benchmark's ``conjecture``
 round, at ``--seed``.  The layer rows time each kernel of the per-sample
-path on one stack of 256 states drawn at ``--seed``, per state; the draw
-rows run the pass's loop over one block, and "re-key only" is its stream
-setup alone, the floor under each row's draw; the two ``_apply_local_arr``
+path on one stack of 256 states drawn at ``--seed``, per state; the two
+tile-draw rows draw one block of rows 32 floats wide (one tile, the
+conjecture's rows) and 288 wide (nine tiles, the suite's widest rows at
+10^4 samples), per sample; the two ``_apply_local_arr``
 rows apply one isotropic channel shared by the stack, or one random channel
 per state and qubit (the suite's channel checks).  The shared pass, the
 conjecture round and the layers also give their minor page faults
@@ -82,9 +84,10 @@ def _steady(fn, repeats: int) -> tuple[float, float]:
     return run_s, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / repeats
 
 
-def _draw(rows: np.ndarray, draw, seed: int) -> None:
-    """The shared pass's per-sample loop: re-key each sample's stream and draw its row."""
-    experiments._row_drawer(seed, 0, len(rows), draw)(0, list(rows))
+def _draw(samples: int, width: int, draw, seed: int) -> None:
+    """The shared pass's draw of the rows of samples [0, ``samples``) at ``width``, block by block."""
+    for _ in states._drawn_blocks(seed, 0, samples, draw, [(samples, width)]):
+        pass
 
 
 def _reduce(rows: np.ndarray, reduce) -> None:
@@ -104,17 +107,7 @@ def _shared_parts(samples: int) -> tuple[tuple, int]:
 
 def _layers(seed: int) -> list[tuple[str, object]]:
     """(name, call) of each per-sample kernel on one stack of ``LAYER_STATES`` states drawn at ``seed``."""
-    normals = np.empty((LAYER_STATES, 32))
-    views = list(normals)
-    fill = experiments._row_drawer(seed, 0, LAYER_STATES, experiments._normals)
-    _, key, rekey = states._rekeyed(seed, 0, LAYER_STATES)
-
-    def rekey_only() -> None:
-        for i in range(LAYER_STATES):
-            key[0] = i
-            rekey()
-
-    fill(0, views)
+    normals = states.sample_rows(seed, 0, LAYER_STATES, 32)
     kets4 = states._haar_arr(normals)
     kets3 = states._haar_arr(normals[:, :16])
     dens4 = states._densities(kets4)
@@ -128,8 +121,8 @@ def _layers(seed: int) -> list[tuple[str, object]]:
     kraus = channels._random_kraus_arr(np.random.default_rng(seed).standard_normal((LAYER_STATES, 3, 128)))
     per_state = list(np.moveaxis(channels._superoperator_arr(kraus), 1, 0))
     return [
-        ("re-key only", rekey_only),
-        ("re-key and draw 32 normals", lambda: fill(0, views)),
+        ("tile draw, 32 floats per sample", partial(_draw, LAYER_STATES, 32, states._NORMALS, seed)),
+        ("tile draw, 288 floats per sample", partial(_draw, LAYER_STATES, 288, states._NORMALS, seed)),
         ("_haar_arr, 4 qubits", lambda: states._haar_arr(normals)),
         ("_induced_arr, 3 of 6 qubits", lambda: states._induced_arr(kets6, 3)),
         ("_reduced_arr pure, 4-qubit hub pairs", lambda: states._reduced_arr(kets4, 4, hub4, True)),
@@ -216,8 +209,8 @@ def main(argv=None) -> None:
         if not check.scaled:
             continue
         width, reduce, draw = (check.fn.keywords[key] for key in ("width", "reduce", "draw"))
-        rows = np.empty((args.rows, width))
-        draw_s = _median_s(lambda: _draw(rows, draw, args.seed), args.repeats)
+        rows = states.sample_rows(args.seed, 0, args.rows, width, draw)
+        draw_s = _median_s(lambda: _draw(args.rows, width, draw, args.seed), args.repeats)
         reduce_s = _median_s(lambda: _reduce(rows, reduce), args.repeats)
         per_sample = reduce_s / args.rows
         table.append((check.name, draw_s / args.rows * 1e6, per_sample * 1e6, per_sample * check.samples))

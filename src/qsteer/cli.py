@@ -123,7 +123,7 @@ def _parse_epsilons(raw: str | None):
     if raw is None:
         return None
     try:
-        return [float(part) for part in raw.split(",") if part.strip() != ""]
+        return [float(part) for part in raw.split(",")]
     except ValueError as exc:
         raise ValueError(f"--epsilons must be a comma-separated float list: {exc}") from exc
 

@@ -689,8 +689,8 @@ class _InvariantCheck:
 
 
 # A random-sample check's fn is ``_drawn(width, reduce, draw)``, built once
-# here: the benchmark tracer labels each check by the identity of its fn, and
-# the suite reads the width, reduce and draw of each check from fn.keywords.
+# here: the suite reads the width, reduce and draw of each check from
+# fn.keywords, and tests call ``check.fn`` alone as the reference.
 _SUITE: tuple[_InvariantCheck, ...] = (
     _InvariantCheck("state_reconstruction_round_trip", _drawn(_mixed_width(2), _reconstruction_margins), 10_000),
     _InvariantCheck("partial_trace_composition", _drawn(_mixed_width(3), _ptrace_composition_margins), 10_000),

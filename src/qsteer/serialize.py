@@ -3,10 +3,10 @@
 All floats are printed with 12 significant digits so that identical inputs
 produce byte-identical output files.  JSON has no representation for
 non-finite values; they are emitted as null (CSV keeps "inf"/"-inf").  A
-table decides once how its floats convert (``_table``): each distinct bit
-pattern converts once when at most half of its float64 cells are distinct,
-else floats convert in a % row template.  The same bits always print the
-same text, so the bytes are those of the cell-by-cell conversion.
+table's float64 array columns convert once per distinct bit pattern
+(``_pattern_cells``) and its other columns cell by cell.  The same bits
+always print the same text, so the bytes are those of the cell-by-cell
+conversion.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def _pattern_cells(arrays: list[np.ndarray], json: bool) -> list[list[str]] | None:
-    """The cells of equal-length float64 arrays, each distinct bit pattern converted once
-    (null if non-finite, for ``json``), or None when over half of the cells are distinct.
+def _pattern_cells(arrays: list[np.ndarray], cell) -> list[list[str]]:
+    """The cells of equal-length float64 arrays, each distinct bit pattern converted
+    once: "%.12g" if finite, else by ``cell``.
 
     Bits, not values, are compared, so -0.0 and each NaN payload keep a cell of their own.
     """
@@ -70,27 +70,22 @@ def _pattern_cells(arrays: list[np.ndarray], json: bool) -> list[list[str]] | No
     ordered = bits[order]
     first = np.ones(len(bits), dtype=bool)  # first of its run in sorted order
     first[1:] = ordered[1:] != ordered[:-1]
-    distinct = ordered[first]
-    if 2 * len(distinct) > len(bits):
-        return None
-    values = distinct.view(np.float64)
+    values = ordered[first].view(np.float64)
     text = np.array((",".join([_FLOAT] * len(values)) % tuple(values.tolist())).split(","), dtype=object)
-    if json:
-        text[~np.isfinite(values)] = "null"
-    # Each cell's index in ``distinct``; an argsort is faster than a searchsorted for it.
+    special = np.flatnonzero(~np.isfinite(values))
+    text[special] = [cell(value) for value in values[special].tolist()]
+    # Each cell's index in ``values``; an argsort is faster than a searchsorted for it.
     pattern = np.empty(len(bits), dtype=np.intp)
     pattern[order] = np.cumsum(first) - 1
     return text[pattern.reshape(len(arrays), -1)].tolist()
 
 
-def _table(fields: Sequence[str], columns: Sequence[Sequence], cell, json: bool) -> tuple[tuple, tuple]:
-    """The % conversion of each column of a table and the values it converts.
+def _table(fields: Sequence[str], columns: Sequence[Sequence], cell) -> list[list[str]]:
+    """The text of each cell of a table, column by column.
 
-    There must be one column per field, all of one length.  The table decides
-    once: if ``_pattern_cells`` finishes its float64 arrays, every column is
-    finished cells ("%s"), any other by ``cell``.  Otherwise a float column
-    (all finite, for ``json``) converts in the row template, "%.12g" over its
-    floats, one C-level call per row, and any other column cell by cell.
+    There must be one column per field, all of one length.  Float64 array
+    columns come from one ``_pattern_cells`` call, any other column cell by
+    cell through ``cell``.
     """
     if columns and len(columns) != len(fields):
         raise ValueError(f"table needs one column per field: {len(fields)} fields, {len(columns)} columns")
@@ -99,23 +94,11 @@ def _table(fields: Sequence[str], columns: Sequence[Sequence], cell, json: bool)
         raise ValueError(f"table columns have unequal lengths {lengths}")
     is_float64 = [isinstance(column, np.ndarray) and column.dtype == np.float64 for column in columns]
     arrays = [column for column, array in zip(columns, is_float64) if array]
-    shared = _pattern_cells(arrays, json) if arrays and lengths[0] else None
-    finished = iter(shared or ())
-    specs, values = [], []
-    for column, array in zip(columns, is_float64):
-        if shared and array:
-            specs.append("%s")
-            values.append(next(finished))
-            continue
-        scalars = column.tolist() if isinstance(column, np.ndarray) else list(column)
-        templated = shared is None and (array or set(map(type, scalars)) == {float})
-        if templated and (not json or np.isfinite(column if array else scalars).all()):
-            specs.append(_FLOAT)
-            values.append(scalars)
-        else:
-            specs.append("%s")
-            values.append(list(map(cell, scalars)))
-    return tuple(specs), tuple(values)
+    finished = iter(_pattern_cells(arrays, cell) if arrays else ())
+    return [
+        next(finished) if array else list(map(cell, column.tolist() if isinstance(column, np.ndarray) else column))
+        for column, array in zip(columns, is_float64)
+    ]
 
 
 def _emit(obj: Any, out: list, indent: int) -> None:
@@ -168,24 +151,16 @@ def columns_to_json(fields: Sequence[str], columns: Sequence[Sequence]) -> str:
     """
     # The text before each column's cell, "  {\n    key: " or ",\n    key: ", and after the last.
     seps = [("," if i else "  {") + f"\n    {_encode_str(str(name))}: " for i, name in enumerate(fields)] + ["\n  }"]
-    specs, values = _table(fields, columns, _json_scalar, True)
-    if values and set(specs) <= {"%s"}:
-        # Rows of finished cells join with the separators: a "%s" template is three times slower.
-        parts = [part for sep, cells in zip(seps, values) for part in (repeat(sep), cells)]
-        rows = list(map("".join, zip(*parts, repeat(seps[-1]))))
-    else:
-        # A literal % in a field name must not act as a conversion.
-        template = "".join(sep.replace("%", "%%") + spec for sep, spec in zip(seps, specs)) + seps[-1]
-        rows = list(map(template.__mod__, zip(*values)))
+    cells = _table(fields, columns, _json_scalar)
+    parts = [part for sep, column in zip(seps, cells) for part in (repeat(sep), column)]
+    rows = list(map("".join, zip(*parts, repeat(seps[-1])))) if cells else []
     return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
 def columns_to_csv(fields: Sequence[str], columns: Sequence[Sequence]) -> str:
     """Header plus one line per row of the equal-length ``columns``, one per field."""
-    specs, values = _table(fields, columns, _csv_cell, False)
-    # Rows of finished cells join as they are: "%s,%s" % cells is the same text, made more slowly.
-    row = ",".join if set(specs) <= {"%s"} else ",".join(specs).__mod__
-    return "\n".join([",".join(map(_csv_cell, fields)), *map(row, zip(*values))]) + "\n"
+    cells = _table(fields, columns, _csv_cell)
+    return "\n".join([",".join(map(_csv_cell, fields)), *map(",".join, zip(*cells))]) + "\n"
 
 
 def rows_to_csv(rows: Sequence[dict]) -> str:

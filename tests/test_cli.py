@@ -365,6 +365,8 @@ class TestUsageErrors:
             ["fig2", "--grid", "0"],
             ["fig2", "--grid", "-3"],
             ["fig2", "--epsilons", ","],
+            ["fig2", "--epsilons", "0.1,,0.2"],
+            ["fig2", "--epsilons", "0,0.01,"],
         ],
     )
     def test_bad_counts_exit_2(self, argv, capsys):

@@ -194,7 +194,7 @@ def test_format_float_matches_reference_on_random_bit_patterns():
     assert list(map(format_float, values)) == list(map(_ref_format_float, values))
 
 
-# --- a table whose float64 cells mostly repeat converts once per distinct bit pattern ---
+# --- a table's float64 cells convert once per distinct bit pattern ---
 
 # -0.0 and 0.0, NaNs with different payloads and signs, +-inf, subnormals and 1e23.
 POOL_BITS = [
@@ -218,12 +218,6 @@ def _pool_column(indices) -> np.ndarray:
     return np.array([POOL_BITS[i] for i in indices], dtype=np.uint64).view(np.float64)
 
 
-def _takes_patterns(columns) -> bool:
-    """Whether a table converts its float64 array cells once per distinct bit pattern."""
-    arrays = [column for column in columns if isinstance(column, np.ndarray) and column.dtype == np.float64]
-    return serialize._pattern_cells(arrays, False) is not None
-
-
 def _assert_matches_references(fields, columns):
     rows = _rows_of(fields, [np.asarray(column).tolist() for column in columns])
     assert columns_to_csv(fields, columns) == _ref_rows_to_csv(rows)
@@ -238,21 +232,19 @@ def _assert_matches_references(fields, columns):
 def test_repeating_float_columns_match_reference(pool_indices, finite_indices):
     length = min(len(pool_indices), len(finite_indices))
     columns = [_pool_column(pool_indices[:length]), _pool_column(finite_indices[:length])]
-    # The table holds at most 12 distinct patterns in at least 48 cells.
-    assert _takes_patterns(columns)
     _assert_matches_references(["a", "b"], columns)
 
 
 def test_cache_keeps_each_bit_pattern_apart():
     column = _pool_column([0, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5])
-    assert serialize._pattern_cells([column], False) == [["-0", "0", "-0", "0"] + ["nan"] * 8]
-    assert serialize._pattern_cells([column], True) == [["-0", "0", "-0", "0"] + ["null"] * 8]
+    assert serialize._pattern_cells([column], serialize._csv_cell) == [["-0", "0", "-0", "0"] + ["nan"] * 8]
+    assert serialize._pattern_cells([column], serialize._json_scalar) == [["-0", "0", "-0", "0"] + ["null"] * 8]
     _assert_matches_references(["v"], [column])
 
 
 def test_columns_sharing_bit_patterns_share_their_text():
     a = _pool_column([11, 10, 0, 1, 11, 10])
-    cells = serialize._pattern_cells([a, a[::-1].copy(), a[:3].repeat(2)], False)
+    cells = serialize._pattern_cells([a, a[::-1].copy(), a[:3].repeat(2)], serialize._csv_cell)
     assert cells[0] == ["0.1", "1e+23", "-0", "0", "0.1", "1e+23"]
     assert cells[1] == cells[0][::-1] and cells[2] == ["0.1", "0.1", "1e+23", "1e+23", "-0", "-0"]
     # One conversion per pattern: every cell of a pattern is the same text object.
@@ -269,16 +261,13 @@ def test_strided_views_match_reference():
     # analyze passes the columns of a (pairs, 3) array, *center.T.
     center = np.repeat(np.random.default_rng(3).standard_normal((5, 3)), 4, axis=0)
     columns = [*center.T, center[::-1, 1]]
-    assert _takes_patterns(columns)
     _assert_matches_references(["x", "y", "z", "reversed"], columns)
-    assert _takes_patterns([center[::2, 0], center[::2, 2]])
     _assert_matches_references(["even_x", "even_z"], [center[::2, 0], center[::2, 2]])
-    assert not _takes_patterns([center[::4, 0], center[::4, 2]])
     _assert_matches_references(["x", "z"], [center[::4, 0], center[::4, 2]])
 
 
-def test_other_columns_keep_the_template_path(monkeypatch):
-    def refuse(arrays, json):
+def test_only_float64_arrays_are_deduplicated(monkeypatch):
+    def refuse(arrays, cell):
         raise AssertionError("only float64 arrays are deduplicated")
 
     monkeypatch.setattr(serialize, "_pattern_cells", refuse)
@@ -294,28 +283,25 @@ def test_other_columns_keep_the_template_path(monkeypatch):
     assert dumps(repeats) == _ref_dumps(repeats)
 
 
-def test_other_columns_do_not_count_toward_the_half_rule():
-    # 2 distinct float64 cells in 20 take the patterns side; the float32 and list
-    # columns, all distinct, neither count nor stop it, and are formatted cell by cell.
+def test_float64_arrays_beside_other_columns_match_reference():
+    # The float32, list and int columns, all distinct, are formatted cell by cell.
     distinct = np.random.default_rng(4).standard_normal(20)
     columns = [np.arange(20.0) % 2, distinct.astype(np.float32), distinct.tolist(), np.arange(20)]
-    assert _takes_patterns(columns)
     _assert_matches_references(["repeats", "f32", "list", "int"], columns)
 
 
 @pytest.mark.parametrize(
-    "columns, patterns",
+    "columns",
     [
-        ([np.arange(10.0) % 5, 5.0 + np.arange(10.0) % 5], True),  # 10 distinct of 20 cells: exactly half
-        ([np.arange(10.0) % 6, np.arange(9.0, -1.0, -1.0) % 6], True),  # 6 of 10 in each column, 6 of 20 in all
-        ([np.zeros(10), 1.0 + np.arange(10.0) % 9], True),  # 1 + 9 of 20
-        ([np.zeros(10), 1.0 + np.arange(10.0)], False),  # 1 + 10 of 20: the repeating column alone would dedupe
-        ([np.arange(10.0) % 6], False),  # 6 of 10
+        [np.arange(10.0) % 5, 5.0 + np.arange(10.0) % 5],  # 10 distinct of 20 cells
+        [np.arange(10.0) % 6, np.arange(9.0, -1.0, -1.0) % 6],  # 6 of 10 in each column, 6 of 20 in all
+        [np.zeros(10), 1.0 + np.arange(10.0) % 9],  # 1 + 9 of 20
+        [np.zeros(10), 1.0 + np.arange(10.0)],  # 1 + 10 of 20
+        [np.arange(10.0) % 6],  # 6 of 10
+        [np.random.default_rng(6).standard_normal(10)],  # all distinct
     ],
 )
-def test_half_rule(columns, patterns):
-    # The table decides from the distinct patterns of all its float64 cells, not column by column.
-    assert _takes_patterns(columns) is patterns
+def test_tables_of_any_distinct_share_match_reference(columns):
     _assert_matches_references([f"c{k}" for k in range(len(columns))], columns)
 
 
@@ -346,7 +332,7 @@ def _mixed_tables(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_mixed_tables())
-def test_mixed_tables_match_reference_on_either_side(columns):
+def test_mixed_tables_match_reference(columns):
     _assert_matches_references([f"c{k}" for k in range(len(columns))], columns)
 
 
@@ -361,6 +347,7 @@ def test_non_finite_json_column_with_repeats_matches_reference():
     [
         (experiments.GhzSweepRow, lambda: experiments._ghz_columns(50)),
         (experiments.NoisyWSweepRow, lambda: experiments._noisy_w_columns(None, None)),
+        (experiments.NoisyWSweepRow, lambda: experiments._noisy_w_columns(experiments._open_grid(2000, 1.0), [0.01])),
     ],
 )
 def test_full_sweep_tables_match_reference(row_type, columns):

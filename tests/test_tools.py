@@ -28,16 +28,15 @@ LAYERS = [
     "_apply_local_arr, 3 qubits, one channel per state",
 ]
 
-# One row per timed table: its name, the side it takes and its cell count.  fig1 and fig2 repeat
-# enough bit patterns across their columns to convert once per pattern; the others do not.
+# One row per timed table: its name and its cell count.
 TABLES = [
-    ("fig1 --grid 50, CSV", "patterns", 22500),
-    ("fig1 --grid 50, JSON", "patterns", 22500),
-    ("fig2 --grid 100, JSON", "patterns", 2400),
-    ("fig2 --grid 100, CSV", "patterns", 2400),
-    ("analyze, mixed 5 qubits, CSV", "template", 56),
-    ("5000 x 6 distinct, CSV", "template", 30000),
-    ("5000 x 6 distinct, JSON", "template", 30000),
+    ("fig1 --grid 50, CSV", 22500),
+    ("fig1 --grid 50, JSON", 22500),
+    ("fig2 --grid 100, JSON", 2400),
+    ("fig2 --grid 100, CSV", 2400),
+    ("analyze, mixed 5 qubits, CSV", 56),
+    ("5000 x 6 distinct, CSV", 30000),
+    ("5000 x 6 distinct, JSON", 30000),
 ]
 
 # Timed per call after the grid checks.
@@ -67,10 +66,10 @@ def test_check_costs_prints_every_check():
     assert [line.split(":")[0].strip() for line in layers] == LAYERS
     assert all(re.fullmatch(r"  .+: \d+\.\d{3} µs/state, \d+\.\d minflt/call", line) for line in layers), layers
     start = lines.index("Tables at seed 7, per cell:") + 1
-    per_cell = r"  (.+): \d+\.\d{4} µs/cell, (patterns|template), (\d+) cells"
+    per_cell = r"  (.+): \d+\.\d{4} µs/cell, (\d+) cells"
     tables = [re.fullmatch(per_cell, line) for line in lines[start : lines.index("", start)]]
     assert all(tables), lines[start:]
-    assert [(match[1], match[2], int(match[3])) for match in tables] == TABLES
+    assert [(match[1], int(match[2])) for match in tables] == TABLES
     grid = lines[lines.index("Grid checks and CLI kernels, ms per call:") + 1 :]
     names = [c.name for c in experiments._SUITE if not c.scaled] + CLI_KERNELS
     assert [line.split(":")[0].strip() for line in grid] == names

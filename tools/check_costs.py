@@ -28,9 +28,7 @@ depends on what the process allocated before it.  Grid checks are timed
 per call.  The table rows time ``serialize.columns_to_csv`` or
 ``columns_to_json`` on the tables the CLI writes (fig1, fig2, and
 ``analyze --format csv`` of a mixed 5-qubit state drawn at ``--seed``) and
-on a table of distinct floats, per cell; each names the side its table
-takes: "patterns" when at most half of its float64 cells are distinct, so
-each distinct bit pattern converts once, else "template".  The last rows
+on a table of distinct floats, per cell.  The last rows
 time fig1's columns (``_ghz_columns(50)``) and ``qsteer analyze`` of
 ``tests/golden/state_mixed5.json`` (JSON to the null device) per call.  Times are
 medians of ``--repeats`` runs in this process, with one BLAS thread unless
@@ -181,11 +179,6 @@ def _cli_kernels() -> list[tuple[str, object]]:
     ]
 
 
-def _side(columns, json: bool) -> str:
-    arrays = [column for column in columns if isinstance(column, np.ndarray) and column.dtype == np.float64]
-    return "template" if serialize._pattern_cells(arrays, json) is None else "patterns"
-
-
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=2000)
@@ -231,8 +224,7 @@ def main(argv=None) -> None:
     for name, writer, fields, columns in _tables(args.seed):
         run_s, _ = _steady(lambda: _calls(lambda: writer(fields, columns), TABLE_CALLS), args.repeats)
         cells = len(columns) * len(columns[0])
-        side = _side(columns, writer is serialize.columns_to_json)
-        print(f"  {name}: {run_s / TABLE_CALLS / cells * 1e6:.4f} µs/cell, {side}, {cells} cells")
+        print(f"  {name}: {run_s / TABLE_CALLS / cells * 1e6:.4f} µs/cell, {cells} cells")
 
     print("\nGrid checks and CLI kernels, ms per call:")
     grids = [check for check in experiments._SUITE if not check.scaled]

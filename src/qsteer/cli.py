@@ -32,6 +32,14 @@ def _worker_count(raw: str) -> int:
     return value
 
 
+def _sample_count(raw: str) -> int:
+    """``--samples`` value: an int >= 1; a run of no samples has no worst margin and no largest left-hand side."""
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qsteer", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -56,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite = command("suite", "run every module invariant over seeded random ensembles")
     for sub, samples in ((conjecture, 100_000), (suite, 10_000)):
         sub.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED, help="master seed")
-        sub.add_argument("--samples", type=int, default=samples, help="Monte-Carlo sample count")
+        sub.add_argument("--samples", type=_sample_count, default=samples, help="Monte-Carlo sample count")
         sub.add_argument("--workers", type=_worker_count, default=1, help="parallel worker processes")
     suite.add_argument("--explore-mixed-4q", action="store_true", help="probe the open mixed 4-qubit bound; never fails")
     command("counterexample", "regression numbers for the monogamy counterexample")

@@ -157,10 +157,28 @@ class _Stacks:
         return stack[:count]
 
 
+@dataclass(frozen=True)
+class _InvariantCheck:
+    """A random-sample check (``width``, ``reduce``, ``draw``: see ``_shared_sampled``) or a grid check (``fn``)."""
+
+    name: str
+    samples: int
+    width: int = 0
+    reduce: Callable | None = None
+    draw: states._Draw = _NORMALS
+    fn: Callable | None = None
+    exploratory: bool = False
+
+    @property
+    def scaled(self) -> bool:
+        """Whether the sample count scales with the run's: true of every random-sample check."""
+        return self.fn is None
+
+
 def _shared_sampled(
-    master_seed: int, start: int, stop: int, checks: Sequence[tuple[int, int, Callable, states._Draw]]
+    master_seed: int, start: int, stop: int, checks: Sequence[tuple[int, _InvariantCheck]]
 ) -> tuple[list[np.ndarray], list[Exception | None]]:
-    """Values over [start, stop) and first exceptions of random-sample checks ``(count, width, reduce, draw)``.
+    """Values over [start, stop) and first exceptions of random-sample checks ``(count, check)``.
 
     Check k reads the first ``width_k`` floats of the ``draw_k`` rows of samples [0, count_k)
     (``states.sample_rows``); ``reduce_k(block, stack)`` maps a view of at most 256 of them to
@@ -170,17 +188,15 @@ def _shared_sampled(
     that raises gives its check the exception of its first failing block and no later blocks;
     the other checks go on.  The row array is reused: a reduce must neither keep nor write it.
     """
-    values = [np.empty(max(0, min(count, stop) - start)) for count, *_ in checks]
+    values = [np.empty(max(0, min(count, stop) - start)) for count, _ in checks]
     errors: list[Exception | None] = [None] * len(checks)
-    for draw in dict.fromkeys(check[3] for check in checks):
-        group = sorted(
-            (k for k, check in enumerate(checks) if check[3] == draw and check[0] > start), key=lambda k: -checks[k][0]
-        )
-        reads = [checks[k][:2] for k in group]
+    for draw in dict.fromkeys(check.draw for _, check in checks):
+        group = [(k, count, check.width, check.reduce) for k, (count, check) in enumerate(checks) if check.draw == draw]
+        group = sorted((member for member in group if member[1] > start), key=lambda member: -member[1])
+        reads = [(count, width) for _, count, width, _ in group]
         for lo, rows in (states._drawn_blocks(master_seed, start, stop, draw, reads) if group else ()):
             stacks = _Stacks(rows)
-            for k in group:
-                count, width, reduce, _ = checks[k]
+            for k, count, width, reduce in group:
                 n = min(count, lo + len(rows)) - lo
                 if n <= 0 or errors[k] is not None:
                     continue
@@ -191,19 +207,12 @@ def _shared_sampled(
     return values, errors
 
 
-def _sampled(
-    master_seed: int, start: int, stop: int, width: int, reduce: Callable, draw: states._Draw = _NORMALS
-) -> np.ndarray:
+def _sampled(master_seed: int, start: int, stop: int, check: _InvariantCheck) -> np.ndarray:
     """One value per sample in [start, stop): ``_shared_sampled`` of the one check, which raises its error."""
-    (values,), (error,) = _shared_sampled(master_seed, start, stop, ((stop, width, reduce, draw),))
+    (values,), (error,) = _shared_sampled(master_seed, start, stop, ((stop, check),))
     if error is not None:
         raise error
     return values
-
-
-def _drawn(width: int, reduce: Callable, draw: states._Draw = _NORMALS) -> partial:
-    """``fn(master_seed, start, stop)`` of a random-sample check: ``_sampled`` with its parts bound."""
-    return partial(_sampled, width=width, reduce=reduce, draw=draw)
 
 
 def _error_text(exc: Exception) -> str:
@@ -247,7 +256,9 @@ def _pure4_block_lhs(draws: np.ndarray, stack: Callable) -> np.ndarray:
     return monogamy._correlation_sum_arr(kets, 4, [(0, 1), (0, 2), (0, 3)], pure=True)
 
 
-_pure4_correlation_lhs = _drawn(32, _pure4_block_lhs)
+# The conjecture search: one more random-sample check, run alone; its values are the left-hand sides and
+# its count is the default of ``qsteer conjecture``.
+_CONJECTURE = _InvariantCheck("pure4_hub_correlation_sum", 100_000, 32, _pure4_block_lhs)
 
 
 def run_conjecture_test(n_samples: int, master_seed: int = DEFAULT_SEED, workers: int = 1) -> ConjectureResult:
@@ -257,7 +268,7 @@ def run_conjecture_test(n_samples: int, master_seed: int = DEFAULT_SEED, workers
     Tr[T_AD T_AD^t]; a violation is a strict excess beyond 3 + 1e-9.
     """
     _check_run(n_samples, master_seed, workers)
-    values = _chunked_values(_pure4_correlation_lhs, n_samples, master_seed, workers)
+    values = _chunked_values(partial(_sampled, check=_CONJECTURE), n_samples, master_seed, workers)
     if values.size == 0:
         return ConjectureResult(samples=0, violations=0, max_lhs=float("-inf"), worst_state_seed=-1)
     worst = int(np.argmax(values))
@@ -545,10 +556,11 @@ def _monogamy_sum_margins(
     return bound + _TOL - monogamy._RELATION_SUMS[lhs](volumes.T)
 
 
-def _relation(n_qubits: int, pure: bool, lhs: str, bound: float) -> partial:
-    """The check of ``MonogamyReport.<lhs> <= bound`` on Haar-random pure or induced mixed n-qubit states."""
+def _relation(name: str, samples: int, n_qubits: int, pure: bool, lhs: str, bound: float, **kw) -> _InvariantCheck:
+    """The row of ``MonogamyReport.<lhs> <= bound`` on Haar-random pure or induced mixed n-qubit states."""
     width = _pure_width(n_qubits) if pure else _mixed_width(n_qubits)
-    return _drawn(width, partial(_monogamy_sum_margins, n_qubits=n_qubits, pure=pure, lhs=lhs, bound=bound))
+    reduce = partial(_monogamy_sum_margins, n_qubits=n_qubits, pure=pure, lhs=lhs, bound=bound)
+    return _InvariantCheck(name, samples, width, reduce, **kw)
 
 
 def _correlation_sum_margins(draws: np.ndarray, stack: Callable, *, pure: bool) -> np.ndarray:
@@ -679,69 +691,45 @@ def _inv_counterexample(master_seed: int, start: int, stop: int) -> np.ndarray:
     return np.array(margins[start:stop])
 
 
-@dataclass(frozen=True)
-class _InvariantCheck:
-    name: str
-    fn: Callable
-    samples: int
-    scaled: bool = True
-    exploratory: bool = False
-
-
-# A random-sample check's fn is ``_drawn(width, reduce, draw)``, built once
-# here: the suite reads the width, reduce and draw of each check from
-# fn.keywords, and tests call ``check.fn`` alone as the reference.
+# Each row is an _InvariantCheck record.  A random-sample row sets its count at
+# 10^4 scale, the width and draw of its rows and its reduce, which the suite
+# runs in one shared pass (_shared_outcomes); a grid row sets its grid size and
+# fn(master_seed, start, stop), which the suite calls once, in process.
 _SUITE: tuple[_InvariantCheck, ...] = (
-    _InvariantCheck("state_reconstruction_round_trip", _drawn(_mixed_width(2), _reconstruction_margins), 10_000),
-    _InvariantCheck("partial_trace_composition", _drawn(_mixed_width(3), _ptrace_composition_margins), 10_000),
-    _InvariantCheck("pure3_purity_bipartition_symmetry", _drawn(_pure_width(3), _purity_symmetry_margins), 10_000),
+    _InvariantCheck("state_reconstruction_round_trip", 10_000, _mixed_width(2), _reconstruction_margins),
+    _InvariantCheck("partial_trace_composition", 10_000, _mixed_width(3), _ptrace_composition_margins),
+    _InvariantCheck("pure3_purity_bipartition_symmetry", 10_000, _pure_width(3), _purity_symmetry_margins),
+    _InvariantCheck("sampled_state_validity", 10_000, _pure_width(3) + _mixed_width(3), _state_validity_margins),
+    _InvariantCheck("volume_matches_canonical_form", 10_000, _mixed_width(2), _volume_canonical_margins),
+    _InvariantCheck("steered_points_inside_bloch_ball", 1_000, _STEERED_WIDTH, _bloch_containment_margins),
+    _InvariantCheck("steered_points_inside_ellipsoid", 1_000, _STEERED_WIDTH, _membership_margins),
+    _InvariantCheck("separable_volume_bound", 10_000, _SEPARABLE_WIDTH, _separable_margins, _SEPARABLE_DRAW),
+    _InvariantCheck("volume_in_unit_interval", 10_000, _mixed_width(2), _volume_interval_margins),
+    _relation("pure3_sqrt_volume_monogamy", 10_000, 3, True, "sqrt_lhs", 1.0),
+    _relation("mixed3_twothirds_volume_monogamy", 10_000, 3, False, "two_thirds_lhs", 1.0),
+    _relation("pure4_twothirds_volume_monogamy", 10_000, 4, True, "two_thirds_lhs", 1.0),
+    _relation("mixed5_twothirds_volume_sum", 1_000, 5, False, "two_thirds_lhs", 2.0),
+    _relation("mixed5_mean_volume", 1_000, 5, False, "mean_volume", 0.5),
+    _InvariantCheck("pure3_correlation_identity", 10_000, _pure_width(3), partial(_correlation_sum_margins, pure=True)),
+    _InvariantCheck("mixed3_correlation_bound", 10_000, _mixed_width(3), partial(_correlation_sum_margins, pure=False)),
+    _InvariantCheck("pure3_purity_identities", 10_000, _pure_width(3), partial(_purity_identity_margins, n_qubits=3)),
+    _InvariantCheck("pure4_purity_identities", 10_000, _pure_width(4), partial(_purity_identity_margins, n_qubits=4)),
+    _InvariantCheck("canonical_volume_equalities", 10_000, _pure_width(3), _canonical_equality_margins),
+    _InvariantCheck("polygon_inequality", 10_000, _pure_width(3), _polygon_margins),
+    _InvariantCheck("concurrence_volume_bound", 10_000, _mixed_width(2), _concurrence_volume_margins),
+    _InvariantCheck("ckw_inequality", 10_000, _mixed_width(3), _ckw_margins),
+    _InvariantCheck("tangle_volume_bound", 10_000, _pure_width(3), _tangle_volume_margins),
+    _InvariantCheck("wclass_saturation", 10_000, 1 + 3 * 8, _wclass_margins, _WCLASS_DRAW),
     _InvariantCheck(
-        "sampled_state_validity", _drawn(_pure_width(3) + _mixed_width(3), _state_validity_margins), 10_000
+        "channel_volume_monotonicity", 10_000, _mixed_width(2) + 2 * _KRAUS_WIDTH, _channel_monotonicity_margins
     ),
-    _InvariantCheck("volume_matches_canonical_form", _drawn(_mixed_width(2), _volume_canonical_margins), 10_000),
-    _InvariantCheck("steered_points_inside_bloch_ball", _drawn(_STEERED_WIDTH, _bloch_containment_margins), 1_000),
-    _InvariantCheck("steered_points_inside_ellipsoid", _drawn(_STEERED_WIDTH, _membership_margins), 1_000),
-    _InvariantCheck("separable_volume_bound", _drawn(_SEPARABLE_WIDTH, _separable_margins, _SEPARABLE_DRAW), 10_000),
-    _InvariantCheck("volume_in_unit_interval", _drawn(_mixed_width(2), _volume_interval_margins), 10_000),
-    _InvariantCheck("pure3_sqrt_volume_monogamy", _relation(3, True, "sqrt_lhs", 1.0), 10_000),
-    _InvariantCheck("mixed3_twothirds_volume_monogamy", _relation(3, False, "two_thirds_lhs", 1.0), 10_000),
-    _InvariantCheck("pure4_twothirds_volume_monogamy", _relation(4, True, "two_thirds_lhs", 1.0), 10_000),
-    _InvariantCheck("mixed5_twothirds_volume_sum", _relation(5, False, "two_thirds_lhs", 2.0), 1_000),
-    _InvariantCheck("mixed5_mean_volume", _relation(5, False, "mean_volume", 0.5), 1_000),
-    _InvariantCheck(
-        "pure3_correlation_identity", _drawn(_pure_width(3), partial(_correlation_sum_margins, pure=True)), 10_000
-    ),
-    _InvariantCheck(
-        "mixed3_correlation_bound", _drawn(_mixed_width(3), partial(_correlation_sum_margins, pure=False)), 10_000
-    ),
-    _InvariantCheck(
-        "pure3_purity_identities", _drawn(_pure_width(3), partial(_purity_identity_margins, n_qubits=3)), 10_000
-    ),
-    _InvariantCheck(
-        "pure4_purity_identities", _drawn(_pure_width(4), partial(_purity_identity_margins, n_qubits=4)), 10_000
-    ),
-    _InvariantCheck("canonical_volume_equalities", _drawn(_pure_width(3), _canonical_equality_margins), 10_000),
-    _InvariantCheck("polygon_inequality", _drawn(_pure_width(3), _polygon_margins), 10_000),
-    _InvariantCheck("concurrence_volume_bound", _drawn(_mixed_width(2), _concurrence_volume_margins), 10_000),
-    _InvariantCheck("ckw_inequality", _drawn(_mixed_width(3), _ckw_margins), 10_000),
-    _InvariantCheck("tangle_volume_bound", _drawn(_pure_width(3), _tangle_volume_margins), 10_000),
-    _InvariantCheck("wclass_saturation", _drawn(1 + 3 * 8, _wclass_margins, _WCLASS_DRAW), 10_000),
-    _InvariantCheck(
-        "channel_volume_monotonicity", _drawn(_mixed_width(2) + 2 * _KRAUS_WIDTH, _channel_monotonicity_margins),
-        10_000,
-    ),
-    _InvariantCheck("noisy_pure3_monogamy", _drawn(_pure_width(3) + 3 * _KRAUS_WIDTH, _noisy_pure3_margins), 1_000),
-    _InvariantCheck("noisy_w_closed_form", _inv_noisy_w_closed_form, 100, scaled=False),
-    _InvariantCheck("ghz_family_mapping", _inv_ghz_mapping, 400, scaled=False),
-    _InvariantCheck("counterexample_regression", _inv_counterexample, 2, scaled=False),
+    _InvariantCheck("noisy_pure3_monogamy", 1_000, _pure_width(3) + 3 * _KRAUS_WIDTH, _noisy_pure3_margins),
+    _InvariantCheck("noisy_w_closed_form", 100, fn=_inv_noisy_w_closed_form),
+    _InvariantCheck("ghz_family_mapping", 400, fn=_inv_ghz_mapping),
+    _InvariantCheck("counterexample_regression", 2, fn=_inv_counterexample),
 )
 
-_EXPLORATORY = _InvariantCheck(
-    "mixed4_twothirds_exploration",
-    _relation(4, False, "two_thirds_lhs", 1.0),
-    10_000,
-    exploratory=True,
-)
+_EXPLORATORY = _relation("mixed4_twothirds_exploration", 10_000, 4, False, "two_thirds_lhs", 1.0, exploratory=True)
 
 
 @dataclass(frozen=True)
@@ -796,7 +784,7 @@ def _shared_outcomes(
     n_samples = max((counts[k] for k in shared), default=0)
     if n_samples == 0:
         return {k: (np.empty(0), "") for k in shared}
-    parts = tuple((counts[k], *(checks[k].fn.keywords[key] for key in ("width", "reduce", "draw"))) for k in shared)
+    parts = tuple((counts[k], checks[k]) for k in shared)
     try:
         chunks = _chunks(partial(_shared_sampled, checks=parts), n_samples, master_seed, workers)
     except Exception as exc:  # noqa: BLE001 - suite must report, not crash

@@ -347,17 +347,19 @@ class TestUsageErrors:
         assert "--workers" in capsys.readouterr().err
 
     def test_workers_at_cpu_count_accepted(self, capsys):
-        assert main(["conjecture", "--samples", "0", "--workers", str(CPUS)]) == 0
+        assert main(["conjecture", "--samples", "1", "--workers", str(CPUS)]) == 0
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["suite", "--samples", "-5"],
             ["conjecture", "--samples", "-5"],
+            ["suite", "--samples", "0"],
+            ["conjecture", "--samples", "0"],
             ["suite", "--workers", "0"],
             ["conjecture", "--workers", "0"],
             ["conjecture", "--workers", "-3"],
-            ["conjecture", "--samples", "0", "--workers", str(CPUS + 1)],
+            ["conjecture", "--samples", "1", "--workers", str(CPUS + 1)],
             ["conjecture", "--samples", str(2**32 + 1)],
             ["suite", "--samples", str(2**32 + 1)],
             ["suite", "--seed", "-1"],
@@ -505,9 +507,9 @@ class TestCachedParser:
         assert out.read_text() == serialize.dumps([dataclasses.asdict(r) for r in experiments.sweep_ghz_region(3)])
 
     def test_workers_limit_is_read_at_parse_time(self, monkeypatch, capsys):
-        assert main(["conjecture", "--samples", "0", "--workers", "1"]) == 0
+        assert main(["conjecture", "--samples", "1", "--workers", "1"]) == 0
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert main(["conjecture", "--samples", "0", "--workers", "2"]) == 2
+        assert main(["conjecture", "--samples", "1", "--workers", "2"]) == 2
         assert "[1, 1]" in capsys.readouterr().err
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert main(["conjecture", "--samples", "0", "--workers", "2"]) == 0
+        assert main(["conjecture", "--samples", "1", "--workers", "2"]) == 0

@@ -15,6 +15,7 @@ import pytest
 from qsteer import channels, ellipsoid, experiments, monogamy, serialize, states
 from qsteer.experiments import (
     _BLOCH_BALL_TOL,
+    _CONJECTURE,
     _EXPLORATORY,
     _MEMBERSHIP_TOL,
     _POINTS_PER_STATE,
@@ -31,7 +32,7 @@ from qsteer.experiments import (
     _max_volume_codes,
     _open_grid,
     _pool,
-    _pure4_correlation_lhs,
+    _sampled,
     _scaled_count,
     _shared_outcomes,
     _shared_sampled,
@@ -377,6 +378,16 @@ CHECKS = {check.name: check for check in _SUITE + (_EXPLORATORY,)}
 REFERENCE_SAMPLES = 300
 
 
+def _check_margins(check, master_seed: int, start: int, stop: int) -> np.ndarray:
+    """The margins over [start, stop) of one row run alone: its reduce through ``_sampled``, or its grid fn."""
+    return _sampled(master_seed, start, stop, check) if check.scaled else check.fn(master_seed, start, stop)
+
+
+def _with_reduce(checks: tuple, name: str, reduce: Callable) -> tuple:
+    """``checks`` with the reduce of row ``name`` replaced."""
+    return tuple(replace(check, reduce=reduce) if check.name == name else check for check in checks)
+
+
 def _exit_worker(master_seed: int, start: int, stop: int) -> np.ndarray:
     os._exit(1)
 
@@ -402,16 +413,22 @@ class TestBatchedChecks:
         grids = {"noisy_w_closed_form", "ghz_family_mapping", "counterexample_regression"}
         assert set(REFERENCES) == set(CHECKS) - grids
 
+    def test_every_row_sets_a_reduce_or_a_grid_fn(self):
+        checks = _SUITE + (_EXPLORATORY,)
+        assert all((check.reduce is None) != (check.fn is None) for check in checks)
+        assert all(check.width > 0 for check in checks if check.scaled)
+        assert len({check.name for check in checks}) == len(checks)
+
     @pytest.mark.parametrize("seed", [12345, 7])
     @pytest.mark.parametrize("name", sorted(REFERENCES))
     def test_matches_per_sample_reference_bitwise(self, name, seed):
         expected = REFERENCES[name](seed, 0, REFERENCE_SAMPLES)
-        fn = CHECKS[name].fn
-        np.testing.assert_array_equal(fn(seed, 0, REFERENCE_SAMPLES), expected)
+        check = CHECKS[name]
+        np.testing.assert_array_equal(_sampled(seed, 0, REFERENCE_SAMPLES, check), expected)
         bounds = [0, 1, 49, 257, REFERENCE_SAMPLES]
-        parts = [fn(seed, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        parts = [_sampled(seed, lo, hi, check) for lo, hi in zip(bounds[:-1], bounds[1:])]
         np.testing.assert_array_equal(np.concatenate(parts), expected)
-        assert fn(seed, 5, 5).shape == (0,)
+        assert _sampled(seed, 5, 5, check).shape == (0,)
 
     @pytest.mark.parametrize("name", sorted(GRID_REFERENCES))
     def test_grid_check_matches_row_reference_bitwise(self, name):
@@ -420,22 +437,29 @@ class TestBatchedChecks:
         np.testing.assert_array_equal(fn(0, 17, 83), GRID_REFERENCES[name](0, 17, 83))
         assert fn(0, 5, 5).shape == (0,)
 
-    def test_check_functions_are_distinct_stable_and_picklable(self):
-        # The benchmark tracer labels each check by id(fn), and worker processes unpickle it.
-        checks = _SUITE + (_EXPLORATORY,)
-        fns = [check.fn for check in checks]
-        assert len({id(fn) for fn in fns}) == len(checks)
-        assert all(fn is check.fn for fn, check in zip(fns, experiments._SUITE + (experiments._EXPLORATORY,)))
+    def test_every_record_pickles_to_the_same_margins(self):
+        # Worker processes unpickle the records of a shared pass, and the conjecture's record alone.
+        checks = _SUITE + (_EXPLORATORY, _CONJECTURE)
         for check in checks:
             count = min(check.samples, 3)
-            np.testing.assert_array_equal(pickle.loads(pickle.dumps(check.fn))(7, 0, count), check.fn(7, 0, count))
+            again = pickle.loads(pickle.dumps(check))
+            assert again.name == check.name and again.scaled == check.scaled
+            assert _check_margins(again, 7, 0, count).tobytes() == _check_margins(check, 7, 0, count).tobytes()
+        # A shared pass reaches each worker as one pickled partial over its (count, check) pairs.
+        parts = _shared_parts(20)
+        values, errors = pickle.loads(pickle.dumps(partial(_shared_sampled, checks=parts)))(7, 0, 20)
+        assert errors == [None] * len(parts)
+        assert [v.tobytes() for v in values] == [v.tobytes() for v in _shared_sampled(7, 0, 20, parts)[0]]
+        # The benchmark tracer labels each grid check by id(fn).
+        grids = [check.fn for check in checks if not check.scaled]
+        assert len({id(fn) for fn in grids}) == len(grids) == 3
 
     def test_no_random_sample_check_depends_on_the_block_size(self):
         # A sample drawn alone gets the bits it gets inside a block, so chunks may end anywhere.
         for check in _SUITE + (_EXPLORATORY,):
             if check.scaled:
-                alone = np.concatenate([check.fn(7, i, i + 1) for i in range(32)])
-                assert check.fn(7, 0, 32).tobytes() == alone.tobytes(), check.name
+                alone = np.concatenate([_sampled(7, i, i + 1, check) for i in range(32)])
+                assert _sampled(7, 0, 32, check).tobytes() == alone.tobytes(), check.name
         mats = states._densities(states._haar_arr(np.random.default_rng(7).standard_normal((32, 32))))
         assert [monogamy.l_bcd(m).hex() for m in mats] == [v.hex() for v in monogamy._l_bcd_arr(mats).tolist()]
 
@@ -450,18 +474,18 @@ SHARED_CHECKS = tuple(check for check in _SUITE + (_EXPLORATORY,) if check.scale
 
 
 def _shared_parts(scale: int) -> tuple:
-    """The ``_shared_sampled`` checks ``(count, width, reduce, draw)`` of SHARED_CHECKS at suite scale ``scale``."""
-    return tuple(
-        (_scaled_count(check, scale), *(check.fn.keywords[key] for key in ("width", "reduce", "draw")))
-        for check in SHARED_CHECKS
-    )
+    """The ``_shared_sampled`` checks ``(count, check)`` of SHARED_CHECKS at suite scale ``scale``."""
+    return tuple((_scaled_count(check, scale), check) for check in SHARED_CHECKS)
 
 
-# The rows that bound a MonogamyReport field of hub-0 volumes, with their keywords.
+# The rows that bound a MonogamyReport field of hub-0 volumes: (n_qubits, pure, field, bound).
 RELATION_ROWS = {
-    name: check.fn.keywords["reduce"].keywords
-    for name, check in CHECKS.items()
-    if check.scaled and getattr(check.fn.keywords["reduce"], "func", None) is experiments._monogamy_sum_margins
+    "pure3_sqrt_volume_monogamy": (3, True, "sqrt_lhs", 1.0),
+    "mixed3_twothirds_volume_monogamy": (3, False, "two_thirds_lhs", 1.0),
+    "pure4_twothirds_volume_monogamy": (4, True, "two_thirds_lhs", 1.0),
+    "mixed4_twothirds_exploration": (4, False, "two_thirds_lhs", 1.0),
+    "mixed5_twothirds_volume_sum": (5, False, "two_thirds_lhs", 2.0),
+    "mixed5_mean_volume": (5, False, "mean_volume", 0.5),
 }
 
 
@@ -469,10 +493,9 @@ class TestRelationRows:
     """Each volume-relation row's margin is its bound + _TOL minus the report field it names, bit for bit."""
 
     def test_every_volume_sum_row_is_a_relation_row(self):
-        assert sorted(RELATION_ROWS) == [
-            "mixed3_twothirds_volume_monogamy", "mixed4_twothirds_exploration", "mixed5_mean_volume",
-            "mixed5_twothirds_volume_sum", "pure3_sqrt_volume_monogamy", "pure4_twothirds_volume_monogamy",
-        ]
+        relation = experiments._monogamy_sum_margins
+        relations = [name for name, check in CHECKS.items() if getattr(check.reduce, "func", None) is relation]
+        assert sorted(relations) == sorted(RELATION_ROWS)
 
     # The first sample of each seed where the two sums differ.
     @pytest.mark.parametrize("seed, index", [(12345, 249), (7, 658)])
@@ -480,17 +503,17 @@ class TestRelationRows:
         ((_, rng),) = row_streams(seed, index, index + 1, width=16)
         report = volume_monogamy_report(states.random_pure_state(3, seed=rng))
         assert sum(v**0.5 for v in report.volumes) != report.sqrt_lhs
-        margin = CHECKS["pure3_sqrt_volume_monogamy"].fn(seed, index, index + 1)[0]
+        margin = _sampled(seed, index, index + 1, CHECKS["pure3_sqrt_volume_monogamy"])[0]
         assert margin.hex() == (1.0 + 1e-9 - report.sqrt_lhs).hex()
 
     @pytest.mark.parametrize("name", sorted(RELATION_ROWS))
     def test_margins_equal_the_report_field(self, name):
-        row = RELATION_ROWS[name]
-        sampler = states.random_pure_state if row["pure"] else states.random_mixed_state
-        margins = CHECKS[name].fn(12345, 0, 4)
+        n_qubits, pure, lhs, bound = RELATION_ROWS[name]
+        sampler = states.random_pure_state if pure else states.random_mixed_state
+        margins = _sampled(12345, 0, 4, CHECKS[name])
         for i, rng in row_streams(12345, 0, 4):
-            report = volume_monogamy_report(sampler(row["n_qubits"], seed=rng))
-            assert margins[i].hex() == (row["bound"] + _TOL - getattr(report, row["lhs"])).hex()
+            report = volume_monogamy_report(sampler(n_qubits, seed=rng))
+            assert margins[i].hex() == (bound + _TOL - getattr(report, lhs)).hex()
 
 
 class TestSharedNormals:
@@ -513,7 +536,7 @@ class TestSharedNormals:
         for k, (check, count) in enumerate(zip(checks, counts)):
             margins, error = outcomes[k]
             assert error == ""
-            assert margins.tobytes() == check.fn(seed, 0, count).tobytes(), check.name
+            assert margins.tobytes() == _sampled(seed, 0, count, check).tobytes(), check.name
 
     @pytest.mark.parametrize("explore", [False, True])
     def test_suite_results_are_equal_at_one_and_two_workers(self, explore):
@@ -536,7 +559,7 @@ class TestSharedNormals:
         for k, check in enumerate(SHARED_CHECKS):
             margins = small[k][0]
             assert margins.tobytes() == large[k][0][: len(margins)].tobytes(), check.name
-        assert _pure4_correlation_lhs(7, 0, 50).tobytes() == _pure4_correlation_lhs(7, 0, 1000)[:50].tobytes()
+        assert _sampled(7, 0, 50, _CONJECTURE).tobytes() == _sampled(7, 0, 1000, _CONJECTURE)[:50].tobytes()
 
     def test_no_two_tiles_of_a_pass_share_a_key(self, monkeypatch):
         keys, philox = [], np.random.Philox
@@ -571,8 +594,8 @@ class TestSharedNormals:
         parts = _shared_parts(SHARED_SCALE)
         values, errors = _shared_sampled(12345, 300, 570, parts)
         assert errors == [None] * len(parts)
-        for check, (count, *_), got in zip(SHARED_CHECKS, parts, values):
-            want = check.fn(12345, 300, count) if count > 300 else np.empty(0)
+        for (count, check), got in zip(parts, values):
+            want = _sampled(12345, 300, count, check) if count > 300 else np.empty(0)
             assert got.tobytes() == want.tobytes(), check.name
 
     @pytest.mark.parametrize("start", [300, 40])
@@ -588,30 +611,31 @@ class TestSharedNormals:
 
             return reduce
 
-        keywords = [check.fn.keywords for check in SHARED_CHECKS]
-        parts = tuple((n, kw["width"], recording(k), kw["draw"]) for k, (n, kw) in enumerate(zip(counts, keywords)))
+        checks = [replace(check, reduce=recording(k)) for k, check in enumerate(SHARED_CHECKS)]
+        parts = tuple(zip(counts, checks))
         assert _shared_sampled(12345, start, SHARED_SCALE, parts)[1] == [None] * len(parts)
-        rows = [np.concatenate(blocks) if blocks else np.empty((0, part[1])) for part, blocks in zip(parts, recorded)]
-        for (count, width, _, draw), got, check in zip(parts, rows, SHARED_CHECKS):
-            assert got.shape == (max(0, count - start), width), check.name
+        rows = [np.concatenate(blocks) if blocks else np.empty((0, c.width)) for c, blocks in zip(checks, recorded)]
+        for (count, check), got in zip(parts, rows):
+            assert got.shape == (max(0, count - start), check.width), check.name
             if count > start:
-                assert got.tobytes() == states.sample_rows(12345, start, count, width, draw).tobytes(), check.name
+                want = states.sample_rows(12345, start, count, check.width, check.draw)
+                assert got.tobytes() == want.tobytes(), check.name
         # Each sample's row drawn alone, at the widest check of each draw that reads it.  The narrower checks'
         # rows were compared with their whole range above, and a narrow row is a prefix of a wide one
         # (test_a_narrow_draw_is_a_prefix_of_a_wider_one).
-        for draw in {part[3] for part in parts}:
+        for draw in {check.draw for check in checks}:
             for i in range(start, SHARED_SCALE):
-                readers = [k for k, part in enumerate(parts) if part[3] == draw and part[0] > i]
-                k = max(readers, key=lambda k: parts[k][1])
-                want = _own_draw(draw, 12345, i, parts[k][1])
-                assert rows[k][i - start].tobytes() == want.tobytes(), (SHARED_CHECKS[k].name, i)
+                readers = [k for k, (count, check) in enumerate(parts) if check.draw == draw and count > i]
+                k = max(readers, key=lambda k: checks[k].width)
+                want = _own_draw(draw, 12345, i, checks[k].width)
+                assert rows[k][i - start].tobytes() == want.tobytes(), (checks[k].name, i)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_conjecture_row_is_its_samples_own_normals(self, monkeypatch, workers):
         # The patched reduce reaches the workers with the check; the spy sees every value it returns.
         values, chunked = [], experiments._chunked_values
         monkeypatch.setattr(experiments, "_chunked_values", lambda *args: values.append(chunked(*args)) or values[-1])
-        monkeypatch.setitem(_pure4_correlation_lhs.keywords, "reduce", partial(_own_row_index, 31, 600))
+        monkeypatch.setattr(experiments, "_CONJECTURE", replace(_CONJECTURE, reduce=partial(_own_row_index, 31, 600)))
         assert run_conjecture_test(600, master_seed=31, workers=workers).samples == 600
         (got,) = values
         assert got.tobytes() == np.arange(600.0).tobytes()
@@ -625,7 +649,7 @@ class TestSharedNormals:
         def boom(draws, stack):
             raise RuntimeError("reduce failed")
 
-        monkeypatch.setitem(CHECKS[name].fn.keywords, "reduce", boom)
+        monkeypatch.setattr(experiments, "_SUITE", _with_reduce(_SUITE, name, boom))
         report = run_property_suite(samples=60, master_seed=3, workers=1, explore_mixed_4q=True)
         assert not report.passed
         for got, want in zip(report.results, expected, strict=True):
@@ -637,7 +661,7 @@ class TestSharedNormals:
 
     def test_error_text_is_that_of_the_first_failing_block(self, monkeypatch):
         name = "pure3_correlation_identity"
-        reduce, calls = CHECKS[name].fn.keywords["reduce"], []
+        reduce, calls = CHECKS[name].reduce, []
 
         def late_boom(draws, stack):
             calls.append(len(draws))
@@ -645,7 +669,7 @@ class TestSharedNormals:
                 raise ValueError(f"call {len(calls)}")
             return reduce(draws, stack)
 
-        monkeypatch.setitem(CHECKS[name].fn.keywords, "reduce", late_boom)
+        monkeypatch.setattr(experiments, "_SUITE", _with_reduce(_SUITE, name, late_boom))
         result = next(r for r in run_property_suite(samples=570, master_seed=3).results if r.name == name)
         assert (result.samples, result.failures, result.error) == (570, 570, "ValueError: call 2")
         # The third block (samples 512 to 570) is not reduced for a check that has failed.
@@ -655,11 +679,9 @@ class TestSharedNormals:
         def degenerate(draws, stack):
             raise ellipsoid.ZeroProbabilityError("no such outcome")
 
-        fn = CHECKS["separable_volume_bound"].fn
-        monkeypatch.setitem(fn.keywords, "reduce", degenerate)
         with pytest.raises(ellipsoid.ZeroProbabilityError, match="no such outcome"):
-            fn(7, 0, 10)
-        monkeypatch.setitem(_pure4_correlation_lhs.keywords, "reduce", degenerate)
+            _sampled(7, 0, 10, replace(CHECKS["separable_volume_bound"], reduce=degenerate))
+        monkeypatch.setattr(experiments, "_CONJECTURE", replace(_CONJECTURE, reduce=degenerate))
         with pytest.raises(ellipsoid.ZeroProbabilityError, match="no such outcome"):
             run_conjecture_test(10, master_seed=7)
 
@@ -717,7 +739,7 @@ class TestBlockStacks:
             ("mixed5_twothirds_volume_sum", "_mixed_hub_volumes", 5),
         ],
     )
-    def test_a_reduce_that_writes_into_a_stack_fails_alone(self, monkeypatch, name, builder, n_qubits):
+    def test_a_reduce_that_writes_into_a_stack_fails_alone(self, name, builder, n_qubits):
         counts = [_scaled_count(check, 60) for check in SHARED_CHECKS]
         expected = _shared_outcomes(SHARED_CHECKS, counts, 3, 1)
 
@@ -725,8 +747,7 @@ class TestBlockStacks:
             stack(getattr(experiments, builder), n_qubits)[0] = 0.0
             return np.ones(len(draws))
 
-        monkeypatch.setitem(CHECKS[name].fn.keywords, "reduce", scribble)
-        outcomes = _shared_outcomes(SHARED_CHECKS, counts, 3, 1)
+        outcomes = _shared_outcomes(_with_reduce(SHARED_CHECKS, name, scribble), counts, 3, 1)
         for k, check in enumerate(SHARED_CHECKS):
             margins, error = outcomes[k]
             if check.name == name:
@@ -761,7 +782,8 @@ class TestBlockStacks:
         def lhs(draws, stack):
             return stack(experiments._pure_states, 3)[:, 0, 0].real
 
-        checks = ((5, 16, lhs, _NORMALS), (50, 16, lhs, _NORMALS))
+        check = experiments._InvariantCheck("pure3_corner", 50, 16, lhs)
+        checks = ((5, check), (50, check))
         (small, large), errors = _shared_sampled(7, 0, 50, checks)
         assert errors == [None, None] and calls == [50]
         assert small.tobytes() == large[:5].tobytes()
@@ -770,7 +792,7 @@ class TestBlockStacks:
 class TestProcessPool:
     def test_one_pool_per_worker_count(self):
         assert _pool(2) is _pool(2)
-        fn = CHECKS["polygon_inequality"].fn
+        fn = partial(_sampled, check=CHECKS["polygon_inequality"])
         np.testing.assert_array_equal(_chunked_values(fn, 30, 3, 2), fn(3, 0, 30))
         np.testing.assert_array_equal(_chunked_values(fn, 30, 4, 2), fn(4, 0, 30))
 
@@ -779,7 +801,7 @@ class TestProcessPool:
         with pytest.raises(BrokenProcessPool):
             _chunked_values(_exit_worker, 4, 0, 2)
         assert _pool(2) is not broken
-        fn = CHECKS["polygon_inequality"].fn
+        fn = partial(_sampled, check=CHECKS["polygon_inequality"])
         np.testing.assert_array_equal(_chunked_values(fn, 30, 3, 2), fn(3, 0, 30))
 
     def test_exit_after_a_parallel_run_is_quiet(self, tmp_path):
@@ -819,7 +841,7 @@ class TestConjecture:
 
     def test_worst_seed_regenerates_max(self):
         result = run_conjecture_test(500, master_seed=21)
-        again = _pure4_correlation_lhs(21, result.worst_state_seed, result.worst_state_seed + 1)[0]
+        again = _sampled(21, result.worst_state_seed, result.worst_state_seed + 1, _CONJECTURE)[0]
         assert again == result.max_lhs
 
     @pytest.mark.parametrize("seed", [12345, 7, 21])
@@ -833,7 +855,7 @@ class TestConjecture:
 
     def test_every_sample_replays_bit_for_bit(self):
         # np.linalg.norm(axis=1) normalization put about one sample in six off in the last bits.
-        lhs = _pure4_correlation_lhs(21, 0, 400)
+        lhs = _sampled(21, 0, 400, _CONJECTURE)
         ref = [
             monogamy.pairwise_correlation_sum(states.random_pure_state(4, seed=rng), [(0, 1), (0, 2), (0, 3)])
             for _, rng in row_streams(21, 0, 400, width=32)
@@ -849,7 +871,7 @@ class TestConjecture:
             run_conjecture_test(10, workers=0)
 
     def test_lhs_matches_public_reference(self):
-        lhs = _pure4_correlation_lhs(11, 250, 262)
+        lhs = _sampled(11, 250, 262, _CONJECTURE)
         for k, (_, rng) in enumerate(row_streams(11, 250, 262, width=32)):
             psi = states.random_pure_state(4, seed=rng)
             ref = sum(
@@ -859,9 +881,9 @@ class TestConjecture:
             assert abs(lhs[k] - ref) < 1e-12
 
     def test_lhs_is_chunk_invariant(self):
-        whole = _pure4_correlation_lhs(4, 0, 600)
+        whole = _sampled(4, 0, 600, _CONJECTURE)
         bounds = [0, 1, 255, 257, 600]
-        parts = [_pure4_correlation_lhs(4, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        parts = [_sampled(4, lo, hi, _CONJECTURE) for lo, hi in zip(bounds[:-1], bounds[1:])]
         np.testing.assert_array_equal(np.concatenate(parts), whole)
         single = run_conjecture_test(600, master_seed=4, workers=1)
         assert run_conjecture_test(600, master_seed=4, workers=3) == single
@@ -1101,13 +1123,13 @@ class TestPropertySuite:
     def test_validity_reduce_validates_the_sampler_output(self, monkeypatch, master_seed):
         # sampled_state_validity draws one row of normals per sample; its reduce must build, bit for bit,
         # the states random_pure_state(3) and then random_mixed_state(3) draw from the same stream.
-        fn = CHECKS["sampled_state_validity"].fn
-        rows = states.sample_rows(master_seed, 0, 500, fn.keywords["width"], fn.keywords["draw"])
+        check = CHECKS["sampled_state_validity"]
+        rows = states.sample_rows(master_seed, 0, 500, check.width, check.draw)
         validated = []
         monkeypatch.setattr(states, "_validate_arr", lambda data, tol: validated.append(np.array(data)))
-        fn.keywords["reduce"](rows, experiments._Stacks(rows).reader(500))
+        check.reduce(rows, experiments._Stacks(rows).reader(500))
         kets, mats = validated
-        for i, rng in row_streams(master_seed, 0, 500, width=fn.keywords["width"]):
+        for i, rng in row_streams(master_seed, 0, 500, width=check.width):
             assert kets[i].tobytes() == states.random_pure_state(3, seed=rng).data.tobytes()
             assert mats[i].tobytes() == states.random_mixed_state(3, seed=rng).matrix.tobytes()
 
@@ -1133,7 +1155,7 @@ class TestReplay:
 
     def test_worst_index_is_that_of_the_worst_margin(self):
         for result in run_property_suite(samples=60, master_seed=5, explore_mixed_4q=True).results:
-            margins = CHECKS[result.name].fn(5, 0, result.samples)
+            margins = _check_margins(CHECKS[result.name], 5, 0, result.samples)
             assert result.worst_index == int(np.argmin(margins)), result.name
             assert margins[result.worst_index] == result.worst_margin
             assert "worst_index" not in result.to_dict()
@@ -1156,7 +1178,7 @@ class TestWClassSaturation:
         theta = rng.uniform(0.0, math.pi / 2.0)
         assert math.pi / 2 - theta < 1e-5
         assert monogamy._SLOCC_CLASSES[int(_max_volume_codes(theta))] is monogamy.SloccClass.BIPARTITE_AC_B
-        assert CHECKS["wclass_saturation"].fn(677332260, 42, 43)[0] >= 0.0
+        assert _sampled(677332260, 42, 43, CHECKS["wclass_saturation"])[0] >= 0.0
 
 
 # The worst tangle_volume_bound samples of the two golden runs that print one
@@ -1180,12 +1202,12 @@ TANGLE_WORST_SAMPLES = [
 class TestTangleWorstSamples:
     @pytest.mark.parametrize("seed, count, index, tangle, margin", TANGLE_WORST_SAMPLES)
     def test_worst_sample_matches_fifty_digit_value(self, seed, count, index, tangle, margin):
-        fn = CHECKS["tangle_volume_bound"].fn
-        assert int(np.argmin(fn(seed, 0, count))) == index
+        check = CHECKS["tangle_volume_bound"]
+        assert int(np.argmin(_sampled(seed, 0, count, check))) == index
         ket = states._haar_arr(states.sample_rows(seed, index, index + 1, experiments._pure_width(3))[0])
         # The eigensolver formula was off by 4.7e-14 and 3.8e-13 here.
         assert abs(float(monogamy._three_tangle_arr(ket)) - float(tangle)) <= 1e-16
-        value = fn(seed, index, index + 1)[0]
+        value = _sampled(seed, index, index + 1, check)[0]
         assert abs(value - float(margin)) <= 1e-15
         # So the printed 12 digits are the exact value's.
         assert serialize.format_float(value) == serialize.format_float(float(margin))

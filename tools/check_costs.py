@@ -98,9 +98,7 @@ def _shared_parts(samples: int) -> tuple[tuple, int]:
     """The ``_shared_sampled`` checks of a suite run at ``samples``, and its largest count."""
     checks = [check for check in experiments._SUITE if check.scaled]
     counts = [experiments._scaled_count(check, samples) for check in checks]
-    keys = ("width", "reduce", "draw")
-    parts = tuple((n, *(check.fn.keywords[key] for key in keys)) for check, n in zip(checks, counts))
-    return parts, max(counts)
+    return tuple(zip(counts, checks)), max(counts)
 
 
 def _layers(seed: int) -> list[tuple[str, object]]:
@@ -201,10 +199,9 @@ def main(argv=None) -> None:
     for check in experiments._SUITE:
         if not check.scaled:
             continue
-        width, reduce, draw = (check.fn.keywords[key] for key in ("width", "reduce", "draw"))
-        rows = states.sample_rows(args.seed, 0, args.rows, width, draw)
-        draw_s = _median_s(lambda: _draw(args.rows, width, draw, args.seed), args.repeats)
-        reduce_s = _median_s(lambda: _reduce(rows, reduce), args.repeats)
+        rows = states.sample_rows(args.seed, 0, args.rows, check.width, check.draw)
+        draw_s = _median_s(lambda: _draw(args.rows, check.width, check.draw, args.seed), args.repeats)
+        reduce_s = _median_s(lambda: _reduce(rows, check.reduce), args.repeats)
         per_sample = reduce_s / args.rows
         table.append((check.name, draw_s / args.rows * 1e6, per_sample * 1e6, per_sample * check.samples))
     print(f"\nEach check alone on {args.rows} rows at seed {args.seed}:")

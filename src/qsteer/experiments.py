@@ -358,17 +358,17 @@ def sweep_noisy_w(
     p_grid: Sequence[float] | None = None,
     epsilons: Sequence[float] | None = None,
 ) -> list[NoisyWSweepRow]:
-    """Noisy W-family volumes: closed form vs direct channel application.
+    """Noisy W-family volumes: closed form vs the channels applied to the kept pair rho_AB.
 
-    ``lhs`` is the numeric sqrt-volume sum sqrt(v') + sqrt(v') of the two
-    symmetric pairs; rows are grouped by noise strength (epsilon-major).
+    C's channel is trace preserving and cannot change rho_AB, so only A's and B's are applied.  ``lhs`` is
+    the numeric sqrt-volume sum sqrt(v') + sqrt(v') of the two symmetric pairs; rows run epsilon-major.
     Defaults: 100 p-values on (0, 1) and strengths (0, 0.001, 0.005, 0.01).
     """
     return _rows(NoisyWSweepRow, _noisy_w_columns(p_grid, epsilons))
 
 
 def _noisy_w_columns(p_grid: Sequence[float] | None, epsilons: Sequence[float] | None) -> tuple[np.ndarray, ...]:
-    """The float64 columns of ``sweep_noisy_w``, in ``NoisyWSweepRow`` field order."""
+    """The float64 columns of ``sweep_noisy_w``, in ``NoisyWSweepRow`` field order; the noise acts on the 4 x 4 rho_AB."""
     p = np.asarray(_open_grid(100, 1.0) if p_grid is None else p_grid, dtype=float).reshape(-1)
     eps = np.asarray(_DEFAULT_EPSILONS if epsilons is None else epsilons, dtype=float).reshape(-1)
     for name, values in (("p_grid", p), ("epsilons", eps)):
@@ -379,9 +379,9 @@ def _noisy_w_columns(p_grid: Sequence[float] | None, epsilons: Sequence[float] |
     sups = channels._superoperator_arr(channels._isotropic_kraus_arr(eps))
     numeric = np.empty(closed.shape)
     for block in _blocks(p.size):
-        # Each block's densities under every strength at once: one trace and one volume call per (epsilon, p) block.
-        noisy = channels._apply_local_arr([sups] * 3, states._densities(kets[block])[None], 3)
-        numeric[:, block] = ellipsoid._volume_arr(_partial_trace_arr(noisy, [0, 1], 3))
+        # Trace C away first, then noise the (1, N) pair stack under every strength at once: one volume call.
+        pair = states._reduced_arr(kets[block], 3, [(0, 1)], pure=True)
+        numeric[:, block] = ellipsoid._volume_arr(channels._apply_local_arr([sups] * 2, pair, 2))
     return (
         np.tile(p, eps.size), np.repeat(eps, p.size), closed.ravel(), numeric.ravel(),
         np.abs(closed - numeric).ravel(), monogamy._sqrt_lhs([numeric, numeric]).ravel(),

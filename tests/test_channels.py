@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsteer import channels, ellipsoid, states
+from qsteer import channels, ellipsoid, monogamy, states
 from qsteer.channels import (
     KrausChannel,
     apply_local,
@@ -394,6 +394,30 @@ class TestStackedKernels:
         for k, mat in enumerate(mats):
             per_state = [KrausChannel(tuple(kraus[k, q])) for q in range(n)]
             np.testing.assert_array_equal(out[k], apply_local(per_state, mat).data)
+
+
+class TestNoiseOnATracedQubit:
+    """tr_C[(Phi_A (x) Phi_B (x) Phi_C) rho] = (Phi_A (x) Phi_B)(tr_C rho) entrywise: a trace-preserving
+    channel on C cannot change rho_AB, so fig2's noisy W sweep traces C away before any noise."""
+
+    @pytest.mark.parametrize("source", ["W-family kets", "induced densities"])
+    @pytest.mark.parametrize("noise", ["isotropic", "random"])
+    def test_channel_on_the_traced_qubit_leaves_the_pair(self, rng, source, noise):
+        count = 200
+        if source == "W-family kets":
+            kets = monogamy._w_family_arr(rng.uniform(0.0, 1.0, count))
+            mats, pairs = states._densities(kets), states._reduced_arr(kets, 3, [(0, 1)], pure=True)[0]
+        else:
+            mats = states._induced_arr(states._haar_arr(rng.standard_normal((count, 2**7))), 3)
+            pairs = states._partial_trace_arr(mats, [0, 1], 3)
+        if noise == "isotropic":
+            kraus = channels._isotropic_kraus_arr(rng.uniform(0.0, 1.0, (count, 3)))
+        else:
+            kraus = channels._random_kraus_arr(rng.standard_normal((count, 3, 128)))
+        sups = [channels._superoperator_arr(kraus)[:, q] for q in range(3)]
+        traced_last = states._partial_trace_arr(channels._apply_local_arr(sups, mats, 3), [0, 1], 3)
+        traced_first = channels._apply_local_arr(sups[:2], pairs, 2)
+        np.testing.assert_allclose(traced_first, traced_last, rtol=0.0, atol=1e-15)
 
 
 def _stacks(rng, n, count):

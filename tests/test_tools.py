@@ -40,7 +40,11 @@ TABLES = [
 ]
 
 # Timed per call after the grid checks.
-CLI_KERNELS = ["fig1 columns, _ghz_columns(50)", "analyze, mixed 5-qubit golden state"]
+CLI_KERNELS = [
+    "fig1 columns, _ghz_columns(50)",
+    "fig2 columns, _noisy_w_columns(grid 100)",
+    "analyze, mixed 5-qubit golden state",
+]
 
 
 def test_check_costs_prints_every_check():

@@ -29,7 +29,8 @@ per call.  The table rows time ``serialize.columns_to_csv`` or
 ``columns_to_json`` on the tables the CLI writes (fig1, fig2, and
 ``analyze --format csv`` of a mixed 5-qubit state drawn at ``--seed``) and
 on a table of distinct floats, per cell.  The last rows
-time fig1's columns (``_ghz_columns(50)``) and ``qsteer analyze`` of
+time fig1's columns (``_ghz_columns(50)``), fig2's columns
+(``_noisy_w_columns`` at ``--grid 100``) and ``qsteer analyze`` of
 ``tests/golden/state_mixed5.json`` (JSON to the null device) per call.  Times are
 medians of ``--repeats`` runs in this process, with one BLAS thread unless
 ``OPENBLAS_NUM_THREADS`` is set.
@@ -169,10 +170,11 @@ def _tables(seed: int) -> list[tuple[str, object, list, list]]:
 
 
 def _cli_kernels() -> list[tuple[str, object]]:
-    """(name, call) of fig1's columns and of ``qsteer analyze`` (JSON) of the mixed 5-qubit golden state."""
+    """(name, call) of fig1's and fig2's columns and of ``qsteer analyze`` (JSON) of the mixed 5-qubit golden state."""
     analyze = ["analyze", "--input", str(GOLDEN / "state_mixed5.json"), "--output", os.devnull]
     return [
         ("fig1 columns, _ghz_columns(50)", partial(experiments._ghz_columns, 50)),
+        ("fig2 columns, _noisy_w_columns(grid 100)", partial(experiments._noisy_w_columns, None, None)),
         ("analyze, mixed 5-qubit golden state", partial(cli.main, analyze)),
     ]
 

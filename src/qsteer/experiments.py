@@ -39,7 +39,6 @@ __all__ = [
 DEFAULT_SEED = 12345
 
 CONJECTURE_BOUND = 3.0
-_CONJECTURE_TOL = 1e-9
 # Left-hand sides this close to the bound are logged with their seed even
 # though they do not violate it.
 _NEAR_MISS_GAP = 1e-3
@@ -157,9 +156,14 @@ class _Stacks:
         return stack[:count]
 
 
+# The default tolerance of a check's margins.
+_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class _InvariantCheck:
-    """A random-sample check (``width``, ``reduce``, ``draw``: see ``_shared_sampled``) or a grid check (``fn``)."""
+    """Values at most ``bound`` within ``tol``, from a random-sample check (``width``, ``reduce``, ``draw``: see
+    ``_shared_sampled``) or a grid check (``fn``); the values hold no tolerance, and ``margins`` is the one rule."""
 
     name: str
     samples: int
@@ -168,11 +172,17 @@ class _InvariantCheck:
     draw: states._Draw = _NORMALS
     fn: Callable | None = None
     exploratory: bool = False
+    bound: float = 0.0
+    tol: float = _TOL
 
     @property
     def scaled(self) -> bool:
         """Whether the sample count scales with the run's: true of every random-sample check."""
         return self.fn is None
+
+    def margins(self, values: np.ndarray) -> np.ndarray:
+        """``(bound + tol) - values``, so that >= 0 passes; a NaN value is a forced failure, of margin -1."""
+        return np.where(np.isnan(values), -1.0, (self.bound + self.tol) - values)
 
 
 def _shared_sampled(
@@ -258,7 +268,7 @@ def _pure4_block_lhs(draws: np.ndarray, stack: Callable) -> np.ndarray:
 
 # The conjecture search: one more random-sample check, run alone; its values are the left-hand sides and
 # its count is the default of ``qsteer conjecture``.
-_CONJECTURE = _InvariantCheck("pure4_hub_correlation_sum", 100_000, 32, _pure4_block_lhs)
+_CONJECTURE = _InvariantCheck("pure4_hub_correlation_sum", 100_000, 32, _pure4_block_lhs, bound=CONJECTURE_BOUND)
 
 
 def run_conjecture_test(n_samples: int, master_seed: int = DEFAULT_SEED, workers: int = 1) -> ConjectureResult:
@@ -275,7 +285,7 @@ def run_conjecture_test(n_samples: int, master_seed: int = DEFAULT_SEED, workers
     near = [(int(i), float(values[i])) for i in np.nonzero(values > CONJECTURE_BOUND - _NEAR_MISS_GAP)[0]]
     return ConjectureResult(
         samples=int(values.size),
-        violations=int(np.count_nonzero(values > CONJECTURE_BOUND + _CONJECTURE_TOL)),
+        violations=int(np.count_nonzero(_CONJECTURE.margins(values) < 0)),
         max_lhs=float(values[worst]),
         worst_state_seed=worst,
         near_misses=tuple(near),
@@ -406,15 +416,6 @@ def counterexample_regression() -> dict:
 
 # --- invariant suite -------------------------------------------------------------
 
-# Tolerances pinned per contract; margins are defined so that >= 0 passes.
-_TOL = 1e-9
-_RECON_TOL = 1e-10
-_PTRACE_TOL = 1e-12
-_PURITY_SYM_TOL = 1e-10
-_BLOCH_BALL_TOL = 1e-8
-_MEMBERSHIP_TOL = 1e-6
-_SATURATION_TOL = 1e-8
-_SEPARABLE_BOUND = 1.0 / 27.0
 _POINTS_PER_STATE = 100
 
 # Each random-sample check is a draw row (states.sample_rows), holding the
@@ -466,38 +467,38 @@ def _mixed_hub_volumes(draws: np.ndarray, n_qubits: int, source: Callable) -> np
     return monogamy._hub_volumes(source(_mixed_states, n_qubits), n_qubits, 0).T
 
 
-def _reconstruction_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _reconstruction_error(draws: np.ndarray, stack: Callable) -> np.ndarray:
     mat = stack(_mixed_states, 2)
     rebuilt = states._reconstruct_arr(*states._pauli_arr(mat))
-    return _RECON_TOL - np.max(np.abs(rebuilt - mat), axis=(1, 2))
+    return np.max(np.abs(rebuilt - mat), axis=(1, 2))
 
 
-def _ptrace_composition_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _ptrace_composition_error(draws: np.ndarray, stack: Callable) -> np.ndarray:
     mat = stack(_mixed_states, 3)
     direct = _partial_trace_arr(mat, [0], 3)
     stepwise = _partial_trace_arr(_partial_trace_arr(mat, [0, 1], 3), [0], 2)
-    return _PTRACE_TOL - np.max(np.abs(direct - stepwise), axis=(1, 2))
+    return np.max(np.abs(direct - stepwise), axis=(1, 2))
 
 
-def _purity_symmetry_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _purity_asymmetry(draws: np.ndarray, stack: Callable) -> np.ndarray:
     mat = stack(_pure_states, 3)
     p_ab = states._purity_arr(_partial_trace_arr(mat, [0, 1], 3))
     p_c = states._purity_arr(_partial_trace_arr(mat, [2], 3))
-    return _PURITY_SYM_TOL - np.abs(p_ab - p_c)
+    return np.abs(p_ab - p_c)
 
 
-def _state_validity_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _validated(draws: np.ndarray, stack: Callable) -> np.ndarray:
     # The stacked validator of QuantumState.from_amplitudes and from_matrix, on the states that
     # random_pure_state(3) and then random_mixed_state(3) build from the same 16 + 128 normals.
     states._validate_arr(stack(_pure_kets, 3), states.DEFAULT_TOL)
     states._validate_arr(stack(_mixed_states, 3, _pure_width(3)), states.DEFAULT_TOL)
-    return np.ones(len(draws))
+    return np.zeros(len(draws))
 
 
-def _volume_canonical_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _volume_canonical_error(draws: np.ndarray, stack: Callable) -> np.ndarray:
     mat = stack(_mixed_states, 2)
     t_canon = states._spin_corr_arr(ellipsoid._canonical_arr(mat, 2, 0))
-    return _TOL - np.abs(ellipsoid._volume_arr(mat) - np.abs(np.linalg.det(t_canon)))
+    return np.abs(ellipsoid._volume_arr(mat) - np.abs(np.linalg.det(t_canon)))
 
 
 # A mixed two-qubit state, then the normals of its steering directions.
@@ -512,102 +513,102 @@ def _points_and_abT(draws: np.ndarray, stack: Callable) -> tuple[np.ndarray, tup
     return ellipsoid._steered_arr(*abT, e), abT
 
 
-def _bloch_containment_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _steered_norm(draws: np.ndarray, stack: Callable) -> np.ndarray:
     points, _ = _points_and_abT(draws, stack)
-    return 1.0 + _BLOCH_BALL_TOL - np.max(np.linalg.norm(points, axis=-1), axis=-1)
+    return np.max(np.linalg.norm(points, axis=-1), axis=-1)
 
 
-def _membership_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _steered_form(draws: np.ndarray, stack: Callable) -> np.ndarray:
     points, (a, b, T) = _points_and_abT(draws, stack)
     # Every row, not a fancy-indexed copy of T: matmul sums in another order
     # when the strides of T change.
     live, center, q = ellipsoid._center_orientation(a, b, T, ellipsoid._gamma(a))
-    # Where the quadratic form is undefined the margin stays 1; containment
-    # is covered by the Bloch-ball check.
+    # Where the quadratic form is undefined the value is 0, the form's value at
+    # the centre; containment is covered by the Bloch-ball check.
     firm = live & (np.linalg.eigvalsh(q)[:, 0] > 1e-10)
     delta = points[firm] - center[firm, None, :]
     solved = np.swapaxes(np.linalg.solve(q[firm], np.swapaxes(delta, 1, 2)), 1, 2)
-    out = np.ones(len(draws))
-    out[firm] = 1.0 + _MEMBERSHIP_TOL - np.max(np.einsum("nij,nij->ni", delta, solved), axis=-1)
+    out = np.zeros(len(draws))
+    out[firm] = np.max(np.einsum("nij,nij->ni", delta, solved), axis=-1)
     return out
 
 
-def _separable_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
-    return _SEPARABLE_BOUND + _TOL - ellipsoid._volume_arr(states._separable_arr(draws))
+def _separable_volumes(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    return ellipsoid._volume_arr(states._separable_arr(draws))
 
 
-def _volume_interval_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _volume_excess(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    """How far each volume lies outside [0, 1]: the larger of -v and v - 1."""
     mat = stack(_mixed_states, 2)
     v = ellipsoid._volume_arr(mat)
-    margin = np.minimum(v + _TOL, 1.0 + _TOL - v)
+    values = np.maximum(-v, v - 1.0)
     unit = np.flatnonzero(v >= 1.0 - _TOL)
     if unit.size:
         # Unit volume must certify a pure entangled state.
         mixed = states._purity_arr(mat[unit]) < 1.0 - _TOL
-        margin[unit[(monogamy._concurrence_arr(monogamy._eigh_factor(mat[unit])) <= 0.0) | mixed]] = -1.0
-    return margin
+        values[unit[(monogamy._concurrence_arr(monogamy._eigh_factor(mat[unit])) <= 0.0) | mixed]] = np.nan
+    return values
 
 
-def _monogamy_sum_margins(
-    draws: np.ndarray, stack: Callable, *, n_qubits: int, pure: bool, lhs: str, bound: float
-) -> np.ndarray:
-    """``bound`` + _TOL minus the ``MonogamyReport`` field ``lhs`` of each row's hub-0 volumes."""
+def _monogamy_sum(draws: np.ndarray, stack: Callable, *, n_qubits: int, pure: bool, lhs: str) -> np.ndarray:
+    """The ``MonogamyReport`` field ``lhs`` of each row's hub-0 volumes."""
     volumes = stack(_pure_hub_volumes if pure else _mixed_hub_volumes, n_qubits)
-    return bound + _TOL - monogamy._RELATION_SUMS[lhs](volumes.T)
+    return monogamy._RELATION_SUMS[lhs](volumes.T)
 
 
 def _relation(name: str, samples: int, n_qubits: int, pure: bool, lhs: str, bound: float, **kw) -> _InvariantCheck:
     """The row of ``MonogamyReport.<lhs> <= bound`` on Haar-random pure or induced mixed n-qubit states."""
     width = _pure_width(n_qubits) if pure else _mixed_width(n_qubits)
-    reduce = partial(_monogamy_sum_margins, n_qubits=n_qubits, pure=pure, lhs=lhs, bound=bound)
-    return _InvariantCheck(name, samples, width, reduce, **kw)
+    reduce = partial(_monogamy_sum, n_qubits=n_qubits, pure=pure, lhs=lhs)
+    return _InvariantCheck(name, samples, width, reduce, bound=bound, **kw)
 
 
-def _correlation_sum_margins(draws: np.ndarray, stack: Callable, *, pure: bool) -> np.ndarray:
+def _correlation_sum(draws: np.ndarray, stack: Callable, *, pure: bool) -> np.ndarray:
+    """|sum - 3| of the pure states' pairwise correlation sums, or the mixed states' sums."""
     mat = stack(_pure_states if pure else _mixed_states, 3)
     total = monogamy._correlation_sum_arr(mat, 3, list(combinations(range(3), 2)))
-    return _TOL - np.abs(total - 3.0) if pure else 3.0 + _TOL - total
+    return np.abs(total - 3.0) if pure else total
 
 
-def _purity_identity_margins(draws: np.ndarray, stack: Callable, *, n_qubits: int) -> np.ndarray:
+def _purity_identity_error(draws: np.ndarray, stack: Callable, *, n_qubits: int) -> np.ndarray:
     mat = stack(_pure_states, n_qubits)
     monogamy._check_pure_arr(mat)
     if n_qubits == 3:
         residuals = monogamy._purity_residuals_3q_arr(mat)
     else:
         residuals = monogamy._purity_residuals_4q_arr(mat)
-    return _TOL - np.max(np.abs(residuals), axis=-1)
+    return np.max(np.abs(residuals), axis=-1)
 
 
-def _canonical_equality_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _canonical_equality_error(draws: np.ndarray, stack: Callable) -> np.ndarray:
     mat = ellipsoid._canonical_arr(stack(_pure_states, 3), 3, 0)
     v_b, v_c = monogamy._hub_volumes(mat, 3, 0)
     b2, c2 = monogamy._bloch_norms_sq(mat, 3, (1, 2))
-    return _TOL - np.maximum(np.abs(v_b - c2), np.abs(v_c - b2))
+    return np.maximum(np.abs(v_b - c2), np.abs(v_c - b2))
 
 
-def _polygon_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _polygon_excess(draws: np.ndarray, stack: Callable) -> np.ndarray:
     mat = stack(_pure_states, 3)
     monogamy._check_pure_arr(mat)
-    return monogamy._polygon_arr(mat) + _TOL
+    return -monogamy._polygon_arr(mat)
 
 
-def _concurrence_volume_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
-    return monogamy._concurrence_volume_arr(stack(_mixed_states, 2), stack(_mixed_kets, 2).reshape(-1, 4, 4)) + _TOL
+def _concurrence_volume_excess(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    return -monogamy._concurrence_volume_arr(stack(_mixed_states, 2), stack(_mixed_kets, 2).reshape(-1, 4, 4))
 
 
-def _ckw_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
-    return monogamy._ckw_arr(stack(_mixed_kets, 3).reshape(-1, 8, 8), 0) + _TOL
+def _ckw_excess(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    return -monogamy._ckw_arr(stack(_mixed_kets, 3).reshape(-1, 8, 8), 0)
 
 
-def _tangle_volume_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _tangle_volume_excess(draws: np.ndarray, stack: Callable) -> np.ndarray:
     kets, mat = stack(_pure_kets, 3), stack(_pure_states, 3)
     monogamy._check_pure_arr(mat)
     tangle = monogamy._three_tangle_arr(kets)
     (a2,) = monogamy._bloch_norms_sq(mat, 3, (0,))
     # The pure3_sqrt_volume_monogamy row's volumes: traced from the kets, with the densities' bits.
     lhs = monogamy._sqrt_lhs(stack(_pure_hub_volumes, 3).T)
-    return tangle - (1.0 - a2) * (1.0 - lhs) + _TOL
+    return (1.0 - a2) * (1.0 - lhs) - tangle
 
 
 def _max_volume_codes(theta) -> np.ndarray:
@@ -643,13 +644,13 @@ def _wclass_kets(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, (local @ monogamy._max_volume_arr(theta)[:, :, None])[:, :, 0]
 
 
-def _wclass_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _wclass_distance(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    """|sqrt_lhs - 1| of each state, or NaN (a forced failure) where its SLOCC class is not the expected one."""
     theta, vec = _wclass_kets(draws)
     mat = states._densities(vec)
-    lhs = monogamy._sqrt_lhs(monogamy._hub_volumes(mat, 3, 0))
-    margin = _SATURATION_TOL - np.abs(lhs - 1.0)
+    distance = np.abs(monogamy._sqrt_lhs(monogamy._hub_volumes(mat, 3, 0)) - 1.0)
     monogamy._check_pure_arr(mat)
-    return np.where(monogamy._slocc_codes(vec) == _max_volume_codes(theta), margin, -1.0)
+    return np.where(monogamy._slocc_codes(vec) == _max_volume_codes(theta), distance, np.nan)
 
 
 def _noisy(mat: np.ndarray, draws: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -658,75 +659,73 @@ def _noisy(mat: np.ndarray, draws: np.ndarray, n_qubits: int) -> np.ndarray:
     return channels._apply_local_arr([sups[:, q] for q in range(n_qubits)], mat, n_qubits)
 
 
-def _channel_monotonicity_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _volume_gain(draws: np.ndarray, stack: Callable) -> np.ndarray:
+    """The volume each state gains under its local noise."""
     mat = stack(_mixed_states, 2)
     noisy = _noisy(mat, draws[:, _mixed_width(2) :], 2)
-    return ellipsoid._volume_arr(mat) - ellipsoid._volume_arr(noisy) + _TOL
+    return ellipsoid._volume_arr(noisy) - ellipsoid._volume_arr(mat)
 
 
-def _noisy_pure3_margins(draws: np.ndarray, stack: Callable) -> np.ndarray:
+def _noisy_pure3_sqrt_lhs(draws: np.ndarray, stack: Callable) -> np.ndarray:
     noisy = _noisy(stack(_pure_states, 3), draws[:, _pure_width(3) :], 3)
-    return 1.0 + _TOL - monogamy._sqrt_lhs(monogamy._hub_volumes(noisy, 3, 0))
+    return monogamy._sqrt_lhs(monogamy._hub_volumes(noisy, 3, 0))
 
 
 def _inv_noisy_w_closed_form(master_seed: int, start: int, stop: int) -> np.ndarray:
     # Deterministic 20 x 5 grid; the index selects a row of the epsilon-major sweep.
     residual = _noisy_w_columns(_open_grid(20, 1.0), (0.0, 0.001, 0.005, 0.01, 0.1))[4]
-    return _TOL - residual[start:stop]
+    return residual[start:stop]
 
 
 def _inv_ghz_mapping(master_seed: int, start: int, stop: int) -> np.ndarray:
     # Deterministic 20 x 20 grid over the open square (0, pi/2)^2, alpha-major.
     residual_b, residual_c = _ghz_columns(20)[6:8]
-    return _TOL - np.maximum(residual_b, residual_c)[start:stop]
+    return np.maximum(residual_b, residual_c)[start:stop]
 
 
 def _inv_counterexample(master_seed: int, start: int, stop: int) -> np.ndarray:
+    # Its record's tol is 0: the first entry checks sqrt_lhs within 1e-4 of exact, the second purified >= 1.
     regression = counterexample_regression()
     exact = 2.0 * math.sqrt(8.0 / 27.0)
-    margins = [
-        1e-4 - abs(regression["sqrt_lhs"] - exact),
-        regression["purified_sqrt_lhs"] - 1.0,
-    ]
-    return np.array(margins[start:stop])
+    values = [abs(regression["sqrt_lhs"] - exact) - 1e-4, 1.0 - regression["purified_sqrt_lhs"]]
+    return np.array(values[start:stop])
 
 
 # Each row is an _InvariantCheck record.  A random-sample row sets its count at
 # 10^4 scale, the width and draw of its rows and its reduce, which the suite
 # runs in one shared pass (_shared_outcomes); a grid row sets its grid size and
-# fn(master_seed, start, stop), which the suite calls once, in process.
+# fn(master_seed, start, stop), which the suite calls once, in process.  An
+# inequality whose kernel returns a slack s >= 0 returns its excess -s <= 0.
 _SUITE: tuple[_InvariantCheck, ...] = (
-    _InvariantCheck("state_reconstruction_round_trip", 10_000, _mixed_width(2), _reconstruction_margins),
-    _InvariantCheck("partial_trace_composition", 10_000, _mixed_width(3), _ptrace_composition_margins),
-    _InvariantCheck("pure3_purity_bipartition_symmetry", 10_000, _pure_width(3), _purity_symmetry_margins),
-    _InvariantCheck("sampled_state_validity", 10_000, _pure_width(3) + _mixed_width(3), _state_validity_margins),
-    _InvariantCheck("volume_matches_canonical_form", 10_000, _mixed_width(2), _volume_canonical_margins),
-    _InvariantCheck("steered_points_inside_bloch_ball", 1_000, _STEERED_WIDTH, _bloch_containment_margins),
-    _InvariantCheck("steered_points_inside_ellipsoid", 1_000, _STEERED_WIDTH, _membership_margins),
-    _InvariantCheck("separable_volume_bound", 10_000, _SEPARABLE_WIDTH, _separable_margins, _SEPARABLE_DRAW),
-    _InvariantCheck("volume_in_unit_interval", 10_000, _mixed_width(2), _volume_interval_margins),
+    _InvariantCheck("state_reconstruction_round_trip", 10_000, _mixed_width(2), _reconstruction_error, tol=1e-10),
+    _InvariantCheck("partial_trace_composition", 10_000, _mixed_width(3), _ptrace_composition_error, tol=1e-12),
+    _InvariantCheck("pure3_purity_bipartition_symmetry", 10_000, _pure_width(3), _purity_asymmetry, tol=1e-10),
+    _InvariantCheck("sampled_state_validity", 10_000, _pure_width(3) + _mixed_width(3), _validated, bound=1.0, tol=0.0),
+    _InvariantCheck("volume_matches_canonical_form", 10_000, _mixed_width(2), _volume_canonical_error),
+    _InvariantCheck("steered_points_inside_bloch_ball", 1_000, _STEERED_WIDTH, _steered_norm, bound=1.0, tol=1e-8),
+    _InvariantCheck("steered_points_inside_ellipsoid", 1_000, _STEERED_WIDTH, _steered_form, bound=1.0, tol=1e-6),
+    _InvariantCheck("separable_volume_bound", 10_000, _SEPARABLE_WIDTH, _separable_volumes, _SEPARABLE_DRAW, bound=1 / 27),
+    _InvariantCheck("volume_in_unit_interval", 10_000, _mixed_width(2), _volume_excess),
     _relation("pure3_sqrt_volume_monogamy", 10_000, 3, True, "sqrt_lhs", 1.0),
     _relation("mixed3_twothirds_volume_monogamy", 10_000, 3, False, "two_thirds_lhs", 1.0),
     _relation("pure4_twothirds_volume_monogamy", 10_000, 4, True, "two_thirds_lhs", 1.0),
     _relation("mixed5_twothirds_volume_sum", 1_000, 5, False, "two_thirds_lhs", 2.0),
     _relation("mixed5_mean_volume", 1_000, 5, False, "mean_volume", 0.5),
-    _InvariantCheck("pure3_correlation_identity", 10_000, _pure_width(3), partial(_correlation_sum_margins, pure=True)),
-    _InvariantCheck("mixed3_correlation_bound", 10_000, _mixed_width(3), partial(_correlation_sum_margins, pure=False)),
-    _InvariantCheck("pure3_purity_identities", 10_000, _pure_width(3), partial(_purity_identity_margins, n_qubits=3)),
-    _InvariantCheck("pure4_purity_identities", 10_000, _pure_width(4), partial(_purity_identity_margins, n_qubits=4)),
-    _InvariantCheck("canonical_volume_equalities", 10_000, _pure_width(3), _canonical_equality_margins),
-    _InvariantCheck("polygon_inequality", 10_000, _pure_width(3), _polygon_margins),
-    _InvariantCheck("concurrence_volume_bound", 10_000, _mixed_width(2), _concurrence_volume_margins),
-    _InvariantCheck("ckw_inequality", 10_000, _mixed_width(3), _ckw_margins),
-    _InvariantCheck("tangle_volume_bound", 10_000, _pure_width(3), _tangle_volume_margins),
-    _InvariantCheck("wclass_saturation", 10_000, 1 + 3 * 8, _wclass_margins, _WCLASS_DRAW),
-    _InvariantCheck(
-        "channel_volume_monotonicity", 10_000, _mixed_width(2) + 2 * _KRAUS_WIDTH, _channel_monotonicity_margins
-    ),
-    _InvariantCheck("noisy_pure3_monogamy", 1_000, _pure_width(3) + 3 * _KRAUS_WIDTH, _noisy_pure3_margins),
+    _InvariantCheck("pure3_correlation_identity", 10_000, _pure_width(3), partial(_correlation_sum, pure=True)),
+    _InvariantCheck("mixed3_correlation_bound", 10_000, _mixed_width(3), partial(_correlation_sum, pure=False), bound=3.0),
+    _InvariantCheck("pure3_purity_identities", 10_000, _pure_width(3), partial(_purity_identity_error, n_qubits=3)),
+    _InvariantCheck("pure4_purity_identities", 10_000, _pure_width(4), partial(_purity_identity_error, n_qubits=4)),
+    _InvariantCheck("canonical_volume_equalities", 10_000, _pure_width(3), _canonical_equality_error),
+    _InvariantCheck("polygon_inequality", 10_000, _pure_width(3), _polygon_excess),
+    _InvariantCheck("concurrence_volume_bound", 10_000, _mixed_width(2), _concurrence_volume_excess),
+    _InvariantCheck("ckw_inequality", 10_000, _mixed_width(3), _ckw_excess),
+    _InvariantCheck("tangle_volume_bound", 10_000, _pure_width(3), _tangle_volume_excess),
+    _InvariantCheck("wclass_saturation", 10_000, 1 + 3 * 8, _wclass_distance, _WCLASS_DRAW, tol=1e-8),
+    _InvariantCheck("channel_volume_monotonicity", 10_000, _mixed_width(2) + 2 * _KRAUS_WIDTH, _volume_gain),
+    _InvariantCheck("noisy_pure3_monogamy", 1_000, _pure_width(3) + 3 * _KRAUS_WIDTH, _noisy_pure3_sqrt_lhs, bound=1.0),
     _InvariantCheck("noisy_w_closed_form", 100, fn=_inv_noisy_w_closed_form),
     _InvariantCheck("ghz_family_mapping", 400, fn=_inv_ghz_mapping),
-    _InvariantCheck("counterexample_regression", 2, fn=_inv_counterexample),
+    _InvariantCheck("counterexample_regression", 2, fn=_inv_counterexample, tol=0.0),
 )
 
 _EXPLORATORY = _relation("mixed4_twothirds_exploration", 10_000, 4, False, "two_thirds_lhs", 1.0, exploratory=True)
@@ -774,7 +773,7 @@ def _scaled_count(check: _InvariantCheck, samples: int) -> int:
 def _shared_outcomes(
     checks: Sequence[_InvariantCheck], counts: Sequence[int], master_seed: int, workers: int
 ) -> dict[int, tuple[np.ndarray, str]]:
-    """``(margins, error)`` by position in ``checks`` of every random-sample (``scaled``) check.
+    """``(values, error)`` by position in ``checks`` of every random-sample (``scaled``) check.
 
     They share one pass over the samples (``_shared_sampled``), chunked over
     [0, largest count) for ``workers > 1``; the error text of a check is that
@@ -818,15 +817,16 @@ def run_property_suite(
     results = []
     for k, (check, count) in enumerate(zip(checks, counts)):
         if k in outcomes:
-            margins, error = outcomes[k]
+            values, error = outcomes[k]
         else:
             # A grid check computes its whole grid on every call, so it runs once, in this process.
             try:
-                margins, error = _chunked_values(check.fn, count, master_seed, 1), ""
+                values, error = _chunked_values(check.fn, count, master_seed, 1), ""
             except Exception as exc:  # noqa: BLE001 - suite must report, not crash
                 error = _error_text(exc)
         failures, worst, index = count, float("-inf"), -1
         if not error:
+            margins = check.margins(values)
             count, failures = int(margins.size), int(np.count_nonzero(margins < 0))
             index = int(np.argmin(margins)) if margins.size else -1
             worst = float(margins[index]) if margins.size else float("inf")

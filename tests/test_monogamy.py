@@ -79,17 +79,26 @@ class TestVolumeMonogamyReport:
         assert rep.mean_volume == pytest.approx(np.mean(rep.volumes))
         assert rep.sqrt_lhs == pytest.approx(sum(math.sqrt(v) for v in rep.volumes))
 
+    # The 9 hub volumes of random_pure_state(10, seed=13), as taken on an AVX-512 host under numpy's
+    # default kernels.  Other kernels give some of them other last bits, and then np.sum can round alike.
+    TEN_QUBIT_VOLUMES = (
+        "0x1.3ded7f14d7816p-14", "0x1.efc8f1f0ff16fp-18", "0x1.f11b6a0f3070dp-16",
+        "0x1.fccb56bec45cbp-15", "0x1.5ea598a40172fp-18", "0x1.929f90c4ef795p-14",
+        "0x1.6d6142d58a805p-17", "0x1.ae177d611f5c5p-16", "0x1.eee5668a6bad6p-15",
+    )
+
     def test_ten_qubit_sums_add_the_pairs_in_order(self):
-        rep = volume_monogamy_report(random_pure_state(10, seed=13))
-        volumes = np.array(rep.volumes)
-        assert volumes.size == 9
-        # np.sum adds 8 or more entries pairwise; here both sums round differently that way.
-        assert np.sum(np.sqrt(volumes)) != rep.sqrt_lhs
-        assert np.sum(np.float_power(volumes, 2.0 / 3.0)) != rep.two_thirds_lhs
-        assert rep.sqrt_lhs == sum(math.sqrt(v) for v in rep.volumes)
-        assert rep.two_thirds_lhs == sum(v ** (2.0 / 3.0) for v in rep.volumes)
-        assert np.mean(volumes) != rep.mean_volume
-        assert rep.mean_volume == sum(rep.volumes) / len(rep.volumes)
+        # np.sum adds 8 or more entries pairwise; on these volumes each sum rounds differently that way.
+        volumes = np.array([float.fromhex(v) for v in self.TEN_QUBIT_VOLUMES])
+        witness = monogamy.MonogamyReport._from_volumes(0, volumes, 10)
+        assert np.sum(np.sqrt(volumes)) != witness.sqrt_lhs
+        assert np.sum(np.float_power(volumes, 2.0 / 3.0)) != witness.two_thirds_lhs
+        assert np.mean(volumes) != witness.mean_volume
+        for rep in (witness, volume_monogamy_report(random_pure_state(10, seed=13))):
+            assert len(rep.volumes) == 9
+            assert rep.sqrt_lhs == sum(math.sqrt(v) for v in rep.volumes)
+            assert rep.two_thirds_lhs == sum(v ** (2.0 / 3.0) for v in rep.volumes)
+            assert rep.mean_volume == sum(rep.volumes) / len(rep.volumes)
 
     def test_ten_qubit_mean_equals_the_batched_mean(self):
         # np.mean adds one state's 9 pairs pairwise but a batch's in order; the report must not care.

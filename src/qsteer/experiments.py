@@ -423,7 +423,8 @@ _POINTS_PER_STATE = 100
 # all the arithmetic on a block of rows with stacked kernels.  A _NORMALS row
 # holds the normals of every Haar ket and unitary (real parts, then imaginary
 # parts); the checks that read one share it (_shared_sampled), and their
-# reduces read its kets, states and hub volumes from one cache per block.
+# reduces read its kets, states, hub volumes and steered points from one
+# cache per block.
 
 
 def _pure_width(n_qubits: int) -> int:
@@ -463,7 +464,7 @@ def _pure_hub_volumes(draws: np.ndarray, n_qubits: int, source: Callable) -> np.
 
 
 def _mixed_hub_volumes(draws: np.ndarray, n_qubits: int, source: Callable) -> np.ndarray:
-    """Hub-0 volumes (N, n - 1) of the induced mixed states."""
+    """Hub-0 volumes (N, n - 1) of the induced mixed states; at n = 2, v_{B|A} with ``_volume_arr``'s bits."""
     return monogamy._hub_volumes(source(_mixed_states, n_qubits), n_qubits, 0).T
 
 
@@ -496,30 +497,27 @@ def _validated(draws: np.ndarray, stack: Callable) -> np.ndarray:
 
 
 def _volume_canonical_error(draws: np.ndarray, stack: Callable) -> np.ndarray:
-    mat = stack(_mixed_states, 2)
-    t_canon = states._spin_corr_arr(ellipsoid._canonical_arr(mat, 2, 0))
-    return np.abs(ellipsoid._volume_arr(mat) - np.abs(np.linalg.det(t_canon)))
+    t_canon = states._spin_corr_arr(ellipsoid._canonical_arr(stack(_mixed_states, 2), 2, 0))
+    return np.abs(stack(_mixed_hub_volumes, 2)[:, 0] - np.abs(np.linalg.det(t_canon)))
 
 
 # A mixed two-qubit state, then the normals of its steering directions.
 _STEERED_WIDTH = _mixed_width(2) + 3 * _POINTS_PER_STATE
 
 
-def _points_and_abT(draws: np.ndarray, stack: Callable) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Steered Bloch vectors (N, 100, 3) of each row's state, and its (a, b, T)."""
-    abT = states._pauli_arr(stack(_mixed_states, 2))
-    raw = draws[:, _mixed_width(2) :].reshape(len(draws), _POINTS_PER_STATE, 3)
+def _steered_points(draws: np.ndarray, n_qubits: int, source: Callable) -> np.ndarray:
+    """Steered Bloch vectors (N, 100, 3) of the mixed states, along each row's normalized directions."""
+    raw = draws[:, _mixed_width(2) : _STEERED_WIDTH].reshape(len(draws), _POINTS_PER_STATE, 3)
     e = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-    return ellipsoid._steered_arr(*abT, e), abT
+    return ellipsoid._steered_arr(*states._pauli_arr(source(_mixed_states, n_qubits)), e)
 
 
 def _steered_norm(draws: np.ndarray, stack: Callable) -> np.ndarray:
-    points, _ = _points_and_abT(draws, stack)
-    return np.max(np.linalg.norm(points, axis=-1), axis=-1)
+    return np.max(np.linalg.norm(stack(_steered_points, 2), axis=-1), axis=-1)
 
 
 def _steered_form(draws: np.ndarray, stack: Callable) -> np.ndarray:
-    points, (a, b, T) = _points_and_abT(draws, stack)
+    points, (a, b, T) = stack(_steered_points, 2), states._pauli_arr(stack(_mixed_states, 2))
     # Every row, not a fancy-indexed copy of T: matmul sums in another order
     # when the strides of T change.
     live, center, q = ellipsoid._center_orientation(a, b, T, ellipsoid._gamma(a))
@@ -539,8 +537,7 @@ def _separable_volumes(draws: np.ndarray, stack: Callable) -> np.ndarray:
 
 def _volume_excess(draws: np.ndarray, stack: Callable) -> np.ndarray:
     """How far each volume lies outside [0, 1]: the larger of -v and v - 1."""
-    mat = stack(_mixed_states, 2)
-    v = ellipsoid._volume_arr(mat)
+    mat, v = stack(_mixed_states, 2), stack(_mixed_hub_volumes, 2)[:, 0]
     values = np.maximum(-v, v - 1.0)
     unit = np.flatnonzero(v >= 1.0 - _TOL)
     if unit.size:
@@ -661,9 +658,8 @@ def _noisy(mat: np.ndarray, draws: np.ndarray, n_qubits: int) -> np.ndarray:
 
 def _volume_gain(draws: np.ndarray, stack: Callable) -> np.ndarray:
     """The volume each state gains under its local noise."""
-    mat = stack(_mixed_states, 2)
-    noisy = _noisy(mat, draws[:, _mixed_width(2) :], 2)
-    return ellipsoid._volume_arr(noisy) - ellipsoid._volume_arr(mat)
+    noisy = _noisy(stack(_mixed_states, 2), draws[:, _mixed_width(2) :], 2)
+    return ellipsoid._volume_arr(noisy) - stack(_mixed_hub_volumes, 2)[:, 0]
 
 
 def _noisy_pure3_sqrt_lhs(draws: np.ndarray, stack: Callable) -> np.ndarray:

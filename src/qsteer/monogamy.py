@@ -376,10 +376,13 @@ def ckw_residual(rho: StateLike, hub: int = 0) -> float:
 def _ckw_arr(factor: np.ndarray, hub: int = 0):
     """:func:`ckw_residual` of rho = A A^dagger for 3-qubit factors A (..., 8, r); leading axes are a batch.
 
-    A pair's factor is A with the third qubit moved into the columns, (..., 4, 2 r).
+    A pair's factor is A with the third qubit moved into the columns, (..., 4, 2 r).  rho is rebuilt
+    from A, not taken from the caller, so that 4 det rho_hub and both concurrences come from one factor.
+    The 2 x 2 determinant is the closed form: numpy's det, sign * exp(sum log|u_ii|), rounds even a diagonal.
     """
     mat = _induced_arr(factor.reshape(factor.shape[:-2] + (-1,)), 3)
-    total = 4.0 * np.linalg.det(_partial_trace_arr(mat, [hub], 3)).real
+    m = _partial_trace_arr(mat, [hub], 3)
+    total = 4.0 * (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
     qubits = factor.reshape(factor.shape[:-2] + (2, 2, 2, -1))
     batch = factor.ndim - 2
     for other in (q for q in range(3) if q != hub):

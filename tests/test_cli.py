@@ -101,6 +101,7 @@ class TestAnalyzeCommand:
             assert "analyze needs at least 2 qubits" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.host_bytes
     def test_pure_file_is_traced_from_its_ket_in_one_kernel_call(self, monkeypatch, capsys):
         calls = {"_densities": 0, "_ellipsoid_arr": 0}
 
@@ -413,6 +414,7 @@ CONJECTURE_GOLDEN = [
 ]
 
 
+@pytest.mark.host_bytes
 class TestGoldenOutput:
     @pytest.mark.parametrize("name, argv", GOLDEN_CALLS, ids=[name for name, _ in GOLDEN_CALLS])
     def test_bytes_match_golden_file(self, tmp_path, name, argv):

@@ -781,13 +781,16 @@ class TestBlockStacks:
 
             return build
 
-        for name in ("_pure_kets", "_mixed_kets"):
+        for name in ("_pure_kets", "_mixed_kets", "_mixed_hub_volumes", "_steered_points"):
             monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
         assert run_property_suite(samples=50, master_seed=3).to_dict() == expected
         # The mixed 3-qubit kets twice: sampled_state_validity reads them after its 16 pure-ket normals.
+        # The three two-qubit volume rows share one set of hub volumes, the two steered-point rows one set of points.
         assert sorted(builds) == [
+            ("_mixed_hub_volumes", 2), ("_mixed_hub_volumes", 3), ("_mixed_hub_volumes", 5),
             ("_mixed_kets", 2), ("_mixed_kets", 3), ("_mixed_kets", 3), ("_mixed_kets", 5),
             ("_pure_kets", 3), ("_pure_kets", 4),
+            ("_steered_points", 2),
         ]
 
     @pytest.mark.parametrize(
@@ -797,6 +800,8 @@ class TestBlockStacks:
             ("state_reconstruction_round_trip", "_mixed_states", 2),
             ("partial_trace_composition", "_mixed_kets", 3),
             ("pure3_purity_bipartition_symmetry", "_pure_states", 3),
+            ("volume_matches_canonical_form", "_mixed_hub_volumes", 2),
+            ("steered_points_inside_bloch_ball", "_steered_points", 2),
             ("mixed5_twothirds_volume_sum", "_mixed_hub_volumes", 5),
         ],
     )
